@@ -13,6 +13,7 @@ for concurrent read-only use.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -417,9 +418,18 @@ def quotient(G: FinAbGroup, H: Subgroup):
 
 
 def automorphism_perms(G: FinAbGroup, config: Config = DEFAULT) -> list:
-    """Aut(G) as index permutations (the kernel-level representation)."""
+    """Aut(G) as index permutations (the kernel-level representation).
+
+    ``config.aut_count_cap`` is decided from the closed-form |Aut(G)|
+    before anything is enumerated.
+    """
     if G.order > config.aut_guard:
         raise EnumerationLimit(f"|G| = {G.order} exceeds aut_guard = {config.aut_guard}")
+    count = aut_order(G.orders)
+    if count > config.aut_count_cap:
+        raise EnumerationLimit(
+            f"|Aut(G)| = {count} exceeds aut_count_cap = {config.aut_count_cap}"
+        )
     return kernels.automorphisms(
         G.order, G.add_flat(), G.gen_strides(), list(G.orders), config.aut_count_cap
     )
@@ -463,3 +473,33 @@ def primes_of(n: int) -> list:
     if n > 1:
         out.append(n)
     return out
+
+
+def aut_order(orders) -> int:
+    """|Aut(G)| of G = Z/orders[0] x ... x Z/orders[-1], in closed form.
+
+    Aut(G) is the product of the automorphism groups of the p-primary
+    parts.  For Z/p^e_1 x ... x Z/p^e_k with e_1 <= ... <= e_k, let
+    d_i = max{j : e_j = e_i} and c_i = min{j : e_j = e_i}; then
+    |Aut| = prod_i (p^d_i - p^(i-1)) * prod_j p^(e_j (k - d_j))
+    * prod_i p^((e_i - 1)(k - c_i + 1))  (Hillar and Rhea, Amer. Math.
+    Monthly 114 (2007)).  Any cyclic presentation works, not only the
+    invariant-factor form.
+    """
+    total = 1
+    for p in primes_of(math.prod(orders)):
+        es = sorted(e for e in (_valuation(m, p) for m in orders) if e)
+        k = len(es)
+        for i, e in enumerate(es, 1):
+            d = bisect_right(es, e)
+            c = bisect_left(es, e) + 1
+            total *= (p**d - p ** (i - 1)) * p ** (e * (k - d) + (e - 1) * (k - c + 1))
+    return total
+
+
+def _valuation(n: int, p: int) -> int:
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e

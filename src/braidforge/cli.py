@@ -59,12 +59,30 @@ def _emit(report: dict, cfg, out_path):
             lines.append(f"  {k} = {json.dumps(v)}")
         text = "\n".join(lines) + "\n"
     if out_path:
-        tmp = out_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
+        _write_atomic(out_path, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` through a unique temp file beside it.
+
+    Concurrent writers never share a temp file, and a failed write
+    leaves neither a temp file nor a partial ``path`` behind.
+    """
+    import tempfile  # only --out needs it; keeps it off the CLI's import path
+
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; match open()
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _exit_code(checks) -> int:
@@ -237,10 +255,7 @@ def cmd_catalog(args, cfg) -> int:
         D = premodular.deligne_product(D1, D2, cfg)
     text = json.dumps(bio.datum_to_json(D), indent=2) + "\n"
     if args.out:
-        tmp = args.out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, args.out)
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -22,9 +22,10 @@ class Config:
     aut_guard: int = 64
     rank_guard: int = 12
     output: str = "json"
-    # automorphism groups larger than this are refused outright; the
-    # |G| <= aut_guard test alone does not bound |Aut(G)| usefully
-    # (elementary abelian groups have huge GL stabilizers).
+    # automorphism groups larger than this are refused, decided from the
+    # closed-form |Aut(G)| before any enumeration; the |G| <= aut_guard
+    # test alone does not bound |Aut(G)| usefully (|Aut((Z/2)^5)| =
+    # |GL_5(F_2)| = 9999360).
     aut_count_cap: int = 2_000_000
 
     def __post_init__(self):

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 
-from .errors import BadParameter, DivisionByZero
+from .errors import BadParameter, ClassificationBug, DivisionByZero
 
 RootExp = Fraction  # reduced fraction in [0,1), meaning e^(2*pi*i*r)
 
@@ -430,9 +430,8 @@ def _try_subfield(n, num, m):
         return None
     den = reduce(math.lcm, (c.denominator for c in sol), 1)
     if den != 1:
-        # cannot happen: the basis is integral and unimodular over the
-        # subfield lattice; kept as a guard
-        return None
+        # the basis is integral and unimodular over the subfield lattice
+        raise ClassificationBug(f"non-integral subfield coordinates at conductor {m}")
     return [int(c) for c in sol]
 
 

@@ -13,12 +13,15 @@ from braidforge.abelian import (
     FinAbGroup,
     GroupHom,
     Subgroup,
+    aut_order,
+    automorphism_perms,
     automorphisms,
     canonical_form,
     quotient,
     subgroups,
 )
-from braidforge.errors import InvalidPresentation, NotASubgroup
+from braidforge.config import Config
+from braidforge.errors import EnumerationLimit, InvalidPresentation, NotASubgroup
 
 
 def brute_subgroup_count(G):
@@ -153,6 +156,46 @@ def test_automorphism_counts(orders, expected):
     auts = automorphisms(G)
     assert len(auts) == expected
     assert len(auts) == brute_automorphism_count(G)
+
+
+def invariant_shapes(limit):
+    """Oracle: every divisor chain m_1 | m_2 | ... with product <= limit."""
+    out = []
+
+    def rec(prefix, prod):
+        for m in range(prefix[-1] if prefix else 2, limit // prod + 1):
+            if not prefix or m % prefix[-1] == 0:
+                out.append(prefix + (m,))
+                rec(prefix + (m,), prod * m)
+
+    rec((), 1)
+    return out
+
+
+def test_aut_order_matches_enumeration():
+    shapes = [s for s in invariant_shapes(36) if s != (2,) * 5]
+    assert len(shapes) == 60
+    for orders in shapes:
+        assert aut_order(orders) == len(automorphism_perms(FinAbGroup(orders))), orders
+    assert aut_order(()) == len(automorphism_perms(FinAbGroup(()))) == 1
+    # |GL_5(F_2)|, and a presentation outside invariant-factor form
+    assert aut_order((2,) * 5) == 9999360
+    assert aut_order((6, 4)) == aut_order((2, 12)) == 16
+
+
+def test_aut_count_cap_refuses_after_a_larger_cap_enumerated():
+    G = FinAbGroup((2, 2, 2))  # |Aut| = |GL_3(F_2)| = 168
+    assert len(automorphism_perms(G, Config(aut_count_cap=168))) == 168
+    with pytest.raises(EnumerationLimit, match=r"\|Aut\(G\)\| = 168 exceeds aut_count_cap = 167"):
+        automorphism_perms(G, Config(aut_count_cap=167))
+
+
+def test_automorphism_perms_returns_a_fresh_list():
+    G = FinAbGroup((2, 4))
+    first = automorphism_perms(G)
+    want = list(first)
+    first.clear()
+    assert automorphism_perms(G) == want
 
 
 def test_automorphisms_form_a_group():

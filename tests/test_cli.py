@@ -1,8 +1,10 @@
 """Command-line surface: schemas, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -87,6 +89,52 @@ def test_guard_exit_3(tmp_path, capsys):
     path = write(tmp_path, "big.json", M)
     code, _ = run(["qform", "analyze", path, "--enum-guard", "8"], capsys)
     assert code == 3
+
+
+def test_aut_count_cap_refuses_quickly(tmp_path):
+    # H + H + A on (Z/2)^5: metric, with nonzero isotropic subgroups, so
+    # analyze needs Aut(G, q); |Aut((Z/2)^5)| = 9999360 exceeds the cap
+    G = FinAbGroup((2,) * 5)
+    values = [(F(x[0] * x[1] + x[2] * x[3], 2) + F(x[4], 4)) % 1 for x in G.elements()]
+    path = write(tmp_path, "z2_5.json", {"group": {"orders": [2] * 5},
+                                         "values": [bio.fraction_str(v) for v in values]})
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "braidforge.cli", "qform", "analyze", path],
+                          capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "|Aut(G)| = 9999360 exceeds aut_count_cap = 2000000" in proc.stderr
+    assert elapsed < 2.0
+
+
+def test_out_replaces_the_file_and_leaves_no_temp_file(tmp_path, capsys):
+    out_path = tmp_path / "ising.json"
+    out_path.write_text("stale")
+    code, _ = run(["catalog", "ising", "--zeta", "1/16", "--eps", "+1",
+                   "--out", str(out_path)], capsys)
+    assert code == 0
+    json.loads(out_path.read_text())
+    form = write(tmp_path, "ai.json", bio.qform_to_json(a_form()))
+    rep_path = tmp_path / "rep.json"
+    code, _ = run(["qform", "gauss", form, "--out", str(rep_path)], capsys)
+    assert code == 0
+    json.loads(rep_path.read_text())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ai.json", "ising.json", "rep.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert rep_path.stat().st_mode & 0o777 == 0o666 & ~umask  # as open() would create it
+
+
+def test_failed_out_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def broken(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("braidforge.cli.os.replace", broken)
+    with pytest.raises(OSError):
+        main(["catalog", "ising", "--zeta", "1/16", "--eps", "+1",
+              "--out", str(tmp_path / "ising.json")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reports_deterministic(tmp_path, capsys):
