@@ -150,10 +150,10 @@ def cmd_qform(args, cfg) -> int:
             "gamma_order": len(res.gamma),
         }
     elif args.action == "wap":
-        wa = qform.is_weakly_anisotropic(M, cfg)
-        data = {"weakly_anisotropic": wa}
-        if wa:
-            mult, aniso = qform.wap_decompose(M, cfg)
+        res = qform.wap_decompose(M, cfg)
+        data = {"weakly_anisotropic": res is not None}
+        if res is not None:
+            mult, aniso = res
             data["hyperbolic_multiplicity"] = {str(p): k for p, k in mult.items()}
             data["anisotropic_part"] = bio.qform_to_json(aniso)
     rep = _report(f"qform:{args.form}", checks, data)

@@ -8,7 +8,17 @@ leave as reduced fractions r in [0,1) denoting e^(2*pi*i*r).
 
 The integer-vector layout keeps the hot paths (products of root sums,
 Gauss sums, S-matrix entries) in machine-integer convolutions; a single
-gcd pass restores canonical form afterwards.
+gcd pass restores canonical form afterwards.  Descent to a subfield
+Q(zeta_m) is a projection cached per (n, m): phi(m) coordinates on which
+the embedded basis of Q(zeta_m) is invertible, and that inverse as an
+integer matrix over one denominator.  Projecting and lifting back is
+then the exact membership test (cf. T. Breuer, Integral bases for
+subfields of cyclotomic fields, AAECC 8 (1997)).
+
+``matrix_rank`` eliminates fraction-free: every entry is lifted to the
+joined conductor, rows are scaled to integer coefficient vectors and
+combined as piv*r - f*p with a gcd division per row, so it needs no
+field inverse and no canonical form until it returns an integer.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ import math
 from fractions import Fraction
 from functools import reduce
 
-from .errors import BadParameter, ClassificationBug, DivisionByZero
+from .abelian import primes_of
+from .errors import BadParameter, DivisionByZero
 
 RootExp = Fraction  # reduced fraction in [0,1), meaning e^(2*pi*i*r)
 
@@ -91,6 +102,7 @@ class _Ctx:
             pows[k] = shifted[:deg]
         self.pows = [tuple(v) for v in pows]
         self.root_index: dict = {}
+        self.projections: dict = {}  # m -> _projection(self, m), built lazily
 
 
 def _euler_phi(n: int) -> int:
@@ -241,22 +253,7 @@ class CycloNum:
     def __mul__(self, other) -> "CycloNum":
         other = _coerce(other)
         L = _join(self.n, other.n)
-        a, b = self._lift(L), other._lift(L)
-        ctx = _ctx(L)
-        deg = ctx.phi
-        conv = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = list(conv[:deg])
-        for k in range(deg, 2 * deg - 1):
-            c = conv[k]
-            if c:
-                row = ctx.pows[k]
-                for j in range(deg):
-                    out[j] += c * row[j]
+        out = _mul_vec(_ctx(L), self._lift(L), other._lift(L))
         return CycloNum(L, out, self.den * other.den)
 
     def __rmul__(self, other):
@@ -375,11 +372,11 @@ def _normalize(n, num, den):
 
 
 def _descend(n, num):
-    """Re-express at the minimal conductor (Galois-invariance test)."""
+    """Re-express at the minimal conductor, one prime divisor at a time."""
     changed = True
     while changed and n > 1:
         changed = False
-        for p in _prime_divisors(n):
+        for p in primes_of(n):
             m = n // p
             m = _canonical_conductor(m)
             if m == n:
@@ -392,77 +389,96 @@ def _descend(n, num):
     return n, list(num)
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _try_subfield(n, num, m):
-    """Coefficients of the element in Q(zeta_m) if it lies there, else None."""
+    """Coefficients (a list) in Q(zeta_m) of the element with integer
+    coefficient list ``num`` at conductor n, if it lies there, else None.
+
+    The embedded basis zeta_n^(j*n/m), j < phi(m), spans Q(zeta_m) inside
+    Q(zeta_n).  ``_projection`` gives phi(m) coordinates on which it is
+    invertible and that inverse over one denominator D, so the candidate
+    coordinates are one integer mat-vec.  A member of Z[zeta_n] lying in
+    Q(zeta_m) lies in Z[zeta_m], so a candidate not divisible by D means
+    no member; otherwise lifting the candidate back to n and comparing
+    with ``num`` is the exact membership test.
+    """
     ctx = _ctx(n)
-    # Galois invariance under Gal(Q(zeta_n)/Q(zeta_m)) = {k = 1 mod m}
-    for k in range(1, n):
-        if k % m != 1 or math.gcd(k, n) != 1 or k == 1:
-            continue
-        img = [0] * ctx.phi
-        for i, c in enumerate(num):
-            if c:
-                row = ctx.pows[(i * k) % n]
-                for j in range(ctx.phi):
-                    img[j] += c * row[j]
-        if img != list(num):
+    proj = ctx.projections.get(m)
+    if proj is None:
+        proj = ctx.projections[m] = _projection(ctx, m)
+    coords, inv, D, basis = proj
+    x = [num[i] for i in coords]
+    sub = []
+    for row in inv:
+        c = sum(v * x[k] for k, v in row)
+        if c % D:
             return None
-    # solve for coordinates in the embedded power basis of Q(zeta_m)
-    sub = _ctx(m)
+        sub.append(c // D)
+    out = [0] * len(num)
+    for c, col in zip(sub, basis):
+        if c:
+            for i, v in col:
+                out[i] += c * v
+    return sub if out == num else None
+
+
+def _projection(ctx, m):
+    """(coordinates, inverse rows, D, basis) for descent from ctx.n to m.
+
+    ``basis[j]`` is the sparse (index, coeff) form of zeta_n^(j*n/m);
+    ``coordinates`` picks phi(m) indices on which the basis matrix B is
+    invertible, and ``inverse rows`` are the sparse rows of D * B^-1.
+    A column that is a unit vector e_i pins coordinate i (every column
+    is one when p | m, as zeta_n^(j*p) then needs no reduction), so only
+    the other columns need elimination.
+    """
+    n = ctx.n
     step = n // m
-    basis = [ctx.pows[(j * step) % n] for j in range(sub.phi)]
-    sol = _solve_int_system(basis, num)
-    if sol is None:
-        return None
-    den = reduce(math.lcm, (c.denominator for c in sol), 1)
-    if den != 1:
-        # the basis is integral and unimodular over the subfield lattice
-        raise ClassificationBug(f"non-integral subfield coordinates at conductor {m}")
-    return [int(c) for c in sol]
-
-
-def _solve_int_system(basis, target):
-    """Solve sum_j c_j basis[j] = target over Q (columns = basis vectors)."""
-    rows = len(target)
-    cols = len(basis)
-    A = [[Fraction(basis[j][i]) for j in range(cols)] + [Fraction(target[i])] for i in range(rows)]
-    piv_cols = []
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if A[r][col] != 0), None)
-        if piv is None:
+    basis = [ctx.pows[(j * step) % n] for j in range(_euler_phi(m))]
+    unit = {}
+    for j, b in enumerate(basis):
+        nz = [i for i, v in enumerate(b) if v]
+        if len(nz) == 1 and b[nz[0]] == 1:
+            unit[j] = nz[0]
+    rest = [j for j in range(len(basis)) if j not in unit]
+    # greedy independent coordinates for the other columns, fraction-free
+    hi, echelon, pinned = [], [], set(unit.values())
+    for i in range(ctx.phi):
+        if len(hi) == len(rest):
+            break
+        if i in pinned:
             continue
-        A[rank], A[piv] = A[piv], A[rank]
-        pv = A[rank][col]
-        A[rank] = [x / pv for x in A[rank]]
-        for r in range(rows):
-            if r != rank and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[rank])]
-        piv_cols.append(col)
-        rank += 1
-    # consistency
-    for r in range(rank, rows):
-        if A[r][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for r, col in enumerate(piv_cols):
-        sol[col] = A[r][cols]
-    return sol
+        v = [basis[j][i] for j in rest]
+        for pos, e in echelon:
+            if v[pos]:
+                v = _combine(e[pos], v, v[pos], e)
+        pos = next((t for t, a in enumerate(v) if a), None)
+        if pos is not None:
+            hi.append(i)
+            echelon.append((pos, v))
+    # D * B^-1 by fraction-free Gauss-Jordan on [B | I]; a unit column
+    # already has its pivot and needs no work
+    coords, cols, k = list(unit.values()) + hi, list(unit) + rest, len(basis)
+    A = [[basis[j][i] for j in cols] + [int(r == t) for t in range(k)]
+         for r, i in enumerate(coords)]
+    for col in range(len(unit), k):
+        piv = next(r for r in range(col, k) if A[r][col])
+        A[col], A[piv] = A[piv], A[col]
+        for r in range(k):
+            if r != col and A[r][col]:
+                A[r] = _combine(A[col][col], A[r], A[r][col], A[col])
+    D = reduce(math.lcm, (A[r][r] for r in range(k)), 1)
+    inv = [None] * k
+    for r, j in enumerate(cols):
+        inv[j] = [(t, x * (D // A[r][r])) for t, x in enumerate(A[r][k:]) if x]
+    basis = [[(i, v) for i, v in enumerate(b) if v] for b in basis]
+    return coords, inv, D, basis
+
+
+def _combine(a, u, b, w):
+    """a*u - b*w, divided by the gcd of its entries."""
+    out = [a * x - b * y for x, y in zip(u, w)]
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
 
 
 def _poly_xgcd_mod(a, b):
@@ -494,6 +510,25 @@ def _poly_xgcd_mod(a, b):
     # r0 = gcd (a nonzero constant, since Phi_n is irreducible)
     c = r0[0]
     return [x / c for x in s0]
+
+
+def _mul_vec(ctx, a, b):
+    """Product of two coefficient vectors at conductor ctx.n, unreduced."""
+    deg = ctx.phi
+    conv = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    out = conv[:deg]
+    for k in range(deg, 2 * deg - 1):
+        c = conv[k]
+        if c:
+            row = ctx.pows[k]
+            for j in range(deg):
+                out[j] += c * row[j]
+    return out
 
 
 def _poly_mul_frac(a, b):
@@ -555,23 +590,47 @@ ONE = CycloNum.one()
 
 
 def matrix_rank(rows) -> int:
-    """Exact rank of a matrix of CycloNums (Gaussian elimination)."""
+    """Exact rank of a matrix of CycloNums (fraction-free elimination).
+
+    Every entry is lifted to L = lcm of the conductors and each row is
+    scaled to integer vectors by the lcm of its denominators.  A row r
+    below the pivot row p becomes piv*r - f*p, then is divided by the gcd
+    of all its coefficients.  An entry is zero exactly when its vector
+    is, since the power basis at L is a basis; rank does not change
+    under field extension.
+    """
     M = [list(r) for r in rows]
     if not M:
         return 0
+    L = reduce(_join, (x.n for r in M for x in r), 1)
+    ctx = _ctx(L)
+    for i, r in enumerate(M):
+        den = reduce(math.lcm, (x.den for x in r), 1)
+        M[i] = [[c * (den // x.den) for c in x._lift(L)] for x in r]
+    zero = [0] * ctx.phi
     ncols = len(M[0])
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(M)) if not M[r][col].is_zero()), None)
+        piv = next((r for r in range(rank, len(M)) if any(M[r][col])), None)
         if piv is None:
             continue
         M[rank], M[piv] = M[piv], M[rank]
-        inv = M[rank][col].inverse()
-        M[rank] = [x * inv for x in M[rank]]
-        for r in range(len(M)):
-            if r != rank and not M[r][col].is_zero():
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[rank])]
+        p = M[rank]
+        pv = p[col]
+        for r in range(rank + 1, len(M)):
+            f = M[r][col]
+            if not any(f):
+                continue
+            row = M[r]
+            new = [zero] * (col + 1)
+            for k in range(col + 1, ncols):
+                a = _mul_vec(ctx, pv, row[k])
+                b = _mul_vec(ctx, f, p[k])
+                new.append([x - y for x, y in zip(a, b)])
+            g = math.gcd(*(c for v in new for c in v))
+            if g > 1:
+                new = [[c // g for c in v] for v in new]
+            M[r] = new
         rank += 1
         if rank == len(M):
             break

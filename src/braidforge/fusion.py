@@ -82,16 +82,24 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
             want = 1 if j == k else 0
             if N[unit][j][k] != want or N[j][unit][k] != want:
                 raise UnitFail(f"unit law fails at ({j}, {k})")
+    support = [[[(w, m) for w, m in enumerate(row) if m] for row in plane] for plane in N]
     for x in range(r):
         for y in range(r):
             for z in range(r):
-                for v in range(r):
-                    lhs = sum(N[x][y][w] * N[w][z][v] for w in range(r))
-                    rhs = sum(N[y][z][w] * N[x][w][v] for w in range(r))
-                    if lhs != rhs:
-                        raise AssociativityFail(
-                            f"associativity fails at ({x}, {y}, {z}) -> {v}"
-                        )
+                # (x*y)*z and x*(y*z) as coefficient vectors over v
+                lhs = [0] * r
+                for w, m in support[x][y]:
+                    for v, c in support[w][z]:
+                        lhs[v] += m * c
+                rhs = [0] * r
+                for w, m in support[y][z]:
+                    for v, c in support[x][w]:
+                        rhs[v] += m * c
+                if lhs != rhs:
+                    v = next(v for v in range(r) if lhs[v] != rhs[v])
+                    raise AssociativityFail(
+                        f"associativity fails at ({x}, {y}, {z}) -> {v}"
+                    )
     for x in range(r):
         for y in range(r):
             if N[x][y][unit] != (1 if y == dual[x] else 0):

@@ -50,6 +50,19 @@ def test_validate_ring_examples():
         validate_ring(I.labels, I.unit, I.dual, bad)
 
 
+def test_associativity_failure_names_its_first_index():
+    # Ising with X*X = 1 + 2*delta (X = 2, delta = 1).  Every triple before
+    # (delta, X, X) in (x, y, z) order still associates; there
+    # (delta*X)*X = X*X = 1 + 2*delta but delta*(X*X) = delta + 2*1, so the
+    # coefficients first differ at v = 0.
+    I = ising_ring()
+    bad = [list(map(list, p)) for p in I.N]
+    bad[2][2][1] = 2
+    with pytest.raises(AssociativityFail) as info:
+        validate_ring(I.labels, I.unit, I.dual, bad)
+    assert str(info.value) == "associativity fails at (1, 2, 2) -> 0"
+
+
 def test_fp_dims():
     I = ising_ring()
     fp = fp_dims(I)
