@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Side-by-side timing of the pure-Python and compiled kernels.
+"""Timings of the enumeration kernel.
 
 The kernel carries the hot loops of the library: subgroup closure and
-enumeration, automorphism search, table transport and stabilizers.
+enumeration, the automorphism search (all of Aut(G), a table's
+stabilizer, a table-carrying isomorphism) and table transport.
 Representative workloads below mirror what the acceptance suite spends
 its time on (exhaustive quadratic-form sweeps over small 2-groups).
 
@@ -17,11 +18,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from braidforge.kernels import pure  # noqa: E402
 
-try:
-    from braidforge.kernels import _core as core  # noqa: E402
-except ImportError:
-    core = None
-
 
 def strides_of(orders):
     s, out = 1, []
@@ -35,29 +31,32 @@ def workloads():
     out = []
 
     orders = (4, 4, 4)
-    out.append(("add_table Z4^3", lambda k: k.add_table(orders), 5))
+    out.append(("add_table Z4^3", lambda: pure.add_table(orders), 5))
 
     orders5 = (2, 2, 2, 2, 2)
     add5 = pure.add_table(orders5)
-    out.append(("subgroups (Z/2)^5 (374)", lambda k: k.all_subgroups(32, add5), 3))
+    out.append(("subgroups (Z/2)^5 (374)", lambda: pure.all_subgroups(32, add5), 3))
 
     orders4 = (2, 2, 2, 2)
     add4 = pure.add_table(orders4)
     st4, go4 = strides_of(orders4), list(orders4)
     out.append(
         ("automorphisms (Z/2)^4 (20160)",
-         lambda k: k.automorphisms(16, add4, st4, go4, 10 ** 7), 3)
+         lambda: pure.automorphisms(16, add4, st4, go4, 10 ** 7), 3)
+    )
+
+    table = [0, 1, 2, 1, 2, 0, 1, 2, 1, 2, 0, 1, 2, 1, 2, 0]
+    out.append(
+        ("stabilizer (Z/2)^4", lambda: pure.stabilizer(16, add4, st4, go4, table), 5)
     )
 
     auts = pure.automorphisms(16, add4, st4, go4, 10 ** 7)
-    table = [0, 1, 2, 1, 2, 0, 1, 2, 1, 2, 0, 1, 2, 1, 2, 0]
-    out.append(("stabilizer filter x20160", lambda k: k.stabilizer(auts, table), 5))
 
-    def orbit_sweep(k):
+    def orbit_sweep():
         seen = set()
         t = tuple(table)
         for p in auts:
-            seen.add(k.apply_perm(p, t))
+            seen.add(pure.apply_perm(p, t))
         return len(seen)
 
     out.append(("orbit sweep x20160", orbit_sweep, 3))
@@ -68,7 +67,7 @@ def workloads():
     tb = list(pure.apply_perm(pure.automorphisms(16, add44, [4, 1], [4, 4], 100)[-1], ta))
     out.append(
         ("find_isomorphism Z4^2",
-         lambda k: k.find_isomorphism(16, add44, [4, 1], [4, 4], ta, tb), 20)
+         lambda: pure.find_isomorphism(16, add44, [4, 1], [4, 4], ta, tb), 20)
     )
     return out
 
@@ -83,27 +82,12 @@ def best_of(fn, reps):
 
 
 def main():
-    rows = []
-    for name, fn, reps in workloads():
-        tp = best_of(lambda: fn(pure), reps)
-        if core is not None:
-            tc = best_of(lambda: fn(core), reps)
-            assert fn(pure) == fn(core), f"backend mismatch in {name}"
-            rows.append((name, tp, tc, tp / tc if tc else float("inf")))
-        else:
-            rows.append((name, tp, None, None))
-
+    rows = [(name, best_of(fn, reps)) for name, fn, reps in workloads()]
     width = max(len(r[0]) for r in rows)
-    header = f"{'workload':<{width}}  {'pure':>10}  {'compiled':>10}  {'speedup':>8}"
-    print(header)
-    print("-" * len(header))
-    for name, tp, tc, ratio in rows:
-        if tc is None:
-            print(f"{name:<{width}}  {tp * 1e3:>8.2f}ms  {'n/a':>10}  {'':>8}")
-        else:
-            print(f"{name:<{width}}  {tp * 1e3:>8.2f}ms  {tc * 1e3:>8.2f}ms  {ratio:>7.1f}x")
-    if core is None:
-        print("\ncompiled kernel not built; run `python setup.py build_ext --inplace`")
+    print(f"{'workload':<{width}}  {'best':>10}")
+    print("-" * (width + 12))
+    for name, t in rows:
+        print(f"{name:<{width}}  {t * 1e3:>8.2f}ms")
 
 
 if __name__ == "__main__":

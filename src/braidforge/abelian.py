@@ -417,8 +417,8 @@ def quotient(G: FinAbGroup, H: Subgroup):
     return Q, proj
 
 
-def automorphism_perms(G: FinAbGroup, config: Config = DEFAULT) -> list:
-    """Aut(G) as index permutations (the kernel-level representation).
+def check_aut_size(G: FinAbGroup, config: Config = DEFAULT) -> None:
+    """Refuse a search of Aut(G), or of a subgroup of it, that is too large.
 
     ``config.aut_count_cap`` is decided from the closed-form |Aut(G)|
     before anything is enumerated.
@@ -430,6 +430,11 @@ def automorphism_perms(G: FinAbGroup, config: Config = DEFAULT) -> list:
         raise EnumerationLimit(
             f"|Aut(G)| = {count} exceeds aut_count_cap = {config.aut_count_cap}"
         )
+
+
+def automorphism_perms(G: FinAbGroup, config: Config = DEFAULT) -> list:
+    """Aut(G) as index permutations (the kernel-level representation)."""
+    check_aut_size(G, config)
     return kernels.automorphisms(
         G.order, G.add_flat(), G.gen_strides(), list(G.orders), config.aut_count_cap
     )

@@ -15,7 +15,7 @@ too; subtracting one recovers the eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abelian import FinAbGroup, TRIVIAL_GROUP, smith_diagonal
 from .config import DEFAULT, Config
@@ -41,6 +41,14 @@ class FusionRing:
     unit: int
     dual: tuple
     N: tuple  # N[i][j][k], non-negative ints
+    _constituents: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cons = tuple(
+            tuple(tuple(k for k, m in enumerate(row) if m > 0) for row in plane)
+            for plane in self.N
+        )
+        object.__setattr__(self, "_constituents", cons)
 
     @property
     def rank(self) -> int:
@@ -49,8 +57,8 @@ class FusionRing:
     def mult(self, i: int, j: int) -> tuple:
         return self.N[i][j]
 
-    def constituents(self, i: int, j: int) -> list:
-        return [k for k, m in enumerate(self.N[i][j]) if m > 0]
+    def constituents(self, i: int, j: int) -> tuple:
+        return self._constituents[i][j]
 
     def is_commutative(self) -> bool:
         r = self.rank

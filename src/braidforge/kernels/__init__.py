@@ -1,28 +1,14 @@
-"""Kernel selection.
+"""The enumeration kernel; its functions live in ``pure``."""
 
-``_core`` (Cython) is preferred when built; ``pure`` is the fallback.
-Set ``BRAIDFORGE_PURE=1`` to force the fallback, e.g. for the
-benchmark's side-by-side comparison.
-"""
-
-import os
-
-if os.environ.get("BRAIDFORGE_PURE"):
-    from . import pure as impl
-else:
-    try:
-        from . import _core as impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import pure as impl
-
-IMPL = impl.IMPL
-group_size = impl.group_size
-add_table = impl.add_table
-neg_table = impl.neg_table
-element_orders = impl.element_orders
-closure = impl.closure
-all_subgroups = impl.all_subgroups
-automorphisms = impl.automorphisms
-stabilizer = impl.stabilizer
-apply_perm = impl.apply_perm
-find_isomorphism = impl.find_isomorphism
+from .pure import (
+    add_table,
+    all_subgroups,
+    apply_perm,
+    automorphisms,
+    closure,
+    element_orders,
+    find_isomorphism,
+    group_size,
+    neg_table,
+    stabilizer,
+)

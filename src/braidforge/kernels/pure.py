@@ -2,9 +2,8 @@
 
 Hot loops of the whole library live behind this small interface:
 index-packed arithmetic of a finite abelian group, subgroup closure and
-enumeration, automorphism search, and value-table transforms.  The
-compiled twin ``_core`` (Cython) implements the same functions; either
-backend may be selected at import time in ``braidforge.kernels``.
+enumeration, one automorphism search (all automorphisms, a table's
+stabilizer, a table-carrying isomorphism), and value-table transforms.
 
 Elements of a group with invariant factors ``orders = (n1, ..., nr)``
 are packed as mixed-radix integers, leftmost coordinate most
@@ -18,8 +17,6 @@ coordinates outermost-first lists indices 0..n-1 in order.
 from __future__ import annotations
 
 from ..errors import EnumerationLimit
-
-IMPL = "pure"
 
 
 def group_size(orders):
@@ -127,53 +124,73 @@ def _multiples(n, add, m, count):
     return out
 
 
+def _carrying(n, add, gen_strides, gen_ords, table_a, table_b):
+    """Yield every automorphism ``perm`` with table_b[perm[g]] == table_a[g].
+
+    Depth-first search over images of the invariant-factor generators,
+    each tried in increasing index order.  An image m of a generator of
+    order ``need`` extends the current image span S (a subgroup, equal
+    to the set of images so far) iff ord(m) == need and no nonzero
+    multiple of m lies in S; that is exactly |<S, m>| == |S| * need, and
+    a full assignment passing it is bijective.  The prefix subgroup
+    <e_1..e_k> maps onto S, its elements in enumeration order are
+    exactly the indices with zero later coordinates, and the tables are
+    compared on it before the search goes deeper.
+    """
+    if table_a[0] != table_b[0]:
+        return
+    r = len(gen_strides)
+    if r == 0:
+        yield (0,)
+        return
+    ords = element_orders(n, add)
+    cyclic = {need: [] for need in gen_ords}
+    for m in range(n):
+        if ords[m] in cyclic:
+            cyclic[ords[m]].append(_multiples(n, add, m, ords[m]))
+    want = []
+    prefix = [0]
+    for step, om in zip(gen_strides, gen_ords):
+        prefix = [e + j * step for e in prefix for j in range(om)]
+        want.append([table_a[e] for e in prefix])
+
+    def rec(depth, phi):
+        if depth == r:
+            yield tuple(phi)
+            return
+        span = set(phi)
+        target = want[depth]
+        for mult in cyclic[gen_ords[depth]]:
+            if any(x in span for x in mult[1:]):
+                continue
+            new_phi = [add[p * n + x] for p in phi for x in mult]
+            if [table_b[i] for i in new_phi] == target:
+                yield from rec(depth + 1, new_phi)
+
+    yield from rec(0, [0])
+
+
 def automorphisms(n, add, gen_strides, gen_ords, cap):
     """All automorphisms as index permutations ``perm[g] = phi(g)``.
 
-    Backtracking over images of the invariant-factor generators with the
-    exact prune |<images so far>| == product of generator orders; a full
-    assignment passing the prune is automatically bijective.  Raises
-    EnumerationLimit when more than ``cap`` automorphisms exist.
+    Raises EnumerationLimit when more than ``cap`` automorphisms exist.
     """
-    ords = element_orders(n, add)
-    r = len(gen_strides)
-    if r == 0:
-        return [(0,)]
     perms = []
-
-    def rec(depth, span_tuple, phi_level):
-        if depth == r:
-            perms.append(tuple(phi_level))
-            if len(perms) > cap:
-                raise EnumerationLimit(f"automorphism count exceeds cap {cap}")
-            return
-        need = gen_ords[depth]
-        target = len(span_tuple) * need
-        for m in range(n):
-            if need % ords[m] != 0:
-                continue
-            ext = _extend(n, add, span_tuple, m)
-            if len(ext) != target:
-                continue
-            mult = _multiples(n, add, m, need)
-            new_phi = [add[p * n + mj] for p in phi_level for mj in mult]
-            rec(depth + 1, ext, new_phi)
-
-    rec(0, (0,), [0])
+    zero = [0] * n
+    for perm in _carrying(n, add, gen_strides, gen_ords, zero, zero):
+        perms.append(perm)
+        if len(perms) > cap:
+            raise EnumerationLimit(f"automorphism count exceeds cap {cap}")
     return perms
 
 
-def stabilizer(perms, table):
-    """Sub-list of perms with table[perm[g]] == table[g] for all g."""
-    out = []
-    n = len(table)
-    for p in perms:
-        for g in range(1, n):
-            if table[p[g]] != table[g]:
-                break
-        else:
-            out.append(p)
-    return out
+def stabilizer(n, add, gen_strides, gen_ords, table):
+    """Automorphisms with table[perm[g]] == table[g] for all g.
+
+    The same list, in the same order, as filtering :func:`automorphisms`
+    by the table, without enumerating the automorphisms it rejects.
+    """
+    return list(_carrying(n, add, gen_strides, gen_ords, table, table))
 
 
 def apply_perm(perm, table):
@@ -185,56 +202,6 @@ def apply_perm(perm, table):
 
 
 def find_isomorphism(n, add, gen_strides, gen_ords, table_a, table_b):
-    """First index permutation carrying ``table_a`` to ``table_b``.
-
-    Same search as :func:`automorphisms`, but prunes on value-table
-    mismatch as soon as a partial subgroup is mapped (the prefix
-    subgroup <e_1..e_k> maps to the current image span; its elements in
-    enumeration order are exactly the indices with zero later
-    coordinates).  Returns None when no carrying automorphism exists.
-    """
-    ords = element_orders(n, add)
-    r = len(gen_strides)
-    if r == 0:
-        return (0,) if tuple(table_a) == tuple(table_b) else None
-
-    prefix = [[0]]
-    for i in range(r):
-        step, om = gen_strides[i], gen_ords[i]
-        prefix.append([e + j * step for e in prefix[-1] for j in range(om)])
-
-    def rec(depth, span_tuple, phi_level):
-        if depth == r:
-            return tuple(phi_level)
-        need = gen_ords[depth]
-        target = len(span_tuple) * need
-        elems_next = prefix[depth + 1]
-        for m in range(n):
-            if need % ords[m] != 0:
-                continue
-            ext = _extend(n, add, span_tuple, m)
-            if len(ext) != target:
-                continue
-            mult = _multiples(n, add, m, need)
-            new_phi = []
-            ok = True
-            t = 0
-            for p in phi_level:
-                base = p * n
-                for mj in mult:
-                    im = add[base + mj]
-                    if table_b[im] != table_a[elems_next[t]]:
-                        ok = False
-                        break
-                    new_phi.append(im)
-                    t += 1
-                if not ok:
-                    break
-            if not ok:
-                continue
-            res = rec(depth + 1, ext, new_phi)
-            if res is not None:
-                return res
-        return None
-
-    return rec(0, (0,), [0])
+    """First index permutation carrying ``table_a`` to ``table_b``
+    (``table_b[perm[g]] == table_a[g]``), or None when none exists."""
+    return next(_carrying(n, add, gen_strides, gen_ords, table_a, table_b), None)

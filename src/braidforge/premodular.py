@@ -16,7 +16,7 @@ non-degenerate data close out the invariant set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qform
@@ -70,6 +70,8 @@ class PreModularDatum:
     S: tuple              # derived, CycloNum matrix
     S_tilde: tuple        # s_{XY} / (d(X) d(Y))
     pointed_source: object = None  # (PreMetricGroup, chi tuple) when pointed
+    # sign -> per-index terms theta_i^sign * d_i^2 of tau, built on first use
+    _tau_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -88,10 +90,15 @@ class PreModularDatum:
         return out
 
     def tau(self, sign: int = +1, indices=None) -> CycloNum:
+        terms = self._tau_terms.get(sign)
+        if terms is None:
+            terms = self._tau_terms[sign] = [
+                CycloNum.from_root(sign * t) * d * d for t, d in zip(self.theta, self.dim)
+            ]
         idx = range(self.rank) if indices is None else indices
         out = ZERO
         for i in idx:
-            out = out + CycloNum.from_root(sign * self.theta[i]) * self.dim[i] * self.dim[i]
+            out = out + terms[i]
         return out
 
     def __repr__(self):

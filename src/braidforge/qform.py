@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -27,8 +27,9 @@ from .abelian import (
     GroupHom,
     Subgroup,
     TRIVIAL_GROUP,
-    automorphism_perms,
+    automorphism_perms,  # re-exported: Aut(G) beside Aut(G, q)
     canonical_form,
+    check_aut_size,
     hom_from_perm,
     primes_of,
     quotient,
@@ -55,6 +56,8 @@ class PreMetricGroup:
 
     group: FinAbGroup
     values: tuple
+    # int_table(), built on first use
+    _int_table: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(_mod1(Fraction(v)) for v in self.values)
@@ -80,8 +83,10 @@ class PreMetricGroup:
 
     def int_table(self):
         """(L, table) with q(g) = table[g]/L; the kernel-facing encoding."""
-        L = reduce(math.lcm, (v.denominator for v in self.values), 1)
-        return L, tuple(int(v * L) for v in self.values)
+        if self._int_table is None:
+            L = reduce(math.lcm, (v.denominator for v in self.values), 1)
+            object.__setattr__(self, "_int_table", (L, tuple(int(v * L) for v in self.values)))
+        return self._int_table
 
     def negated(self) -> "PreMetricGroup":
         return PreMetricGroup(self.group, tuple(_mod1(-v) for v in self.values))
@@ -399,10 +404,15 @@ def isomorphic(M1: PreMetricGroup, M2: PreMetricGroup, config: Config = DEFAULT)
 
 
 def q_automorphism_perms(M: PreMetricGroup, config: Config = DEFAULT) -> list:
-    """Aut(G, q) as index permutations."""
-    perms = automorphism_perms(M.group, config)
+    """Aut(G, q) as index permutations, in the order of ``automorphism_perms``.
+
+    Searched directly as the stabilizer of q, under the same size checks
+    as Aut(G); Aut(G) itself is never enumerated.
+    """
+    G = M.group
+    check_aut_size(G, config)
     _, t = M.int_table()
-    return kernels.stabilizer(perms, list(t))
+    return kernels.stabilizer(G.order, G.add_flat(), G.gen_strides(), list(G.orders), t)
 
 
 def form_automorphisms(M: PreMetricGroup, config: Config = DEFAULT) -> list:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per numbered criterion, exact unless noted.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass line
-per criterion.  Expected total runtime is a few minutes with the pure
-kernel and well under that with the compiled one.
+per criterion.  The module takes about 45 s on a 2-core x86-64 host
+with Python 3.11.
 """
 
 import itertools

@@ -1,72 +1,62 @@
-"""Differential tests: the compiled kernel must match the pure one."""
+"""The kernel's pruned searches against brute-force filters of Aut(G)."""
 
 import random
 
 import pytest
 
+from braidforge.abelian import FinAbGroup
 from braidforge.errors import EnumerationLimit
 from braidforge.kernels import pure
+from braidforge.qform import random_form
+from test_abelian import invariant_shapes
 
-try:
-    from braidforge.kernels import _core as core
-except ImportError:
-    core = None
-
-needs_core = pytest.mark.skipif(core is None, reason="compiled kernel not built")
-
-CASES = [(2,), (4,), (2, 4), (3, 3), (2, 2, 2), (12,), (2, 2, 4), (3, 9), (16,)]
+SHAPES = [s for s in invariant_shapes(36) if s != (2,) * 5]
 
 
-def strides_of(orders):
-    s, out = 1, []
-    for m in reversed(orders):
-        out.append(s)
-        s *= m
-    return list(reversed(out))
+def carries(perm, table_a, table_b):
+    return all(table_b[perm[g]] == table_a[g] for g in range(len(perm)))
 
 
-@needs_core
-@pytest.mark.parametrize("orders", CASES)
-def test_backends_agree(orders):
-    rng = random.Random(sum(orders))
-    n = 1
-    for m in orders:
-        n *= m
-    add = pure.add_table(orders)
-    assert add == core.add_table(orders)
-    assert pure.neg_table(orders) == core.neg_table(orders)
-    assert pure.element_orders(n, add) == core.element_orders(n, add)
-    gens = [rng.randrange(n) for _ in range(2)]
-    assert pure.closure(n, add, gens) == core.closure(n, add, gens)
-    assert pure.all_subgroups(n, add) == core.all_subgroups(n, add)
-    strides = strides_of(orders)
-    gords = list(orders)
-    p1 = pure.automorphisms(n, add, strides, gords, 10 ** 6)
-    p2 = core.automorphisms(n, add, strides, gords, 10 ** 6)
-    assert p1 == p2
-    table = [rng.randrange(4) for _ in range(n)]
-    assert pure.stabilizer(p1, table) == core.stabilizer(p1, table)
-    perm = p1[len(p1) // 2]
-    assert pure.apply_perm(perm, table) == core.apply_perm(perm, table)
-    moved = list(pure.apply_perm(perm, table))
-    f1 = pure.find_isomorphism(n, add, strides, gords, table, moved)
-    f2 = core.find_isomorphism(n, add, strides, gords, table, moved)
-    assert f1 == f2
-    assert f2 is not None
-    # a table with a fresh value cannot be reached
-    alien = list(table)
-    alien[0] = 99
-    assert core.find_isomorphism(n, add, strides, gords, table, alien) is None
+def tables_on(G, rng):
+    """Seeded random tables, a constant table and two real form tables."""
+    n = G.order
+    out = [[rng.randrange(k) for _ in range(n)] for k in (2, 3)]
+    out.append([5] * n)
+    for _ in range(2):
+        out.append(list(random_form(G, rng).int_table()[1]))
+    return out
 
 
-@needs_core
-def test_cap_raises_in_both():
-    orders = (2, 2, 2)
-    add = pure.add_table(orders)
+@pytest.mark.parametrize("orders", SHAPES, ids=str)
+def test_pruned_searches_match_filtered_automorphisms(orders):
+    rng = random.Random(repr(orders))
+    G = FinAbGroup(orders)
+    n, add, strides, gords = G.order, G.add_flat(), G.gen_strides(), list(orders)
+    auts = pure.automorphisms(n, add, strides, gords, 10 ** 6)
+    # depth-first order: by the images of e_1, e_2, ... in turn
+    assert auts == sorted(auts, key=lambda p: [p[s] for s in strides])
+    for table in tables_on(G, rng):
+        want = [p for p in auts if carries(p, table, table)]
+        assert pure.stabilizer(n, add, strides, gords, table) == want
+        moved = list(pure.apply_perm(rng.choice(auts), table))
+        other = [rng.choice(table) for _ in range(n)]
+        for target in (moved, other):
+            first = next((p for p in auts if carries(p, table, target)), None)
+            assert pure.find_isomorphism(n, add, strides, gords, table, target) == first
+
+
+def test_trivial_group():
+    assert pure.automorphisms(1, [0], [], [], 1) == [(0,)]
+    assert pure.stabilizer(1, [0], [], [], [3]) == [(0,)]
+    assert pure.find_isomorphism(1, [0], [], [], [3], [3]) == (0,)
+    assert pure.find_isomorphism(1, [0], [], [], [3], [4]) is None
+
+
+def test_cap_raises():
+    add = pure.add_table((2, 2, 2))
     with pytest.raises(EnumerationLimit):
         pure.automorphisms(8, add, [4, 2, 1], [2, 2, 2], 10)
-    with pytest.raises(EnumerationLimit):
-        core.automorphisms(8, add, [4, 2, 1], [2, 2, 2], 10)
+    assert len(pure.automorphisms(8, add, [4, 2, 1], [2, 2, 2], 168)) == 168
 
 
 def test_permutations_are_automorphisms():
