@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Timings of the enumeration kernel.
+"""Timings of the enumeration kernel and of datum construction.
 
 The kernel carries the hot loops of the library: subgroup closure and
 enumeration, the automorphism search (all of Aut(G), a table's
 stabilizer, a table-carrying isomorphism) and table transport.
 Representative workloads below mirror what the acceptance suite spends
 its time on (exhaustive quadratic-form sweeps over small 2-groups).
+The ``premodular.build`` rows time the exact derivation and check of
+a datum's S-matrix by rank: Ising (3), Ising x Ising (9), and the
+pointed datum of a form on Z/12 (12).
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -16,6 +19,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from fractions import Fraction  # noqa: E402
+
+from braidforge import premodular, qform  # noqa: E402
+from braidforge.abelian import FinAbGroup  # noqa: E402
 from braidforge.kernels import pure  # noqa: E402
 
 
@@ -69,6 +76,16 @@ def workloads():
         ("find_isomorphism Z4^2",
          lambda: pure.find_isomorphism(16, add44, [4, 1], [4, 4], ta, tb), 20)
     )
+
+    ising = premodular.ising_datum(Fraction(1, 16), 1)
+    ising2 = premodular.deligne_product(ising, premodular.ising_datum(Fraction(3, 16), -1))
+    z12 = qform.PreMetricGroup(FinAbGroup((12,)), [Fraction(k * k, 24) for k in range(12)])
+    pointed = premodular.pointed_datum(z12)
+    for name, D in (("Ising", ising), ("Ising x Ising", ising2), ("pointed Z/12", pointed)):
+        out.append(
+            (f"premodular.build {name} (rank {D.rank})",
+             lambda D=D: premodular.build(D.ring, D.theta, D.dim), 5)
+        )
     return out
 
 

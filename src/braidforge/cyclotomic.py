@@ -549,6 +549,16 @@ def _zip_pad(a, b):
 
 # -- bulk constructors --------------------------------------------------------
 
+def _root_power(r: RootExp, N: int):
+    """(s, t) with e^(2*pi*i*r) = (-1)^s zeta_N^t, for a canonical N that
+    the canonical conductor of r's denominator divides."""
+    b, a = r.denominator, r.numerator
+    if b % 4 == 2:
+        mm = b // 2
+        return 1, ((a - mm) // 2 % mm) * (N // mm) % N
+    return 0, a * (N // b) % N
+
+
 def root_sum(terms) -> CycloNum:
     """Exact sum of weighted roots of unity.
 
@@ -567,17 +577,7 @@ def root_sum(terms) -> CycloNum:
         c = int(w * den)
         if c == 0:
             continue
-        # e^(2 pi i r) = (-1)^s zeta_N^t with N never = 2 mod 4
-        b = r.denominator
-        a = r.numerator
-        if b % 4 == 2:
-            mm = b // 2
-            s = a % 2
-            t = ((a - s * mm) // 2) % mm
-            t = (t * (N // mm)) % N
-        else:
-            s = 0
-            t = (a * (N // b)) % N
+        s, t = _root_power(r, N)
         row = ctx.pows[t]
         sign = -c if s else c
         for j in range(ctx.phi):

@@ -42,6 +42,8 @@ class FusionRing:
     dual: tuple
     N: tuple  # N[i][j][k], non-negative ints
     _constituents: tuple = field(init=False, repr=False, compare=False)
+    # Perron eigenvalues of the left multiplications, built on first use
+    _fpdim: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cons = tuple(
@@ -206,6 +208,13 @@ class FPData:
 
 def fp_dims(R: FusionRing, config: Config = DEFAULT) -> FPData:
     """Perron eigenvalues of the left-multiplication matrices."""
+    if R._fpdim is None:
+        object.__setattr__(R, "_fpdim", _perron_dims(R))
+    dims = R._fpdim
+    return FPData(dims, sum(d * d for d in dims), config.tolerance)
+
+
+def _perron_dims(R: FusionRing) -> tuple:
     dims = []
     r = R.rank
     for x in range(r):
@@ -225,8 +234,7 @@ def fp_dims(R: FusionRing, config: Config = DEFAULT) -> FPData:
         else:
             raise NumericalFail(f"power iteration did not converge for index {x}")
         dims.append(lam - 1.0)
-    total = sum(d * d for d in dims)
-    return FPData(tuple(dims), total, config.tolerance)
+    return tuple(dims)
 
 
 def fp_subring_total(R: FusionRing, indices, fp: FPData) -> float:

@@ -6,6 +6,9 @@ never user-supplied, and a datum exists only if every structural
 identity holds exactly: unit twist, nonzero dimensions, conjugate dual
 dimensions, S symmetric and dual-invariant, first row = dimensions,
 and the product relation s_{XY} s_{XZ} = d(X) sum_W N_{YZ}^W s_{XW}.
+S is derived and its identities are checked at one conductor, as
+integer coefficient vectors over one denominator; only the stored
+entries are put in canonical form.
 
 Centralizers are cut out of the normalized matrix by s~ = 1; their
 component counts match exact matrix ranks.  Gauss sums, the squared
@@ -18,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from . import qform
 from .config import DEFAULT, Config
-from .cyclotomic import CycloNum, matrix_rank
+from .cyclotomic import CycloNum, _canonical_conductor, _ctx, _mul_vec, _root_power, matrix_rank
 from .errors import (
     BadParameter,
     ClassificationBug,
@@ -72,6 +76,8 @@ class PreModularDatum:
     pointed_source: object = None  # (PreMetricGroup, chi tuple) when pointed
     # sign -> per-index terms theta_i^sign * d_i^2 of tau, built on first use
     _tau_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # is_nondegenerate(self), decided on first use
+    _nondegenerate: bool = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -109,28 +115,13 @@ class PreModularDatum:
 # construction
 # ---------------------------------------------------------------------------
 
-def _derive_s(ring: FusionRing, theta, dim):
-    r = ring.rank
-    qd = [CycloNum.from_root(theta[z]) * dim[z] for z in range(r)]
-    return [
-        tuple(
-            CycloNum.from_root(_mod1(-theta[x] - theta[y])) * _sum_z(ring, x, y, qd)
-            for y in range(r)
-        )
-        for x in range(r)
-    ]
-
-
-def _sum_z(ring, x, y, qd):
-    acc = ZERO
-    for z, m in enumerate(ring.N[x][y]):
-        if m:
-            acc = acc + m * qd[z]
-    return acc
-
-
 def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularDatum:
-    """Derive the S-matrix and verify every datum identity exactly."""
+    """Derive the S-matrix and verify every datum identity exactly.
+
+    L joins the twists' and the dimensions' conductors and D the
+    dimensions' denominators.  Entries of S are vectors at L over D, the
+    product relation's sides over D^2, so each identity is list equality.
+    """
     r = ring.rank
     theta = tuple(_mod1(Fraction(t)) for t in theta)
     dim = tuple(d if isinstance(d, CycloNum) else CycloNum.from_rational(d) for d in dim)
@@ -148,7 +139,35 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
             raise DualDimFail(
                 f"d(dual {ring.labels[i]}) != conjugate(d({ring.labels[i]}))"
             )
-    S = _derive_s(ring, theta, dim)
+    L = reduce(math.lcm, (_canonical_conductor(t.denominator) for t in theta), 1)
+    L = reduce(math.lcm, (d.n for d in dim), L)
+    D = reduce(math.lcm, (d.den for d in dim), 1)
+    ctx = _ctx(L)
+    dv = [[c * (D // d.den) for c in d._lift(L)] for d in dim]
+    roots = [_root_power(t, L) for t in theta]   # theta_z = (-1)^s zeta_L^t
+
+    def times_root(s, t, v):
+        out = _mul_vec(ctx, ctx.pows[t % L], v)
+        return [-c for c in out] if s % 2 else out
+
+    def weighted_sum(mults, vecs):
+        acc = None
+        for w, m in enumerate(mults):
+            if m:
+                v = vecs[w] if m == 1 else [m * b for b in vecs[w]]
+                acc = v if acc is None else [a + b for a, b in zip(acc, v)]
+        return [0] * ctx.phi if acc is None else acc
+
+    # S_xy = theta_x^-1 theta_y^-1 sum_z N_xy^z theta_z d_z, over D
+    qd = [times_root(s, t, v) for (s, t), v in zip(roots, dv)]
+    S = [
+        [
+            times_root(roots[x][0] + roots[y][0], -roots[x][1] - roots[y][1],
+                       weighted_sum(ring.N[x][y], qd))
+            for y in range(r)
+        ]
+        for x in range(r)
+    ]
     for x in range(r):
         for y in range(x, r):
             if S[x][y] != S[y][x]:
@@ -157,25 +176,27 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
         for y in range(r):
             if S[ring.dual[x]][ring.dual[y]] != S[x][y]:
                 raise SymmetryFail(f"S not dual-invariant at ({x}, {y})")
-        if S[ring.unit][x] != dim[x]:
+        if S[ring.unit][x] != dv[x]:
             raise SymmetryFail(f"S[unit][{x}] != d({ring.labels[x]})")
     for x in range(r):
+        Sx = S[x]
+        dS = [_mul_vec(ctx, dv[x], v) for v in Sx]   # d_x S_xw, over D^2
+        lhs = {(y, z): _mul_vec(ctx, Sx[y], Sx[z]) for y in range(r) for z in range(y, r)}
         for y in range(r):
             for z in range(r):
-                rhs = ZERO
-                for w, m in enumerate(ring.N[y][z]):
-                    if m:
-                        rhs = rhs + m * S[x][w]
-                if S[x][y] * S[x][z] != dim[x] * rhs:
+                if lhs[min(y, z), max(y, z)] != weighted_sum(ring.N[y][z], dS):
                     raise VerlindeFail(
                         f"product relation fails at (X, Y, Z) = "
                         f"({ring.labels[x]}, {ring.labels[y]}, {ring.labels[z]})"
                     )
+    # canonical form once per distinct entry
+    canon = {k: CycloNum(L, k, D) for k in {tuple(v) for row in S for v in row}}
+    S = tuple(tuple(canon[tuple(v)] for v in row) for row in S)
     dinv = [d.inverse() for d in dim]
     St = tuple(
         tuple(S[x][y] * dinv[x] * dinv[y] for y in range(r)) for x in range(r)
     )
-    return PreModularDatum(ring, theta, dim, tuple(S), St)
+    return PreModularDatum(ring, theta, dim, S, St)
 
 
 def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -> PreModularDatum:
@@ -315,13 +336,15 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
 def is_nondegenerate(D: PreModularDatum) -> bool:
     """Invertibility of s~, cross-checked against triviality of the
     centralizer of everything."""
-    whole = FusionSubring(D.ring, tuple(range(D.rank)))
-    rep = centralizer(D, whole)
-    by_rank = rep.rank_stilde == D.rank
-    by_cent = rep.centralizer.indices == (D.ring.unit,)
-    if by_rank != by_cent:
-        raise ClassificationBug("rank and centralizer tests disagree")
-    return by_rank
+    if D._nondegenerate is None:
+        whole = FusionSubring(D.ring, tuple(range(D.rank)))
+        rep = centralizer(D, whole)
+        by_rank = rep.rank_stilde == D.rank
+        by_cent = rep.centralizer.indices == (D.ring.unit,)
+        if by_rank != by_cent:
+            raise ClassificationBug("rank and centralizer tests disagree")
+        object.__setattr__(D, "_nondegenerate", by_rank)
+    return D._nondegenerate
 
 
 def dichotomy_check(D: PreModularDatum, K: FusionSubring) -> list:

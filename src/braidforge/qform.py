@@ -222,16 +222,20 @@ def orthogonal_complement(M: PreMetricGroup, H: Subgroup) -> Subgroup:
     G = M.group
     if H.parent.orders != G.orders:
         raise NotASubgroup("subgroup belongs to a different group")
-    n = G.order
+    out = _perp_indices(M, [G.index(h) for h in H.generators])
+    return Subgroup(G, tuple(G.from_index(i) for i in out))
+
+
+def _perp_indices(M: PreMetricGroup, gens) -> list:
+    """Indices of the g with b(g, h) = 0 for every index h in ``gens``."""
+    n = M.group.order
     L, t = M.int_table()
-    add = G.add_flat()
-    gens = [G.index(h) for h in H.generators]
-    out = [
+    add = M.group.add_flat()
+    return [
         i
         for i in range(n)
         if all((t[add[i * n + j]] - t[i] - t[j]) % L == 0 for j in gens)
     ]
-    return Subgroup(G, tuple(G.from_index(i) for i in out))
 
 
 @dataclass(frozen=True)
@@ -280,10 +284,9 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     result = []
     for idx in sorted(found, key=lambda s: (len(s), s)):
         sub = Subgroup(G, tuple(G.from_index(i) for i in idx))
-        perp = orthogonal_complement(M, sub)
-        result.append(
-            IsotropicSubgroup(sub, maximal[idx], perp.elements == sub.elements)
-        )
+        # H is isotropic, so H lies in H-perp: Lagrangian iff |H-perp| = |H|
+        perp = _perp_indices(M, [G.index(h) for h in sub.generators])
+        result.append(IsotropicSubgroup(sub, maximal[idx], len(perp) == len(idx)))
     return result
 
 

@@ -81,6 +81,18 @@ def test_fp_dims():
     assert abs(fp.total - 6) < 1e-9
 
 
+def test_fp_dims_kept_per_ring_with_callers_tolerance():
+    from braidforge.config import Config
+
+    I = ising_ring()
+    first = fp_dims(I)
+    loose = fp_dims(I, Config(tolerance=1e-3))
+    assert loose.tolerance == 1e-3 and first.tolerance == Config().tolerance
+    assert loose.fpdim is first.fpdim and loose.total == first.total
+    # the kept values are not part of the ring's value
+    assert ising_ring() == I and hash(ising_ring()) == hash(I)
+
+
 def test_fp_character_property():
     for R in (ising_ring(), s3_character_ring(), group_ring(FinAbGroup((4,)))):
         fp = fp_dims(R)

@@ -10,13 +10,20 @@ from braidforge.abelian import FinAbGroup, subgroups
 from braidforge.cyclotomic import CycloNum
 from braidforge.errors import (
     BadParameter,
+    BraidforgeError,
+    DatumError,
     Degenerate,
+    DualDimFail,
     NotCharacter,
+    SymmetryFail,
+    UnitTwistFail,
     VerlindeFail,
+    ZeroDim,
 )
-from braidforge.fusion import FusionSubring, all_subrings
+from braidforge.fusion import FusionRing, FusionSubring, all_subrings, group_ring
 from braidforge.premodular import (
     ONE,
+    PreModularDatum,
     build,
     centralizer,
     commutator,
@@ -32,6 +39,7 @@ from braidforge.premodular import (
     symmetric_and_isotropic,
     trivial_datum,
 )
+from test_abelian import invariant_shapes
 
 Z = lambda k, n=16: CycloNum.from_root(F(k, n))
 
@@ -315,3 +323,179 @@ def test_build_negative_paths():
     i = CycloNum.from_root(F(1, 4))
     with pytest.raises(DualDimFail):
         build(R4, (F(0), F(1, 8), F(1, 2), F(1, 8)), (ONE, i, ONE, i))
+
+
+# -- build: one conductor against the CycloNum loops it replaced --------------
+
+def _reference_build(ring, theta, dim):
+    """The S-derivation and identity checks of ``build`` on CycloNum
+    entries, one canonical form per temporary; returns (S, S_tilde)."""
+    mod1 = lambda x: x - (x // 1)
+    r = ring.rank
+    theta = tuple(mod1(F(t)) for t in theta)
+    dim = tuple(d if isinstance(d, CycloNum) else CycloNum.from_rational(d) for d in dim)
+    if len(theta) != r or len(dim) != r:
+        raise DatumError("twist and dimension tables must cover the basis")
+    if theta[ring.unit] != 0:
+        raise UnitTwistFail(f"unit twist is {theta[ring.unit]}, not 1")
+    if dim[ring.unit] != ONE:
+        raise DatumError("unit dimension must be 1")
+    for i, d in enumerate(dim):
+        if d.is_zero():
+            raise ZeroDim(f"dimension of {ring.labels[i]} is zero")
+    for i in range(r):
+        if dim[ring.dual[i]] != dim[i].conjugate():
+            raise DualDimFail(f"d(dual {ring.labels[i]}) != conjugate(d({ring.labels[i]}))")
+    qd = [CycloNum.from_root(theta[z]) * dim[z] for z in range(r)]
+
+    def sum_z(x, y):
+        acc = CycloNum.zero()
+        for z, m in enumerate(ring.N[x][y]):
+            if m:
+                acc = acc + m * qd[z]
+        return acc
+
+    S = [
+        tuple(CycloNum.from_root(mod1(-theta[x] - theta[y])) * sum_z(x, y) for y in range(r))
+        for x in range(r)
+    ]
+    for x in range(r):
+        for y in range(x, r):
+            if S[x][y] != S[y][x]:
+                raise SymmetryFail(f"S not symmetric at ({x}, {y})")
+    for x in range(r):
+        for y in range(r):
+            if S[ring.dual[x]][ring.dual[y]] != S[x][y]:
+                raise SymmetryFail(f"S not dual-invariant at ({x}, {y})")
+        if S[ring.unit][x] != dim[x]:
+            raise SymmetryFail(f"S[unit][{x}] != d({ring.labels[x]})")
+    for x in range(r):
+        for y in range(r):
+            for z in range(r):
+                rhs = CycloNum.zero()
+                for w, m in enumerate(ring.N[y][z]):
+                    if m:
+                        rhs = rhs + m * S[x][w]
+                if S[x][y] * S[x][z] != dim[x] * rhs:
+                    raise VerlindeFail(
+                        f"product relation fails at (X, Y, Z) = "
+                        f"({ring.labels[x]}, {ring.labels[y]}, {ring.labels[z]})"
+                    )
+    dinv = [d.inverse() for d in dim]
+    St = tuple(tuple(S[x][y] * dinv[x] * dinv[y] for y in range(r)) for x in range(r))
+    return tuple(S), St
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BraidforgeError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_builds_agree(ring, theta, dim):
+    want = _outcome(_reference_build, ring, theta, dim)
+    got = _outcome(build, ring, theta, dim)
+    if isinstance(got, PreModularDatum):
+        got = (got.S, got.S_tilde)
+    assert got == want, (ring, theta, dim)
+    return want
+
+
+def _with_n(ring, N):
+    return FusionRing(ring.labels, ring.unit, ring.dual, N)
+
+
+def _set_n(N, x, y, row):
+    N = [list(plane) for plane in N]
+    N[x][y] = tuple(row)
+    return tuple(tuple(plane) for plane in N)
+
+
+def _build_corpus():
+    rng = random.Random(11)
+    out = [ising_datum(F(k, 16), eps) for k in (1, 3, 5, 7) for eps in (1, -1)]
+    out.append(deligne_product(ising_datum(F(1, 16), 1), ising_datum(F(3, 16), -1)))
+    out.append(deligne_product(ising_datum(F(5, 16), -1), ising_datum(F(5, 16), -1)))
+    for orders in invariant_shapes(12):
+        G = FinAbGroup(orders)
+        for _ in range(2):
+            M = qform.random_form(G, rng)
+            out.append(pointed_datum(M))
+            chi = tuple((-1) ** e[-1] if orders[-1] % 2 == 0 else 1 for e in G.elements())
+            out.append(pointed_datum(M, chi))
+    return out
+
+
+def test_build_matches_reference_on_data_and_mutations():
+    rng = random.Random(5)
+    scales = [CycloNum.from_root(F(k, 8)) for k in range(8)]
+    scales += [CycloNum.from_rational(q) for q in (2, F(1, 2), F(-2, 3))]
+    failures = set()
+    for D in _build_corpus():
+        R, theta, dim = D.ring, D.theta, D.dim
+        assert _assert_builds_agree(R, theta, dim) == (D.S, D.S_tilde)
+        r = R.rank
+        for _ in range(6):
+            i = rng.randrange(1, r) if r > 1 else 0
+            kind = rng.choice(("theta", "dim", "N", "N-sym"))
+            t, d, ring = list(theta), list(dim), R
+            if kind == "theta":
+                t[i] = F(rng.randrange(48), 48)
+            elif kind == "dim":
+                d[i] = d[i] * rng.choice(scales)
+                d[R.dual[i]] = d[i].conjugate()
+            else:
+                x, y = rng.randrange(r), rng.randrange(r)
+                row = list(R.N[x][y])
+                row[rng.randrange(r)] += rng.choice((1, 2))
+                N = _set_n(R.N, x, y, row)
+                if kind == "N-sym":
+                    N = _set_n(N, y, x, row)
+                ring = _with_n(R, N)
+            got = _assert_builds_agree(ring, tuple(t), tuple(d))
+            if isinstance(got[0], type):
+                failures.add(got[0].__name__)
+    assert {"SymmetryFail", "VerlindeFail"} <= failures
+
+
+def test_build_reports_each_s_identity():
+    I = ising_datum(F(1, 16), 1)
+    R = I.ring
+    # delta * X = 2X but X * delta = X: S is not symmetric
+    bad = _with_n(R, _set_n(R.N, 1, 2, (0, 0, 2)))
+    with pytest.raises(SymmetryFail, match=r"^S not symmetric at \(1, 2\)$"):
+        build(bad, I.theta, I.dim)
+    _assert_builds_agree(bad, I.theta, I.dim)
+    # 1 * X = X * 1 = 2X keeps S symmetric but breaks the unit row
+    bad = _with_n(R, _set_n(_set_n(R.N, 0, 2, (0, 0, 2)), 2, 0, (0, 0, 2)))
+    with pytest.raises(SymmetryFail, match=r"^S\[unit\]\[2\] != d\(X\)$"):
+        build(bad, I.theta, I.dim)
+    _assert_builds_agree(bad, I.theta, I.dim)
+    # a wrong duality on (Z/2)^2 that swaps elements of different twist
+    M = qform.PreMetricGroup(FinAbGroup((2, 2)), (F(0), F(1, 2), F(1, 4), F(3, 4)))
+    D = pointed_datum(M)
+    Rd = group_ring(M.group)
+    swapped = FusionRing(Rd.labels, Rd.unit, (0, 2, 1, 3), Rd.N)
+    with pytest.raises(SymmetryFail, match=r"^S not dual-invariant at \(1, 1\)$"):
+        build(swapped, D.theta, D.dim)
+    _assert_builds_agree(swapped, D.theta, D.dim)
+    # theta(delta) = 1 keeps S a symmetric matrix but breaks the product relation
+    with pytest.raises(VerlindeFail, match=r"^product relation fails at \(X, Y, Z\) = "):
+        build(R, (F(0), F(0), I.theta[2]), I.dim)
+    _assert_builds_agree(R, (F(0), F(0), I.theta[2]), I.dim)
+
+
+def test_is_lagrangian_is_self_perp():
+    rng = random.Random(8)
+    degenerate = 0
+    for orders in invariant_shapes(16):
+        G = FinAbGroup(orders)
+        forms = [qform.random_form(G, rng) for _ in range(3)]
+        forms.append(qform.PreMetricGroup(G, (F(0),) * G.order))
+        for M in forms:
+            degenerate += not qform.is_metric(M)
+            for rec in qform.isotropic_subgroups(M):
+                H = rec.subgroup
+                assert rec.is_lagrangian == (qform.orthogonal_complement(M, H) == H)
+    assert degenerate >= len(invariant_shapes(16))
