@@ -117,7 +117,7 @@ class FinAbGroup:
         if hit is None:
             add = kernels.add_table(self.orders)
             neg = kernels.neg_table(self.orders)
-            hit = (add, neg)
+            hit = (add, neg, kernels.element_orders(self.order, add))
             _TABLE_CACHE[key] = hit
         return hit
 
@@ -126,6 +126,10 @@ class FinAbGroup:
 
     def neg_flat(self):
         return self._tables()[1]
+
+    def order_flat(self):
+        """Additive order of every index."""
+        return self._tables()[2]
 
     def __repr__(self):
         if not self.orders:
@@ -207,7 +211,8 @@ class Subgroup:
         if tuple(closed) != tuple(idx):
             raise NotASubgroup("element set not closed under addition")
         if self.generators is None:
-            object.__setattr__(self, "generators", _minimal_generators(self.parent, els))
+            gens = _minimal_generators(self.parent, idx)
+            object.__setattr__(self, "generators", tuple(map(self.parent.from_index, gens)))
         else:
             object.__setattr__(
                 self, "generators", tuple(self.parent.reduce_el(g) for g in self.generators)
@@ -237,35 +242,33 @@ class Subgroup:
         return Subgroup(G, tuple(G.elements()), generators=tuple(G.generators()))
 
 
-def _minimal_generators(G: FinAbGroup, elements) -> tuple:
-    """Irredundant generating sequence, deterministic.
+def _minimal_generators(G: FinAbGroup, idx) -> tuple:
+    """Irredundant generating sequence of the subgroup with sorted element
+    indices ``idx``, as indices; deterministic.
 
-    Greedy by descending element order (lexicographic tie-break), then a
-    pruning pass removing redundant picks.
+    Greedy by descending element order (index tie-break, which is the
+    lexicographic one), then a pruning pass removing redundant picks.
     """
-    if len(elements) == 1:
+    if len(idx) == 1:
         return ()
     add = G.add_flat()
     n = G.order
-    target = tuple(sorted(G.index(e) for e in elements))
-    cand = sorted(
-        (e for e in elements if e != G.zero()),
-        key=lambda e: (-G.element_order(e), e),
-    )
+    orders = G.order_flat()
+    target = tuple(idx)
     gens: list = []
-    have = {G.index(G.zero())}
-    for e in cand:
-        if G.index(e) not in have:
+    have = {0}
+    for e in sorted(idx[1:], key=lambda i: (-orders[i], i)):
+        if e not in have:
             gens.append(e)
-            have = set(kernels.closure(n, add, [G.index(g) for g in gens]))
-            if len(have) == len(elements):
+            have = set(kernels.closure(n, add, gens))
+            if len(have) == len(idx):
                 break
     changed = True
     while changed:
         changed = False
         for i in range(len(gens)):
             rest = gens[:i] + gens[i + 1 :]
-            if tuple(kernels.closure(n, add, [G.index(g) for g in rest])) == target:
+            if kernels.closure(n, add, rest) == target:
                 gens = rest
                 changed = True
                 break
@@ -402,19 +405,24 @@ def quotient(G: FinAbGroup, H: Subgroup):
     """Quotient G/H in canonical form, with the projection hom."""
     if H.parent.orders != G.orders:
         raise NotASubgroup("subgroup belongs to a different group")
+    Q, images = _quotient_images(G, H.generators)
+    return Q, GroupHom(G, Q, images)
+
+
+def _quotient_images(G: FinAbGroup, gens):
+    """G modulo the subgroup generated by the coordinate tuples ``gens``:
+    (Q in canonical form, images in Q of G's standard generators)."""
     r = G.rank
     if r == 0:
-        return TRIVIAL_GROUP, GroupHom(G, TRIVIAL_GROUP, ())
+        return TRIVIAL_GROUP, ()
     mat = [[G.orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
-    for h in H.generators:
+    for h in gens:
         for i in range(r):
             mat[i].append(h[i])
     diag, U = smith_diagonal(mat)
     kept = [(i, d) for i, d in enumerate(diag) if d != 1]
     Q = FinAbGroup(tuple(d for _, d in kept)) if kept else TRIVIAL_GROUP
-    images = tuple(tuple(U[i][j] % d for i, d in kept) for j in range(r))
-    proj = GroupHom(G, Q, images)
-    return Q, proj
+    return Q, tuple(tuple(U[i][j] % d for i, d in kept) for j in range(r))
 
 
 def check_aut_size(G: FinAbGroup, config: Config = DEFAULT) -> None:
@@ -452,18 +460,6 @@ def automorphisms(G: FinAbGroup, config: Config = DEFAULT) -> list:
 def hom_from_perm(G: FinAbGroup, perm) -> GroupHom:
     strides = G.gen_strides()
     return GroupHom(G, G, tuple(G.from_index(perm[s]) for s in strides))
-
-
-def sylow_part(G: FinAbGroup, p: int) -> Subgroup:
-    """The p-primary component {g : p^k g = 0} as a subgroup."""
-    els = [g for g in G.elements() if _is_p_power(G.element_order(g), p)]
-    return Subgroup(G, tuple(els))
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def primes_of(n: int) -> list:

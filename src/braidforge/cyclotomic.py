@@ -44,15 +44,6 @@ def root_exp(num, den=None) -> RootExp:
 _CTX: dict = {}
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_divexact(a, b):
     """Exact division of integer polynomials (leading coeff of b = +-1)."""
     a = list(a)
@@ -173,9 +164,9 @@ class CycloNum:
     def from_coeffs(n: int, coeffs) -> "CycloNum":
         """Element of Q(zeta_n) with rational power-basis coefficients."""
         coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != _ctx(n).phi:
+        if len(coeffs) != _euler_phi(n):
             raise BadParameter(
-                f"conductor {n} needs {_ctx(n).phi} coefficients, got {len(coeffs)}"
+                f"conductor {n} needs {_euler_phi(n)} coefficients, got {len(coeffs)}"
             )
         den = reduce(math.lcm, (c.denominator for c in coeffs), 1)
         num = [int(c * den) for c in coeffs]

@@ -68,9 +68,6 @@ class FusionRing:
             self.N[i][j] == self.N[j][i] for i in range(r) for j in range(i + 1, r)
         )
 
-    def label_of(self, i: int) -> str:
-        return self.labels[i]
-
     def __repr__(self):
         return f"FusionRing({', '.join(self.labels)})"
 
@@ -235,10 +232,6 @@ def _perron_dims(R: FusionRing) -> tuple:
             raise NumericalFail(f"power iteration did not converge for index {x}")
         dims.append(lam - 1.0)
     return tuple(dims)
-
-
-def fp_subring_total(R: FusionRing, indices, fp: FPData) -> float:
-    return sum(fp.fpdim[i] ** 2 for i in indices)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from .pure import (
     apply_perm,
     automorphisms,
     closure,
+    combinations,
     element_orders,
     find_isomorphism,
     group_size,

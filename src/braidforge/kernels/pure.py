@@ -124,6 +124,16 @@ def _multiples(n, add, m, count):
     return out
 
 
+def combinations(n, add, gens, ords):
+    """Indices of sum c_i * gens[i] over the box 0 <= c_i < ords[i], the
+    box walked in lexicographic order (first coefficient outermost)."""
+    out = [0]
+    for g, o in zip(gens, ords):
+        mult = _multiples(n, add, g, o)
+        out = [add[s * n + m] for s in out for m in mult]
+    return out
+
+
 def _carrying(n, add, gen_strides, gen_ords, table_a, table_b):
     """Yield every automorphism ``perm`` with table_b[perm[g]] == table_a[g].
 

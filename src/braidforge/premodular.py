@@ -78,6 +78,8 @@ class PreModularDatum:
     _tau_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # is_nondegenerate(self), decided on first use
     _nondegenerate: bool = field(default=None, init=False, repr=False, compare=False)
+    # index sets of the Lagrangian subgroups of a pointed source, built on first use
+    _lagrangians: list = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -404,15 +406,14 @@ def symmetric_and_isotropic(D: PreModularDatum, K: FusionSubring) -> dict:
     isotropic = symmetric and all(D.theta[i] == 0 for i in K.indices)
     lagrangian = None
     if D.pointed_source is not None:
-        M, _ = D.pointed_source
-        recs = qform.isotropic_subgroups(M)
-        lag_sets = [
-            tuple(M.group.index(e) for e in r.subgroup.elements)
-            for r in recs
-            if r.is_lagrangian
-        ]
+        if D._lagrangians is None:
+            M, _ = D.pointed_source
+            recs = qform.isotropic_subgroups(M)
+            lags = [r.subgroup.indices() for r in recs if r.is_lagrangian]
+            object.__setattr__(D, "_lagrangians", lags)
+        lag_sets = D._lagrangians
         lagrangian = {
-            "lagrangian_subgroups": lag_sets,
+            "lagrangian_subgroups": list(lag_sets),
             "k_is_lagrangian": tuple(sorted(K.indices)) in lag_sets,
         }
     return {"symmetric": symmetric, "isotropic": isotropic, "lagrangian_pointed": lagrangian}

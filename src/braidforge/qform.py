@@ -5,6 +5,11 @@ element in lexicographic order); the multiplicative picture of roots of
 unity is recovered as e^(2*pi*i*q).  The polarization
 b(g,h) = q(g+h) - q(g) - q(h) is the associated bicharacter.
 
+Subquotients H-perp / H, restrictions and the automorphisms induced on
+the core are computed on flat element indices with the group's cached
+add and element-order tables; coordinate tuples, ``Subgroup`` and
+``GroupHom`` values are built only for what the public functions return.
+
 Covers isotropy and orthogonality, quotients by isotropic subgroups,
 cores, the full classification of anisotropic forms (odd rank-1 and
 norm forms; the order-2 forms i^(n^2); the order-4 family with a
@@ -20,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 
 from . import kernels
 from .abelian import (
@@ -27,12 +33,13 @@ from .abelian import (
     GroupHom,
     Subgroup,
     TRIVIAL_GROUP,
+    _minimal_generators,
+    _quotient_images,
     automorphism_perms,  # re-exported: Aut(G) beside Aut(G, q)
     canonical_form,
     check_aut_size,
     hom_from_perm,
     primes_of,
-    quotient,
     smith_diagonal,
 )
 from .config import DEFAULT, Config
@@ -290,72 +297,77 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     return result
 
 
-def _sub_structure(G: FinAbGroup, H: Subgroup):
-    """Abstract structure of a subgroup: (K, to_K, from_K).
+def _sub_structure(G: FinAbGroup, gens):
+    """Abstract structure of the subgroup generated by the indices ``gens``:
+    (K, to_K, from_K).
 
-    K is canonical; to_K maps H's elements to K's, from_K the inverse.
-    Derived from the relation lattice of H's generating sequence via
-    Smith reduction, so dependent generators are handled correctly.
+    K is canonical; to_K maps the subgroup's G-indices to K-indices, and
+    from_K lists the G-index of each K-index.  Derived from the relation
+    lattice of the generating sequence via Smith reduction, so dependent
+    generators are handled correctly.
     """
-    gens = list(H.generators)
     if not gens:
-        K = TRIVIAL_GROUP
-        return K, {G.zero(): ()}, {(): G.zero()}
+        return TRIVIAL_GROUP, {0: 0}, [0]
     k = len(gens)
-    gord = [G.element_order(g) for g in gens]
+    gord = [G.order_flat()[g] for g in gens]
+    sums = kernels.combinations(G.order, G.add_flat(), gens, gord)
     # relations inside the box prod Z/ord(g_i): all combos summing to zero
     rel_cols = [[gord[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    combos = [()]
-    for o in gord:
-        combos = [c + (j,) for c in combos for j in range(o)]
-    for v in combos:
-        if any(v):
-            s = G.zero()
-            for c, g in zip(v, gens):
-                s = G.add(s, G.mul(c, g))
-            if s == G.zero():
-                rel_cols.append(list(v))
+    box = product(*map(range, gord))
+    rel_cols += [list(v) for v, s in zip(box, sums) if s == 0 and any(v)]
     mat = [[col[i] for col in rel_cols] for i in range(k)]
     diag, U = smith_diagonal(mat)
     kept = [(i, d) for i, d in enumerate(diag) if d != 1]
     K = FinAbGroup(tuple(d for _, d in kept)) if kept else TRIVIAL_GROUP
+    images = [K.index([U[i][j] for i, _ in kept]) for j in range(k)]
     to_K = {}
-    for v in combos:
-        el = G.zero()
-        for c, g in zip(v, gens):
-            el = G.add(el, G.mul(c, g))
-        kk = tuple(sum(U[i][j] * v[j] for j in range(k)) % d for i, d in kept)
-        to_K.setdefault(el, kk)
-    if len(to_K) != len(H.elements) or len(set(to_K.values())) != K.order or K.order != len(H.elements):
+    for g, kk in zip(sums, kernels.combinations(K.order, K.add_flat(), images, gord)):
+        to_K.setdefault(g, kk)
+    if len(set(to_K.values())) != K.order or K.order != len(to_K):
         raise ClassificationBug("subgroup structure map is not bijective")
-    from_K = {v: g for g, v in to_K.items()}
+    from_K = [0] * K.order
+    for g, kk in to_K.items():
+        from_K[kk] = g
     return K, to_K, from_K
+
+
+def _restricted(M: PreMetricGroup, gens) -> PreMetricGroup:
+    K, _, from_K = _sub_structure(M.group, gens)
+    return PreMetricGroup(K, tuple(M.values[g] for g in from_K))
 
 
 def restrict(M: PreMetricGroup, H: Subgroup) -> PreMetricGroup:
     """The form restricted to a subgroup, on its canonical abstract group."""
-    K, to_K, from_K = _sub_structure(M.group, H)
-    vals = [M.q(from_K[e]) for e in K.elements()]
-    return PreMetricGroup(K, tuple(vals))
+    return _restricted(M, [M.group.index(g) for g in H.generators])
+
+
+def _subquotient(M: PreMetricGroup, H: Subgroup):
+    """H-perp / H for isotropic H, on indices: (Q, to_Q, values).
+
+    Q is canonical, to_Q maps each G-index of H-perp to its Q-index, and
+    values is the induced form's table in Q's index order.
+    """
+    for h in H.elements:
+        if M.q(h) != 0:
+            raise NotIsotropic(f"q({h}) = {M.q(h)} != 0")
+    G = M.group
+    perp = _perp_indices(M, [G.index(h) for h in H.generators])
+    K, to_K, from_K = _sub_structure(G, _minimal_generators(G, perp))
+    low = _minimal_generators(K, sorted(to_K[h] for h in H.indices()))
+    Q, images = _quotient_images(K, [K.from_index(i) for i in low])
+    proj = kernels.combinations(Q.order, Q.add_flat(), list(map(Q.index, images)), K.orders)
+    vals = [None] * Q.order
+    for y, g in zip(proj, from_K):
+        if vals[y] is not None and vals[y] != M.values[g]:
+            raise ClassificationBug("induced form not constant on cosets")
+        vals[y] = M.values[g]
+    return Q, {g: proj[kk] for g, kk in to_K.items()}, tuple(vals)
 
 
 def quotient_form(M: PreMetricGroup, H: Subgroup) -> PreMetricGroup:
     """The induced form on H-perp / H for isotropic H."""
-    for h in H.elements:
-        if M.q(h) != 0:
-            raise NotIsotropic(f"q({h}) = {M.q(h)} != 0")
-    perp = orthogonal_complement(M, H)
-    K, to_K, from_K = _sub_structure(M.group, perp)
-    H_in_K = Subgroup(K, tuple(to_K[h] for h in H.elements))
-    Q, proj = quotient(K, H_in_K)
-    vals = {}
-    for e in K.elements():
-        y = proj(e)
-        v = M.q(from_K[e])
-        if y in vals and vals[y] != v:
-            raise ClassificationBug("induced form not constant on cosets")
-        vals[y] = v
-    return PreMetricGroup(Q, tuple(vals[y] for y in Q.elements()))
+    Q, _, vals = _subquotient(M, H)
+    return PreMetricGroup(Q, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -446,36 +458,26 @@ def core(M: PreMetricGroup, config: Config = DEFAULT) -> CoreResult:
     iso_list = isotropic_subgroups(M, config)
     maximal = [r.subgroup for r in iso_list if r.is_maximal]
     H = min(maximal, key=lambda s: s.elements)
-    coreform = quotient_form(M, H)
-    gamma = _induced_on_core(M, H, coreform, config)
-    return CoreResult(coreform, H, gamma)
+    Q, to_Q, vals = _subquotient(M, H)
+    coreform = PreMetricGroup(Q, vals)
+    return CoreResult(coreform, H, _induced_on_core(M, H, to_Q, coreform, config))
 
 
-def _induced_on_core(M, H, coreform, config):
-    G = M.group
-    perp = orthogonal_complement(M, H)
-    K, to_K, from_K = _sub_structure(G, perp)
-    H_in_K = Subgroup(K, tuple(to_K[h] for h in H.elements))
-    Q, proj = quotient(K, H_in_K)
-    if Q.orders != coreform.group.orders:
-        raise ClassificationBug("core recomputation mismatch")
-    h_idx = set(G.index(h) for h in H.elements)
-    perp_idx = [G.index(e) for e in perp.elements]
+def _induced_on_core(M, H, to_Q, coreform, config):
+    Q = coreform.group
+    h_idx = set(H.indices())
     induced = set()
     for p in q_automorphism_perms(M, config):
         if {p[i] for i in h_idx} != h_idx:
             continue
         mapping = {}
-        for i in perp_idx:
-            src = proj(to_K[G.from_index(i)])
-            dst = proj(to_K[G.from_index(p[i])])
-            if src in mapping and mapping[src] != dst:
+        for i, src in to_Q.items():
+            if mapping.setdefault(src, to_Q[p[i]]) != to_Q[p[i]]:
                 raise ClassificationBug("automorphism does not descend to the core")
-            mapping[src] = dst
-        induced.add(tuple(mapping[y] for y in Q.elements()))
+        induced.add(tuple(mapping[y] for y in range(Q.order)))
     gamma = []
     for imgs in sorted(induced):
-        hom = GroupHom(Q, Q, tuple(imgs[Q.index(e)] for e in Q.generators()))
+        hom = GroupHom(Q, Q, tuple(Q.from_index(imgs[s]) for s in Q.gen_strides()))
         for y in Q.elements():
             if coreform.q(hom(y)) != coreform.q(y):
                 raise ClassificationBug("core automorphism does not preserve the form")
@@ -629,15 +631,12 @@ def is_anisotropic(M: PreMetricGroup) -> bool:
 
 def sylow_decomposition(M: PreMetricGroup) -> dict:
     """Restriction of the form to each primary component (orthogonal)."""
+    G = M.group
+    orders = G.order_flat()
     out = {}
-    for p in primes_of(max(M.group.order, 1)) or []:
-        els = [
-            g
-            for g in M.group.elements()
-            if _p_power_order(M.group.element_order(g), p)
-        ]
-        sub = Subgroup(M.group, tuple(els))
-        out[p] = restrict(M, sub)
+    for p in primes_of(max(G.order, 1)) or []:
+        idx = [i for i in range(G.order) if _p_power_order(orders[i], p)]
+        out[p] = _restricted(M, _minimal_generators(G, idx))
     return out
 
 

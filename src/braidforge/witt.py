@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .config import DEFAULT, Config
 from .cyclotomic import CycloNum, root_sum
@@ -159,6 +160,11 @@ def _radical_generator(p: int) -> CycloNum:
     return tau_plus(odd_rank1(p, 1))
 
 
+@lru_cache(maxsize=None)
+def _radical_inverse(p: int) -> CycloNum:
+    return _radical_generator(p).inverse()
+
+
 def tau_image(c: WittClass, p: int) -> TauLabel:
     """Express tau+ of the class at p in the canonical generators."""
     lab = c.at(p)
@@ -170,9 +176,9 @@ def tau_image(c: WittClass, p: int) -> TauLabel:
         if p == 2
         else [Fraction(0), Fraction(1, 2)]
     )
-    for rad_exp, val in ((0, tau), (1, tau / _radical_generator(p))):
+    for rad_exp, val in ((0, tau), (1, tau * _radical_inverse(p))):
         for u in units:
-            r = (val / CycloNum.from_root(u)).as_rational()
+            r = (val * CycloNum.from_root(-u)).as_rational()
             if r is not None and r > 0:
                 return TauLabel(u, rad_exp)
     raise ClassificationBug(f"tau+ of {lab} outside the generator set at p = {p}")

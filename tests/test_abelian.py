@@ -342,10 +342,12 @@ def test_subgroup_structure_maps_are_isomorphisms():
         G = FinAbGroup(orders)
         subs = subgroups(G)
         for H in rng.sample(subs, min(6, len(subs))):
-            K, to_K, from_K = _sub_structure(G, H)
+            K, to_K, from_K = _sub_structure(G, [G.index(g) for g in H.generators])
             assert K.order == H.order
-            assert set(to_K) == set(H.elements)
+            assert set(to_K) == set(H.indices())
             for a in H.elements:
                 for b in H.elements:
-                    assert to_K[G.add(a, b)] == K.add(to_K[a], to_K[b])
-            assert all(from_K[to_K[a]] == a for a in H.elements)
+                    ka, kb = (K.from_index(to_K[G.index(x)]) for x in (a, b))
+                    assert to_K[G.index(G.add(a, b))] == K.index(K.add(ka, kb))
+            assert all(from_K[to_K[a]] == a for a in H.indices())
+            assert sorted(from_K) == list(H.indices())

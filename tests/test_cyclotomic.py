@@ -107,6 +107,18 @@ def test_from_coeffs_roundtrip():
     assert a == b and hash(a) == hash(b)
 
 
+def test_from_coeffs_checks_the_count_before_building_the_conductor():
+    from braidforge import cyclotomic
+    from braidforge import io as bio
+    from braidforge.errors import BadParameter, SchemaError
+
+    with pytest.raises(BadParameter, match="needs 1008 coefficients, got 1"):
+        CycloNum.from_coeffs(1009, [1])
+    with pytest.raises(SchemaError, match="needs 1008 coefficients, got 1"):
+        bio.cyclo_from_json({"conductor": 1009, "coeffs": ["1"]})
+    assert 1009 not in cyclotomic._CTX
+
+
 def test_known_conductors():
     # square roots and Gauss-period values land at their textbook conductors
     from braidforge.qform import odd_rank1

@@ -219,6 +219,22 @@ def test_symmetric_and_isotropic():
     assert flags["symmetric"] and flags["isotropic"]
 
 
+def test_lagrangians_listed_once_per_pointed_datum(monkeypatch):
+    M = qform.direct_sum(qform.hyperbolic_plane(2), qform.a_form())
+    lags = [r.subgroup.indices() for r in qform.isotropic_subgroups(M) if r.is_lagrangian]
+    D = pointed_datum(M)
+    calls = []
+    real = qform.isotropic_subgroups
+    monkeypatch.setattr(qform, "isotropic_subgroups", lambda *a: calls.append(a) or real(*a))
+    gauss_and_charge(D)
+    subs = all_subrings(D.ring).subrings
+    assert len(subs) > 10
+    for K in subs:
+        got = symmetric_and_isotropic(D, K)["lagrangian_pointed"]
+        assert got == {"lagrangian_subgroups": lags, "k_is_lagrangian": K.indices in lags}
+    assert len(calls) == 1
+
+
 def test_gauss_and_charge_ising():
     k = 3
     D = ising_datum(F(k, 16), 1)

@@ -133,6 +133,40 @@ def test_tau_image():
     assert (labC.unit, labC.radical) == (F(1, 2), 0)
 
 
+def _tau_image_by_division(c, p):
+    """tau_image as first written: dividing by the radical generator and
+    by each unit with the general inverse."""
+    from braidforge.qform import build_labeled_form
+    from braidforge.witt import TauLabel, _radical_generator
+
+    lab = c.at(p)
+    if lab is None:
+        return TauLabel(F(0), 0)
+    tau = tau_plus(build_labeled_form(lab))
+    units = [F(k, 8) for k in range(8)] if p == 2 else [F(0), F(1, 2)]
+    for rad_exp, val in ((0, tau), (1, tau / _radical_generator(p))):
+        for u in units:
+            r = (val / CycloNum.from_root(u)).as_rational()
+            if r is not None and r > 0:
+                return TauLabel(u, rad_exp)
+    raise AssertionError(f"no label for {lab}")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tau_image_matches_division_reference(p):
+    orders = (2, 4, 8) if p == 2 else (p, p * p)
+    labels = [
+        lab
+        for o in orders
+        for lab in anisotropic_catalog(p, o)
+        if lab.kind not in ("SlightDeg2", "SlightDeg4")
+    ]
+    assert len(labels) == (2 + 7 + 6 if p == 2 else 3)
+    for lab in labels:
+        c = WittClass(((p, lab),))
+        assert tau_image(c, p) == _tau_image_by_division(c, p), lab
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_tau_separates_classes(p):
     orders = (2, 4, 8) if p == 2 else (p, p * p)
