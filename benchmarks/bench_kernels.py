@@ -8,7 +8,11 @@ Representative workloads below mirror what the acceptance suite spends
 its time on (exhaustive quadratic-form sweeps over small 2-groups).
 The ``premodular.build`` rows time the exact derivation and check of
 a datum's S-matrix by rank: Ising (3), Ising x Ising (9), and the
-pointed datum of a form on Z/12 (12).
+pointed datum of a form on Z/12 (12).  The ``gauss_and_charge`` and
+``centralizer sweep`` rows time a datum's reports on Ising x Ising and
+the pointed Z/12 datum.  A datum keeps its reports and a ring its
+subring lattice, so each repetition gets a fresh datum on a fresh ring,
+built before its clock starts; the sweep also lists the lattice first.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -23,6 +27,7 @@ from fractions import Fraction  # noqa: E402
 
 from braidforge import premodular, qform  # noqa: E402
 from braidforge.abelian import FinAbGroup  # noqa: E402
+from braidforge.fusion import FusionRing, all_subrings  # noqa: E402
 from braidforge.kernels import pure  # noqa: E402
 
 
@@ -86,20 +91,41 @@ def workloads():
             (f"premodular.build {name} (rank {D.rank})",
              lambda D=D: premodular.build(D.ring, D.theta, D.dim), 5)
         )
+    for name, D in (("Ising x Ising", ising2), ("pointed Z/12", pointed)):
+        def fresh(D=D):
+            R = D.ring
+            return premodular.build(FusionRing(R.labels, R.unit, R.dual, R.N), D.theta, D.dim)
+
+        def with_lattice(fresh=fresh):
+            E = fresh()
+            return E, all_subrings(E.ring).subrings
+
+        def sweep(arg):
+            E, subs = arg
+            for K in subs:
+                premodular.centralizer(E, K)
+
+        out.append((f"gauss_and_charge {name} (rank {D.rank})",
+                    premodular.gauss_and_charge, 5, fresh))
+        n = len(all_subrings(D.ring).subrings)
+        out.append((f"centralizer sweep {name} ({n} subrings)", sweep, 5, with_lattice))
     return out
 
 
-def best_of(fn, reps):
+def best_of(fn, reps, setup=None):
+    """Best time of ``reps`` calls; with ``setup``, of fn(setup()), the
+    set-up left off the clock."""
     best = float("inf")
     for _ in range(reps):
+        args = () if setup is None else (setup(),)
         t0 = time.perf_counter()
-        fn()
+        fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
 
 
 def main():
-    rows = [(name, best_of(fn, reps)) for name, fn, reps in workloads()]
+    rows = [(w[0], best_of(*w[1:])) for w in workloads()]
     width = max(len(r[0]) for r in rows)
     print(f"{'workload':<{width}}  {'best':>10}")
     print("-" * (width + 12))

@@ -191,6 +191,20 @@ def cmd_fusion(args, cfg) -> int:
 
 # -- premodular ----------------------------------------------------------------
 
+def _subring_seed(text: str, rank: int) -> tuple:
+    """The basis indices of ``--subring``, each an integer in 0..rank-1."""
+    seed = []
+    for entry in text.split(","):
+        try:
+            i = int(entry)
+        except ValueError:
+            raise SchemaError(f"--subring entry {entry!r} is not an integer") from None
+        if not 0 <= i < rank:
+            raise SchemaError(f"--subring entry {i} is outside 0..{rank - 1}")
+        seed.append(i)
+    return tuple(seed)
+
+
 def cmd_premodular(args, cfg) -> int:
     D = bio.datum_from_json(bio.load_json(args.datum), cfg)
     checks = [Check("datum", "datum-identities", "pass")]
@@ -211,8 +225,7 @@ def cmd_premodular(args, cfg) -> int:
     elif args.action == "centralizer":
         if not args.subring:
             raise SchemaError("centralizer needs --subring i,j,...")
-        seed = tuple(int(x) for x in args.subring.split(","))
-        K = subring_generated(D.ring, seed)
+        K = subring_generated(D.ring, _subring_seed(args.subring, D.rank))
         rep = premodular.centralizer(D, K)
         checks.append(Check("rank-components", "centralizer-rank-components", "pass",
                             f"rank {rep.rank_stilde}"))

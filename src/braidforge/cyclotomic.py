@@ -18,12 +18,15 @@ subfields of cyclotomic fields, AAECC 8 (1997)).
 ``matrix_rank`` eliminates fraction-free: every entry is lifted to the
 joined conductor, rows are scaled to integer coefficient vectors and
 combined as piv*r - f*p with a gcd division per row, so it needs no
-field inverse and no canonical form until it returns an integer.
+field inverse and no canonical form until it returns an integer.  The
+elimination, ``_rank_vec``, takes such vectors directly, so a caller
+that already holds its matrix at one conductor makes no CycloNum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -94,6 +97,7 @@ class _Ctx:
         self.pows = [tuple(v) for v in pows]
         self.root_index: dict = {}
         self.projections: dict = {}  # m -> _projection(self, m), built lazily
+        self.modular = None          # _modular(self), built lazily
 
 
 def _euler_phi(n: int) -> int:
@@ -584,20 +588,36 @@ def matrix_rank(rows) -> int:
     """Exact rank of a matrix of CycloNums (fraction-free elimination).
 
     Every entry is lifted to L = lcm of the conductors and each row is
-    scaled to integer vectors by the lcm of its denominators.  A row r
-    below the pivot row p becomes piv*r - f*p, then is divided by the gcd
-    of all its coefficients.  An entry is zero exactly when its vector
-    is, since the power basis at L is a basis; rank does not change
-    under field extension.
+    scaled to integer vectors by the lcm of its denominators, which
+    leaves the rank as it is; ``_rank_vec`` eliminates.  Rank does not
+    change under field extension.
     """
     M = [list(r) for r in rows]
     if not M:
         return 0
     L = reduce(_join, (x.n for r in M for x in r), 1)
-    ctx = _ctx(L)
     for i, r in enumerate(M):
         den = reduce(math.lcm, (x.den for x in r), 1)
         M[i] = [[c * (den // x.den) for c in x._lift(L)] for x in r]
+    return _rank_vec(_ctx(L), M)
+
+
+def _rank_vec(ctx, M) -> int:
+    """Exact rank of a matrix whose entries are integer coefficient
+    vectors at conductor ctx.n.
+
+    First the matrix is reduced mod p (``_modular``); a minor that is
+    nonzero mod p is nonzero, so full row rank there is full row rank.
+    Otherwise a row r below the pivot row p becomes piv*r - f*p, then
+    is divided by the gcd of all its coefficients, so no field inverse
+    is needed.  An entry is zero exactly when its vector is, since the
+    power basis is a basis.  The list ``M`` is reordered and its rows
+    replaced, but no row or entry is changed in place.
+    """
+    if not M:
+        return 0
+    if _rank_mod_p(ctx, M) == len(M):
+        return len(M)
     zero = [0] * ctx.phi
     ncols = len(M[0])
     rank = 0
@@ -624,5 +644,49 @@ def matrix_rank(rows) -> int:
             M[r] = new
         rank += 1
         if rank == len(M):
+            break
+    return rank
+
+
+def _modular(ctx):
+    """(p, w): a prime p = 1 mod n above 2^20 and w[i] = omega^i mod p
+    for i < phi(n), with omega of order n mod p; built once per conductor.
+
+    zeta_n -> omega is then a ring map Z[zeta_n] -> F_p, since omega is
+    a root of Phi_n mod p.
+    """
+    if ctx.modular is None:
+        n = ctx.n
+        p = (2 ** 20 // n + 1) * n + 1
+        while any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            p += n
+        g = 2
+        while True:
+            omega = pow(g, (p - 1) // n, p)
+            if all(pow(omega, n // q, p) != 1 for q in primes_of(n)):
+                break
+            g += 1
+        ctx.modular = p, [pow(omega, i, p) for i in range(ctx.phi)]
+    return ctx.modular
+
+
+def _rank_mod_p(ctx, M) -> int:
+    """Rank over F_p of the image of M under ``_modular``: at most its rank."""
+    p, w = _modular(ctx)
+    A = [[sum(map(operator.mul, v, w)) % p for v in row] for row in M]
+    rank = 0
+    for col in range(len(A[0])):
+        piv = next((r for r in range(rank, len(A)) if A[r][col]), None)
+        if piv is None:
+            continue
+        A[rank], A[piv] = A[piv], A[rank]
+        prow = A[rank]
+        inv = pow(prow[col], -1, p)
+        for r in range(rank + 1, len(A)):
+            f = A[r][col] * inv % p
+            if f:
+                A[r] = [(a - f * b) % p for a, b in zip(A[r], prow)]
+        rank += 1
+        if rank == len(A):
             break
     return rank

@@ -21,6 +21,7 @@ from .abelian import FinAbGroup, TRIVIAL_GROUP, smith_diagonal
 from .config import DEFAULT, Config
 from .errors import (
     AssociativityFail,
+    BadParameter,
     ClassificationBug,
     DualityFail,
     EnumerationLimit,
@@ -44,6 +45,8 @@ class FusionRing:
     _constituents: tuple = field(init=False, repr=False, compare=False)
     # Perron eigenvalues of the left multiplications, built on first use
     _fpdim: tuple = field(default=None, init=False, repr=False, compare=False)
+    # index tuples of the subring lattice, built on first use
+    _lattice: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cons = tuple(
@@ -244,7 +247,10 @@ class FusionSubring:
     indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(set(self.indices))))
+        idx = tuple(sorted(set(self.indices)))
+        if idx and (idx[0] < 0 or idx[-1] >= self.parent.rank):
+            raise BadParameter(f"subring indices {idx} outside 0..{self.parent.rank - 1}")
+        object.__setattr__(self, "indices", idx)
 
     @property
     def rank(self) -> int:
@@ -264,15 +270,23 @@ def subring_generated(R: FusionRing, seed) -> FusionSubring:
     part of the closure; it is asserted afterwards, and a violation
     marks the input as not a fusion ring.
     """
-    cur = set(seed) | {R.unit}
-    while True:
-        new = set(cur)
-        for i in cur:
-            for j in cur:
-                new.update(R.constituents(i, j))
-        if new == cur:
-            break
-        cur = new
+    return _generated(R, (), seed)
+
+
+def _generated(R: FusionRing, closed, seed) -> FusionSubring:
+    """``subring_generated`` of closed + seed, for a constituent-closed
+    set ``closed``: each new element is multiplied once with everything
+    found so far, in both orders."""
+    cur = set(closed) | {R.unit}
+    todo = [i for i in set(seed) if i not in cur]
+    cur.update(todo)
+    while todo:
+        i = todo.pop()
+        for j in list(cur):
+            for k in R.constituents(i, j) + R.constituents(j, i):
+                if k not in cur:
+                    cur.add(k)
+                    todo.append(k)
     for i in cur:
         if R.dual[i] not in cur:
             raise ClassificationBug(f"closure not dual-closed at index {i}")
@@ -296,9 +310,18 @@ class SubringLattice:
 
 
 def all_subrings(R: FusionRing, config: Config = DEFAULT) -> SubringLattice:
-    """The full subring lattice, by closure of single-element extensions."""
+    """The full subring lattice, by closure of single-element extensions.
+
+    Built once per ring; the rank guard is checked on every call.
+    """
     if R.rank > config.rank_guard:
         raise EnumerationLimit(f"rank {R.rank} exceeds rank_guard = {config.rank_guard}")
+    if R._lattice is None:
+        object.__setattr__(R, "_lattice", _subring_lattice(R))
+    return SubringLattice(R, tuple(FusionSubring(R, s) for s in R._lattice))
+
+
+def _subring_lattice(R: FusionRing) -> tuple:
     base = subring_generated(R, ())
     found = {base.indices}
     queue = [base.indices]
@@ -307,14 +330,11 @@ def all_subrings(R: FusionRing, config: Config = DEFAULT) -> SubringLattice:
         for x in range(R.rank):
             if x in cur:
                 continue
-            ext = subring_generated(R, cur + (x,)).indices
+            ext = _generated(R, cur, (x,)).indices
             if ext not in found:
                 found.add(ext)
                 queue.append(ext)
-    subs = tuple(
-        FusionSubring(R, s) for s in sorted(found, key=lambda s: (len(s), s))
-    )
-    return SubringLattice(R, subs)
+    return tuple(sorted(found, key=lambda s: (len(s), s)))
 
 
 def adjoint_subring(R: FusionRing) -> FusionSubring:

@@ -6,26 +6,31 @@ never user-supplied, and a datum exists only if every structural
 identity holds exactly: unit twist, nonzero dimensions, conjugate dual
 dimensions, S symmetric and dual-invariant, first row = dimensions,
 and the product relation s_{XY} s_{XZ} = d(X) sum_W N_{YZ}^W s_{XW}.
-S is derived and its identities are checked at one conductor, as
-integer coefficient vectors over one denominator; only the stored
-entries are put in canonical form.
+S is derived and its identities are checked at one conductor L, as
+integer coefficient vectors over one denominator; the datum keeps
+those vectors, and only the stored entries are put in canonical form.
 
-Centralizers are cut out of the normalized matrix by s~ = 1; their
-component counts match exact matrix ranks.  Gauss sums, the squared
-central charge, and the square-class Gauss sums of weakly integral
-non-degenerate data close out the invariant set.
+The reports run on the same vectors and make CycloNums only for the
+values they return.  s~_{YV} = 1 is tested as s_{YV} = d(Y) d(V),
+list equality at L, once per datum; the centralizer of K is the set of
+V whose test holds for all of K, and its component count is checked
+against the exact rank of the K rows of S.  Each centralizer report is
+built once per (datum, subring) and each subring lattice once per ring.
+Gauss sums, the squared central charge, and the square-class Gauss
+sums of weakly integral non-degenerate data close out the invariant set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 
 from . import qform
 from .config import DEFAULT, Config
-from .cyclotomic import CycloNum, _canonical_conductor, _ctx, _mul_vec, _root_power, matrix_rank
+from .cyclotomic import CycloNum, _canonical_conductor, _ctx, _mul_vec, _rank_vec, _root_power
+from .cyclotomic import matrix_rank  # noqa: F401  (kept in this namespace for callers)
 from .errors import (
     BadParameter,
     ClassificationBug,
@@ -55,7 +60,6 @@ from .fusion import (
 
 _mod1 = lambda x: x - (x // 1)
 ONE = CycloNum.one()
-ZERO = CycloNum.zero()
 
 
 @dataclass(frozen=True)
@@ -66,48 +70,113 @@ class Check:
     witness: str = ""
 
 
+class _AtL:
+    """The integer vectors of ``build`` at its one conductor L.
+
+    ``S``, ``dv`` (d) and ``qd`` (theta d) hold coefficient vectors at L
+    over the denominator ``den``, and ``roots[i]`` = (s, t) with
+    theta_i = (-1)^s zeta_L^t.  Built on first use: ``dd`` (d^2) and
+    ``td[sign]`` (theta^sign d^2) over den^2, and ``pm[y][v]``, which is
+    s~_{yv} where that is +-1 and 0 elsewhere, with ``ones[v]`` the set
+    of y where it is 1.
+    """
+
+    __slots__ = ("ctx", "den", "S", "dv", "qd", "roots", "dd", "td", "pm", "ones")
+
+    def __init__(self, ctx, den, S, dv, qd, roots):
+        self.ctx, self.den, self.S, self.dv, self.qd, self.roots = ctx, den, S, dv, qd, roots
+        self.dd = self.td = self.pm = self.ones = None
+
+    def total(self, vecs, indices=None) -> list:
+        """Sum of ``vecs`` over ``indices`` (all of them when None)."""
+        out = [0] * self.ctx.phi
+        for v in vecs if indices is None else (vecs[i] for i in indices):
+            out = [a + b for a, b in zip(out, v)]
+        return out
+
+    def squares(self):
+        """(dd, td), built once."""
+        if self.dd is None:
+            ctx = self.ctx
+            self.dd = [_mul_vec(ctx, d, d) for d in self.dv]
+            self.td = {
+                +1: [_mul_vec(ctx, q, d) for q, d in zip(self.qd, self.dv)],
+                -1: [_times_root(ctx, s, -t, v) for (s, t), v in zip(self.roots, self.dd)],
+            }
+        return self.dd, self.td
+
+    def pairing(self):
+        """(pm, ones), built once: s_{yv} against +-d(y) d(v), over den^2."""
+        if self.pm is None:
+            ctx, S, dv = self.ctx, self.S, self.dv
+            r = len(dv)
+            pm = [[0] * r for _ in range(r)]
+            for y in range(r):
+                for v in range(y, r):
+                    s = [c * self.den for c in S[y][v]]
+                    dd = _mul_vec(ctx, dv[y], dv[v])
+                    if s == dd:
+                        pm[y][v] = pm[v][y] = 1
+                    elif s == [-c for c in dd]:
+                        pm[y][v] = pm[v][y] = -1
+            self.pm = pm
+            self.ones = [frozenset(y for y in range(r) if pm[y][v] == 1) for v in range(r)]
+        return self.pm, self.ones
+
+
+def _times_root(ctx, s, t, v):
+    """(-1)^s zeta^t v at conductor ctx.n."""
+    out = _mul_vec(ctx, ctx.pows[t % ctx.n], v)
+    return [-c for c in out] if s % 2 else out
+
+
 @dataclass(frozen=True)
 class PreModularDatum:
     ring: FusionRing
     theta: tuple          # Fraction exponents, twists as roots of unity
     dim: tuple            # CycloNum per index
     S: tuple              # derived, CycloNum matrix
-    S_tilde: tuple        # s_{XY} / (d(X) d(Y))
     pointed_source: object = None  # (PreMetricGroup, chi tuple) when pointed
-    # sign -> per-index terms theta_i^sign * d_i^2 of tau, built on first use
-    _tau_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the build's vectors at its conductor (_AtL)
+    _at: object = field(default=None, repr=False, compare=False)
+    # s_{XY} / (d(X) d(Y)), built on first use
+    _S_tilde: tuple = field(default=None, init=False, repr=False, compare=False)
     # is_nondegenerate(self), decided on first use
     _nondegenerate: bool = field(default=None, init=False, repr=False, compare=False)
     # index sets of the Lagrangian subgroups of a pointed source, built on first use
     _lagrangians: list = field(default=None, init=False, repr=False, compare=False)
+    # K.indices -> CentralizerReport, each built on first use
+    _cents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
         return self.ring.rank
 
+    @property
+    def S_tilde(self) -> tuple:
+        """s_{XY} / (d(X) d(Y)), as CycloNums."""
+        if self._S_tilde is None:
+            dinv = [d.inverse() for d in self.dim]
+            St = tuple(
+                tuple(s * dinv[x] * dinv[y] for y, s in enumerate(row))
+                for x, row in enumerate(self.S)
+            )
+            object.__setattr__(self, "_S_tilde", St)
+        return self._S_tilde
+
     def dim_total(self) -> CycloNum:
-        out = ZERO
-        for d in self.dim:
-            out = out + d * d
-        return out
+        return self.cat_dim(range(self.rank))
 
     def cat_dim(self, indices) -> CycloNum:
-        out = ZERO
-        for i in indices:
-            out = out + self.dim[i] * self.dim[i]
-        return out
+        at = self._at
+        return CycloNum(at.ctx.n, at.total(at.squares()[0], indices), at.den ** 2)
 
     def tau(self, sign: int = +1, indices=None) -> CycloNum:
-        terms = self._tau_terms.get(sign)
-        if terms is None:
-            terms = self._tau_terms[sign] = [
-                CycloNum.from_root(sign * t) * d * d for t, d in zip(self.theta, self.dim)
-            ]
-        idx = range(self.rank) if indices is None else indices
-        out = ZERO
-        for i in idx:
-            out = out + terms[i]
-        return out
+        """sum theta^sign d^2 over ``indices`` (every index by default)."""
+        if sign not in (1, -1):
+            raise BadParameter("sign must be +1 or -1")
+        at = self._at
+        return CycloNum(at.ctx.n, at.total(at.squares()[1][sign], indices), at.den ** 2)
 
     def __repr__(self):
         return f"PreModularDatum({self.ring!r})"
@@ -148,10 +217,6 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     dv = [[c * (D // d.den) for c in d._lift(L)] for d in dim]
     roots = [_root_power(t, L) for t in theta]   # theta_z = (-1)^s zeta_L^t
 
-    def times_root(s, t, v):
-        out = _mul_vec(ctx, ctx.pows[t % L], v)
-        return [-c for c in out] if s % 2 else out
-
     def weighted_sum(mults, vecs):
         acc = None
         for w, m in enumerate(mults):
@@ -161,11 +226,11 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
         return [0] * ctx.phi if acc is None else acc
 
     # S_xy = theta_x^-1 theta_y^-1 sum_z N_xy^z theta_z d_z, over D
-    qd = [times_root(s, t, v) for (s, t), v in zip(roots, dv)]
+    qd = [_times_root(ctx, s, t, v) for (s, t), v in zip(roots, dv)]
     S = [
         [
-            times_root(roots[x][0] + roots[y][0], -roots[x][1] - roots[y][1],
-                       weighted_sum(ring.N[x][y], qd))
+            _times_root(ctx, roots[x][0] + roots[y][0], -roots[x][1] - roots[y][1],
+                        weighted_sum(ring.N[x][y], qd))
             for y in range(r)
         ]
         for x in range(r)
@@ -193,12 +258,8 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
                     )
     # canonical form once per distinct entry
     canon = {k: CycloNum(L, k, D) for k in {tuple(v) for row in S for v in row}}
-    S = tuple(tuple(canon[tuple(v)] for v in row) for row in S)
-    dinv = [d.inverse() for d in dim]
-    St = tuple(
-        tuple(S[x][y] * dinv[x] * dinv[y] for y in range(r)) for x in range(r)
-    )
-    return PreModularDatum(ring, theta, dim, S, St)
+    S_num = tuple(tuple(canon[tuple(v)] for v in row) for row in S)
+    return PreModularDatum(ring, theta, dim, S_num, _at=_AtL(ctx, D, S, dv, qd, roots))
 
 
 def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -> PreModularDatum:
@@ -226,10 +287,7 @@ def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -
         _mod1(M.values[i] + (Fraction(1, 2) if chi[i] == -1 else 0)) for i in range(n)
     )
     dim = tuple(CycloNum.from_rational(c) for c in chi)
-    datum = build(ring, theta, dim, config)
-    return PreModularDatum(
-        datum.ring, datum.theta, datum.dim, datum.S, datum.S_tilde, (M, chi)
-    )
+    return replace(build(ring, theta, dim, config), pointed_source=(M, chi))
 
 
 def ising_datum(zeta, eps: int, config: Config = DEFAULT) -> PreModularDatum:
@@ -272,9 +330,7 @@ def deligne_product(D1: PreModularDatum, D2: PreModularDatum,
     ):
         form = qform.direct_sum(D1.pointed_source[0], D2.pointed_source[0])
         src = (form, (1,) * form.group.order)
-    return PreModularDatum(
-        datum.ring, datum.theta, datum.dim, datum.S, datum.S_tilde, src
-    )
+    return replace(datum, pointed_source=src)
 
 
 def trivial_datum() -> PreModularDatum:
@@ -296,16 +352,31 @@ class CentralizerReport:
 def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     """K' = {V : s~_{YV} = 1 for all Y in K}, with component count.
 
-    The rank of the K-rows of s~ equals the number of K'-components;
-    disagreement would falsify the datum and raises ClassificationBug.
+    s~_{YV} = 1 is read from the datum's table of s_{YV} = d(Y) d(V),
+    list equality at the build's conductor.  The rank of the K-rows of
+    s~ equals the number of K'-components; it is computed on the K rows
+    of S, whose rank is the same, since s~ = d^-1 S d^-1 scales rows and
+    columns by nonzero dimensions.  Disagreement would falsify the datum
+    and raises ClassificationBug.  The report is built once per
+    (datum, K.indices) and kept on the datum.
     """
+    return _centralizer(D, K)
+
+
+def _centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
+    """The report of ``centralizer``, kept on the datum; the reports of
+    this module ask here."""
+    rep = D._cents.get(K.indices)
+    if rep is None:
+        rep = D._cents[K.indices] = _centralize(D, K)
+    return rep
+
+
+def _centralize(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     R = D.ring
-    St = D.S_tilde
-    cent = [
-        v
-        for v in range(R.rank)
-        if all(St[y][v] == ONE for y in K.indices)
-    ]
+    at = D._at
+    _, ones = at.pairing()
+    cent = [v for v in range(R.rank) if ones[v].issuperset(K.indices)]
     cent_sub = FusionSubring(R, tuple(cent))
     if subring_generated(R, cent_sub.indices).indices != cent_sub.indices:
         raise ClassificationBug("centralizer is not a subring")
@@ -327,7 +398,7 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     for i in range(R.rank):
         buckets.setdefault(find(i), []).append(i)
     components = tuple(tuple(v) for _, v in sorted(buckets.items()))
-    rank = matrix_rank([[St[y][v] for v in range(R.rank)] for y in K.indices])
+    rank = _rank_vec(at.ctx, [at.S[y] for y in K.indices])
     if rank != len(components):
         raise ClassificationBug(
             f"rank {rank} != component count {len(components)}"
@@ -340,7 +411,7 @@ def is_nondegenerate(D: PreModularDatum) -> bool:
     centralizer of everything."""
     if D._nondegenerate is None:
         whole = FusionSubring(D.ring, tuple(range(D.rank)))
-        rep = centralizer(D, whole)
+        rep = _centralizer(D, whole)
         by_rank = rep.rank_stilde == D.rank
         by_cent = rep.centralizer.indices == (D.ring.unit,)
         if by_rank != by_cent:
@@ -350,15 +421,18 @@ def is_nondegenerate(D: PreModularDatum) -> bool:
 
 
 def dichotomy_check(D: PreModularDatum, K: FusionSubring) -> list:
-    """Per V: either s~_{YV} = 1 on K, or sum |Y|^2 s~_{YV} = 0."""
-    St = D.S_tilde
+    """Per V: either s~_{YV} = 1 on K, or sum |Y|^2 s~_{YV} = 0.
+
+    The sum is d(V)^-1 sum d(Y) s_{YV}, so it vanishes exactly when the
+    latter does, which is tested at the build's conductor.
+    """
+    at = D._at
+    ctx = at.ctx
+    _, ones = at.pairing()
     out = []
     for v in range(D.rank):
-        inside = all(St[y][v] == ONE for y in K.indices)
-        acc = ZERO
-        for y in K.indices:
-            acc = acc + D.dim[y] * D.dim[y] * St[y][v]
-        vanishes = acc.is_zero()
+        inside = ones[v].issuperset(K.indices)
+        vanishes = not any(at.total([_mul_vec(ctx, at.dv[y], at.S[y][v]) for y in K.indices]))
         out.append(
             Check(
                 name=f"dichotomy[{D.ring.labels[v]}]",
@@ -377,8 +451,8 @@ def projective_centralizer(D: PreModularDatum, K: FusionSubring) -> FusionSubrin
     for y in K.indices:
         seed.extend(R.constituents(y, R.dual[y]))
     k_ad = subring_generated(R, seed)
-    proj = centralizer(D, k_ad).centralizer
-    cent_k = centralizer(D, K).centralizer
+    proj = _centralizer(D, k_ad).centralizer
+    cent_k = _centralizer(D, K).centralizer
     if commutator(R, cent_k).indices != proj.indices:
         raise ClassificationBug("projective centralizer != commutator of centralizer")
     return proj
@@ -399,10 +473,8 @@ def symmetric_and_isotropic(D: PreModularDatum, K: FusionSubring) -> dict:
     """Symmetric = double braiding trivial on K; isotropic adds trivial
     twists.  For pointed data the Lagrangian subgroups of the source
     form are reported alongside."""
-    St = D.S_tilde
-    symmetric = all(
-        St[y][z] == ONE for y in K.indices for z in K.indices
-    )
+    _, ones = D._at.pairing()
+    symmetric = all(ones[z].issuperset(K.indices) for z in K.indices)
     isotropic = symmetric and all(D.theta[i] == 0 for i in K.indices)
     lagrangian = None
     if D.pointed_source is not None:
@@ -425,30 +497,37 @@ def symmetric_and_isotropic(D: PreModularDatum, K: FusionSubring) -> dict:
 
 def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
                   config: Config = DEFAULT) -> list:
-    """Dimension identities for a pair of subrings, pass/fail each."""
+    """Dimension identities for a pair of subrings, pass/fail each.
+
+    Categorical dimensions are sums of d^2 at the build's conductor, so
+    each identity of products is list equality over one denominator.
+    """
     R = D.ring
+    at = D._at
+    ctx = at.ctx
+    dd, _ = at.squares()
     lat = all_subrings(R, config)
     whole = FusionSubring(R, tuple(range(R.rank)))
-    Kc = centralizer(D, K).centralizer
-    Bc = centralizer(D, B).centralizer
-    Cc = centralizer(D, whole).centralizer
+    Kc = _centralizer(D, K).centralizer
+    Bc = _centralizer(D, B).centralizer
+    Cc = _centralizer(D, whole).centralizer
     checks = []
 
     def meet(a, b):
         return lat.meet(a, b)
 
+    def dims(a, b):
+        return _mul_vec(ctx, at.total(dd, a.indices), at.total(dd, b.indices))
+
     def record(name, anchor, ok, witness=""):
         checks.append(Check(name, anchor, "pass" if ok else "fail", witness))
 
-    lhs = D.cat_dim(meet(B, Kc).indices) * D.cat_dim(K.indices)
-    rhs = D.cat_dim(meet(K, Bc).indices) * D.cat_dim(B.indices)
-    record("dim-exchange", "centralizer-dim-exchange", lhs == rhs)
+    record("dim-exchange", "centralizer-dim-exchange",
+           dims(meet(B, Kc), K) == dims(meet(K, Bc), B))
+    record("dim-product", "centralizer-dim-product",
+           dims(K, Kc) == dims(whole, meet(K, Cc)))
 
-    lhs = D.cat_dim(K.indices) * D.cat_dim(Kc.indices)
-    rhs = D.dim_total() * D.cat_dim(meet(K, Cc).indices)
-    record("dim-product", "centralizer-dim-product", lhs == rhs)
-
-    kcc = centralizer(D, Kc).centralizer
+    kcc = _centralizer(D, Kc).centralizer
     join_kc = lat.join(K, Cc)
     record(
         "double-centralizer",
@@ -457,9 +536,7 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
         f"K'' = {kcc.indices}, K v C' = {join_kc.indices}",
     )
 
-    lhs = D.cat_dim(K.indices) * D.cat_dim(B.indices)
-    rhs = D.cat_dim(lat.join(K, B).indices) * D.cat_dim(meet(K, B).indices)
-    record("diamond-dims", "join-meet-dims", lhs == rhs)
+    record("diamond-dims", "join-meet-dims", dims(K, B) == dims(lat.join(K, B), meet(K, B)))
 
     fp = fp_dims(R, config)
 
@@ -475,10 +552,10 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
         f"{lhs_f} vs {rhs_f}",
     )
 
-    sub_rank = matrix_rank([[D.S_tilde[y][z] for z in K.indices] for y in K.indices])
+    sub_rank = _rank_vec(ctx, [[at.S[y][z] for z in K.indices] for y in K.indices])
     if sub_rank == K.rank:
         ok1 = meet(K, Kc).indices == (R.unit,)
-        ok2 = D.cat_dim(K.indices) * D.cat_dim(Kc.indices) == D.dim_total() * D.cat_dim(meet(K, Cc).indices)
+        ok2 = dims(K, Kc) == dims(whole, meet(K, Cc))
         record("nondeg-factor", "nondegenerate-subring-factorization", ok1 and ok2)
     else:
         checks.append(Check("nondeg-factor", "nondegenerate-subring-factorization", "skipped",
@@ -505,34 +582,41 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
     sum_X theta_X d(X) s_{XY} = d(Y) theta_Y^-1 tau+ for every Y; the
     relation tau+-(C) tau-+(K) = dim(K) tau+-(K') for every subring K;
     and for non-degenerate data, tau(E') = tau(C) for isotropic E plus
-    tau+ tau- = dim(C) with the charge a root of unity.
+    tau+ tau- = dim(C) with the charge a root of unity.  tau+-(K) and
+    dim(K) are sums of the build's vectors over K, and each identity is
+    list equality with both sides over one power of the denominator.
     """
     R = D.ring
-    tau_p = D.tau(+1)
-    tau_m = D.tau(-1)
-    dim_tot = D.dim_total()
+    at = D._at
+    ctx, L, den = at.ctx, at.ctx.n, at.den
+    dd, td = at.squares()
+    every = range(R.rank)
+    tp, tm, dtot = at.total(td[+1]), at.total(td[-1]), at.total(dd)
+    tau_p = CycloNum(L, tp, den ** 2)
+    tau_m = CycloNum(L, tm, den ** 2)
+    dim_tot = CycloNum(L, dtot, den ** 2)
     checks = [
         Check("conjugate-sums", "gauss-conjugate-pair",
               "pass" if tau_m == tau_p.conjugate() else "fail")
     ]
-    qd = [CycloNum.from_root(D.theta[x]) * D.dim[x] for x in range(R.rank)]
-    for y in range(R.rank):
-        acc = ZERO
-        for x in range(R.rank):
-            acc = acc + qd[x] * D.S[x][y]
-        want = D.dim[y] * CycloNum.from_root(-D.theta[y]) * tau_p
+    for y in every:
+        # both sides over den^3
+        acc = at.total([_mul_vec(ctx, at.qd[x], at.S[x][y]) for x in every])
+        s, t = at.roots[y]
+        want = _mul_vec(ctx, _times_root(ctx, s, -t, at.dv[y]), tp)
         checks.append(
             Check(f"twisted-row-sum[{R.labels[y]}]", "twisted-row-sum",
-                  "pass" if acc == want else "fail")
+                  "pass" if [c * den for c in acc] == want else "fail")
         )
     lat = all_subrings(R, config)
     nondeg = is_nondegenerate(D)
     for sub in lat.subrings:
-        rep = centralizer(D, sub)
-        dk = D.cat_dim(sub.indices)
-        ok = (
-            tau_p * D.tau(-1, sub.indices) == dk * D.tau(+1, rep.centralizer.indices)
-            and tau_m * D.tau(+1, sub.indices) == dk * D.tau(-1, rep.centralizer.indices)
+        kc = _centralizer(D, sub).centralizer.indices
+        dk = at.total(dd, sub.indices)
+        tp_c, tm_c = at.total(td[+1], kc), at.total(td[-1], kc)
+        ok = (   # over den^4
+            _mul_vec(ctx, tp, at.total(td[-1], sub.indices)) == _mul_vec(ctx, dk, tp_c)
+            and _mul_vec(ctx, tm, at.total(td[+1], sub.indices)) == _mul_vec(ctx, dk, tm_c)
         )
         checks.append(
             Check(f"gauss-mult[{','.join(sub.labels())}]",
@@ -541,22 +625,18 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
         )
         flags = symmetric_and_isotropic(D, sub)
         if nondeg and flags["isotropic"]:
-            ok = (
-                D.tau(+1, rep.centralizer.indices) == tau_p
-                and D.tau(-1, rep.centralizer.indices) == tau_m
-            )
             checks.append(
                 Check(f"isotropic-centralizer-gauss[{','.join(sub.labels())}]",
                       "isotropic-centralizer-gauss",
-                      "pass" if ok else "fail")
+                      "pass" if tp_c == tp and tm_c == tm else "fail")
             )
     charge = None
     if not tau_m.is_zero():
         charge = tau_p / tau_m
     if nondeg:
+        norm = _mul_vec(ctx, tp, tm) == [c * den ** 2 for c in dtot]   # over den^4
         checks.append(
-            Check("norm", "gauss-norm-is-dimension",
-                  "pass" if tau_p * tau_m == dim_tot else "fail")
+            Check("norm", "gauss-norm-is-dimension", "pass" if norm else "fail")
         )
         checks.append(
             Check("charge-root", "squared-charge-root-of-unity",
@@ -577,41 +657,45 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     The class is the unique square class x with pairing values
     s~_{a, X} = theta_a d(a) for all a centralizing the integral part
     and all X of square class x; T+- sums integer-normalized FP
-    dimensions against theta^+-1 d over that class.
+    dimensions against theta^+-1 d over that class.  The pairing values
+    are read from the datum's table of s_{aX} = +-d(a) d(X).
     """
     if not is_nondegenerate(D):
         raise Degenerate("square-class Gauss sums need a non-degenerate datum")
     R = D.ring
+    at = D._at
+    ctx, den = at.ctx, at.den
+    pm, _ = at.pairing()
     sq = fp_square_integers(R, config)      # NotWeaklyIntegral if not
     sf = [_squarefree(m) for m in sq]
     int_part = integral_part(R, config)
-    A = centralizer(D, int_part).centralizer
+    A = _centralizer(D, int_part).centralizer
     inv = set(
         x for x in range(R.rank)
         if sum(R.N[x][R.dual[x]]) == 1 and R.N[x][R.dual[x]][R.unit] == 1
     )
     if not set(A.indices) <= inv:
         raise ClassificationBug("centralizer of the integral part is not pointed")
+    one = [den] + [0] * (ctx.phi - 1)
     chi = {}
     for a in A.indices:
-        val = (CycloNum.from_root(D.theta[a]) * D.dim[a]).as_rational()
-        if val not in (1, -1):
+        if at.qd[a] == one:
+            chi[a] = 1
+        elif at.qd[a] == [-c for c in one]:
+            chi[a] = -1
+        else:
+            val = CycloNum(ctx.n, at.qd[a], den).as_rational()
             raise ClassificationBug(f"braiding character value {val} is not +-1")
-        chi[a] = int(val)
     candidates = []
     for v in sorted(set(sf)):
         members = [x for x in range(R.rank) if sf[x] == v]
-        if all(
-            D.S_tilde[a][x] == CycloNum.from_rational(chi[a])
-            for a in A.indices
-            for x in members
-        ):
+        if all(pm[a][x] == chi[a] for a in A.indices for x in members):
             candidates.append(v)
     if len(candidates) != 1:
         raise ClassificationBug(f"square-class solutions: {candidates}")
     n_c = candidates[0]
-    t_p = ZERO
-    t_m = ZERO
+    t_p = [0] * ctx.phi
+    t_m = [0] * ctx.phi
     for x in range(R.rank):
         if sf[x] != n_c:
             continue
@@ -621,8 +705,10 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
         w = math.isqrt(m2)
         if w * w != m2:
             raise ClassificationBug("normalized FP dimension is not an integer")
-        t_p = t_p + w * CycloNum.from_root(D.theta[x]) * D.dim[x]
-        t_m = t_m + w * CycloNum.from_root(-D.theta[x]) * D.dim[x]
+        s, t = at.roots[x]
+        t_p = [a + w * b for a, b in zip(t_p, at.qd[x])]
+        t_m = [a + w * b for a, b in zip(t_m, _times_root(ctx, s, -t, at.dv[x]))]
+    t_p, t_m = CycloNum(ctx.n, t_p, den), CycloNum(ctx.n, t_m, den)
     if t_m != t_p.conjugate():
         raise ClassificationBug("square-class sums are not conjugate")
     return n_c, t_p, t_m

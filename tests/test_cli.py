@@ -188,6 +188,22 @@ def test_premodular_centralizer_flag(tmp_path, capsys):
     assert rep["data"]["rank"] == len(rep["data"]["components"]) == 2
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("-1", "--subring entry -1 is outside 0..2"),
+    ("3", "--subring entry 3 is outside 0..2"),
+    ("99", "--subring entry 99 is outside 0..2"),
+    ("a", "--subring entry 'a' is not an integer"),
+    ("1,,2", "--subring entry '' is not an integer"),
+])
+def test_premodular_centralizer_rejects_bad_subring(tmp_path, capsys, entry, message):
+    i_path = str(tmp_path / "i.json")
+    run(["catalog", "ising", "--zeta", "1/16", "--eps", "+1", "--out", i_path], capsys)
+    code = main(["premodular", "centralizer", i_path, "--subring", entry])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"SchemaError: {message}\n"
+
+
 def test_premodular_gfp_command(tmp_path, capsys):
     i_path = str(tmp_path / "i.json")
     run(["catalog", "ising", "--zeta", "1/16", "--eps", "+1", "--out", i_path], capsys)

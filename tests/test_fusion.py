@@ -113,6 +113,53 @@ def test_subring_generated():
         assert subring_generated(I, s.indices).indices == s.indices
 
 
+def _s3_group_ring():
+    """The non-commutative group ring of S3, basis the six permutations."""
+    import itertools
+
+    els = list(itertools.permutations(range(3)))
+    idx = {g: i for i, g in enumerate(els)}
+    n = len(els)
+    N = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a in els:
+        for b in els:
+            N[idx[a]][idx[b]][idx[tuple(a[b[k]] for k in range(3))]] = 1
+    dual = [idx[tuple(sorted(range(3), key=lambda k: g[k]))] for g in els]
+    return validate_ring([str(g) for g in els], idx[(0, 1, 2)], dual, N)
+
+
+def _closure_by_passes(R, seed):
+    """Oracle: add every constituent of every pair until nothing changes."""
+    cur = set(seed) | {R.unit}
+    while True:
+        new = cur | {k for i in cur for j in cur for k in R.constituents(i, j)}
+        if new == cur:
+            return tuple(sorted(cur))
+        cur = new
+
+
+def test_subring_closure_matches_oracle():
+    import itertools
+
+    rings = [
+        ising_ring(),
+        s3_character_ring(),
+        _s3_group_ring(),
+        group_ring(FinAbGroup((2, 4))),
+        product_ring(ising_ring(), ising_ring()),
+    ]
+    for R in rings:
+        closures = set()
+        for k in range(R.rank + 1):
+            for seed in itertools.combinations(range(R.rank), k):
+                want = _closure_by_passes(R, seed)
+                assert subring_generated(R, seed).indices == want, (R, seed)
+                closures.add(want)
+        assert [s.indices for s in all_subrings(R).subrings] == sorted(
+            closures, key=lambda s: (len(s), s))
+    assert not _s3_group_ring().is_commutative()
+
+
 def test_all_subrings():
     I = ising_ring()
     lat = all_subrings(I)

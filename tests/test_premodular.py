@@ -1,5 +1,6 @@
 """Pre-modular data: S-matrices, centralizers, Gauss sums, square-class sums."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,22 +8,37 @@ import pytest
 
 from braidforge import qform
 from braidforge.abelian import FinAbGroup, subgroups
-from braidforge.cyclotomic import CycloNum
+from braidforge.cyclotomic import CycloNum, matrix_rank
 from braidforge.errors import (
     BadParameter,
     BraidforgeError,
+    ClassificationBug,
     DatumError,
     Degenerate,
     DualDimFail,
     NotCharacter,
+    NotWeaklyIntegral,
     SymmetryFail,
     UnitTwistFail,
     VerlindeFail,
     ZeroDim,
 )
-from braidforge.fusion import FusionRing, FusionSubring, all_subrings, group_ring
+from braidforge.fusion import (
+    FusionRing,
+    FusionSubring,
+    _squarefree,
+    all_subrings,
+    fp_square_integers,
+    group_ring,
+    integral_part,
+    pointed_part,
+    subring_generated,
+)
 from braidforge.premodular import (
     ONE,
+    CentralizerReport,
+    Check,
+    InvariantReport,
     PreModularDatum,
     build,
     centralizer,
@@ -515,3 +531,219 @@ def test_is_lagrangian_is_self_perp():
                 H = rec.subgroup
                 assert rec.is_lagrangian == (qform.orthogonal_complement(M, H) == H)
     assert degenerate >= len(invariant_shapes(16))
+
+
+# -- reports: the build's vectors against the S~/CycloNum loops they replaced --
+
+def _ref_components(R, cent):
+    """Classes of "y occurs in z (x) w for w in cent", by graph search."""
+    adj = {i: set() for i in range(R.rank)}
+    for z in range(R.rank):
+        for w in cent:
+            for y in R.constituents(z, w):
+                adj[z].add(y)
+                adj[y].add(z)
+    seen, out = set(), []
+    for i in range(R.rank):
+        if i not in seen:
+            comp, todo = {i}, [i]
+            while todo:
+                for j in adj[todo.pop()] - comp:
+                    comp.add(j)
+                    todo.append(j)
+            seen |= comp
+            out.append(tuple(sorted(comp)))
+    return tuple(out)
+
+
+def _ref_centralizer(D, K):
+    R, St = D.ring, D.S_tilde
+    cent = tuple(v for v in range(R.rank) if all(St[y][v] == ONE for y in K.indices))
+    if subring_generated(R, cent).indices != cent:
+        raise ClassificationBug("centralizer is not a subring")
+    components = _ref_components(R, cent)
+    rank = matrix_rank([[St[y][v] for v in range(R.rank)] for y in K.indices])
+    if rank != len(components):
+        raise ClassificationBug(f"rank {rank} != component count {len(components)}")
+    return CentralizerReport(K, FusionSubring(R, cent), components, rank)
+
+
+def _ref_nondegenerate(D):
+    rep = _ref_centralizer(D, FusionSubring(D.ring, tuple(range(D.rank))))
+    by_rank = rep.rank_stilde == D.rank
+    if by_rank != (rep.centralizer.indices == (D.ring.unit,)):
+        raise ClassificationBug("rank and centralizer tests disagree")
+    return by_rank
+
+
+def _ref_tau(D, sign, indices):
+    out = CycloNum.zero()
+    for i in indices:
+        out = out + CycloNum.from_root(sign * D.theta[i]) * D.dim[i] * D.dim[i]
+    return out
+
+
+def _ref_cat_dim(D, indices):
+    return sum((D.dim[i] * D.dim[i] for i in indices), CycloNum.zero())
+
+
+def _ref_isotropic(D, K):
+    St = D.S_tilde
+    symmetric = all(St[y][z] == ONE for y in K.indices for z in K.indices)
+    return symmetric, symmetric and all(D.theta[i] == 0 for i in K.indices)
+
+
+def _ref_dichotomy(D, K):
+    out = []
+    for v in range(D.rank):
+        inside = all(D.S_tilde[y][v] == ONE for y in K.indices)
+        acc = sum((D.dim[y] * D.dim[y] * D.S_tilde[y][v] for y in K.indices), CycloNum.zero())
+        vanishes = acc.is_zero()
+        out.append(Check(f"dichotomy[{D.ring.labels[v]}]", "centralizer-dichotomy",
+                         "pass" if inside != vanishes else "fail",
+                         f"in_centralizer={inside} weighted_column_zero={vanishes}"))
+    return out
+
+
+def _ref_gfp(D):
+    if not _ref_nondegenerate(D):
+        raise Degenerate("square-class Gauss sums need a non-degenerate datum")
+    R = D.ring
+    sq = fp_square_integers(R)
+    sf = [_squarefree(m) for m in sq]
+    A = _ref_centralizer(D, integral_part(R)).centralizer
+    if not set(A.indices) <= set(pointed_part(R).indices):
+        raise ClassificationBug("centralizer of the integral part is not pointed")
+    chi = {}
+    for a in A.indices:
+        val = (CycloNum.from_root(D.theta[a]) * D.dim[a]).as_rational()
+        if val not in (1, -1):
+            raise ClassificationBug(f"braiding character value {val} is not +-1")
+        chi[a] = int(val)
+    candidates = [
+        v for v in sorted(set(sf))
+        if all(D.S_tilde[a][x] == CycloNum.from_rational(chi[a])
+               for a in A.indices for x in range(R.rank) if sf[x] == v)
+    ]
+    if len(candidates) != 1:
+        raise ClassificationBug(f"square-class solutions: {candidates}")
+    n_c = candidates[0]
+    t_p = t_m = CycloNum.zero()
+    for x in range(R.rank):
+        if sf[x] == n_c:
+            w = math.isqrt(sq[x] // n_c)
+            t_p = t_p + w * CycloNum.from_root(D.theta[x]) * D.dim[x]
+            t_m = t_m + w * CycloNum.from_root(-D.theta[x]) * D.dim[x]
+    if t_m != t_p.conjugate():
+        raise ClassificationBug("square-class sums are not conjugate")
+    return n_c, t_p, t_m
+
+
+def _ref_gauss_and_charge(D):
+    R = D.ring
+    every = range(R.rank)
+    tau_p, tau_m = _ref_tau(D, +1, every), _ref_tau(D, -1, every)
+    dim_tot = _ref_cat_dim(D, every)
+    checks = [Check("conjugate-sums", "gauss-conjugate-pair",
+                    "pass" if tau_m == tau_p.conjugate() else "fail")]
+    for y in every:
+        acc = sum((CycloNum.from_root(D.theta[x]) * D.dim[x] * D.S[x][y] for x in every),
+                  CycloNum.zero())
+        want = D.dim[y] * CycloNum.from_root(-D.theta[y]) * tau_p
+        checks.append(Check(f"twisted-row-sum[{R.labels[y]}]", "twisted-row-sum",
+                            "pass" if acc == want else "fail"))
+    nondeg = _ref_nondegenerate(D)
+    for sub in all_subrings(R).subrings:
+        kc = _ref_centralizer(D, sub).centralizer.indices
+        dk = _ref_cat_dim(D, sub.indices)
+        ok = (tau_p * _ref_tau(D, -1, sub.indices) == dk * _ref_tau(D, +1, kc)
+              and tau_m * _ref_tau(D, +1, sub.indices) == dk * _ref_tau(D, -1, kc))
+        name = ",".join(sub.labels())
+        checks.append(Check(f"gauss-mult[{name}]", "gauss-centralizer-multiplicativity",
+                            "pass" if ok else "fail"))
+        if nondeg and _ref_isotropic(D, sub)[1]:
+            ok = _ref_tau(D, +1, kc) == tau_p and _ref_tau(D, -1, kc) == tau_m
+            checks.append(Check(f"isotropic-centralizer-gauss[{name}]",
+                                "isotropic-centralizer-gauss", "pass" if ok else "fail"))
+    charge = None if tau_m.is_zero() else tau_p / tau_m
+    if nondeg:
+        checks.append(Check("norm", "gauss-norm-is-dimension",
+                            "pass" if tau_p * tau_m == dim_tot else "fail"))
+        checks.append(Check("charge-root", "squared-charge-root-of-unity",
+                            "pass" if charge is not None
+                            and charge.is_root_of_unity() is not None else "fail"))
+    x_class = t_p = t_m = None
+    try:
+        x_class, t_p, t_m = _ref_gfp(D)
+    except (Degenerate, NotWeaklyIntegral):
+        pass
+    return InvariantReport(tau_p, tau_m, charge, dim_tot, x_class, t_p, t_m, tuple(checks))
+
+
+def test_reports_match_cyclonum_reference():
+    rng = random.Random(17)
+    non_subrings = raised = 0
+    for D in _build_corpus():
+        assert _outcome(gauss_and_charge, D) == _outcome(_ref_gauss_and_charge, D), D
+        assert _outcome(gfp_invariants, D) == _outcome(_ref_gfp, D), D
+        assert is_nondegenerate(D) == _ref_nondegenerate(D)
+        sets = [K.indices for K in all_subrings(D.ring).subrings]
+        for _ in range(4):
+            sets.append(tuple(rng.sample(range(D.rank), rng.randint(1, D.rank))))
+        for idx in sets:
+            K = FusionSubring(D.ring, idx)
+            non_subrings += subring_generated(D.ring, K.indices).indices != K.indices
+            got = _outcome(centralizer, D, K)
+            assert got == _outcome(_ref_centralizer, D, K), (D, idx)
+            raised += isinstance(got, tuple)
+            assert dichotomy_check(D, K) == _ref_dichotomy(D, K)
+            flags = symmetric_and_isotropic(D, K)
+            assert (flags["symmetric"], flags["isotropic"]) == _ref_isotropic(D, K)
+    assert non_subrings >= 150 and raised >= 100
+
+
+def test_subrings_refuse_indices_outside_the_basis():
+    I = ising_datum(F(1, 16), 1)
+    for idx in ((3,), (0, 3), (-1, 0)):
+        with pytest.raises(BadParameter, match=r"outside 0\.\.2$"):
+            FusionSubring(I.ring, idx)
+    with pytest.raises(BadParameter):
+        subring_generated(I.ring, (-1,))
+    assert centralizer(I, FusionSubring(I.ring, (0, 1))).centralizer.indices == (0, 1)
+    assert list(I._cents) == [(0, 1)]
+
+
+def test_reports_build_each_centralizer_and_lattice_once(monkeypatch):
+    from braidforge import cyclotomic, fusion, premodular
+    from braidforge.config import Config
+    from braidforge.errors import EnumerationLimit
+
+    data = _build_corpus()
+    ctx_keys = set(cyclotomic._CTX)
+    made, lattices = [], []
+    real_centralize, real_lattice = premodular._centralize, fusion._subring_lattice
+    monkeypatch.setattr(premodular, "_centralize",
+                        lambda D, K: made.append((id(D), K.indices)) or real_centralize(D, K))
+    monkeypatch.setattr(fusion, "_subring_lattice",
+                        lambda R: lattices.append(id(R)) or real_lattice(R))
+    asked = set()
+    for D in data:
+        gauss_and_charge(D)
+        is_nondegenerate(D)
+        try:
+            gfp_invariants(D)
+        except (Degenerate, NotWeaklyIntegral):
+            pass
+        for K in all_subrings(D.ring).subrings:
+            asked.add((id(D), K.indices))
+            centralizer(D, K)
+    assert sorted(made) == sorted(set(made)) and asked <= set(made)
+    assert sorted(lattices) == sorted({id(D.ring) for D in data})
+    assert set(cyclotomic._CTX) == ctx_keys
+    # the rank guard still refuses a ring whose lattice is kept
+    D = data[-1]
+    assert D.ring._lattice is not None
+    with pytest.raises(EnumerationLimit, match="exceeds rank_guard = 1"):
+        all_subrings(D.ring, Config(rank_guard=1))
+    with pytest.raises(EnumerationLimit):
+        gauss_and_charge(D, Config(rank_guard=1))
