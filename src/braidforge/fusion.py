@@ -270,23 +270,15 @@ def subring_generated(R: FusionRing, seed) -> FusionSubring:
     part of the closure; it is asserted afterwards, and a violation
     marks the input as not a fusion ring.
     """
-    return _generated(R, (), seed)
-
-
-def _generated(R: FusionRing, closed, seed) -> FusionSubring:
-    """``subring_generated`` of closed + seed, for a constituent-closed
-    set ``closed``: each new element is multiplied once with everything
-    found so far, in both orders."""
-    cur = set(closed) | {R.unit}
-    todo = [i for i in set(seed) if i not in cur]
-    cur.update(todo)
-    while todo:
-        i = todo.pop()
-        for j in list(cur):
-            for k in R.constituents(i, j) + R.constituents(j, i):
-                if k not in cur:
-                    cur.add(k)
-                    todo.append(k)
+    cur = set(seed) | {R.unit}
+    while True:
+        new = set(cur)
+        for i in cur:
+            for j in cur:
+                new.update(R.constituents(i, j))
+        if new == cur:
+            break
+        cur = new
     for i in cur:
         if R.dual[i] not in cur:
             raise ClassificationBug(f"closure not dual-closed at index {i}")
@@ -330,7 +322,7 @@ def _subring_lattice(R: FusionRing) -> tuple:
         for x in range(R.rank):
             if x in cur:
                 continue
-            ext = _generated(R, cur, (x,)).indices
+            ext = subring_generated(R, cur + (x,)).indices
             if ext not in found:
                 found.add(ext)
                 queue.append(ext)

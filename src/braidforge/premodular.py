@@ -8,7 +8,8 @@ dimensions, S symmetric and dual-invariant, first row = dimensions,
 and the product relation s_{XY} s_{XZ} = d(X) sum_W N_{YZ}^W s_{XW}.
 S is derived and its identities are checked at one conductor L, as
 integer coefficient vectors over one denominator; the datum keeps
-those vectors, and only the stored entries are put in canonical form.
+those vectors, and only the stored entries of S and of
+s~ = d^-1 S d^-1 are put in canonical form.
 
 The reports run on the same vectors and make CycloNums only for the
 values they return.  s~_{YV} = 1 is tested as s_{YV} = d(Y) d(V),
@@ -29,8 +30,15 @@ from functools import reduce
 
 from . import qform
 from .config import DEFAULT, Config
-from .cyclotomic import CycloNum, _canonical_conductor, _ctx, _mul_vec, _rank_vec, _root_power
-from .cyclotomic import matrix_rank  # noqa: F401  (kept in this namespace for callers)
+from .cyclotomic import (
+    CycloNum,
+    _canonical_conductor,
+    _ctx,
+    _mul_vec,
+    _rank_vec,
+    _root_power,
+    matrix_rank,
+)
 from .errors import (
     BadParameter,
     ClassificationBug,
@@ -136,11 +144,10 @@ class PreModularDatum:
     theta: tuple          # Fraction exponents, twists as roots of unity
     dim: tuple            # CycloNum per index
     S: tuple              # derived, CycloNum matrix
+    S_tilde: tuple        # s_{XY} / (d(X) d(Y))
     pointed_source: object = None  # (PreMetricGroup, chi tuple) when pointed
     # the build's vectors at its conductor (_AtL)
     _at: object = field(default=None, repr=False, compare=False)
-    # s_{XY} / (d(X) d(Y)), built on first use
-    _S_tilde: tuple = field(default=None, init=False, repr=False, compare=False)
     # is_nondegenerate(self), decided on first use
     _nondegenerate: bool = field(default=None, init=False, repr=False, compare=False)
     # index sets of the Lagrangian subgroups of a pointed source, built on first use
@@ -151,18 +158,6 @@ class PreModularDatum:
     @property
     def rank(self) -> int:
         return self.ring.rank
-
-    @property
-    def S_tilde(self) -> tuple:
-        """s_{XY} / (d(X) d(Y)), as CycloNums."""
-        if self._S_tilde is None:
-            dinv = [d.inverse() for d in self.dim]
-            St = tuple(
-                tuple(s * dinv[x] * dinv[y] for y, s in enumerate(row))
-                for x, row in enumerate(self.S)
-            )
-            object.__setattr__(self, "_S_tilde", St)
-        return self._S_tilde
 
     def dim_total(self) -> CycloNum:
         return self.cat_dim(range(self.rank))
@@ -259,7 +254,14 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     # canonical form once per distinct entry
     canon = {k: CycloNum(L, k, D) for k in {tuple(v) for row in S for v in row}}
     S_num = tuple(tuple(canon[tuple(v)] for v in row) for row in S)
-    return PreModularDatum(ring, theta, dim, S_num, _at=_AtL(ctx, D, S, dv, qd, roots))
+    # one inverse per distinct dimension; S~ is symmetric, as S is
+    inv = {d: d.inverse() for d in set(dim)}
+    St = [[None] * r for _ in range(r)]
+    for x in range(r):
+        for y in range(x, r):
+            St[x][y] = St[y][x] = S_num[x][y] * inv[dim[x]] * inv[dim[y]]
+    return PreModularDatum(ring, theta, dim, S_num, tuple(map(tuple, St)),
+                           _at=_AtL(ctx, D, S, dv, qd, roots))
 
 
 def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -> PreModularDatum:
@@ -360,19 +362,9 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     and raises ClassificationBug.  The report is built once per
     (datum, K.indices) and kept on the datum.
     """
-    return _centralizer(D, K)
-
-
-def _centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
-    """The report of ``centralizer``, kept on the datum; the reports of
-    this module ask here."""
     rep = D._cents.get(K.indices)
-    if rep is None:
-        rep = D._cents[K.indices] = _centralize(D, K)
-    return rep
-
-
-def _centralize(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
+    if rep is not None:
+        return rep
     R = D.ring
     at = D._at
     _, ones = at.pairing()
@@ -403,7 +395,8 @@ def _centralize(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
         raise ClassificationBug(
             f"rank {rank} != component count {len(components)}"
         )
-    return CentralizerReport(K, cent_sub, components, rank)
+    rep = D._cents[K.indices] = CentralizerReport(K, cent_sub, components, rank)
+    return rep
 
 
 def is_nondegenerate(D: PreModularDatum) -> bool:
@@ -411,7 +404,7 @@ def is_nondegenerate(D: PreModularDatum) -> bool:
     centralizer of everything."""
     if D._nondegenerate is None:
         whole = FusionSubring(D.ring, tuple(range(D.rank)))
-        rep = _centralizer(D, whole)
+        rep = centralizer(D, whole)
         by_rank = rep.rank_stilde == D.rank
         by_cent = rep.centralizer.indices == (D.ring.unit,)
         if by_rank != by_cent:
@@ -451,8 +444,8 @@ def projective_centralizer(D: PreModularDatum, K: FusionSubring) -> FusionSubrin
     for y in K.indices:
         seed.extend(R.constituents(y, R.dual[y]))
     k_ad = subring_generated(R, seed)
-    proj = _centralizer(D, k_ad).centralizer
-    cent_k = _centralizer(D, K).centralizer
+    proj = centralizer(D, k_ad).centralizer
+    cent_k = centralizer(D, K).centralizer
     if commutator(R, cent_k).indices != proj.indices:
         raise ClassificationBug("projective centralizer != commutator of centralizer")
     return proj
@@ -508,9 +501,9 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
     dd, _ = at.squares()
     lat = all_subrings(R, config)
     whole = FusionSubring(R, tuple(range(R.rank)))
-    Kc = _centralizer(D, K).centralizer
-    Bc = _centralizer(D, B).centralizer
-    Cc = _centralizer(D, whole).centralizer
+    Kc = centralizer(D, K).centralizer
+    Bc = centralizer(D, B).centralizer
+    Cc = centralizer(D, whole).centralizer
     checks = []
 
     def meet(a, b):
@@ -527,7 +520,7 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
     record("dim-product", "centralizer-dim-product",
            dims(K, Kc) == dims(whole, meet(K, Cc)))
 
-    kcc = _centralizer(D, Kc).centralizer
+    kcc = centralizer(D, Kc).centralizer
     join_kc = lat.join(K, Cc)
     record(
         "double-centralizer",
@@ -552,7 +545,7 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
         f"{lhs_f} vs {rhs_f}",
     )
 
-    sub_rank = _rank_vec(ctx, [[at.S[y][z] for z in K.indices] for y in K.indices])
+    sub_rank = matrix_rank([[D.S_tilde[y][z] for z in K.indices] for y in K.indices])
     if sub_rank == K.rank:
         ok1 = meet(K, Kc).indices == (R.unit,)
         ok2 = dims(K, Kc) == dims(whole, meet(K, Cc))
@@ -611,7 +604,7 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
     lat = all_subrings(R, config)
     nondeg = is_nondegenerate(D)
     for sub in lat.subrings:
-        kc = _centralizer(D, sub).centralizer.indices
+        kc = centralizer(D, sub).centralizer.indices
         dk = at.total(dd, sub.indices)
         tp_c, tm_c = at.total(td[+1], kc), at.total(td[-1], kc)
         ok = (   # over den^4
@@ -669,7 +662,7 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     sq = fp_square_integers(R, config)      # NotWeaklyIntegral if not
     sf = [_squarefree(m) for m in sq]
     int_part = integral_part(R, config)
-    A = _centralizer(D, int_part).centralizer
+    A = centralizer(D, int_part).centralizer
     inv = set(
         x for x in range(R.rank)
         if sum(R.N[x][R.dual[x]]) == 1 and R.N[x][R.dual[x]][R.unit] == 1

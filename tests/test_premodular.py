@@ -720,10 +720,11 @@ def test_reports_build_each_centralizer_and_lattice_once(monkeypatch):
 
     data = _build_corpus()
     ctx_keys = set(cyclotomic._CTX)
-    made, lattices = [], []
-    real_centralize, real_lattice = premodular._centralize, fusion._subring_lattice
-    monkeypatch.setattr(premodular, "_centralize",
-                        lambda D, K: made.append((id(D), K.indices)) or real_centralize(D, K))
+    # one exact rank per computed centralizer report
+    ranked, lattices = [], []
+    real_rank, real_lattice = premodular._rank_vec, fusion._subring_lattice
+    monkeypatch.setattr(premodular, "_rank_vec",
+                        lambda ctx, M: ranked.append(len(M)) or real_rank(ctx, M))
     monkeypatch.setattr(fusion, "_subring_lattice",
                         lambda R: lattices.append(id(R)) or real_lattice(R))
     asked = set()
@@ -737,7 +738,8 @@ def test_reports_build_each_centralizer_and_lattice_once(monkeypatch):
         for K in all_subrings(D.ring).subrings:
             asked.add((id(D), K.indices))
             centralizer(D, K)
-    assert sorted(made) == sorted(set(made)) and asked <= set(made)
+    kept = {(id(D), k) for D in data for k in D._cents}
+    assert len(ranked) == len(kept) and asked <= kept
     assert sorted(lattices) == sorted({id(D.ring) for D in data})
     assert set(cyclotomic._CTX) == ctx_keys
     # the rank guard still refuses a ring whose lattice is kept
