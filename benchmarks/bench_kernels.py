@@ -5,7 +5,9 @@ The kernel carries the hot loops of the library: subgroup closure and
 enumeration, the automorphism search (all of Aut(G), a table's
 stabilizer, a table-carrying isomorphism) and table transport.
 Representative workloads below mirror what the acceptance suite spends
-its time on (exhaustive quadratic-form sweeps over small 2-groups).
+its time on (exhaustive quadratic-form sweeps over small 2-groups); the
+``all_forms`` rows time that sweep's form enumeration on (Z/2)^3 and
+Z/2 x Z/2 x Z/4, which no perfbench workload runs.
 The ``premodular.build`` rows time the exact derivation and check of
 a datum's S-matrix by rank: Ising (3), Ising x Ising (9), and the
 pointed datum of a form on Z/12 (12).  The ``gauss_and_charge`` and
@@ -51,18 +53,19 @@ def workloads():
 
     orders4 = (2, 2, 2, 2)
     add4 = pure.add_table(orders4)
+    ord4 = pure.element_orders(16, add4)
     st4, go4 = strides_of(orders4), list(orders4)
     out.append(
         ("automorphisms (Z/2)^4 (20160)",
-         lambda: pure.automorphisms(16, add4, st4, go4, 10 ** 7), 3)
+         lambda: pure.automorphisms(16, add4, ord4, st4, go4, 10 ** 7), 3)
     )
 
     table = [0, 1, 2, 1, 2, 0, 1, 2, 1, 2, 0, 1, 2, 1, 2, 0]
     out.append(
-        ("stabilizer (Z/2)^4", lambda: pure.stabilizer(16, add4, st4, go4, table), 5)
+        ("stabilizer (Z/2)^4", lambda: pure.stabilizer(16, add4, ord4, st4, go4, table), 5)
     )
 
-    auts = pure.automorphisms(16, add4, st4, go4, 10 ** 7)
+    auts = pure.automorphisms(16, add4, ord4, st4, go4, 10 ** 7)
 
     def orbit_sweep():
         seen = set()
@@ -75,12 +78,18 @@ def workloads():
 
     orders44 = (4, 4)
     add44 = pure.add_table(orders44)
+    ord44 = pure.element_orders(16, add44)
     ta = [0, 1, 2, 1, 1, 3, 0, 2, 2, 0, 3, 1, 1, 2, 1, 0]
-    tb = list(pure.apply_perm(pure.automorphisms(16, add44, [4, 1], [4, 4], 100)[-1], ta))
+    tb = list(pure.apply_perm(pure.automorphisms(16, add44, ord44, [4, 1], [4, 4], 100)[-1], ta))
     out.append(
         ("find_isomorphism Z4^2",
-         lambda: pure.find_isomorphism(16, add44, [4, 1], [4, 4], ta, tb), 20)
+         lambda: pure.find_isomorphism(16, add44, ord44, [4, 1], [4, 4], ta, tb), 20)
     )
+
+    for name, shape in (("(Z/2)^3", (2, 2, 2)), ("(2,2,4)", (2, 2, 4))):
+        G = FinAbGroup(shape)
+        n = sum(1 for _ in qform.all_forms(G))
+        out.append((f"all_forms {name} ({n})", lambda G=G: list(qform.all_forms(G)), 3))
 
     ising = premodular.ising_datum(Fraction(1, 16), 1)
     ising2 = premodular.deligne_product(ising, premodular.ising_datum(Fraction(3, 16), -1))

@@ -444,7 +444,8 @@ def automorphism_perms(G: FinAbGroup, config: Config = DEFAULT) -> list:
     """Aut(G) as index permutations (the kernel-level representation)."""
     check_aut_size(G, config)
     return kernels.automorphisms(
-        G.order, G.add_flat(), G.gen_strides(), list(G.orders), config.aut_count_cap
+        G.order, G.add_flat(), G.order_flat(), G.gen_strides(), list(G.orders),
+        config.aut_count_cap,
     )
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -544,13 +545,13 @@ def _zip_pad(a, b):
 
 # -- bulk constructors --------------------------------------------------------
 
-def _root_power(r: RootExp, N: int):
-    """(s, t) with e^(2*pi*i*r) = (-1)^s zeta_N^t, for a canonical N that
-    the canonical conductor of r's denominator divides."""
-    b, a = r.denominator, r.numerator
+def _root_power(a: int, b: int, N: int):
+    """(s, t) with e^(2*pi*i*a/b) = (-1)^s zeta_N^t, for a canonical N that
+    the canonical conductor of b divides; a/b need not be reduced."""
     if b % 4 == 2:
-        mm = b // 2
-        return 1, ((a - mm) // 2 % mm) * (N // mm) % N
+        # b = 2m with m odd: e^(2 pi i a/2m) = (-1)^a zeta_m^(a(m+1)/2)
+        m = b // 2
+        return a % 2, a * (m + 1) // 2 % m * (N // m) % N
     return 0, a * (N // b) % N
 
 
@@ -566,13 +567,24 @@ def root_sum(terms) -> CycloNum:
         return CycloNum.zero()
     N = reduce(math.lcm, (_canonical_conductor(r.denominator) for r, _ in terms), 1)
     den = reduce(math.lcm, (w.denominator for _, w in terms), 1)
+    return _sum_at(
+        N, ((_root_power(r.numerator, r.denominator, N), int(w * den)) for r, w in terms), den
+    )
+
+
+def level_root_sum(L: int, exps) -> CycloNum:
+    """Exact sum of e^(2*pi*i*a/L) over the integers a in ``exps``."""
+    N = _canonical_conductor(L)
+    return _sum_at(N, Counter(_root_power(a, L, N) for a in exps).items(), 1)
+
+
+def _sum_at(N: int, terms, den: int) -> CycloNum:
+    """sum of c (-1)^s zeta_N^t over the terms ((s, t), c), over ``den``."""
     ctx = _ctx(N)
     acc = [0] * ctx.phi
-    for r, w in terms:
-        c = int(w * den)
+    for (s, t), c in terms:
         if c == 0:
             continue
-        s, t = _root_power(r, N)
         row = ctx.pows[t]
         sign = -c if s else c
         for j in range(ctx.phi):

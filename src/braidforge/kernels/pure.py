@@ -134,8 +134,10 @@ def combinations(n, add, gens, ords):
     return out
 
 
-def _carrying(n, add, gen_strides, gen_ords, table_a, table_b):
+def _carrying(n, add, ords, gen_strides, gen_ords, table_a, table_b):
     """Yield every automorphism ``perm`` with table_b[perm[g]] == table_a[g].
+
+    ``ords`` is the element-order table (:func:`element_orders`).
 
     Depth-first search over images of the invariant-factor generators,
     each tried in increasing index order.  An image m of a generator of
@@ -153,7 +155,6 @@ def _carrying(n, add, gen_strides, gen_ords, table_a, table_b):
     if r == 0:
         yield (0,)
         return
-    ords = element_orders(n, add)
     cyclic = {need: [] for need in gen_ords}
     for m in range(n):
         if ords[m] in cyclic:
@@ -180,27 +181,27 @@ def _carrying(n, add, gen_strides, gen_ords, table_a, table_b):
     yield from rec(0, [0])
 
 
-def automorphisms(n, add, gen_strides, gen_ords, cap):
+def automorphisms(n, add, ords, gen_strides, gen_ords, cap):
     """All automorphisms as index permutations ``perm[g] = phi(g)``.
 
     Raises EnumerationLimit when more than ``cap`` automorphisms exist.
     """
     perms = []
     zero = [0] * n
-    for perm in _carrying(n, add, gen_strides, gen_ords, zero, zero):
+    for perm in _carrying(n, add, ords, gen_strides, gen_ords, zero, zero):
         perms.append(perm)
         if len(perms) > cap:
             raise EnumerationLimit(f"automorphism count exceeds cap {cap}")
     return perms
 
 
-def stabilizer(n, add, gen_strides, gen_ords, table):
+def stabilizer(n, add, ords, gen_strides, gen_ords, table):
     """Automorphisms with table[perm[g]] == table[g] for all g.
 
     The same list, in the same order, as filtering :func:`automorphisms`
     by the table, without enumerating the automorphisms it rejects.
     """
-    return list(_carrying(n, add, gen_strides, gen_ords, table, table))
+    return list(_carrying(n, add, ords, gen_strides, gen_ords, table, table))
 
 
 def apply_perm(perm, table):
@@ -211,7 +212,7 @@ def apply_perm(perm, table):
     return tuple(out)
 
 
-def find_isomorphism(n, add, gen_strides, gen_ords, table_a, table_b):
+def find_isomorphism(n, add, ords, gen_strides, gen_ords, table_a, table_b):
     """First index permutation carrying ``table_a`` to ``table_b``
     (``table_b[perm[g]] == table_a[g]``), or None when none exists."""
-    return next(_carrying(n, add, gen_strides, gen_ords, table_a, table_b), None)
+    return next(_carrying(n, add, ords, gen_strides, gen_ords, table_a, table_b), None)

@@ -210,7 +210,8 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     D = reduce(math.lcm, (d.den for d in dim), 1)
     ctx = _ctx(L)
     dv = [[c * (D // d.den) for c in d._lift(L)] for d in dim]
-    roots = [_root_power(t, L) for t in theta]   # theta_z = (-1)^s zeta_L^t
+    # theta_z = (-1)^s zeta_L^t
+    roots = [_root_power(t.numerator, t.denominator, L) for t in theta]
 
     def weighted_sum(mults, vecs):
         acc = None

@@ -1,8 +1,12 @@
 """Quadratic forms on finite abelian groups, with values in Q/Z.
 
-A form is a total value table q: G -> Q/Z (fractions in [0,1), one per
-element in lexicographic order); the multiplicative picture of roots of
-unity is recovered as e^(2*pi*i*q).  The polarization
+A form is stored as one integer level L and a residue table:
+q(g) = res[g]/L mod 1, one residue in [0, L) per element in
+lexicographic (index) order, with L the least common denominator of
+the values.  Rationals become residues only in the ``PreMetricGroup``
+constructor; ``values``, ``q``, ``q_idx``, ``b`` and ``bicharacter``
+build ``Fraction``s from the residues.  The multiplicative picture of
+roots of unity is recovered as e^(2*pi*i*q).  The polarization
 b(g,h) = q(g+h) - q(g) - q(h) is the associated bicharacter.
 
 Subquotients H-perp / H, restrictions and the automorphisms induced on
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -54,49 +58,66 @@ from .errors import (
     NotQuadratic,
 )
 
-_mod1 = lambda x: x - (x // 1)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PreMetricGroup:
-    """A group with a Q/Z-valued quadratic form (value table in lex order)."""
+    """A group with a Q/Z-valued quadratic form: q(g) = res[g]/level mod 1.
+
+    ``res`` holds one residue in [0, level) per element in lex (index)
+    order.  ``level`` is the least common denominator of the values, so
+    two forms are equal exactly when their value tables are.
+    """
 
     group: FinAbGroup
-    values: tuple
-    # int_table(), built on first use
-    _int_table: tuple = field(default=None, init=False, repr=False, compare=False)
+    level: int
+    res: tuple
 
-    def __post_init__(self):
-        vals = tuple(_mod1(Fraction(v)) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != self.group.order:
+    def __init__(self, group: FinAbGroup, values):
+        """The form with the rational value table ``values``, read mod 1."""
+        vals = [Fraction(v) for v in values]
+        N = reduce(math.lcm, (v.denominator for v in vals), 1)
+        self._store(group, N, [v.numerator * (N // v.denominator) for v in vals])
+
+    @classmethod
+    def at_level(cls, group: FinAbGroup, N: int, res) -> "PreMetricGroup":
+        """The form q(g) = res[g]/N mod 1, for integers ``res``."""
+        M = object.__new__(cls)
+        M._store(group, N, res)
+        return M
+
+    def _store(self, group, N, res):
+        if len(res) != group.order:
             raise NotQuadratic(
-                f"value table has {len(vals)} entries for a group of order {self.group.order}"
+                f"value table has {len(res)} entries for a group of order {group.order}"
             )
+        d = math.gcd(N, *res)
+        L = N // d
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "level", L)
+        object.__setattr__(self, "res", tuple(r // d % L for r in res))
 
     @property
     def order(self) -> int:
         return self.group.order
 
+    @property
+    def values(self) -> tuple:
+        """The value table as Fractions in [0, 1)."""
+        return tuple(Fraction(r, self.level) for r in self.res)
+
     def q(self, g) -> Fraction:
-        return self.values[self.group.index(g)]
+        return self.q_idx(self.group.index(g))
 
     def q_idx(self, i: int) -> Fraction:
-        return self.values[i]
+        return Fraction(self.res[i], self.level)
 
     def b(self, g, h) -> Fraction:
-        G = self.group
-        return _mod1(self.q(G.add(g, h)) - self.q(g) - self.q(h))
-
-    def int_table(self):
-        """(L, table) with q(g) = table[g]/L; the kernel-facing encoding."""
-        if self._int_table is None:
-            L = reduce(math.lcm, (v.denominator for v in self.values), 1)
-            object.__setattr__(self, "_int_table", (L, tuple(int(v * L) for v in self.values)))
-        return self._int_table
+        G, t = self.group, self.res
+        r = t[G.index(G.add(g, h))] - t[G.index(g)] - t[G.index(h)]
+        return Fraction(r % self.level, self.level)
 
     def negated(self) -> "PreMetricGroup":
-        return PreMetricGroup(self.group, tuple(_mod1(-v) for v in self.values))
+        return PreMetricGroup.at_level(self.group, self.level, [-r for r in self.res])
 
     def __repr__(self):
         return f"PreMetricGroup({self.group!r}, {[str(v) for v in self.values]})"
@@ -156,15 +177,15 @@ def validate(group: FinAbGroup, value_table) -> PreMetricGroup:
     """
     M = PreMetricGroup(group, tuple(value_table))
     n = group.order
-    L, t = M.int_table()
+    L, t = M.level, M.res
     if t[0] != 0:
-        raise NotNormalized(f"q(0) = {M.values[0]} != 0")
+        raise NotNormalized(f"q(0) = {M.q_idx(0)} != 0")
     neg = group.neg_flat()
     for i in range(n):
         if t[neg[i]] != t[i]:
             raise NotEven(
                 f"q(-g) != q(g) at g = {group.from_index(i)}: "
-                f"{M.values[neg[i]]} vs {M.values[i]}"
+                f"{M.q_idx(neg[i])} vs {M.q_idx(i)}"
             )
     add = group.add_flat()
 
@@ -184,32 +205,23 @@ def validate(group: FinAbGroup, value_table) -> PreMetricGroup:
 
 
 def bicharacter(M: PreMetricGroup) -> Bicharacter:
-    G = M.group
+    G, L, t = M.group, M.level, M.res
     n = G.order
     add = G.add_flat()
-    tab = []
-    for i in range(n):
-        qi = M.values[i]
-        row = [_mod1(M.values[add[i * n + j]] - qi - M.values[j]) for j in range(n)]
-        tab.extend(row)
+    tab = [
+        Fraction((t[add[i * n + j]] - t[i] - t[j]) % L, L) for i in range(n) for j in range(n)
+    ]
     return Bicharacter(G, tuple(tab))
 
 
 def degeneracy(M: PreMetricGroup) -> DegeneracyClass:
     """Radical Ker b and the three-way degeneracy tag."""
     G = M.group
-    n = G.order
-    L, t = M.int_table()
-    add = G.add_flat()
-    rad = [
-        i
-        for i in range(n)
-        if all((t[add[i * n + j]] - t[i] - t[j]) % L == 0 for j in range(n))
-    ]
+    rad = _perp_indices(M, range(G.order))
     radical = Subgroup(G, tuple(G.from_index(i) for i in rad))
     if len(rad) == 1:
         tag = "nondegenerate"
-    elif len(rad) == 2 and M.q_idx(rad[1]) == Fraction(1, 2):
+    elif len(rad) == 2 and 2 * M.res[rad[1]] == M.level:
         tag = "slightly_degenerate"
     else:
         tag = "degenerate_other"
@@ -235,8 +247,7 @@ def orthogonal_complement(M: PreMetricGroup, H: Subgroup) -> Subgroup:
 
 def _perp_indices(M: PreMetricGroup, gens) -> list:
     """Indices of the g with b(g, h) = 0 for every index h in ``gens``."""
-    n = M.group.order
-    L, t = M.int_table()
+    n, L, t = M.group.order, M.level, M.res
     add = M.group.add_flat()
     return [
         i
@@ -262,7 +273,7 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     n = G.order
     if n > config.enum_guard:
         raise EnumerationLimit(f"|G| = {n} exceeds enum_guard = {config.enum_guard}")
-    L, t = M.int_table()
+    L, t = M.level, M.res
     add = G.add_flat()
     iso_elems = [i for i in range(n) if t[i] == 0]
 
@@ -333,7 +344,7 @@ def _sub_structure(G: FinAbGroup, gens):
 
 def _restricted(M: PreMetricGroup, gens) -> PreMetricGroup:
     K, _, from_K = _sub_structure(M.group, gens)
-    return PreMetricGroup(K, tuple(M.values[g] for g in from_K))
+    return PreMetricGroup.at_level(K, M.level, [M.res[g] for g in from_K])
 
 
 def restrict(M: PreMetricGroup, H: Subgroup) -> PreMetricGroup:
@@ -342,15 +353,16 @@ def restrict(M: PreMetricGroup, H: Subgroup) -> PreMetricGroup:
 
 
 def _subquotient(M: PreMetricGroup, H: Subgroup):
-    """H-perp / H for isotropic H, on indices: (Q, to_Q, values).
+    """H-perp / H for isotropic H, on indices: (Q, to_Q, res).
 
     Q is canonical, to_Q maps each G-index of H-perp to its Q-index, and
-    values is the induced form's table in Q's index order.
+    res is the induced form's residue table at M's level, in Q's index
+    order.
     """
+    G, t = M.group, M.res
     for h in H.elements:
-        if M.q(h) != 0:
+        if t[G.index(h)] != 0:
             raise NotIsotropic(f"q({h}) = {M.q(h)} != 0")
-    G = M.group
     perp = _perp_indices(M, [G.index(h) for h in H.generators])
     K, to_K, from_K = _sub_structure(G, _minimal_generators(G, perp))
     low = _minimal_generators(K, sorted(to_K[h] for h in H.indices()))
@@ -358,16 +370,16 @@ def _subquotient(M: PreMetricGroup, H: Subgroup):
     proj = kernels.combinations(Q.order, Q.add_flat(), list(map(Q.index, images)), K.orders)
     vals = [None] * Q.order
     for y, g in zip(proj, from_K):
-        if vals[y] is not None and vals[y] != M.values[g]:
+        if vals[y] is not None and vals[y] != t[g]:
             raise ClassificationBug("induced form not constant on cosets")
-        vals[y] = M.values[g]
-    return Q, {g: proj[kk] for g, kk in to_K.items()}, tuple(vals)
+        vals[y] = t[g]
+    return Q, {g: proj[kk] for g, kk in to_K.items()}, vals
 
 
 def quotient_form(M: PreMetricGroup, H: Subgroup) -> PreMetricGroup:
     """The induced form on H-perp / H for isotropic H."""
     Q, _, vals = _subquotient(M, H)
-    return PreMetricGroup(Q, vals)
+    return PreMetricGroup.at_level(Q, M.level, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +392,17 @@ def direct_sum(M1: PreMetricGroup, M2: PreMetricGroup) -> PreMetricGroup:
     if not orders:
         return trivial_form()
     G, iso = canonical_form(orders)
-    src = iso.source
-    n1 = M1.group.order
-    vals = [Fraction(0)] * G.order
-    for x in src.elements():
-        g1 = x[: M1.group.rank]
-        g2 = x[M1.group.rank :]
-        vals[G.index(iso(x))] = _mod1(M1.q(g1) + M2.q(g2))
-    return PreMetricGroup(G, tuple(vals))
+    L = math.lcm(M1.level, M2.level)
+    s1, s2, n2 = L // M1.level, L // M2.level, M2.group.order
+    res = [0] * G.order
+    # the source is M1's group times M2's, so its index k is i1 * n2 + i2
+    for k, x in enumerate(iso.source.elements()):
+        res[G.index(iso(x))] = M1.res[k // n2] * s1 + M2.res[k % n2] * s2
+    return PreMetricGroup.at_level(G, L, res)
 
 
 def trivial_form() -> PreMetricGroup:
-    return PreMetricGroup(TRIVIAL_GROUP, (Fraction(0),))
+    return PreMetricGroup.at_level(TRIVIAL_GROUP, 1, (0,))
 
 
 def isomorphic(M1: PreMetricGroup, M2: PreMetricGroup, config: Config = DEFAULT):
@@ -405,13 +416,11 @@ def isomorphic(M1: PreMetricGroup, M2: PreMetricGroup, config: Config = DEFAULT)
         return None
     if G1.order > config.aut_guard:
         raise EnumerationLimit(f"|G| = {G1.order} exceeds aut_guard = {config.aut_guard}")
-    L1, t1 = M1.int_table()
-    L2, t2 = M2.int_table()
-    L = math.lcm(L1, L2)
-    t1 = [x * (L // L1) for x in t1]
-    t2 = [x * (L // L2) for x in t2]
+    if M1.level != M2.level:  # the levels are the values' least common denominators
+        return None
     perm = kernels.find_isomorphism(
-        G1.order, G1.add_flat(), G1.gen_strides(), list(G1.orders), t1, t2
+        G1.order, G1.add_flat(), G1.order_flat(), G1.gen_strides(), list(G1.orders),
+        M1.res, M2.res,
     )
     if perm is None:
         return None
@@ -426,8 +435,9 @@ def q_automorphism_perms(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     """
     G = M.group
     check_aut_size(G, config)
-    _, t = M.int_table()
-    return kernels.stabilizer(G.order, G.add_flat(), G.gen_strides(), list(G.orders), t)
+    return kernels.stabilizer(
+        G.order, G.add_flat(), G.order_flat(), G.gen_strides(), list(G.orders), M.res
+    )
 
 
 def form_automorphisms(M: PreMetricGroup, config: Config = DEFAULT) -> list:
@@ -459,12 +469,12 @@ def core(M: PreMetricGroup, config: Config = DEFAULT) -> CoreResult:
     maximal = [r.subgroup for r in iso_list if r.is_maximal]
     H = min(maximal, key=lambda s: s.elements)
     Q, to_Q, vals = _subquotient(M, H)
-    coreform = PreMetricGroup(Q, vals)
+    coreform = PreMetricGroup.at_level(Q, M.level, vals)
     return CoreResult(coreform, H, _induced_on_core(M, H, to_Q, coreform, config))
 
 
 def _induced_on_core(M, H, to_Q, coreform, config):
-    Q = coreform.group
+    Q, t = coreform.group, coreform.res
     h_idx = set(H.indices())
     induced = set()
     for p in q_automorphism_perms(M, config):
@@ -478,8 +488,8 @@ def _induced_on_core(M, H, to_Q, coreform, config):
     gamma = []
     for imgs in sorted(induced):
         hom = GroupHom(Q, Q, tuple(Q.from_index(imgs[s]) for s in Q.gen_strides()))
-        for y in Q.elements():
-            if coreform.q(hom(y)) != coreform.q(y):
+        for i, y in enumerate(Q.elements()):
+            if t[Q.index(hom(y))] != t[i]:
                 raise ClassificationBug("core automorphism does not preserve the form")
         gamma.append(hom)
     return tuple(gamma)
@@ -491,63 +501,50 @@ def _induced_on_core(M, H, to_Q, coreform, config):
 
 def odd_rank1(p: int, c: int = 1) -> PreMetricGroup:
     """(Z/p, q(n) = c n^2 / p) for odd p."""
-    G = FinAbGroup((p,))
-    return PreMetricGroup(G, tuple(Fraction(c * n * n, p) for n in range(p)))
+    return PreMetricGroup.at_level(FinAbGroup((p,)), p, [c * n * n for n in range(p)])
 
 
 def odd_norm(p: int) -> PreMetricGroup:
     """The rank-2 anisotropic norm form on (Z/p)^2."""
+    pairs = [(x, y) for x in range(p) for y in range(p)]
     if p == 2:
-        G = FinAbGroup((2, 2))
-        vals = [Fraction(x * x + x * y + y * y, 2) for x in range(2) for y in range(2)]
-        return PreMetricGroup(G, tuple(vals))
-    d = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
-    G = FinAbGroup((p, p))
-    vals = [Fraction((x * x - d * y * y) % p, p) for x in range(p) for y in range(p)]
-    return PreMetricGroup(G, tuple(vals))
+        return PreMetricGroup.at_level(
+            FinAbGroup((2, 2)), 2, [x * x + x * y + y * y for x, y in pairs]
+        )
+    d = _least_nonresidue(p)
+    return PreMetricGroup.at_level(FinAbGroup((p, p)), p, [x * x - d * y * y for x, y in pairs])
 
 
 def a_form(i_sign=Fraction(1, 4)) -> PreMetricGroup:
     """Order-2 metric form q(n) = i_sign * n^2, i_sign in {1/4, 3/4}."""
-    return PreMetricGroup(FinAbGroup((2,)), (Fraction(0), Fraction(i_sign)))
+    return PreMetricGroup(FinAbGroup((2,)), (0, i_sign))
 
 
 def m_form(xi) -> PreMetricGroup:
     """The order-4 form with a distinguished element u of value 1/2 and
     value xi elsewhere; xi runs over the eighth roots (8*xi = 0)."""
-    xi = _mod1(Fraction(xi))
-    if xi.denominator == 8:
+    k = int(Fraction(xi) * 8) % 8
+    if k % 2:
         # cyclic: q(n) = xi * n^2 on Z/4
-        G = FinAbGroup((4,))
-        return PreMetricGroup(G, tuple(_mod1(xi * n * n) for n in range(4)))
-    G = FinAbGroup((2, 2))
-    half = Fraction(1, 2)
-    vals = {(0, 0): Fraction(0), (1, 0): half, (0, 1): xi, (1, 1): _mod1(xi + half)}
-    # q(1,1) must equal xi for the distinguished-u presentation
-    vals[(1, 1)] = xi
-    return PreMetricGroup(G, tuple(vals[e] for e in G.elements()))
+        return PreMetricGroup.at_level(FinAbGroup((4,)), 8, [k * n * n for n in range(4)])
+    # (Z/2)^2 with u = (1, 0): q(0, 1) = q(1, 1) = xi
+    return PreMetricGroup.at_level(FinAbGroup((2, 2)), 8, (0, k, 4, k))
 
 
 def hyperbolic_plane(p: int) -> PreMetricGroup:
     """(Z/p)^2 with q(x,y) = xy/p."""
     G = FinAbGroup((p, p))
-    return PreMetricGroup(G, tuple(Fraction(x * y, p) for x in range(p) for y in range(p)))
+    return PreMetricGroup.at_level(G, p, [x * y for x in range(p) for y in range(p)])
 
 
 def slight_deg2() -> PreMetricGroup:
-    return PreMetricGroup(FinAbGroup((2,)), (Fraction(0), Fraction(1, 2)))
+    return PreMetricGroup.at_level(FinAbGroup((2,)), 2, (0, 1))
 
 
 def slight_deg4(i_sign=Fraction(1, 4)) -> PreMetricGroup:
-    G = FinAbGroup((2, 2))
-    i_sign = Fraction(i_sign)
-    vals = {
-        (0, 0): Fraction(0),
-        (0, 1): Fraction(1, 2),
-        (1, 0): i_sign,
-        (1, 1): _mod1(i_sign + Fraction(1, 2)),
-    }
-    return PreMetricGroup(G, tuple(vals[e] for e in G.elements()))
+    """(Z/2)^2 with q(0, 1) = 1/2 and q(1, 0) = i_sign."""
+    k = int(Fraction(i_sign) * 4) % 4
+    return PreMetricGroup.at_level(FinAbGroup((2, 2)), 4, (0, 2, k, k + 2))
 
 
 def build_labeled_form(label: AnisotropicLabel) -> PreMetricGroup:
@@ -593,12 +590,11 @@ def anisotropic_catalog(p: int, order: int) -> list:
             ] + [AnisotropicLabel("SlightDeg4", 2)]
         elif order == 8:
             seen = []
-            for k in range(8):
-                xi = Fraction(k, 8)
-                for s in (Fraction(1, 4), Fraction(3, 4)):
-                    if xi == 0 or _mod1(xi + s) == 0:
-                        continue  # xi = 1 or xi = -i_sign gives an isotropic value
-                    lab = _canon_mplusa(xi, s)
+            for k in range(1, 8):  # xi = k/8; xi = 1 gives an isotropic value
+                for s in (1, 3):  # i_sign = s/4
+                    if (k + 2 * s) % 8 == 0:
+                        continue  # xi = -i_sign gives an isotropic value
+                    lab = _canon_mplusa(Fraction(k, 8), Fraction(s, 4))
                     if lab not in seen:
                         seen.append(lab)
             out = seen
@@ -615,9 +611,8 @@ def anisotropic_catalog(p: int, order: int) -> list:
 
 def _canon_mplusa(xi, i_sign) -> AnisotropicLabel:
     """Canonical (xi, i_sign): M_xi + A_{-i} matches M_{xi - 1/4} + A_i."""
-    xi, i_sign = _mod1(Fraction(xi)), Fraction(i_sign)
     if i_sign == Fraction(3, 4):
-        xi, i_sign = _mod1(xi - Fraction(1, 4)), Fraction(1, 4)
+        xi, i_sign = (xi - Fraction(1, 4)) % 1, Fraction(1, 4)
     return AnisotropicLabel("MplusA", 2, (xi, i_sign))
 
 
@@ -626,7 +621,7 @@ def _canon_mplusa(xi, i_sign) -> AnisotropicLabel:
 # ---------------------------------------------------------------------------
 
 def is_anisotropic(M: PreMetricGroup) -> bool:
-    return all(v != 0 for v in M.values[1:])
+    return 0 not in M.res[1:]
 
 
 def sylow_decomposition(M: PreMetricGroup) -> dict:
@@ -655,8 +650,7 @@ def classify_anisotropic(M: PreMetricGroup) -> tuple:
     form falls outside the provably complete catalog.
     """
     if not is_anisotropic(M):
-        g = next(e for e in M.group.elements()[1:] if M.q(e) == 0)
-        raise NotAnisotropic(f"q({g}) = 0")
+        raise NotAnisotropic(f"q({M.group.from_index(M.res.index(0, 1))}) = 0")
     labels = []
     for p, Mp in sorted(sylow_decomposition(M).items()):
         labels.append(_classify_primary(p, Mp))
@@ -664,14 +658,13 @@ def classify_anisotropic(M: PreMetricGroup) -> tuple:
 
 
 def _classify_primary(p: int, Mp: PreMetricGroup) -> AnisotropicLabel:
-    n = Mp.group.order
+    G, L, t = Mp.group, Mp.level, Mp.res
+    n = G.order
     if p != 2:
-        if Mp.group.orders == (p,):
-            g = Mp.group.from_index(1)
-            c = (Mp.q(g) * p)
-            res = 1 if pow(int(c), (p - 1) // 2, p) == 1 else -1
+        if G.orders == (p,):
+            res = 1 if pow(t[1] * p // L, (p - 1) // 2, p) == 1 else -1
             return AnisotropicLabel("OddRank1", p, (res,))
-        if Mp.group.orders == (p, p):
+        if G.orders == (p, p):
             lab = AnisotropicLabel("OddNorm", p)
             if isomorphic(Mp, build_labeled_form(lab)) is None:
                 raise ClassificationBug(f"rank-2 anisotropic {p}-form not the norm form")
@@ -687,26 +680,20 @@ def _classify_primary(p: int, Mp: PreMetricGroup) -> AnisotropicLabel:
             return AnisotropicLabel("SlightDeg4", 2)
         raise ClassificationBug(f"degenerate anisotropic 2-group of order {n} impossible")
     if n == 2:
-        return AnisotropicLabel("A", 2, (Mp.q(Mp.group.from_index(1)),))
+        return AnisotropicLabel("A", 2, (Mp.q_idx(1),))
     if n == 4:
-        els = Mp.group.elements()
-        u = next(e for e in els[1:] if Mp.q(e) == Fraction(1, 2))
-        xi = next(Mp.q(e) for e in els[1:] if e != u)
+        u = next(i for i in range(1, n) if 2 * t[i] == L)
+        xi = next(Mp.q_idx(i) for i in range(1, n) if i != u)
         return AnisotropicLabel("M", 2, (xi,))
     if n == 8:
-        els = Mp.group.elements()
-        v = next(
-            e
-            for e in els[1:]
-            if Mp.group.element_order(e) == 2 and Mp.q(e).denominator == 4
-        )
-        i_sign = Mp.q(v)
-        comp = orthogonal_complement(Mp, Subgroup.generated(Mp.group, [v]))
-        Mc = restrict(Mp, comp)
-        inner = _classify_primary(2, Mc)
+        # v: an element of order 2 with value +-1/4
+        ords = G.order_flat()
+        v = next(i for i in range(1, n) if ords[i] == 2 and L // math.gcd(L, t[i]) == 4)
+        comp = _minimal_generators(G, _perp_indices(Mp, [v]))
+        inner = _classify_primary(2, _restricted(Mp, comp))
         if inner.kind != "M":
             raise ClassificationBug("order-8 complement is not an order-4 metric form")
-        return _canon_mplusa(inner.params[0], i_sign)
+        return _canon_mplusa(inner.params[0], Mp.q_idx(v))
     raise ClassificationBug(f"anisotropic metric 2-group of order {n} impossible")
 
 
@@ -786,70 +773,51 @@ def _aniso_candidates(p: int, order: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _coeff_choices(G: FinAbGroup):
-    """Parameter ranges for the diagonal/cross presentation of forms.
+    """(N, terms) for the diagonal/cross presentation of forms.
 
     Every quadratic form on G = sum Z/n_i is q(sum a_i e_i) =
     sum c_i a_i^2 + sum_{i<j} beta_ij a_i a_j with c_i in (1/2n_i)Z
-    (n_i even) or (1/n_i)Z (n_i odd) and beta_ij in (1/gcd(n_i,n_j))Z.
+    (n_i even) or (1/n_i)Z (n_i odd) and beta_ij in (1/gcd(n_i,n_j))Z,
+    so every value lies in (1/N)Z with N = 2 lcm(n_i).  Each term pairs
+    a monomial's table over the elements with its coefficient choices as
+    residues mod N: the c_i first, then the beta_ij with (i, j) in
+    lexicographic order.
     """
-    diag = []
-    for m in G.orders:
-        if m % 2 == 0:
-            diag.append([Fraction(k, 2 * m) for k in range(2 * m)])
-        else:
-            diag.append([Fraction(k, m) for k in range(m)])
-    cross = {}
-    r = G.rank
-    for i in range(r):
-        for j in range(i + 1, r):
-            g = math.gcd(G.orders[i], G.orders[j])
-            cross[(i, j)] = [Fraction(k, g) for k in range(g)]
-    return diag, cross
-
-
-def _form_from_params(G: FinAbGroup, diag_vals, cross_vals) -> PreMetricGroup:
-    r = G.rank
-    vals = []
-    for g in G.elements():
-        v = Fraction(0)
-        for i in range(r):
-            v += diag_vals[i] * g[i] * g[i]
-        for (i, j), beta in cross_vals.items():
-            v += beta * g[i] * g[j]
-        vals.append(_mod1(v))
-    return PreMetricGroup(G, tuple(vals))
+    N = 2 * reduce(math.lcm, G.orders, 1)
+    els = G.elements()
+    terms = []
+    for i, m in enumerate(G.orders):
+        k = 2 * m if m % 2 == 0 else m
+        terms.append(([g[i] * g[i] for g in els], [c * (N // k) for c in range(k)]))
+    for i in range(G.rank):
+        for j in range(i + 1, G.rank):
+            k = math.gcd(G.orders[i], G.orders[j])
+            terms.append(([g[i] * g[j] for g in els], [c * (N // k) for c in range(k)]))
+    return N, terms
 
 
 def all_forms(G: FinAbGroup):
     """Every quadratic form on G, without repetition of value tables."""
-    diag, cross = _coeff_choices(G)
-    keys = sorted(cross)
+    N, terms = _coeff_choices(G)
     seen = set()
 
-    def rec_diag(i, chosen):
-        if i == len(diag):
-            yield from rec_cross(0, chosen, {})
+    def rec(k, acc):
+        if k == len(terms):
+            res = tuple(a % N for a in acc)
+            if res not in seen:
+                seen.add(res)
+                yield PreMetricGroup.at_level(G, N, res)
             return
-        for c in diag[i]:
-            yield from rec_diag(i + 1, chosen + [c])
+        mono, choices = terms[k]
+        for c in choices:
+            yield from rec(k + 1, [a + c * x for a, x in zip(acc, mono)])
 
-    def rec_cross(j, dvals, cvals):
-        if j == len(keys):
-            M = _form_from_params(G, dvals, cvals)
-            if M.values not in seen:
-                seen.add(M.values)
-                yield M
-            return
-        for b in cross[keys[j]]:
-            nxt = dict(cvals)
-            nxt[keys[j]] = b
-            yield from rec_cross(j + 1, dvals, nxt)
-
-    yield from rec_diag(0, [])
+    yield from rec(0, [0] * G.order)
 
 
 def random_form(G: FinAbGroup, rng: random.Random) -> PreMetricGroup:
-    diag, cross = _coeff_choices(G)
-    dvals = [rng.choice(ds) for ds in diag]
-    cvals = {k: rng.choice(vs) for k, vs in cross.items()}
-    return _form_from_params(G, dvals, cvals)
+    N, terms = _coeff_choices(G)
+    picks = [(mono, rng.choice(choices)) for mono, choices in terms]
+    return PreMetricGroup.at_level(
+        G, N, [sum(c * mono[g] for mono, c in picks) for g in range(G.order)]
+    )

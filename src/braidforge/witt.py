@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .config import DEFAULT, Config
-from .cyclotomic import CycloNum, root_sum
+from .cyclotomic import CycloNum, level_root_sum
 from .errors import ClassificationBug, NotMetric
 from .qform import (
     PreMetricGroup,
@@ -42,7 +42,7 @@ class GaussReport:
 
 
 def gauss_sum(M: PreMetricGroup) -> GaussReport:
-    tau = root_sum((v, 1) for v in M.values)
+    tau = tau_plus(M)
     taub = tau.conjugate()
     metric = is_metric(M)
     check = (not metric) or tau * taub == CycloNum.from_rational(M.order)
@@ -50,7 +50,7 @@ def gauss_sum(M: PreMetricGroup) -> GaussReport:
 
 
 def tau_plus(M: PreMetricGroup) -> CycloNum:
-    return root_sum((v, 1) for v in M.values)
+    return level_root_sum(M.level, M.res)
 
 
 def is_hyperbolic(M: PreMetricGroup, config: Config = DEFAULT):
@@ -113,10 +113,10 @@ def anisotropic_quotient(M: PreMetricGroup, config: Config = DEFAULT) -> PreMetr
     from .abelian import Subgroup
 
     while True:
-        g = next((e for e in M.group.elements()[1:] if M.q(e) == 0), None)
-        if g is None:
+        i = next((i for i in range(1, M.order) if M.res[i] == 0), None)
+        if i is None:
             return M
-        M = quotient_form(M, Subgroup.generated(M.group, [g]))
+        M = quotient_form(M, Subgroup.generated(M.group, [M.group.from_index(i)]))
 
 
 def witt_class(M: PreMetricGroup, config: Config = DEFAULT) -> WittClass:

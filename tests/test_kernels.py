@@ -23,7 +23,7 @@ def tables_on(G, rng):
     out = [[rng.randrange(k) for _ in range(n)] for k in (2, 3)]
     out.append([5] * n)
     for _ in range(2):
-        out.append(list(random_form(G, rng).int_table()[1]))
+        out.append(list(random_form(G, rng).res))
     return out
 
 
@@ -31,39 +31,41 @@ def tables_on(G, rng):
 def test_pruned_searches_match_filtered_automorphisms(orders):
     rng = random.Random(repr(orders))
     G = FinAbGroup(orders)
-    n, add, strides, gords = G.order, G.add_flat(), G.gen_strides(), list(orders)
-    auts = pure.automorphisms(n, add, strides, gords, 10 ** 6)
+    n, add, ords = G.order, G.add_flat(), G.order_flat()
+    strides, gords = G.gen_strides(), list(orders)
+    auts = pure.automorphisms(n, add, ords, strides, gords, 10 ** 6)
     # depth-first order: by the images of e_1, e_2, ... in turn
     assert auts == sorted(auts, key=lambda p: [p[s] for s in strides])
     for table in tables_on(G, rng):
         want = [p for p in auts if carries(p, table, table)]
-        assert pure.stabilizer(n, add, strides, gords, table) == want
+        assert pure.stabilizer(n, add, ords, strides, gords, table) == want
         moved = list(pure.apply_perm(rng.choice(auts), table))
         other = [rng.choice(table) for _ in range(n)]
         for target in (moved, other):
             first = next((p for p in auts if carries(p, table, target)), None)
-            assert pure.find_isomorphism(n, add, strides, gords, table, target) == first
+            assert pure.find_isomorphism(n, add, ords, strides, gords, table, target) == first
 
 
 def test_trivial_group():
-    assert pure.automorphisms(1, [0], [], [], 1) == [(0,)]
-    assert pure.stabilizer(1, [0], [], [], [3]) == [(0,)]
-    assert pure.find_isomorphism(1, [0], [], [], [3], [3]) == (0,)
-    assert pure.find_isomorphism(1, [0], [], [], [3], [4]) is None
+    assert pure.automorphisms(1, [0], [1], [], [], 1) == [(0,)]
+    assert pure.stabilizer(1, [0], [1], [], [], [3]) == [(0,)]
+    assert pure.find_isomorphism(1, [0], [1], [], [], [3], [3]) == (0,)
+    assert pure.find_isomorphism(1, [0], [1], [], [], [3], [4]) is None
 
 
 def test_cap_raises():
     add = pure.add_table((2, 2, 2))
+    ords = pure.element_orders(8, add)
     with pytest.raises(EnumerationLimit):
-        pure.automorphisms(8, add, [4, 2, 1], [2, 2, 2], 10)
-    assert len(pure.automorphisms(8, add, [4, 2, 1], [2, 2, 2], 168)) == 168
+        pure.automorphisms(8, add, ords, [4, 2, 1], [2, 2, 2], 10)
+    assert len(pure.automorphisms(8, add, ords, [4, 2, 1], [2, 2, 2], 168)) == 168
 
 
 def test_permutations_are_automorphisms():
     orders = (2, 4)
     add = pure.add_table(orders)
     n = 8
-    perms = pure.automorphisms(n, add, [4, 1], [2, 4], 10 ** 6)
+    perms = pure.automorphisms(n, add, pure.element_orders(n, add), [4, 1], [2, 4], 10 ** 6)
     assert len(perms) == 8
     for p in perms:
         assert sorted(p) == list(range(n))

@@ -1,5 +1,6 @@
 """Quadratic-form theory: validation, isotropy, cores, classification."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -42,6 +43,7 @@ from braidforge.qform import (
     validate,
     wap_decompose,
 )
+from test_abelian import invariant_shapes
 
 
 def brute_isotropic(M):
@@ -126,6 +128,31 @@ def test_quotient_form():
     assert quotient_form(D, diag).group.orders == ()
     with pytest.raises(NotIsotropic):
         quotient_form(Ai, Subgroup.full(Ai.group))
+
+
+def test_rational_and_internal_forms_compare_and_hash_alike():
+    Z2 = FinAbGroup((2,))
+    A = PreMetricGroup(Z2, ["0/1", "1/4"])
+    same = [
+        PreMetricGroup(Z2, [F(0), F(2, 8)]),
+        PreMetricGroup.at_level(Z2, 16, [16, -12]),
+        # Z/8 with q(n) = n^2/16 modulo its isotropic <4>: the level drops to 4
+        quotient_form(PreMetricGroup(FinAbGroup((8,)), [F(n * n, 16) for n in range(8)]),
+                      Subgroup.generated(FinAbGroup((8,)), [(4,)])),
+        direct_sum(trivial_form(), A),
+        direct_sum(A, trivial_form()),
+        A.negated().negated(),
+        a_form(F(1, 4)),
+    ]
+    for M in same:
+        assert M == A and hash(M) == hash(A) and M.level == 4, M
+    S = PreMetricGroup(Z2, ["0", "2/4"])
+    assert S == PreMetricGroup(Z2, [F(0), F(1, 2)]) == slight_deg2()
+    assert hash(S) == hash(slight_deg2()) and S.level == 2
+    D = direct_sum(a_form(F(1, 4)), a_form(F(3, 4)))
+    T = quotient_form(D, Subgroup.generated(D.group, [(1, 1)]))
+    assert T == trivial_form() == PreMetricGroup(FinAbGroup(()), [F(0, 7)])
+    assert hash(T) == hash(trivial_form()) and T.level == 1
 
 
 def test_restrict():
@@ -386,3 +413,40 @@ def test_isomorphic_matches_bijection_oracle():
         agree += got
         disagree_found += not got
     assert agree >= 3 and disagree_found >= 3
+
+
+def reference_form_tables(G):
+    """Value tables of every form on G, with the Fraction arithmetic of
+    the coefficient presentation: c_i in (1/2n_i)Z (n_i even) or
+    (1/n_i)Z (n_i odd), then beta_ij in (1/gcd(n_i, n_j))Z for i < j in
+    lexicographic order, each range walked upward, repeats dropped."""
+    els = G.elements()
+    params = []
+    for i, m in enumerate(G.orders):
+        k = 2 * m if m % 2 == 0 else m
+        params.append([[F(c, k) * g[i] * g[i] for g in els] for c in range(k)])
+    for i in range(G.rank):
+        for j in range(i + 1, G.rank):
+            k = math.gcd(G.orders[i], G.orders[j])
+            params.append([[F(c, k) * g[i] * g[j] for g in els] for c in range(k)])
+    out, seen = [], set()
+
+    def rec(depth, acc):
+        if depth == len(params):
+            vals = tuple(v % 1 for v in acc)
+            if vals not in seen:
+                seen.add(vals)
+                out.append(vals)
+            return
+        for term in params[depth]:
+            rec(depth + 1, [a + t for a, t in zip(acc, term)])
+
+    rec(0, [F(0)] * G.order)
+    return out
+
+
+def test_all_forms_match_fraction_reference():
+    for orders in invariant_shapes(16):
+        G = FinAbGroup(orders)
+        got = [M.values for M in all_forms(G)]
+        assert got == reference_form_tables(G), orders
