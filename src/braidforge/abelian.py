@@ -1,13 +1,18 @@
 """Finite abelian groups in invariant-factor form.
 
-A group is a tuple of integer orders; an element is a tuple of residue
-coordinates.  All element lists are ordered lexicographically on
-coordinates, which coincides with mixed-radix index order (leftmost
-coordinate most significant); every "deterministic order" promise in
-the library refers to this ordering.
+A group is a tuple of integer orders.  An element is held as its flat
+index, the mixed-radix integer of its residue coordinates (leftmost
+coordinate most significant), so index order is lexicographic order on
+coordinates; every "deterministic order" promise in the library refers
+to this ordering.  A ``Subgroup`` is its sorted tuple of element
+indices and a ``GroupHom`` its index table (the image index of every
+source index).  Coordinate tuples appear only in JSON and in the
+accessors that return them: ``Subgroup.elements`` and ``generators``,
+``GroupHom.images``, calling a hom, and its kernel and image lists.
 
-Values are immutable and operations pure, so everything here is safe
-for concurrent read-only use.
+Values are immutable and operations pure (the generators a subgroup
+derives on first use are the same whoever derives them), so everything
+here is safe for concurrent read-only use.
 """
 
 from __future__ import annotations
@@ -65,17 +70,8 @@ class FinAbGroup:
     def zero(self) -> GroupElement:
         return (0,) * len(self.orders)
 
-    def reduce_el(self, coords) -> GroupElement:
-        return tuple(int(c) % m for c, m in zip(coords, self.orders))
-
     def add(self, a, b) -> GroupElement:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
-
-    def neg(self, a) -> GroupElement:
-        return tuple((-x) % m for x, m in zip(a, self.orders))
-
-    def sub(self, a, b) -> GroupElement:
-        return tuple((x - y) % m for x, y, m in zip(a, b, self.orders))
 
     def mul(self, k: int, a) -> GroupElement:
         return tuple((k * x) % m for x, m in zip(a, self.orders))
@@ -140,106 +136,143 @@ class FinAbGroup:
 TRIVIAL_GROUP = FinAbGroup(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupHom:
-    """Homomorphism determined by images of the source's standard generators."""
+    """Homomorphism as its index table: ``table[i]`` is the index of the
+    image of the source's i-th element."""
 
     source: FinAbGroup
     target: FinAbGroup
-    images: tuple
+    table: tuple
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "images", tuple(self.target.reduce_el(im) for im in self.images)
-        )
-        if len(self.images) != self.source.rank:
+    def __init__(self, source: FinAbGroup, target: FinAbGroup, images):
+        """The homomorphism sending the i-th standard generator of
+        ``source`` to the coordinate tuple ``images[i]``."""
+        images = [target.index(im) for im in images]
+        if len(images) != source.rank:
             raise InvalidPresentation("one image per source generator required")
-        for m, im in zip(self.source.orders, self.images):
-            if any((m * x) % mt != 0 for x, mt in zip(im, self.target.orders)):
+        self._store(source, target, images)
+
+    @classmethod
+    def on_indices(cls, source: FinAbGroup, target: FinAbGroup, images) -> "GroupHom":
+        """The homomorphism sending the i-th standard generator of
+        ``source`` to the target index ``images[i]``."""
+        hom = object.__new__(cls)
+        hom._store(source, target, images)
+        return hom
+
+    @classmethod
+    def from_table(cls, source: FinAbGroup, target: FinAbGroup, table) -> "GroupHom":
+        """Wrap a homomorphism's index table, such as a kernel permutation."""
+        hom = object.__new__(cls)
+        hom._set(source, target, tuple(table))
+        return hom
+
+    def _store(self, source, target, images):
+        ords = target.order_flat()
+        for m, im in zip(source.orders, images):
+            if m % ords[im]:
                 raise InvalidPresentation(
-                    f"image {im} not annihilated by generator order {m}"
+                    f"image {target.from_index(im)} not annihilated by generator order {m}"
                 )
+        table = kernels.combinations(target.order, target.add_flat(), images, source.orders)
+        self._set(source, target, tuple(table))
+
+    def _set(self, source, target, table):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def images(self) -> tuple:
+        """Images of the source's standard generators, as coordinates."""
+        return tuple(self.target.from_index(self.table[s]) for s in self.source.gen_strides())
 
     def __call__(self, a) -> GroupElement:
-        out = self.target.zero()
-        for x, im in zip(a, self.images):
-            out = self.target.add(out, self.target.mul(x, im))
-        return out
+        return self.target.from_index(self.table[self.source.index(a)])
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self o other (apply ``other`` first)."""
         if other.target.orders != self.source.orders:
             raise InvalidPresentation("composition mismatch")
-        return GroupHom(other.source, self.target, tuple(self(im) for im in other.images))
+        return GroupHom.from_table(other.source, self.target, [self.table[i] for i in other.table])
 
     def image_elements(self) -> tuple:
-        add = self.target.add_flat()
-        n = self.target.order
-        idx = kernels.closure(n, add, [self.target.index(im) for im in self.images])
-        return tuple(self.target.from_index(i) for i in idx)
+        return tuple(map(self.target.from_index, sorted(set(self.table))))
 
     def kernel_elements(self) -> tuple:
-        return tuple(
-            g for g in self.source.elements() if self(g) == self.target.zero()
-        )
+        return tuple(self.source.from_index(i) for i, y in enumerate(self.table) if y == 0)
 
     def is_isomorphism(self) -> bool:
-        if self.source.order != self.target.order:
-            return False
-        return len(self.image_elements()) == self.target.order
+        return self.source.order == self.target.order == len(set(self.table))
 
     @staticmethod
     def identity(G: FinAbGroup) -> "GroupHom":
-        return GroupHom(G, G, tuple(G.generators()))
+        return GroupHom.from_table(G, G, range(G.order))
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup as a closed, sorted, duplicate-free element list."""
+    """Subgroup as the sorted tuple ``idx`` of its element indices.
+
+    Every construction checks that the indices hold 0 and are closed
+    under addition.  ``elements`` and ``generators`` give coordinates.
+    """
 
     parent: FinAbGroup
-    elements: tuple
-    generators: tuple = field(default=None)  # type: ignore[assignment]
+    idx: tuple
+    # generator indices, the minimal ones derived on first use
+    _gens: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        els = tuple(sorted(self.parent.reduce_el(e) for e in set(self.elements)))
-        object.__setattr__(self, "elements", els)
-        if self.parent.zero() not in els:
+        idx = tuple(sorted(set(self.idx)))
+        object.__setattr__(self, "idx", idx)
+        n = self.parent.order
+        if not idx or idx[0] != 0:
             raise NotASubgroup("missing zero")
-        idx = [self.parent.index(e) for e in els]
-        closed = kernels.closure(self.parent.order, self.parent.add_flat(), idx)
-        if tuple(closed) != tuple(idx):
+        if idx[-1] >= n:
+            raise NotASubgroup(f"index {idx[-1]} outside a group of order {n}")
+        if kernels.closure(n, self.parent.add_flat(), idx) != idx:
             raise NotASubgroup("element set not closed under addition")
-        if self.generators is None:
-            gens = _minimal_generators(self.parent, idx)
-            object.__setattr__(self, "generators", tuple(map(self.parent.from_index, gens)))
-        else:
-            object.__setattr__(
-                self, "generators", tuple(self.parent.reduce_el(g) for g in self.generators)
-            )
+
+    @property
+    def gen_idx(self) -> tuple:
+        """Irredundant generator indices (:func:`_minimal_generators`)."""
+        if self._gens is None:
+            object.__setattr__(self, "_gens", _minimal_generators(self.parent, self.idx))
+        return self._gens
+
+    @property
+    def elements(self) -> tuple:
+        return tuple(map(self.parent.from_index, self.idx))
+
+    @property
+    def generators(self) -> tuple:
+        return tuple(map(self.parent.from_index, self.gen_idx))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.idx)
 
     def indices(self) -> tuple:
-        return tuple(self.parent.index(e) for e in self.elements)
+        return self.idx
 
     def __contains__(self, e) -> bool:
-        return self.parent.reduce_el(e) in set(self.elements)
+        return self.parent.index(e) in self.idx
 
     @staticmethod
     def generated(G: FinAbGroup, gens) -> "Subgroup":
-        idx = kernels.closure(G.order, G.add_flat(), [G.index(g) for g in gens])
-        return Subgroup(G, tuple(G.from_index(i) for i in idx))
+        return Subgroup(G, kernels.closure(G.order, G.add_flat(), [G.index(g) for g in gens]))
 
     @staticmethod
     def trivial(G: FinAbGroup) -> "Subgroup":
-        return Subgroup(G, (G.zero(),), generators=())
+        return Subgroup(G, (0,))
 
     @staticmethod
     def full(G: FinAbGroup) -> "Subgroup":
-        return Subgroup(G, tuple(G.elements()), generators=tuple(G.generators()))
+        H = Subgroup(G, range(G.order))
+        object.__setattr__(H, "_gens", tuple(G.gen_strides()))
+        return H
 
 
 def _minimal_generators(G: FinAbGroup, idx) -> tuple:
@@ -366,6 +399,23 @@ def smith_diagonal(mat):
     return diag, U
 
 
+def smith_presentation(mat):
+    """The group with one generator per row of the integer matrix ``mat``
+    and one relation per column (relations sum the generators with the
+    column's coefficients), for ``mat`` with at least as many columns as
+    rows: ``(G, images)``, G in invariant-factor form and ``images[j]``
+    the index in G of the j-th generator.
+
+    Raises InvalidPresentation when the relations leave a free part.
+    """
+    diag, U = smith_diagonal(mat)
+    kept = [(i, d) for i, d in enumerate(diag) if d != 1]
+    if 0 in diag:
+        raise InvalidPresentation("relations do not present a finite group")
+    G = FinAbGroup(tuple(d for _, d in kept)) if kept else TRIVIAL_GROUP
+    return G, [G.index([U[i][j] for i, _ in kept]) for j in range(len(mat))]
+
+
 def canonical_form(orders):
     """Invariant-factor form of a raw cyclic presentation.
 
@@ -376,17 +426,11 @@ def canonical_form(orders):
     orders = tuple(int(m) for m in orders)
     if any(m < 2 for m in orders):
         raise InvalidPresentation(f"presentation entries must be >= 2: {orders}")
-    src = FinAbGroup(orders) if orders else TRIVIAL_GROUP
     r = len(orders)
-    if r == 0:
-        return TRIVIAL_GROUP, GroupHom(TRIVIAL_GROUP, TRIVIAL_GROUP, ())
-    diag, U = smith_diagonal([[orders[i] if i == j else 0 for j in range(r)] for i in range(r)])
-    kept = [(i, d) for i, d in enumerate(diag) if d != 1]
-    target = FinAbGroup(tuple(d for _, d in kept)) if kept else TRIVIAL_GROUP
-    images = tuple(
-        tuple(U[i][j] % d for i, d in kept) for j in range(r)
+    target, images = smith_presentation(
+        [[orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
     )
-    return target, GroupHom(src, target, images)
+    return target, GroupHom.on_indices(FinAbGroup(orders), target, images)
 
 
 def subgroups(G: FinAbGroup, config: Config = DEFAULT) -> list:
@@ -398,31 +442,25 @@ def subgroups(G: FinAbGroup, config: Config = DEFAULT) -> list:
     if G.order > config.enum_guard:
         raise EnumerationLimit(f"|G| = {G.order} exceeds enum_guard = {config.enum_guard}")
     subs = kernels.all_subgroups(G.order, G.add_flat())
-    return [Subgroup(G, tuple(G.from_index(i) for i in s)) for s in subs]
+    return [Subgroup(G, s) for s in subs]
 
 
 def quotient(G: FinAbGroup, H: Subgroup):
     """Quotient G/H in canonical form, with the projection hom."""
     if H.parent.orders != G.orders:
         raise NotASubgroup("subgroup belongs to a different group")
-    Q, images = _quotient_images(G, H.generators)
-    return Q, GroupHom(G, Q, images)
+    Q, images = _quotient_images(G, H.gen_idx)
+    return Q, GroupHom.on_indices(G, Q, images)
 
 
 def _quotient_images(G: FinAbGroup, gens):
-    """G modulo the subgroup generated by the coordinate tuples ``gens``:
-    (Q in canonical form, images in Q of G's standard generators)."""
-    r = G.rank
-    if r == 0:
-        return TRIVIAL_GROUP, ()
-    mat = [[G.orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
-    for h in gens:
-        for i in range(r):
-            mat[i].append(h[i])
-    diag, U = smith_diagonal(mat)
-    kept = [(i, d) for i, d in enumerate(diag) if d != 1]
-    Q = FinAbGroup(tuple(d for _, d in kept)) if kept else TRIVIAL_GROUP
-    return Q, tuple(tuple(U[i][j] % d for i, d in kept) for j in range(r))
+    """G modulo the subgroup generated by the indices ``gens``:
+    (Q in canonical form, indices in Q of G's standard generators)."""
+    cols = [G.from_index(h) for h in gens]
+    return smith_presentation(
+        [[m if i == j else 0 for j in range(G.rank)] + [c[i] for c in cols]
+         for i, m in enumerate(G.orders)]
+    )
 
 
 def check_aut_size(G: FinAbGroup, config: Config = DEFAULT) -> None:
@@ -451,16 +489,7 @@ def automorphism_perms(G: FinAbGroup, config: Config = DEFAULT) -> list:
 
 def automorphisms(G: FinAbGroup, config: Config = DEFAULT) -> list:
     """All automorphisms of G as GroupHoms, deterministic order."""
-    perms = automorphism_perms(G, config)
-    strides = G.gen_strides()
-    return [
-        GroupHom(G, G, tuple(G.from_index(p[s]) for s in strides)) for p in perms
-    ]
-
-
-def hom_from_perm(G: FinAbGroup, perm) -> GroupHom:
-    strides = G.gen_strides()
-    return GroupHom(G, G, tuple(G.from_index(perm[s]) for s in strides))
+    return [GroupHom.from_table(G, G, p) for p in automorphism_perms(G, config)]
 
 
 def primes_of(n: int) -> list:

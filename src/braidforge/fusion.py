@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian import FinAbGroup, TRIVIAL_GROUP, smith_diagonal
+from .abelian import FinAbGroup, TRIVIAL_GROUP, primes_of, smith_presentation
 from .config import DEFAULT, Config
 from .errors import (
     AssociativityFail,
@@ -26,6 +26,7 @@ from .errors import (
     DualityFail,
     EnumerationLimit,
     FrobeniusFail,
+    InvalidPresentation,
     NotWeaklyIntegral,
     NumericalFail,
     UnitFail,
@@ -132,16 +133,14 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
 
 def group_ring(G: FinAbGroup) -> FusionRing:
     """The pointed ring of a finite abelian group."""
-    els = G.elements()
-    n = len(els)
-    idx = {e: i for i, e in enumerate(els)}
+    n = G.order
+    add = G.add_flat()
     N = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            N[i][j][idx[G.add(a, b)]] = 1
-    labels = tuple("g" + "".join(str(c) for c in e) if e else "1" for e in els)
-    dual = tuple(idx[G.neg(e)] for e in els)
-    return FusionRing(labels, idx[G.zero()], dual, _freeze(N))
+    for i in range(n):
+        for j in range(n):
+            N[i][j][add[i * n + j]] = 1
+    labels = tuple("g" + "".join(str(c) for c in e) if e else "1" for e in G.elements())
+    return FusionRing(labels, 0, tuple(G.neg_flat()), _freeze(N))
 
 
 def ising_ring() -> FusionRing:
@@ -367,6 +366,29 @@ class Grading:
         return len(set(self.deg)) == self.group.order
 
 
+def components(R: FusionRing, indices) -> tuple:
+    """Classes of the relation "y is a constituent of z (x) w for some w
+    in ``indices``", as sorted index tuples in order of least index."""
+    parent = list(range(R.rank))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for z in range(R.rank):
+        for w in indices:
+            for y in R.constituents(z, w):
+                ri, rj = find(z), find(y)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    buckets = {}
+    for i in range(R.rank):
+        buckets.setdefault(find(i), []).append(i)
+    return tuple(tuple(v) for _, v in sorted(buckets.items()))
+
+
 def group_from_table(n: int, mul, unit: int):
     """Canonical FinAbGroup from an abstract abelian multiplication table.
 
@@ -374,8 +396,6 @@ def group_from_table(n: int, mul, unit: int):
     encode maps an abstract index to a GroupElement of G.  Presentation:
     one generator per abstract element, relations from the full table.
     """
-    if n == 1:
-        return TRIVIAL_GROUP, {unit: ()}
     cols = []
     for i in range(n):
         for j in range(i, n):
@@ -387,18 +407,13 @@ def group_from_table(n: int, mul, unit: int):
     col = [0] * n
     col[unit] += 1
     cols.append(col)
-    mat = [[c[i] for c in cols] for i in range(n)]
-    diag, U = smith_diagonal(mat)
-    kept = [(i, d) for i, d in enumerate(diag) if d != 1]
-    if any(d == 0 for _, d in kept):
-        raise ClassificationBug("abstract table does not present a finite group")
-    G = FinAbGroup(tuple(d for _, d in kept)) if kept else TRIVIAL_GROUP
-    encode = {}
-    for j in range(n):
-        encode[j] = tuple(U[i][j] % d for i, d in kept)
-    if len(set(encode.values())) != n or G.order != n:
+    try:
+        G, images = smith_presentation([[c[i] for c in cols] for i in range(n)])
+    except InvalidPresentation:
+        raise ClassificationBug("abstract table does not present a finite group") from None
+    if len(set(images)) != n or G.order != n:
         raise ClassificationBug("abstract table is not a group of the stated size")
-    return G, encode
+    return G, {j: G.from_index(g) for j, g in enumerate(images)}
 
 
 def universal_grading(R: FusionRing, config: Config = DEFAULT) -> Grading:
@@ -414,26 +429,11 @@ def universal_grading(R: FusionRing, config: Config = DEFAULT) -> Grading:
     if R.rank > config.rank_guard:
         raise EnumerationLimit(f"rank {R.rank} exceeds rank_guard = {config.rank_guard}")
     ad = adjoint_subring(R)
-    parent = list(range(R.rank))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for z in range(R.rank):
-        for a in ad.indices:
-            for y in R.constituents(z, a):
-                union(z, y)
-    classes = sorted(set(find(i) for i in range(R.rank)))
-    cls_index = {c: k for k, c in enumerate(classes)}
-    comp = [cls_index[find(i)] for i in range(R.rank)]
+    classes = components(R, ad.indices)
+    comp = [0] * R.rank
+    for k, cls in enumerate(classes):
+        for i in cls:
+            comp[i] = k
 
     mul_table = {}
     for i in range(R.rank):
@@ -497,7 +497,7 @@ def fp_square_grading(R: FusionRing, config: Config = DEFAULT) -> Grading:
     """Grading by square-free parts of FPdim^2 (an elementary 2-group)."""
     sq = fp_square_integers(R, config)
     sf = [_squarefree(m) for m in sq]
-    primes = sorted({p for v in sf for p in _prime_list(v)})
+    primes = sorted({p for v in sf for p in primes_of(v)})
     r = len(primes)
     G = FinAbGroup((2,) * r) if r else TRIVIAL_GROUP
     deg = tuple(
@@ -512,20 +512,6 @@ def fp_square_grading(R: FusionRing, config: Config = DEFAULT) -> Grading:
                         f"square classes not multiplicative at ({i}, {j}) -> {k}"
                     )
     return grading
-
-
-def _prime_list(n: int) -> list:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def integral_part(R: FusionRing, config: Config = DEFAULT) -> FusionSubring:

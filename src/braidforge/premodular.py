@@ -38,6 +38,7 @@ from .cyclotomic import (
     _rank_vec,
     _root_power,
     matrix_rank,
+    root_exp,
 )
 from .errors import (
     BadParameter,
@@ -56,17 +57,18 @@ from .fusion import (
     FusionRing,
     FusionSubring,
     all_subrings,
+    components,
     fp_dims,
     fp_square_integers,
     group_ring,
     integral_part,
     ising_ring,
+    pointed_part,
     product_ring,
     subring_generated,
     _squarefree,
 )
 
-_mod1 = lambda x: x - (x // 1)
 ONE = CycloNum.one()
 
 
@@ -189,7 +191,7 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     product relation's sides over D^2, so each identity is list equality.
     """
     r = ring.rank
-    theta = tuple(_mod1(Fraction(t)) for t in theta)
+    theta = tuple(root_exp(t) for t in theta)
     dim = tuple(d if isinstance(d, CycloNum) else CycloNum.from_rational(d) for d in dim)
     if len(theta) != r or len(dim) != r:
         raise DatumError("twist and dimension tables must cover the basis")
@@ -287,7 +289,7 @@ def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -
                 )
     ring = group_ring(G)
     theta = tuple(
-        _mod1(M.values[i] + (Fraction(1, 2) if chi[i] == -1 else 0)) for i in range(n)
+        root_exp(M.values[i] + (Fraction(1, 2) if chi[i] == -1 else 0)) for i in range(n)
     )
     dim = tuple(CycloNum.from_rational(c) for c in chi)
     return replace(build(ring, theta, dim, config), pointed_source=(M, chi))
@@ -300,13 +302,13 @@ def ising_datum(zeta, eps: int, config: Config = DEFAULT) -> PreModularDatum:
     eighth power -1); ``eps`` the sign of the spherical structure.
     Twists are (1, -1, eps/zeta) and d(X) = eps (zeta^2 + zeta^-2).
     """
-    zeta = _mod1(Fraction(zeta))
+    zeta = root_exp(zeta)
     if zeta.denominator != 16:
         raise BadParameter(f"zeta must be odd/16, got {zeta}")
     if eps not in (1, -1):
         raise BadParameter("eps must be +-1")
     ring = ising_ring()
-    theta_x = _mod1(-zeta + (Fraction(1, 2) if eps == -1 else 0))
+    theta_x = root_exp(-zeta + (Fraction(1, 2) if eps == -1 else 0))
     theta = (Fraction(0), Fraction(1, 2), theta_x)
     lam = CycloNum.from_root(2 * zeta) + CycloNum.from_root(-2 * zeta)
     dx = lam if eps == 1 else -lam
@@ -320,7 +322,7 @@ def deligne_product(D1: PreModularDatum, D2: PreModularDatum,
     ring = product_ring(D1.ring, D2.ring)
     r2 = D2.rank
     theta = tuple(
-        _mod1(D1.theta[i] + D2.theta[j]) for i in range(D1.rank) for j in range(r2)
+        root_exp(D1.theta[i] + D2.theta[j]) for i in range(D1.rank) for j in range(r2)
     )
     dim = tuple(D1.dim[i] * D2.dim[j] for i in range(D1.rank) for j in range(r2))
     datum = build(ring, theta, dim, config)
@@ -373,30 +375,11 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     cent_sub = FusionSubring(R, tuple(cent))
     if subring_generated(R, cent_sub.indices).indices != cent_sub.indices:
         raise ClassificationBug("centralizer is not a subring")
-    parent = list(range(R.rank))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for z in range(R.rank):
-        for w in cent:
-            for y in R.constituents(z, w):
-                ri, rj = find(z), find(y)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    buckets = {}
-    for i in range(R.rank):
-        buckets.setdefault(find(i), []).append(i)
-    components = tuple(tuple(v) for _, v in sorted(buckets.items()))
+    comps = components(R, cent)
     rank = _rank_vec(at.ctx, [at.S[y] for y in K.indices])
-    if rank != len(components):
-        raise ClassificationBug(
-            f"rank {rank} != component count {len(components)}"
-        )
-    rep = D._cents[K.indices] = CentralizerReport(K, cent_sub, components, rank)
+    if rank != len(comps):
+        raise ClassificationBug(f"rank {rank} != component count {len(comps)}")
+    rep = D._cents[K.indices] = CentralizerReport(K, cent_sub, comps, rank)
     return rep
 
 
@@ -664,11 +647,7 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     sf = [_squarefree(m) for m in sq]
     int_part = integral_part(R, config)
     A = centralizer(D, int_part).centralizer
-    inv = set(
-        x for x in range(R.rank)
-        if sum(R.N[x][R.dual[x]]) == 1 and R.N[x][R.dual[x]][R.unit] == 1
-    )
-    if not set(A.indices) <= inv:
+    if not set(A.indices) <= set(pointed_part(R).indices):
         raise ClassificationBug("centralizer of the integral part is not pointed")
     one = [den] + [0] * (ctx.phi - 1)
     chi = {}

@@ -9,10 +9,13 @@ build ``Fraction``s from the residues.  The multiplicative picture of
 roots of unity is recovered as e^(2*pi*i*q).  The polarization
 b(g,h) = q(g+h) - q(g) - q(h) is the associated bicharacter.
 
-Subquotients H-perp / H, restrictions and the automorphisms induced on
-the core are computed on flat element indices with the group's cached
-add and element-order tables; coordinate tuples, ``Subgroup`` and
-``GroupHom`` values are built only for what the public functions return.
+Everything here runs on flat element indices with the group's cached
+add and element-order tables: a ``Subgroup`` is a sorted index tuple,
+a ``GroupHom`` (an automorphism, an isomorphism, an induced automorphism
+of the core) wraps the kernel's index permutation, and subquotients and
+restrictions are built by Smith reduction on indices.  Coordinates
+appear only in exception messages and in the accessors of the values
+returned (``q``, ``b``, ``Subgroup.elements`` and the like).
 
 Covers isotropy and orthogonality, quotients by isotropic subgroups,
 cores, the full classification of anisotropic forms (odd rank-1 and
@@ -42,9 +45,8 @@ from .abelian import (
     automorphism_perms,  # re-exported: Aut(G) beside Aut(G, q)
     canonical_form,
     check_aut_size,
-    hom_from_perm,
     primes_of,
-    smith_diagonal,
+    smith_presentation,
 )
 from .config import DEFAULT, Config
 from .errors import (
@@ -218,7 +220,7 @@ def degeneracy(M: PreMetricGroup) -> DegeneracyClass:
     """Radical Ker b and the three-way degeneracy tag."""
     G = M.group
     rad = _perp_indices(M, range(G.order))
-    radical = Subgroup(G, tuple(G.from_index(i) for i in rad))
+    radical = Subgroup(G, rad)
     if len(rad) == 1:
         tag = "nondegenerate"
     elif len(rad) == 2 and 2 * M.res[rad[1]] == M.level:
@@ -241,8 +243,7 @@ def orthogonal_complement(M: PreMetricGroup, H: Subgroup) -> Subgroup:
     G = M.group
     if H.parent.orders != G.orders:
         raise NotASubgroup("subgroup belongs to a different group")
-    out = _perp_indices(M, [G.index(h) for h in H.generators])
-    return Subgroup(G, tuple(G.from_index(i) for i in out))
+    return Subgroup(G, _perp_indices(M, H.gen_idx))
 
 
 def _perp_indices(M: PreMetricGroup, gens) -> list:
@@ -301,9 +302,9 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
                 queue.append(new)
     result = []
     for idx in sorted(found, key=lambda s: (len(s), s)):
-        sub = Subgroup(G, tuple(G.from_index(i) for i in idx))
+        sub = Subgroup(G, idx)
         # H is isotropic, so H lies in H-perp: Lagrangian iff |H-perp| = |H|
-        perp = _perp_indices(M, [G.index(h) for h in sub.generators])
+        perp = _perp_indices(M, sub.gen_idx)
         result.append(IsotropicSubgroup(sub, maximal[idx], len(perp) == len(idx)))
     return result
 
@@ -317,8 +318,6 @@ def _sub_structure(G: FinAbGroup, gens):
     lattice of the generating sequence via Smith reduction, so dependent
     generators are handled correctly.
     """
-    if not gens:
-        return TRIVIAL_GROUP, {0: 0}, [0]
     k = len(gens)
     gord = [G.order_flat()[g] for g in gens]
     sums = kernels.combinations(G.order, G.add_flat(), gens, gord)
@@ -326,11 +325,7 @@ def _sub_structure(G: FinAbGroup, gens):
     rel_cols = [[gord[i] if j == i else 0 for j in range(k)] for i in range(k)]
     box = product(*map(range, gord))
     rel_cols += [list(v) for v, s in zip(box, sums) if s == 0 and any(v)]
-    mat = [[col[i] for col in rel_cols] for i in range(k)]
-    diag, U = smith_diagonal(mat)
-    kept = [(i, d) for i, d in enumerate(diag) if d != 1]
-    K = FinAbGroup(tuple(d for _, d in kept)) if kept else TRIVIAL_GROUP
-    images = [K.index([U[i][j] for i, _ in kept]) for j in range(k)]
+    K, images = smith_presentation([[col[i] for col in rel_cols] for i in range(k)])
     to_K = {}
     for g, kk in zip(sums, kernels.combinations(K.order, K.add_flat(), images, gord)):
         to_K.setdefault(g, kk)
@@ -349,7 +344,7 @@ def _restricted(M: PreMetricGroup, gens) -> PreMetricGroup:
 
 def restrict(M: PreMetricGroup, H: Subgroup) -> PreMetricGroup:
     """The form restricted to a subgroup, on its canonical abstract group."""
-    return _restricted(M, [M.group.index(g) for g in H.generators])
+    return _restricted(M, H.gen_idx)
 
 
 def _subquotient(M: PreMetricGroup, H: Subgroup):
@@ -360,14 +355,13 @@ def _subquotient(M: PreMetricGroup, H: Subgroup):
     order.
     """
     G, t = M.group, M.res
-    for h in H.elements:
-        if t[G.index(h)] != 0:
-            raise NotIsotropic(f"q({h}) = {M.q(h)} != 0")
-    perp = _perp_indices(M, [G.index(h) for h in H.generators])
+    for h in H.idx:
+        if t[h] != 0:
+            raise NotIsotropic(f"q({G.from_index(h)}) = {M.q_idx(h)} != 0")
+    perp = _perp_indices(M, H.gen_idx)
     K, to_K, from_K = _sub_structure(G, _minimal_generators(G, perp))
-    low = _minimal_generators(K, sorted(to_K[h] for h in H.indices()))
-    Q, images = _quotient_images(K, [K.from_index(i) for i in low])
-    proj = kernels.combinations(Q.order, Q.add_flat(), list(map(Q.index, images)), K.orders)
+    Q, images = _quotient_images(K, _minimal_generators(K, sorted(to_K[h] for h in H.idx)))
+    proj = kernels.combinations(Q.order, Q.add_flat(), images, K.orders)
     vals = [None] * Q.order
     for y, g in zip(proj, from_K):
         if vals[y] is not None and vals[y] != t[g]:
@@ -396,8 +390,8 @@ def direct_sum(M1: PreMetricGroup, M2: PreMetricGroup) -> PreMetricGroup:
     s1, s2, n2 = L // M1.level, L // M2.level, M2.group.order
     res = [0] * G.order
     # the source is M1's group times M2's, so its index k is i1 * n2 + i2
-    for k, x in enumerate(iso.source.elements()):
-        res[G.index(iso(x))] = M1.res[k // n2] * s1 + M2.res[k % n2] * s2
+    for k, y in enumerate(iso.table):
+        res[y] = M1.res[k // n2] * s1 + M2.res[k % n2] * s2
     return PreMetricGroup.at_level(G, L, res)
 
 
@@ -422,9 +416,7 @@ def isomorphic(M1: PreMetricGroup, M2: PreMetricGroup, config: Config = DEFAULT)
         G1.order, G1.add_flat(), G1.order_flat(), G1.gen_strides(), list(G1.orders),
         M1.res, M2.res,
     )
-    if perm is None:
-        return None
-    return hom_from_perm(G1, perm)
+    return None if perm is None else GroupHom.from_table(G1, G2, perm)
 
 
 def q_automorphism_perms(M: PreMetricGroup, config: Config = DEFAULT) -> list:
@@ -442,7 +434,7 @@ def q_automorphism_perms(M: PreMetricGroup, config: Config = DEFAULT) -> list:
 
 def form_automorphisms(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     """Aut(G, q) as GroupHoms."""
-    return [hom_from_perm(M.group, p) for p in q_automorphism_perms(M, config)]
+    return [GroupHom.from_table(M.group, M.group, p) for p in q_automorphism_perms(M, config)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +459,7 @@ def core(M: PreMetricGroup, config: Config = DEFAULT) -> CoreResult:
     """
     iso_list = isotropic_subgroups(M, config)
     maximal = [r.subgroup for r in iso_list if r.is_maximal]
-    H = min(maximal, key=lambda s: s.elements)
+    H = min(maximal, key=lambda s: s.idx)
     Q, to_Q, vals = _subquotient(M, H)
     coreform = PreMetricGroup.at_level(Q, M.level, vals)
     return CoreResult(coreform, H, _induced_on_core(M, H, to_Q, coreform, config))
@@ -475,7 +467,7 @@ def core(M: PreMetricGroup, config: Config = DEFAULT) -> CoreResult:
 
 def _induced_on_core(M, H, to_Q, coreform, config):
     Q, t = coreform.group, coreform.res
-    h_idx = set(H.indices())
+    h_idx = set(H.idx)
     induced = set()
     for p in q_automorphism_perms(M, config):
         if {p[i] for i in h_idx} != h_idx:
@@ -485,14 +477,10 @@ def _induced_on_core(M, H, to_Q, coreform, config):
             if mapping.setdefault(src, to_Q[p[i]]) != to_Q[p[i]]:
                 raise ClassificationBug("automorphism does not descend to the core")
         induced.add(tuple(mapping[y] for y in range(Q.order)))
-    gamma = []
-    for imgs in sorted(induced):
-        hom = GroupHom(Q, Q, tuple(Q.from_index(imgs[s]) for s in Q.gen_strides()))
-        for i, y in enumerate(Q.elements()):
-            if t[Q.index(hom(y))] != t[i]:
-                raise ClassificationBug("core automorphism does not preserve the form")
-        gamma.append(hom)
-    return tuple(gamma)
+    gamma = sorted(induced)
+    if any(t[perm[i]] != t[i] for perm in gamma for i in range(Q.order)):
+        raise ClassificationBug("core automorphism does not preserve the form")
+    return tuple(GroupHom.from_table(Q, Q, perm) for perm in gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +700,8 @@ def is_weakly_anisotropic(M: PreMetricGroup, config: Config = DEFAULT) -> bool:
     if not nontrivial:
         return True
     auts = q_automorphism_perms(M, config)
-    G = M.group
     for sub in nontrivial:
-        idx = set(G.index(e) for e in sub.elements)
+        idx = set(sub.idx)
         if all({p[i] for i in idx} == idx for p in auts):
             return False
     return True
@@ -784,15 +771,16 @@ def _coeff_choices(G: FinAbGroup):
     lexicographic order.
     """
     N = 2 * reduce(math.lcm, G.orders, 1)
-    els = G.elements()
+    # a[i][g]: the i-th coordinate of the element with index g
+    a = [[g // s % m for g in range(G.order)] for s, m in zip(G.gen_strides(), G.orders)]
     terms = []
     for i, m in enumerate(G.orders):
         k = 2 * m if m % 2 == 0 else m
-        terms.append(([g[i] * g[i] for g in els], [c * (N // k) for c in range(k)]))
+        terms.append(([x * x for x in a[i]], [c * (N // k) for c in range(k)]))
     for i in range(G.rank):
         for j in range(i + 1, G.rank):
             k = math.gcd(G.orders[i], G.orders[j])
-            terms.append(([g[i] * g[j] for g in els], [c * (N // k) for c in range(k)]))
+            terms.append(([x * y for x, y in zip(a[i], a[j])], [c * (N // k) for c in range(k)]))
     return N, terms
 
 

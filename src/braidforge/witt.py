@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import kernels
+from .abelian import Subgroup
 from .config import DEFAULT, Config
 from .cyclotomic import CycloNum, level_root_sum
 from .errors import ClassificationBug, NotMetric
@@ -110,13 +112,12 @@ def anisotropic_quotient(M: PreMetricGroup, config: Config = DEFAULT) -> PreMetr
     same isomorphism class as one pass through a maximal isotropic
     subgroup, and keeps every intermediate enumeration tiny.
     """
-    from .abelian import Subgroup
-
     while True:
         i = next((i for i in range(1, M.order) if M.res[i] == 0), None)
         if i is None:
             return M
-        M = quotient_form(M, Subgroup.generated(M.group, [M.group.from_index(i)]))
+        G = M.group
+        M = quotient_form(M, Subgroup(G, kernels.closure(G.order, G.add_flat(), [i])))
 
 
 def witt_class(M: PreMetricGroup, config: Config = DEFAULT) -> WittClass:

@@ -351,3 +351,66 @@ def test_subgroup_structure_maps_are_isomorphisms():
                     assert to_K[G.index(G.add(a, b))] == K.index(K.add(ka, kb))
             assert all(from_K[to_K[a]] == a for a in H.indices())
             assert sorted(from_K) == list(H.indices())
+
+
+def test_subgroup_index_tuple_must_hold_zero_and_be_closed():
+    G = FinAbGroup((2, 4))
+    assert Subgroup(G, (0, 2, 4, 6)).elements == ((0, 0), (0, 2), (1, 0), (1, 2))
+    with pytest.raises(NotASubgroup, match="missing zero"):
+        Subgroup(G, (2, 4, 6))
+    with pytest.raises(NotASubgroup, match="not closed"):
+        Subgroup(G, (0, 1))
+    with pytest.raises(NotASubgroup, match="not closed"):
+        Subgroup(G, (0, 2, 4))
+    with pytest.raises(NotASubgroup, match="outside"):
+        Subgroup(G, (0, 8))
+
+
+def _coordinate_eval(hom, a):
+    """Reference: sum of a_i times the i-th generator image, on coordinates."""
+    T = hom.target
+    out = T.zero()
+    for x, im in zip(a, hom.images):
+        out = T.add(out, T.mul(x, im))
+    return out
+
+
+def test_hom_table_matches_coordinate_evaluation():
+    import random
+
+    rng = random.Random(29)
+    checked = 0
+    for orders in invariant_shapes(16):
+        G = FinAbGroup(orders)
+        auts = automorphism_perms(G)
+        homs = [GroupHom.from_table(G, G, p) for p in rng.sample(auts, min(12, len(auts)))]
+        homs += [quotient(G, H)[1] for H in subgroups(G)]
+        homs.append(canonical_form(tuple(reversed(orders)))[1])
+        for hom in homs:
+            S, T = hom.source, hom.target
+            for i, a in enumerate(S.elements()):
+                want = _coordinate_eval(hom, a)
+                assert hom.table[i] == T.index(want) and hom(a) == want, (orders, hom)
+            assert GroupHom(S, T, hom.images) == hom
+            checked += 1
+    assert checked > 400
+
+
+def test_table_composition_matches_coordinate_compose():
+    G = FinAbGroup((2, 4))
+    auts = automorphisms(G)
+    assert len(auts) == 8
+    for a in auts:
+        for b in auts:
+            by_coords = GroupHom(G, G, tuple(_coordinate_eval(a, im) for im in b.images))
+            by_table = GroupHom.from_table(G, G, [a.table[i] for i in b.table])
+            assert a.compose(b) == by_coords == by_table
+
+
+def test_both_hom_constructors_check_annihilation():
+    Z2, Z4 = FinAbGroup((2,)), FinAbGroup((4,))
+    with pytest.raises(InvalidPresentation, match="not annihilated"):
+        GroupHom(Z2, Z4, ((1,),))
+    with pytest.raises(InvalidPresentation, match="not annihilated"):
+        GroupHom.on_indices(Z2, Z4, (1,))
+    assert GroupHom.on_indices(Z2, Z4, (2,)) == GroupHom(Z2, Z4, ((2,),))

@@ -328,7 +328,7 @@ def _orbit_reps(G, forms):
     reps = []
     seen = set()
     for M in forms:
-        t = tuple(int(v * L) for v in M.values)
+        t = tuple(r * (L // M.level) for r in M.res)
         if t in seen:
             continue
         orbit = {kernels.apply_perm(p, t) for p in perms}
