@@ -7,7 +7,9 @@ stabilizer, a table-carrying isomorphism) and table transport.
 Representative workloads below mirror what the acceptance suite spends
 its time on (exhaustive quadratic-form sweeps over small 2-groups); the
 ``all_forms`` rows time that sweep's form enumeration on (Z/2)^3 and
-Z/2 x Z/2 x Z/4, which no perfbench workload runs.
+Z/2 x Z/2 x Z/4, which no perfbench workload runs.  The
+``qform.validate`` rows time the axiom check of one seeded form on
+Z/2 x Z/2 x Z/8 and Z/6 x Z/6, orders like those of form_stream.
 The ``premodular.build`` rows time the exact derivation and check of
 a datum's S-matrix by rank: Ising (3), Ising x Ising (9), and the
 pointed datum of a form on Z/12 (12).  The ``gauss_and_charge`` and
@@ -19,6 +21,7 @@ built before its clock starts; the sweep also lists the lattice first.
 Usage: python benchmarks/bench_kernels.py
 """
 
+import random
 import sys
 import time
 from pathlib import Path
@@ -90,6 +93,11 @@ def workloads():
         G = FinAbGroup(shape)
         n = sum(1 for _ in qform.all_forms(G))
         out.append((f"all_forms {name} ({n})", lambda G=G: list(qform.all_forms(G)), 3))
+
+    for shape in ((2, 2, 8), (6, 6)):
+        G = FinAbGroup(shape)
+        values = qform.random_form(G, random.Random(0)).values
+        out.append((f"qform.validate {shape}", lambda G=G, v=values: qform.validate(G, v), 3))
 
     ising = premodular.ising_datum(Fraction(1, 16), 1)
     ising2 = premodular.deligne_product(ising, premodular.ising_datum(Fraction(3, 16), -1))

@@ -197,9 +197,6 @@ class GroupHom:
             raise InvalidPresentation("composition mismatch")
         return GroupHom.from_table(other.source, self.target, [self.table[i] for i in other.table])
 
-    def image_elements(self) -> tuple:
-        return tuple(map(self.target.from_index, sorted(set(self.table))))
-
     def kernel_elements(self) -> tuple:
         return tuple(self.source.from_index(i) for i, y in enumerate(self.table) if y == 0)
 

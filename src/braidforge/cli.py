@@ -11,6 +11,10 @@ Reports are JSON (or text) with one record per verified identity and a
 data block of computed values.  Exit codes: 0 all checks pass, 1 some
 check failed, 2 malformed input, 3 an enumeration guard was exceeded.
 Output is written atomically when --out is given.
+
+Imports: this module loads only ``config``, ``io`` and ``errors``; each
+cmd_* handler, or the action in it, imports the layers it runs, and a new
+subcommand does the same, so no command loads another's layers.
 """
 
 from __future__ import annotations
@@ -19,31 +23,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import config as cfgmod
 from . import io as bio
-from . import premodular, qform, witt
-from .errors import BraidforgeError, EnumerationLimit, SchemaError
-from .fusion import (
-    all_subrings,
-    fp_dims,
-    integral_part,
-    pointed_part,
-    subring_generated,
-    universal_grading,
-)
-from .premodular import Check
-
-
-def _check_dict(c: Check) -> dict:
-    return {"name": c.name, "anchor": c.anchor, "status": c.status, "witness": c.witness}
+from .errors import BraidforgeError, Check, EnumerationLimit, SchemaError
 
 
 def _report(subject: str, checks, data) -> dict:
     return {
         "subject": subject,
-        "checks": [_check_dict(c) for c in checks],
+        "checks": [asdict(c) for c in checks],
         "data": data,
     }
 
@@ -96,6 +87,7 @@ def _frac(v) -> str:
 # -- qform ------------------------------------------------------------------
 
 def cmd_qform(args, cfg) -> int:
+    from . import qform
     M = bio.qform_from_json(bio.load_json(args.form))
     checks = [Check("axioms", "quadratic-form-axioms", "pass")]
     data = {}
@@ -119,6 +111,7 @@ def cmd_qform(args, cfg) -> int:
             ]
         }
     elif args.action == "gauss":
+        from . import witt
         rep = witt.gauss_sum(M)
         checks.append(Check("conjugate-sums", "gauss-conjugate-pair",
                             "pass" if rep.tau_minus == rep.tau_plus.conjugate() else "fail"))
@@ -130,6 +123,7 @@ def cmd_qform(args, cfg) -> int:
             "positivity": None if rep.positivity is None else _frac(rep.positivity),
         }
     elif args.action == "witt":
+        from . import witt
         c = witt.witt_class(M, cfg)
         data = {
             "parts": [
@@ -164,24 +158,25 @@ def cmd_qform(args, cfg) -> int:
 # -- fusion -------------------------------------------------------------------
 
 def cmd_fusion(args, cfg) -> int:
+    from . import fusion
     R = bio.ring_from_json(bio.load_json(args.ring))
     checks = [Check("axioms", "fusion-ring-axioms", "pass")]
     data = {"rank": R.rank, "commutative": R.is_commutative()}
     if args.action == "dims":
-        fp = fp_dims(R, cfg)
+        fp = fusion.fp_dims(R, cfg)
         data["fpdim"] = list(fp.fpdim)
         data["total"] = fp.total
     elif args.action == "grading":
-        g = universal_grading(R, cfg)
+        g = fusion.universal_grading(R, cfg)
         data["group"] = {"orders": list(g.group.orders)}
         data["deg"] = [list(d) for d in g.deg]
         data["adjoint"] = list(g.trivial_component())
     elif args.action == "subrings":
-        lat = all_subrings(R, cfg)
+        lat = fusion.all_subrings(R, cfg)
         data["subrings"] = [list(s.indices) for s in lat.subrings]
-        data["pointed"] = list(pointed_part(R).indices)
+        data["pointed"] = list(fusion.pointed_part(R).indices)
         try:
-            data["integral"] = list(integral_part(R, cfg).indices)
+            data["integral"] = list(fusion.integral_part(R, cfg).indices)
         except BraidforgeError:
             data["integral"] = None
     rep = _report(f"fusion:{args.ring}", checks, data)
@@ -206,6 +201,7 @@ def _subring_seed(text: str, rank: int) -> tuple:
 
 
 def cmd_premodular(args, cfg) -> int:
+    from . import premodular
     D = bio.datum_from_json(bio.load_json(args.datum), cfg)
     checks = [Check("datum", "datum-identities", "pass")]
     data = {}
@@ -225,6 +221,7 @@ def cmd_premodular(args, cfg) -> int:
     elif args.action == "centralizer":
         if not args.subring:
             raise SchemaError("centralizer needs --subring i,j,...")
+        from .fusion import subring_generated
         K = subring_generated(D.ring, _subring_seed(args.subring, D.rank))
         rep = premodular.centralizer(D, K)
         checks.append(Check("rank-components", "centralizer-rank-components", "pass",
@@ -252,6 +249,7 @@ def cmd_premodular(args, cfg) -> int:
 # -- catalog --------------------------------------------------------------------
 
 def cmd_catalog(args, cfg) -> int:
+    from . import premodular
     if args.what == "ising":
         zeta = bio.parse_fraction(args.zeta)
         eps = int(args.eps)
@@ -285,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=("json", "text"))
     common.add_argument("--out", help="write the report to this path (atomic)")
 
-    ap = argparse.ArgumentParser(prog="braidforge", description=__doc__,
+    ap = argparse.ArgumentParser(prog="braidforge",
+                                 description=__doc__.partition("\nImports:")[0],
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -8,7 +8,7 @@ environment variables with the ``BRAIDFORGE_`` prefix
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import BadParameter
 
@@ -41,20 +41,13 @@ class Config:
 def from_env(**overrides) -> Config:
     """Build a Config from BRAIDFORGE_* environment variables plus overrides."""
     kwargs = {}
-    for field, conv in (
-        ("tolerance", float),
-        ("enum_guard", int),
-        ("aut_guard", int),
-        ("rank_guard", int),
-        ("output", str),
-        ("aut_count_cap", int),
-    ):
-        raw = os.environ.get(ENV_PREFIX + field.upper())
+    for f in fields(Config):  # each read with the type of its default
+        raw = os.environ.get(ENV_PREFIX + f.name.upper())
         if raw is not None:
             try:
-                kwargs[field] = conv(raw)
+                kwargs[f.name] = type(f.default)(raw)
             except ValueError as exc:
-                raise BadParameter(f"bad {ENV_PREFIX}{field.upper()}: {raw!r}") from exc
+                raise BadParameter(f"bad {ENV_PREFIX}{f.name.upper()}: {raw!r}") from exc
     kwargs.update(overrides)
     return Config(**kwargs)
 

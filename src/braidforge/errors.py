@@ -2,10 +2,22 @@
 
 Every failure the library can diagnose maps to one subclass, so callers
 (and the CLI exit-code logic) can dispatch on type.  ``SchemaError`` and
-its children mean the *input* was bad; ``GuardExceeded`` means an
+its children mean the *input* was bad; ``EnumerationLimit`` means an
 enumeration guard tripped; ``ClassificationBug`` means an internal
 cross-check failed, which should be impossible on valid inputs.
+``Check`` is one verified identity of a report; it lives here because
+every command path imports this module.
 """
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    anchor: str
+    status: str  # pass | fail | skipped
+    witness: str = ""
 
 
 class BraidforgeError(Exception):

@@ -11,6 +11,8 @@ Field names are part of the wire format:
     character: {"chi": [1, -1, ...]}                             (lex order)
 
 Fractions may arrive unreduced; they are normalized on ingestion.
+Each parser imports its layer (``qform``, ``fusion``, ``premodular``,
+``cyclotomic``) on use, so loading this module loads none of them.
 """
 
 from __future__ import annotations
@@ -20,11 +22,7 @@ from fractions import Fraction
 
 from .abelian import FinAbGroup, TRIVIAL_GROUP
 from .config import DEFAULT, Config
-from .cyclotomic import CycloNum
 from .errors import SchemaError
-from .fusion import FusionRing, validate_ring
-from .premodular import PreModularDatum, build
-from .qform import PreMetricGroup, validate
 
 
 def parse_fraction(s) -> Fraction:
@@ -61,6 +59,7 @@ def cyclo_to_json(c: CycloNum) -> dict:
 
 
 def cyclo_from_json(obj) -> CycloNum:
+    from .cyclotomic import CycloNum
     if not isinstance(obj, dict) or set(obj) != {"conductor", "coeffs"}:
         raise SchemaError('cyclotomic number must be {"conductor": n, "coeffs": [...]}')
     try:
@@ -80,6 +79,7 @@ def qform_to_json(M: PreMetricGroup) -> dict:
 
 
 def qform_from_json(obj) -> PreMetricGroup:
+    from .qform import validate
     if not isinstance(obj, dict) or "group" not in obj or "values" not in obj:
         raise SchemaError('form must be {"group": {...}, "values": [...]}')
     G = group_from_json(obj["group"])
@@ -101,6 +101,7 @@ def ring_to_json(R: FusionRing) -> dict:
 
 
 def ring_from_json(obj) -> FusionRing:
+    from .fusion import validate_ring
     need = {"labels", "unit", "dual", "N"}
     if not isinstance(obj, dict) or not need <= set(obj):
         raise SchemaError(f"ring must carry fields {sorted(need)}")
@@ -119,6 +120,7 @@ def datum_to_json(D: PreModularDatum) -> dict:
 
 
 def datum_from_json(obj, config: Config = DEFAULT) -> PreModularDatum:
+    from .premodular import build
     need = {"ring", "twists", "dims"}
     if not isinstance(obj, dict) or not need <= set(obj):
         raise SchemaError(f"datum must carry fields {sorted(need)}")

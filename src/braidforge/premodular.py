@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 
-from . import qform
 from .config import DEFAULT, Config
 from .cyclotomic import (
     CycloNum,
@@ -42,6 +41,7 @@ from .cyclotomic import (
 )
 from .errors import (
     BadParameter,
+    Check,
     ClassificationBug,
     DatumError,
     Degenerate,
@@ -70,14 +70,6 @@ from .fusion import (
 )
 
 ONE = CycloNum.one()
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    anchor: str
-    status: str  # pass | fail | skipped
-    witness: str = ""
 
 
 class _AtL:
@@ -333,13 +325,15 @@ def deligne_product(D1: PreModularDatum, D2: PreModularDatum,
         and all(c == 1 for c in D1.pointed_source[1])
         and all(c == 1 for c in D2.pointed_source[1])
     ):
-        form = qform.direct_sum(D1.pointed_source[0], D2.pointed_source[0])
+        from .qform import direct_sum
+        form = direct_sum(D1.pointed_source[0], D2.pointed_source[0])
         src = (form, (1,) * form.group.order)
     return replace(datum, pointed_source=src)
 
 
 def trivial_datum() -> PreModularDatum:
-    return pointed_datum(qform.trivial_form())
+    from .qform import trivial_form
+    return pointed_datum(trivial_form())
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +450,9 @@ def symmetric_and_isotropic(D: PreModularDatum, K: FusionSubring) -> dict:
     lagrangian = None
     if D.pointed_source is not None:
         if D._lagrangians is None:
+            from .qform import isotropic_subgroups
             M, _ = D.pointed_source
-            recs = qform.isotropic_subgroups(M)
+            recs = isotropic_subgroups(M)
             lags = [r.subgroup.indices() for r in recs if r.is_lagrangian]
             object.__setattr__(D, "_lagrangians", lags)
         lag_sets = D._lagrangians

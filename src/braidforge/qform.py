@@ -190,19 +190,19 @@ def validate(group: FinAbGroup, value_table) -> PreMetricGroup:
                 f"{M.q_idx(neg[i])} vs {M.q_idx(i)}"
             )
     add = group.add_flat()
-
-    def bi(i, j):
-        return (t[add[i * n + j]] - t[i] - t[j]) % L
-
+    # rows b(i, .) of residues; b(s + g, .) = b(s, .) + b(g, .) row by row
+    b = [[(t[a] - ti - tj) % L for a, tj in zip(add[i * n:(i + 1) * n], t)]
+         for i, ti in enumerate(t)]
     for s in group.gen_strides():
+        bs = b[s]
         for g in range(n):
-            sg = add[s * n + g]
-            for h in range(n):
-                if (bi(sg, h) - bi(s, h) - bi(g, h)) % L != 0:
-                    raise NotQuadratic(
-                        "polarization not biadditive at "
-                        f"({group.from_index(s)} + {group.from_index(g)}, {group.from_index(h)})"
-                    )
+            row, want = b[add[s * n + g]], [(y + z) % L for y, z in zip(bs, b[g])]
+            if row != want:
+                h = next(h for h in range(n) if row[h] != want[h])
+                raise NotQuadratic(
+                    "polarization not biadditive at "
+                    f"({group.from_index(s)} + {group.from_index(g)}, {group.from_index(h)})"
+                )
     return M
 
 

@@ -259,3 +259,37 @@ def test_unsupported_computation_exits_1(tmp_path, capsys):
     path = write(tmp_path, "s3.json", ring)
     code, _ = run(["fusion", "grading", path], capsys)
     assert code == 1
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def loaded_modules(code, cwd):
+    """The braidforge modules a fresh interpreter holds after ``code``."""
+    probe = code + "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('braidforge.')))"
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    return {m.split(".")[1] for m in proc.stdout.splitlines()[-1].split()}
+
+
+@pytest.mark.parametrize("argv, loads, skips", [
+    (["qform", "analyze", "ai.json"], {"qform"}, {"premodular", "fusion", "cyclotomic", "witt"}),
+    (["qform", "gauss", "ai.json"], {"witt"}, {"premodular", "fusion"}),
+    (["fusion", "dims", "ring.json"], {"fusion"}, {"qform", "witt", "premodular"}),
+    (["premodular", "report", "ising.json"], {"premodular"}, {"qform", "witt"}),
+], ids=["qform-analyze", "qform-gauss", "fusion-dims", "premodular-report"])
+def test_each_command_imports_only_its_layers(tmp_path, argv, loads, skips):
+    from braidforge.fusion import ising_ring
+
+    write(tmp_path, "ai.json", bio.qform_to_json(a_form()))
+    write(tmp_path, "ring.json", bio.ring_to_json(ising_ring()))
+    write(tmp_path, "ising.json", bio.datum_to_json(ising_datum(F(1, 16), 1)))
+    code = f"from braidforge.cli import main\nassert main({argv!r}) == 0"
+    mods = loaded_modules(code, str(tmp_path))
+    assert loads <= mods and not skips & mods, mods
+
+
+def test_io_imports_no_layer(tmp_path):
+    mods = loaded_modules("import braidforge.io", str(tmp_path))
+    assert not {"qform", "fusion", "premodular", "cyclotomic"} & mods, mods

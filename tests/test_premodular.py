@@ -12,6 +12,7 @@ from braidforge.cyclotomic import CycloNum, matrix_rank
 from braidforge.errors import (
     BadParameter,
     BraidforgeError,
+    Check,
     ClassificationBug,
     DatumError,
     Degenerate,
@@ -37,7 +38,6 @@ from braidforge.fusion import (
 from braidforge.premodular import (
     ONE,
     CentralizerReport,
-    Check,
     InvariantReport,
     PreModularDatum,
     build,

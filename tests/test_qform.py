@@ -1,5 +1,6 @@
 """Quadratic-form theory: validation, isotropy, cores, classification."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from braidforge.errors import (
     NotAnisotropic,
     NotEven,
     NotIsotropic,
+    NotNormalized,
     NotQuadratic,
 )
 from braidforge.qform import (
@@ -450,3 +452,65 @@ def test_all_forms_match_fraction_reference():
         G = FinAbGroup(orders)
         got = [M.values for M in all_forms(G)]
         assert got == reference_form_tables(G), orders
+
+
+def reference_validate(G, value_table):
+    """Oracle: ``validate`` with one polarization evaluation per term."""
+    M = PreMetricGroup(G, tuple(value_table))
+    n, L, t = G.order, M.level, M.res
+    if t[0] != 0:
+        raise NotNormalized(f"q(0) = {M.q_idx(0)} != 0")
+    neg, add = G.neg_flat(), G.add_flat()
+    for i in range(n):
+        if t[neg[i]] != t[i]:
+            raise NotEven(f"q(-g) != q(g) at g = {G.from_index(i)}: "
+                          f"{M.q_idx(neg[i])} vs {M.q_idx(i)}")
+
+    def bi(i, j):
+        return (t[add[i * n + j]] - t[i] - t[j]) % L
+
+    for s in G.gen_strides():
+        for g in range(n):
+            sg = add[s * n + g]
+            for h in range(n):
+                if (bi(sg, h) - bi(s, h) - bi(g, h)) % L != 0:
+                    raise NotQuadratic("polarization not biadditive at "
+                                       f"({G.from_index(s)} + {G.from_index(g)}, "
+                                       f"{G.from_index(h)})")
+    return M
+
+
+def _outcome(fn, G, values):
+    try:
+        return fn(G, values).values
+    except (NotNormalized, NotEven, NotQuadratic) as exc:
+        return type(exc), str(exc)
+
+
+def test_validate_matches_reference_on_forms_and_mutations():
+    rng = random.Random(11)
+    seen = set()
+    for orders in invariant_shapes(16):
+        G = FinAbGroup(orders)
+        neg = G.neg_flat()
+        for _ in range(4):
+            values = list(random_form(G, rng).values)
+            cases = [values]
+            for _ in range(6):
+                i = rng.randrange(G.order)
+                v = F(rng.randrange(4 * G.exponent), 4 * G.exponent)
+                single = values[:i] + [v] + values[i + 1:]
+                paired = list(single)
+                paired[neg[i]] = v
+                cases += [single, paired]
+            for case in cases:
+                want = _outcome(reference_validate, G, case)
+                assert _outcome(validate, G, case) == want, (orders, case)
+                seen.add(want[0] if isinstance(want[0], type) else "form")
+    assert seen == {"form", NotNormalized, NotEven, NotQuadratic}
+    # every table on Z/2 x Z/2 at level 8, so a check of one generator
+    # only is caught too: (0, 1/8, 0, 1/8) passes at (1, 0), fails at (0, 1)
+    G = FinAbGroup((2, 2))
+    for tail in itertools.product(range(8), repeat=3):
+        case = [F(0)] + [F(k, 8) for k in tail]
+        assert _outcome(validate, G, case) == _outcome(reference_validate, G, case), case
