@@ -17,6 +17,11 @@ pointed datum of a form on Z/12 (12).  The ``gauss_and_charge`` and
 the pointed Z/12 datum.  A datum keeps its reports and a ring its
 subring lattice, so each repetition gets a fresh datum on a fresh ring,
 built before its clock starts; the sweep also lists the lattice first.
+The ``ring_from_json`` rows parse a rank-12 table (Ising x Z/4) first,
+with the interned rings cleared before each repetition, and again, when
+the lookup returns the ring already validated.  The ``_ctx`` row builds
+the root table at the default ``conductor_guard``, the largest
+conductor a datum may reach unless the guard is raised.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -30,8 +35,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fractions import Fraction  # noqa: E402
 
-from braidforge import premodular, qform  # noqa: E402
+from braidforge import cyclotomic, fusion, premodular, qform  # noqa: E402
+from braidforge import io as bio  # noqa: E402
 from braidforge.abelian import FinAbGroup  # noqa: E402
+from braidforge.config import DEFAULT  # noqa: E402
 from braidforge.fusion import FusionRing, all_subrings  # noqa: E402
 from braidforge.kernels import pure  # noqa: E402
 
@@ -126,6 +133,28 @@ def workloads():
                     premodular.gauss_and_charge, 5, fresh))
         n = len(all_subrings(D.ring).subrings)
         out.append((f"centralizer sweep {name} ({n} subrings)", sweep, 5, with_lattice))
+
+    ring_doc = bio.ring_to_json(fusion.product_ring(fusion.ising_ring(),
+                                                    fusion.group_ring(FinAbGroup((4,)))))
+
+    def unseen_table():
+        fusion._RINGS.clear()
+        return ring_doc
+
+    def seen_table():
+        bio.ring_from_json(ring_doc)
+        return ring_doc
+
+    out.append(("ring_from_json rank 12, first parse", bio.ring_from_json, 5, unseen_table))
+    out.append(("ring_from_json rank 12, repeated parse", bio.ring_from_json, 20, seen_table))
+
+    n = DEFAULT.conductor_guard
+
+    def unbuilt_ctx():
+        cyclotomic._CTX.pop(n, None)
+        return n
+
+    out.append((f"_ctx({n}) (default conductor_guard)", cyclotomic._ctx, 3, unbuilt_ctx))
     return out
 
 

@@ -9,8 +9,8 @@
 
 Reports are JSON (or text) with one record per verified identity and a
 data block of computed values.  Exit codes: 0 all checks pass, 1 some
-check failed, 2 malformed input, 3 an enumeration guard was exceeded.
-Output is written atomically when --out is given.
+check failed, 2 malformed input, 3 an enumeration or conductor guard
+was exceeded.  Output is written atomically when --out is given.
 
 Imports: this module loads only ``config``, ``io`` and ``errors``; each
 cmd_* handler, or the action in it, imports the layers it runs, and a new
@@ -280,6 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--enum-guard", type=int, dest="enum_guard")
     common.add_argument("--aut-guard", type=int, dest="aut_guard")
     common.add_argument("--rank-guard", type=int, dest="rank_guard")
+    common.add_argument("--conductor-guard", type=int, dest="conductor_guard")
     common.add_argument("--output", choices=("json", "text"))
     common.add_argument("--out", help="write the report to this path (atomic)")
 
@@ -319,7 +320,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
         k: getattr(args, k)
-        for k in ("tolerance", "enum_guard", "aut_guard", "rank_guard", "output")
+        for k in ("tolerance", "enum_guard", "aut_guard", "rank_guard", "conductor_guard",
+                  "output")
         if getattr(args, k, None) is not None
     }
     try:

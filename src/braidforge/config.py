@@ -2,7 +2,7 @@
 
 All values can be overridden per call site, via CLI flags, or via
 environment variables with the ``BRAIDFORGE_`` prefix
-(``BRAIDFORGE_ENUM_GUARD=512`` etc.).
+(``BRAIDFORGE_ENUM_GUARD=512``, ``BRAIDFORGE_CONDUCTOR_GUARD=840`` etc.).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-from .errors import BadParameter
+from .errors import BadParameter, EnumerationLimit
 
 ENV_PREFIX = "BRAIDFORGE_"
 
@@ -27,15 +27,27 @@ class Config:
     # test alone does not bound |Aut(G)| usefully (|Aut((Z/2)^5)| =
     # |GL_5(F_2)| = 9999360).
     aut_count_cap: int = 2_000_000
+    # cyclotomic fields of larger conductor are refused before their
+    # root table (n rows of phi(n) integers) is built; _ctx(2310) takes
+    # 0.4-0.5 s on 2 cores (benchmarks/bench_kernels.py).
+    conductor_guard: int = 2310
 
     def __post_init__(self):
         if not (0.0 < self.tolerance < 1e-2):
             raise BadParameter("tolerance must lie in (0, 1e-2)")
-        for name in ("enum_guard", "aut_guard", "rank_guard", "aut_count_cap"):
+        for name in ("enum_guard", "aut_guard", "rank_guard", "aut_count_cap",
+                     "conductor_guard"):
             if getattr(self, name) <= 0:
                 raise BadParameter(f"{name} must be positive")
         if self.output not in ("json", "text"):
             raise BadParameter("output must be 'json' or 'text'")
+
+    def check_conductor(self, n: int) -> None:
+        """Refuse Q(zeta_n) before its root table is built."""
+        if n > self.conductor_guard:
+            raise EnumerationLimit(
+                f"conductor {n} exceeds conductor_guard = {self.conductor_guard}"
+            )
 
 
 def from_env(**overrides) -> Config:

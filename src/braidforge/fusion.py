@@ -11,6 +11,11 @@ library: the largest eigenvalue of each left-multiplication matrix,
 found by power iteration with a deterministic all-ones seed.  The
 iteration runs on L_x + 1 so periodic (bipartite-like) tables converge
 too; subtracting one recovers the eigenvalue.
+
+Validated rings are interned by table: ``validate_ring`` returns the
+ring it already built for an equal (labels, unit, dual, N), so data on
+one table share its FP dimensions and subring lattice.  Like ``_CTX``
+in ``cyclotomic``, the cache is process-local and unbounded.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .errors import (
 
 _POWER_TOL = 1e-12
 _POWER_CAP = 100_000
+_RINGS: dict = {}  # (labels, unit, dual, N) -> the validated FusionRing
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,15 @@ class FusionRing:
 
 
 def validate_ring(labels, unit, dual, N) -> FusionRing:
-    """Exact axioms check; the first violation is reported with indices."""
+    """Exact axioms check; the first violation is reported with indices.
+    An equal table gets the ring that passed before, with its caches."""
     labels = tuple(str(l) for l in labels)
     r = len(labels)
     dual = tuple(int(d) for d in dual)
     N = tuple(tuple(tuple(int(m) for m in row) for row in plane) for plane in N)
+    key = (labels, unit, dual, N)
+    if key in _RINGS:
+        return _RINGS[key]
     if len(N) != r or any(len(p) != r or any(len(row) != r for row in p) for p in N):
         raise UnitFail(f"N must be {r}x{r}x{r}")
     if sorted(dual) != list(range(r)) or any(dual[dual[i]] != i for i in range(r)):
@@ -124,7 +134,7 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
                     N[x][y][z] == N[dual[z]][x][dual[y]] == N[y][dual[z]][dual[x]]
                 ):
                     raise FrobeniusFail(f"Frobenius symmetry fails at ({x}, {y}, {z})")
-    return FusionRing(labels, unit, dual, N)
+    return _RINGS.setdefault(key, FusionRing(labels, unit, dual, N))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ Field names are part of the wire format:
 Fractions may arrive unreduced; they are normalized on ingestion.
 Each parser imports its layer (``qform``, ``fusion``, ``premodular``,
 ``cyclotomic``) on use, so loading this module loads none of them.
+Equal ring tables parse to one shared ``FusionRing``: validated rings
+are interned by table in ``fusion`` (process-local, unbounded, like the
+cyclotomic ``_CTX``).  A cyclotomic conductor above ``conductor_guard``
+is refused with ``EnumerationLimit`` before any field table is built.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 from .abelian import FinAbGroup, TRIVIAL_GROUP
 from .config import DEFAULT, Config
-from .errors import SchemaError
+from .errors import EnumerationLimit, SchemaError
 
 
 def parse_fraction(s) -> Fraction:
@@ -58,14 +62,15 @@ def cyclo_to_json(c: CycloNum) -> dict:
     return {"conductor": c.conductor, "coeffs": [fraction_str(x) for x in c.coeffs]}
 
 
-def cyclo_from_json(obj) -> CycloNum:
+def cyclo_from_json(obj, config: Config = DEFAULT) -> CycloNum:
     from .cyclotomic import CycloNum
     if not isinstance(obj, dict) or set(obj) != {"conductor", "coeffs"}:
         raise SchemaError('cyclotomic number must be {"conductor": n, "coeffs": [...]}')
     try:
-        return CycloNum.from_coeffs(int(obj["conductor"]),
-                                    [parse_fraction(s) for s in obj["coeffs"]])
-    except SchemaError:
+        n = int(obj["conductor"])
+        config.check_conductor(n)
+        return CycloNum.from_coeffs(n, [parse_fraction(s) for s in obj["coeffs"]])
+    except (SchemaError, EnumerationLimit, MemoryError):
         raise
     except Exception as exc:
         raise SchemaError(str(exc)) from exc
@@ -107,7 +112,7 @@ def ring_from_json(obj) -> FusionRing:
         raise SchemaError(f"ring must carry fields {sorted(need)}")
     try:
         return validate_ring(obj["labels"], int(obj["unit"]), obj["dual"], obj["N"])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise SchemaError(f"malformed ring table: {exc}") from exc
 
 
@@ -127,12 +132,16 @@ def datum_from_json(obj, config: Config = DEFAULT) -> PreModularDatum:
     R = ring_from_json(obj["ring"])
     twists = obj["twists"]
     dims = obj["dims"]
-    if len(twists) != R.rank or len(dims) != R.rank:
+    try:
+        covered = len(twists) == len(dims) == R.rank
+    except TypeError:  # a number or null in place of a list
+        covered = False
+    if not covered:
         raise SchemaError("twists and dims must cover the basis")
     return build(
         R,
         tuple(parse_fraction(t) for t in twists),
-        tuple(cyclo_from_json(d) for d in dims),
+        tuple(cyclo_from_json(d, config) for d in dims),
         config,
     )
 

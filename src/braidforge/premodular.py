@@ -202,6 +202,7 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     L = reduce(math.lcm, (_canonical_conductor(t.denominator) for t in theta), 1)
     L = reduce(math.lcm, (d.n for d in dim), L)
     D = reduce(math.lcm, (d.den for d in dim), 1)
+    config.check_conductor(L)
     ctx = _ctx(L)
     dv = [[c * (D // d.den) for c in d._lift(L)] for d in dim]
     # theta_z = (-1)^s zeta_L^t

@@ -91,6 +91,22 @@ def test_guard_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_conductor_guard_by_flag_and_env(tmp_path, capsys, monkeypatch):
+    # Ising's joined conductor is 16: lcm of twist orders 16, 2 and dim conductor 8
+    path = write(tmp_path, "ising.json", bio.datum_to_json(ising_datum(F(1, 16), 1)))
+    assert main(["premodular", "report", path, "--conductor-guard", "15"]) == 3
+    assert "conductor 16 exceeds conductor_guard = 15" in capsys.readouterr().err
+    assert main(["premodular", "report", path, "--conductor-guard", "16"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("BRAIDFORGE_CONDUCTOR_GUARD", "4")
+    # the dimension sqrt(2) at conductor 8 is refused as it is read
+    assert main(["premodular", "gfp", path]) == 3
+    assert "conductor 8 exceeds conductor_guard = 4" in capsys.readouterr().err
+    monkeypatch.setenv("BRAIDFORGE_CONDUCTOR_GUARD", "0")
+    assert main(["premodular", "gfp", path]) == 2
+    assert "conductor_guard must be positive" in capsys.readouterr().err
+
+
 def test_aut_count_cap_refuses_quickly(tmp_path):
     # H + H + A on (Z/2)^5: metric, with nonzero isotropic subgroups, so
     # analyze needs Aut(G, q); |Aut((Z/2)^5)| = 9999360 exceeds the cap

@@ -272,3 +272,51 @@ def test_not_weakly_integral():
     R = validate_ring(("1", "t"), 0, (0, 1), N)
     with pytest.raises(NotWeaklyIntegral):
         fp_square_grading(R)
+
+
+def test_equal_tables_parse_to_one_ring(monkeypatch):
+    from braidforge import fusion
+    from braidforge import io as bio
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    I = ising_ring()
+    obj = bio.ring_to_json(I)
+    R = bio.ring_from_json(obj)
+    # lists or tuples, a copy of the document: the same table, the same ring
+    assert bio.ring_from_json(bio.ring_to_json(I)) is R
+    assert validate_ring(list(I.labels), I.unit, list(I.dual), I.N) is R
+    assert R == I and R is not I
+    # ring-level results are built on the shared object once
+    calls = []
+    real = fusion._perron_dims
+    monkeypatch.setattr(fusion, "_perron_dims", lambda S: calls.append(S) or real(S))
+    assert fp_dims(R).fpdim == fp_dims(bio.ring_from_json(obj)).fpdim
+    assert calls == [R]
+    assert all_subrings(bio.ring_from_json(obj)).subrings == all_subrings(R).subrings
+    assert len(fusion._RINGS) == 1
+
+
+def test_tables_differing_in_labels_are_distinct_rings(monkeypatch):
+    from braidforge import fusion
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    I = ising_ring()
+    a = validate_ring(("1", "delta", "X"), 0, I.dual, I.N)
+    b = validate_ring(("1", "psi", "sigma"), 0, I.dual, I.N)
+    assert a is not b and a.N == b.N
+    assert (a.labels, b.labels) == (("1", "delta", "X"), ("1", "psi", "sigma"))
+    assert repr(a) == "FusionRing(1, delta, X)" and repr(b) == "FusionRing(1, psi, sigma)"
+    assert validate_ring(("1", "psi", "sigma"), 0, I.dual, I.N) is b
+
+
+def test_invalid_table_raises_on_every_parse(monkeypatch):
+    from braidforge import fusion
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    I = ising_ring()
+    bad = [list(map(list, p)) for p in I.N]
+    bad[2][2][1] = 2
+    for _ in range(2):
+        with pytest.raises(AssociativityFail, match=r"at \(1, 2, 2\) -> 0"):
+            validate_ring(I.labels, I.unit, I.dual, bad)
+    assert fusion._RINGS == {}

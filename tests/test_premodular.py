@@ -749,3 +749,92 @@ def test_reports_build_each_centralizer_and_lattice_once(monkeypatch):
         all_subrings(D.ring, Config(rank_guard=1))
     with pytest.raises(EnumerationLimit):
         gauss_and_charge(D, Config(rank_guard=1))
+
+
+def test_rings_differing_in_labels_keep_their_own_messages(monkeypatch):
+    from braidforge import fusion
+    from braidforge import io as bio
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    doc = bio.datum_to_json(ising_datum(F(1, 16), 1))
+    doc["dims"][1] = {"conductor": 1, "coeffs": ["0/1"]}
+    renamed = dict(doc, ring=dict(doc["ring"], labels=["1", "psi", "sigma"]))
+    for obj, label in ((doc, "delta"), (renamed, "psi"), (doc, "delta")):
+        with pytest.raises(ZeroDim, match=f"dimension of {label} is zero"):
+            bio.datum_from_json(obj)
+    assert len(fusion._RINGS) == 2
+
+
+def test_reports_do_not_depend_on_request_order(tmp_path, capsys, monkeypatch):
+    import json
+
+    from braidforge import fusion
+    from braidforge import io as bio
+    from braidforge.cli import main
+    from braidforge.fusion import ising_ring
+
+    def put(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    rng = random.Random(3)
+    data = [ising_datum(F(k, 16), eps) for k, eps in ((1, 1), (3, -1), (5, 1), (7, -1))]
+    data += [deligne_product(ising_datum(F(1, 16), 1), ising_datum(F(k, 16), -1))
+             for k in (3, 5)]
+    data += [pointed_datum(qform.random_form(FinAbGroup(orders), rng))
+             for orders in ((2, 2), (2, 2), (4,))]
+    bad = bio.ring_to_json(ising_ring())
+    bad["N"][2][2][1] = 2
+    argvs = [["fusion", "subrings", put("bad.json", bad)]]
+    for i, D in enumerate(data):
+        path = put(f"d{i}.json", bio.datum_to_json(D))
+        argvs += [["premodular", "report", path], ["premodular", "gfp", path],
+                  ["premodular", "centralizer", path, "--subring", "1"],
+                  ["fusion", "subrings", put(f"r{i}.json", bio.ring_to_json(D.ring))],
+                  ["fusion", "dims", put(f"r{i}.json", bio.ring_to_json(D.ring))]]
+    argvs.append(argvs[0])
+
+    def run_all(order):
+        monkeypatch.setattr(fusion, "_RINGS", {})
+        out = {}
+        for argv in order:
+            code = main(argv)
+            got = capsys.readouterr()
+            out.setdefault(tuple(argv), set()).add((code, got.out, got.err))
+        return out
+
+    forward = run_all(argvs)
+    assert forward == run_all(argvs[::-1])
+    assert all(len(v) == 1 for v in forward.values())
+    assert forward[tuple(argvs[0])] == {(2, "", "AssociativityFail: associativity fails "
+                                                  "at (1, 2, 2) -> 0\n")}
+    assert len(fusion._RINGS) == 4   # Ising, Ising x Ising, (Z/2)^2 and Z/4
+
+
+def test_seed_round_builds_ring_work_once_per_table(monkeypatch):
+    """One round of the benchmark's datum_reports requests (seed 7)."""
+    import sys
+    from pathlib import Path
+
+    from braidforge import fusion
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import inputs
+    import workloads
+
+    reqs = inputs.datum_requests(7)
+    tables = {inputs.canonical(obj["ring"]) for obj in reqs}
+    assert (len(reqs), len(tables)) == (106, 18)
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    # validate_ring makes its FusionRing after every check has passed
+    calls = {"FusionRing": [], "_perron_dims": [], "_subring_lattice": []}
+    for name, seen in calls.items():
+        real = getattr(fusion, name)
+        monkeypatch.setattr(fusion, name, lambda *a, real=real, seen=seen:
+                            seen.append(a) or real(*a))
+    for obj in reqs:
+        assert workloads.datum_report(obj)["identity"]
+    assert len(fusion._RINGS) == 18
+    assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 18)
