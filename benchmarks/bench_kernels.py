@@ -23,15 +23,26 @@ the lookup returns the ring already validated.  The ``_ctx`` row builds
 the root table at the default ``conductor_guard``, the largest
 conductor a datum may reach unless the guard is raised.
 
+The rows above are the best of N calls.  The ``cold start`` rows are
+medians of 7 fresh ``python -B -c CODE`` launches each (bytecode
+caching off, as in perfbench's cli_cold), taken in turn: a bare
+interpreter (``pass``), and ``import braidforge.cli``, ``.premodular``
+and ``.qform``; the difference from the ``pass`` row is what importing
+that layer costs a CLI launch.
+
 Usage: python benchmarks/bench_kernels.py
 """
 
+import os
 import random
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from fractions import Fraction  # noqa: E402
 
@@ -170,10 +181,23 @@ def best_of(fn, reps, setup=None):
     return best
 
 
+def cold_start_rows(launches=7):
+    """Median wall time of fresh interpreters running each snippet, in turn."""
+    snippets = ["pass"] + [f"import braidforge.{m}" for m in ("cli", "premodular", "qform")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    times = {code: [] for code in snippets}
+    for _ in range(launches):
+        for code in snippets:
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-B", "-c", code], env=env, check=True)
+            times[code].append(time.perf_counter() - t0)
+    return [(f"cold start: {code}", statistics.median(times[code])) for code in snippets]
+
+
 def main():
-    rows = [(w[0], best_of(*w[1:])) for w in workloads()]
+    rows = [(w[0], best_of(*w[1:])) for w in workloads()] + cold_start_rows()
     width = max(len(r[0]) for r in rows)
-    print(f"{'workload':<{width}}  {'best':>10}")
+    print(f"{'workload':<{width}}  {'time':>10}")
     print("-" * (width + 12))
     for name, t in rows:
         print(f"{name:<{width}}  {t * 1e3:>8.2f}ms")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import kernels
@@ -31,7 +30,6 @@ GroupElement = tuple  # residue coordinates, one per invariant factor
 _TABLE_CACHE: dict = {}
 
 
-@dataclass(frozen=True)
 class FinAbGroup:
     """Direct sum of cyclic groups Z/orders[0] x ... x Z/orders[r-1].
 
@@ -40,12 +38,20 @@ class FinAbGroup:
     the chain and should pass through :func:`canonical_form` first.
     """
 
-    orders: tuple
+    __slots__ = ("orders",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(m) for m in self.orders))
+    def __init__(self, orders):
+        self.orders = tuple(int(m) for m in orders)
         if any(m < 2 for m in self.orders):
             raise InvalidPresentation(f"orders must all be >= 2: {self.orders}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.orders == other.orders
+
+    def __hash__(self):
+        return hash((self.orders,))
 
     @property
     def order(self) -> int:
@@ -136,14 +142,11 @@ class FinAbGroup:
 TRIVIAL_GROUP = FinAbGroup(())
 
 
-@dataclass(frozen=True, init=False)
 class GroupHom:
     """Homomorphism as its index table: ``table[i]`` is the index of the
     image of the source's i-th element."""
 
-    source: FinAbGroup
-    target: FinAbGroup
-    table: tuple
+    __slots__ = ("source", "target", "table")
 
     def __init__(self, source: FinAbGroup, target: FinAbGroup, images):
         """The homomorphism sending the i-th standard generator of
@@ -179,9 +182,18 @@ class GroupHom:
         self._set(source, target, tuple(table))
 
     def _set(self, source, target, table):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "table", table)
+        self.source, self.target, self.table = source, target, table
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.table) == (other.source, other.target, other.table)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.table))
+
+    def __repr__(self):
+        return f"GroupHom(source={self.source!r}, target={self.target!r}, table={self.table!r})"
 
     @property
     def images(self) -> tuple:
@@ -208,7 +220,6 @@ class GroupHom:
         return GroupHom.from_table(G, G, range(G.order))
 
 
-@dataclass(frozen=True)
 class Subgroup:
     """Subgroup as the sorted tuple ``idx`` of its element indices.
 
@@ -216,27 +227,37 @@ class Subgroup:
     under addition.  ``elements`` and ``generators`` give coordinates.
     """
 
-    parent: FinAbGroup
-    idx: tuple
-    # generator indices, the minimal ones derived on first use
-    _gens: tuple = field(default=None, init=False, repr=False, compare=False)
+    # _gens: generator indices, the minimal ones derived on first use
+    __slots__ = ("parent", "idx", "_gens")
 
-    def __post_init__(self):
-        idx = tuple(sorted(set(self.idx)))
-        object.__setattr__(self, "idx", idx)
-        n = self.parent.order
+    def __init__(self, parent: FinAbGroup, idx):
+        self.parent = parent
+        self.idx = idx = tuple(sorted(set(idx)))
+        self._gens = None
+        n = parent.order
         if not idx or idx[0] != 0:
             raise NotASubgroup("missing zero")
         if idx[-1] >= n:
             raise NotASubgroup(f"index {idx[-1]} outside a group of order {n}")
-        if kernels.closure(n, self.parent.add_flat(), idx) != idx:
+        if kernels.closure(n, parent.add_flat(), idx) != idx:
             raise NotASubgroup("element set not closed under addition")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.idx) == (other.parent, other.idx)
+
+    def __hash__(self):
+        return hash((self.parent, self.idx))
+
+    def __repr__(self):
+        return f"Subgroup(parent={self.parent!r}, idx={self.idx!r})"
 
     @property
     def gen_idx(self) -> tuple:
         """Irredundant generator indices (:func:`_minimal_generators`)."""
         if self._gens is None:
-            object.__setattr__(self, "_gens", _minimal_generators(self.parent, self.idx))
+            self._gens = _minimal_generators(self.parent, self.idx)
         return self._gens
 
     @property
@@ -268,7 +289,7 @@ class Subgroup:
     @staticmethod
     def full(G: FinAbGroup) -> "Subgroup":
         H = Subgroup(G, range(G.order))
-        object.__setattr__(H, "_gens", tuple(G.gen_strides()))
+        H._gens = tuple(G.gen_strides())
         return H
 
 

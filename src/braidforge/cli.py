@@ -14,7 +14,9 @@ was exceeded.  Output is written atomically when --out is given.
 
 Imports: this module loads only ``config``, ``io`` and ``errors``; each
 cmd_* handler, or the action in it, imports the layers it runs, and a new
-subcommand does the same, so no command loads another's layers.
+subcommand does the same, so no command loads another's layers.  Records
+are NamedTuples or slotted classes: no module imports the standard
+library's data-class module, which loads ``inspect`` on every launch.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import config as cfgmod
@@ -34,7 +35,7 @@ from .errors import BraidforgeError, Check, EnumerationLimit, SchemaError
 def _report(subject: str, checks, data) -> dict:
     return {
         "subject": subject,
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
         "data": data,
     }
 

@@ -8,31 +8,29 @@ environment variables with the ``BRAIDFORGE_`` prefix
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 
 from .errors import BadParameter, EnumerationLimit
 
 ENV_PREFIX = "BRAIDFORGE_"
 
 
-@dataclass(frozen=True)
 class Config:
-    tolerance: float = 1e-6
-    enum_guard: int = 256
-    aut_guard: int = 64
-    rank_guard: int = 12
-    output: str = "json"
-    # automorphism groups larger than this are refused, decided from the
-    # closed-form |Aut(G)| before any enumeration; the |G| <= aut_guard
-    # test alone does not bound |Aut(G)| usefully (|Aut((Z/2)^5)| =
-    # |GL_5(F_2)| = 9999360).
-    aut_count_cap: int = 2_000_000
-    # cyclotomic fields of larger conductor are refused before their
-    # root table (n rows of phi(n) integers) is built; _ctx(2310) takes
-    # 0.4-0.5 s on 2 cores (benchmarks/bench_kernels.py).
-    conductor_guard: int = 2310
+    __slots__ = ("tolerance", "enum_guard", "aut_guard", "rank_guard", "output",
+                 "aut_count_cap", "conductor_guard")
 
-    def __post_init__(self):
+    # aut_count_cap: automorphism groups larger than this are refused,
+    # decided from the closed-form |Aut(G)| before any enumeration; the
+    # |G| <= aut_guard test alone does not bound |Aut(G)| usefully
+    # (|Aut((Z/2)^5)| = |GL_5(F_2)| = 9999360).
+    # conductor_guard: cyclotomic fields of larger conductor are refused
+    # before their root table (n rows of phi(n) integers) is built;
+    # _ctx(2310) takes 0.4-0.5 s on 2 cores (benchmarks/bench_kernels.py).
+    def __init__(self, tolerance: float = 1e-6, enum_guard: int = 256, aut_guard: int = 64,
+                 rank_guard: int = 12, output: str = "json", aut_count_cap: int = 2_000_000,
+                 conductor_guard: int = 2310):
+        self.tolerance, self.enum_guard, self.aut_guard = tolerance, enum_guard, aut_guard
+        self.rank_guard, self.output = rank_guard, output
+        self.aut_count_cap, self.conductor_guard = aut_count_cap, conductor_guard
         if not (0.0 < self.tolerance < 1e-2):
             raise BadParameter("tolerance must lie in (0, 1e-2)")
         for name in ("enum_guard", "aut_guard", "rank_guard", "aut_count_cap",
@@ -41,6 +39,20 @@ class Config:
                 raise BadParameter(f"{name} must be positive")
         if self.output not in ("json", "text"):
             raise BadParameter("output must be 'json' or 'text'")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Config(%s)" % ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
 
     def check_conductor(self, n: int) -> None:
         """Refuse Q(zeta_n) before its root table is built."""
@@ -53,13 +65,13 @@ class Config:
 def from_env(**overrides) -> Config:
     """Build a Config from BRAIDFORGE_* environment variables plus overrides."""
     kwargs = {}
-    for f in fields(Config):  # each read with the type of its default
-        raw = os.environ.get(ENV_PREFIX + f.name.upper())
+    for name in Config.__slots__:  # each read with the type of its default
+        raw = os.environ.get(ENV_PREFIX + name.upper())
         if raw is not None:
             try:
-                kwargs[f.name] = type(f.default)(raw)
+                kwargs[name] = type(getattr(DEFAULT, name))(raw)
             except ValueError as exc:
-                raise BadParameter(f"bad {ENV_PREFIX}{f.name.upper()}: {raw!r}") from exc
+                raise BadParameter(f"bad {ENV_PREFIX}{name.upper()}: {raw!r}") from exc
     kwargs.update(overrides)
     return Config(**kwargs)
 

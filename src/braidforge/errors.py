@@ -9,11 +9,10 @@ cross-check failed, which should be impossible on valid inputs.
 every command path imports this module.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     anchor: str
     status: str  # pass | fail | skipped

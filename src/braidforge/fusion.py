@@ -20,7 +20,7 @@ in ``cyclotomic``, the cache is process-local and unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .abelian import FinAbGroup, TRIVIAL_GROUP, primes_of, smith_presentation
 from .config import DEFAULT, Config
@@ -43,24 +43,27 @@ _POWER_CAP = 100_000
 _RINGS: dict = {}  # (labels, unit, dual, N) -> the validated FusionRing
 
 
-@dataclass(frozen=True)
 class FusionRing:
-    labels: tuple
-    unit: int
-    dual: tuple
-    N: tuple  # N[i][j][k], non-negative ints
-    _constituents: tuple = field(init=False, repr=False, compare=False)
-    # Perron eigenvalues of the left multiplications, built on first use
-    _fpdim: tuple = field(default=None, init=False, repr=False, compare=False)
-    # index tuples of the subring lattice, built on first use
-    _lattice: tuple = field(default=None, init=False, repr=False, compare=False)
+    # N[i][j][k], non-negative ints.  Built on first use: _fpdim, the Perron
+    # eigenvalues of the left multiplications; _lattice, the subring index tuples.
+    __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_fpdim", "_lattice")
 
-    def __post_init__(self):
-        cons = tuple(
+    def __init__(self, labels: tuple, unit: int, dual: tuple, N: tuple):
+        self.labels, self.unit, self.dual, self.N = labels, unit, dual, N
+        self._constituents = tuple(
             tuple(tuple(k for k, m in enumerate(row) if m > 0) for row in plane)
-            for plane in self.N
+            for plane in N
         )
-        object.__setattr__(self, "_constituents", cons)
+        self._fpdim = self._lattice = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.unit, self.dual, self.N) == (
+            other.labels, other.unit, other.dual, other.N)
+
+    def __hash__(self):
+        return hash((self.labels, self.unit, self.dual, self.N))
 
     @property
     def rank(self) -> int:
@@ -208,8 +211,7 @@ def _freeze(N):
 # Frobenius-Perron dimensions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FPData:
+class FPData(NamedTuple):
     fpdim: tuple    # floats, one per basis index
     total: float    # sum of squares
     tolerance: float
@@ -218,7 +220,7 @@ class FPData:
 def fp_dims(R: FusionRing, config: Config = DEFAULT) -> FPData:
     """Perron eigenvalues of the left-multiplication matrices."""
     if R._fpdim is None:
-        object.__setattr__(R, "_fpdim", _perron_dims(R))
+        R._fpdim = _perron_dims(R)
     dims = R._fpdim
     return FPData(dims, sum(d * d for d in dims), config.tolerance)
 
@@ -250,16 +252,25 @@ def _perron_dims(R: FusionRing) -> tuple:
 # subrings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FusionSubring:
-    parent: FusionRing
-    indices: tuple
+    __slots__ = ("parent", "indices")
 
-    def __post_init__(self):
-        idx = tuple(sorted(set(self.indices)))
-        if idx and (idx[0] < 0 or idx[-1] >= self.parent.rank):
-            raise BadParameter(f"subring indices {idx} outside 0..{self.parent.rank - 1}")
-        object.__setattr__(self, "indices", idx)
+    def __init__(self, parent: FusionRing, indices):
+        idx = tuple(sorted(set(indices)))
+        if idx and (idx[0] < 0 or idx[-1] >= parent.rank):
+            raise BadParameter(f"subring indices {idx} outside 0..{parent.rank - 1}")
+        self.parent, self.indices = parent, idx
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.indices) == (other.parent, other.indices)
+
+    def __hash__(self):
+        return hash((self.parent, self.indices))
+
+    def __repr__(self):
+        return f"FusionSubring(parent={self.parent!r}, indices={self.indices!r})"
 
     @property
     def rank(self) -> int:
@@ -294,8 +305,7 @@ def subring_generated(R: FusionRing, seed) -> FusionSubring:
     return FusionSubring(R, tuple(sorted(cur)))
 
 
-@dataclass(frozen=True)
-class SubringLattice:
+class SubringLattice(NamedTuple):
     ring: FusionRing
     subrings: tuple  # sorted by (rank, indices)
 
@@ -318,7 +328,7 @@ def all_subrings(R: FusionRing, config: Config = DEFAULT) -> SubringLattice:
     if R.rank > config.rank_guard:
         raise EnumerationLimit(f"rank {R.rank} exceeds rank_guard = {config.rank_guard}")
     if R._lattice is None:
-        object.__setattr__(R, "_lattice", _subring_lattice(R))
+        R._lattice = _subring_lattice(R)
     return SubringLattice(R, tuple(FusionSubring(R, s) for s in R._lattice))
 
 
@@ -363,8 +373,7 @@ def pointed_part(R: FusionRing) -> FusionSubring:
 # gradings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(NamedTuple):
     group: FinAbGroup
     deg: tuple  # GroupElement per basis index
 

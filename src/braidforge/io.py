@@ -31,6 +31,8 @@ from .errors import EnumerationLimit, SchemaError
 
 def parse_fraction(s) -> Fraction:
     try:
+        if isinstance(s, str) and "e" in s.lower():  # Fraction would expand 10^exponent
+            raise ValueError("exponent notation")
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad fraction {s!r}") from exc
@@ -66,8 +68,10 @@ def cyclo_from_json(obj, config: Config = DEFAULT) -> CycloNum:
     from .cyclotomic import CycloNum
     if not isinstance(obj, dict) or set(obj) != {"conductor", "coeffs"}:
         raise SchemaError('cyclotomic number must be {"conductor": n, "coeffs": [...]}')
+    n = obj["conductor"]
+    if type(n) is not int or n < 1:  # a JSON integer; bool is an int subclass
+        raise SchemaError(f"conductor {n!r} must be an integer >= 1")
     try:
-        n = int(obj["conductor"])
         config.check_conductor(n)
         return CycloNum.from_coeffs(n, [parse_fraction(s) for s in obj["coeffs"]])
     except (SchemaError, EnumerationLimit, MemoryError):

@@ -24,9 +24,9 @@ sums of weakly integral non-degenerate data close out the invariant set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 from .config import DEFAULT, Config
 from .cyclotomic import (
@@ -132,22 +132,32 @@ def _times_root(ctx, s, t, v):
     return [-c for c in out] if s % 2 else out
 
 
-@dataclass(frozen=True)
 class PreModularDatum:
-    ring: FusionRing
-    theta: tuple          # Fraction exponents, twists as roots of unity
-    dim: tuple            # CycloNum per index
-    S: tuple              # derived, CycloNum matrix
-    S_tilde: tuple        # s_{XY} / (d(X) d(Y))
-    pointed_source: object = None  # (PreMetricGroup, chi tuple) when pointed
-    # the build's vectors at its conductor (_AtL)
-    _at: object = field(default=None, repr=False, compare=False)
-    # is_nondegenerate(self), decided on first use
-    _nondegenerate: bool = field(default=None, init=False, repr=False, compare=False)
-    # index sets of the Lagrangian subgroups of a pointed source, built on first use
-    _lagrangians: list = field(default=None, init=False, repr=False, compare=False)
-    # K.indices -> CentralizerReport, each built on first use
-    _cents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # theta: twists as Fraction exponents of roots of unity; dim: CycloNum
+    # per index; S: the derived CycloNum matrix; S_tilde: s_XY / (d(X) d(Y));
+    # pointed_source: (PreMetricGroup, chi tuple) when pointed; _at: the
+    # build's vectors at its conductor (_AtL).  Built on first use:
+    # _nondegenerate, _lagrangians (index sets of the Lagrangian subgroups
+    # of a pointed source) and _cents (K.indices -> CentralizerReport).
+    __slots__ = ("ring", "theta", "dim", "S", "S_tilde", "pointed_source", "_at",
+                 "_nondegenerate", "_lagrangians", "_cents")
+
+    def __init__(self, ring: FusionRing, theta: tuple, dim: tuple, S: tuple, S_tilde: tuple,
+                 pointed_source=None, _at=None):
+        self.ring, self.theta, self.dim, self.S, self.S_tilde = ring, theta, dim, S, S_tilde
+        self.pointed_source, self._at = pointed_source, _at
+        self._nondegenerate, self._lagrangians, self._cents = None, None, {}
+
+    def _key(self) -> tuple:
+        return (self.ring, self.theta, self.dim, self.S, self.S_tilde, self.pointed_source)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def rank(self) -> int:
@@ -285,7 +295,8 @@ def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -
         root_exp(M.values[i] + (Fraction(1, 2) if chi[i] == -1 else 0)) for i in range(n)
     )
     dim = tuple(CycloNum.from_rational(c) for c in chi)
-    return replace(build(ring, theta, dim, config), pointed_source=(M, chi))
+    D = build(ring, theta, dim, config)
+    return PreModularDatum(D.ring, D.theta, D.dim, D.S, D.S_tilde, (M, chi), D._at)
 
 
 def ising_datum(zeta, eps: int, config: Config = DEFAULT) -> PreModularDatum:
@@ -329,7 +340,8 @@ def deligne_product(D1: PreModularDatum, D2: PreModularDatum,
         from .qform import direct_sum
         form = direct_sum(D1.pointed_source[0], D2.pointed_source[0])
         src = (form, (1,) * form.group.order)
-    return replace(datum, pointed_source=src)
+    return PreModularDatum(datum.ring, datum.theta, datum.dim, datum.S, datum.S_tilde, src,
+                           datum._at)
 
 
 def trivial_datum() -> PreModularDatum:
@@ -341,8 +353,7 @@ def trivial_datum() -> PreModularDatum:
 # centralizers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CentralizerReport:
+class CentralizerReport(NamedTuple):
     subring: FusionSubring
     centralizer: FusionSubring
     components: tuple   # partition of all indices
@@ -388,7 +399,7 @@ def is_nondegenerate(D: PreModularDatum) -> bool:
         by_cent = rep.centralizer.indices == (D.ring.unit,)
         if by_rank != by_cent:
             raise ClassificationBug("rank and centralizer tests disagree")
-        object.__setattr__(D, "_nondegenerate", by_rank)
+        D._nondegenerate = by_rank
     return D._nondegenerate
 
 
@@ -455,7 +466,7 @@ def symmetric_and_isotropic(D: PreModularDatum, K: FusionSubring) -> dict:
             M, _ = D.pointed_source
             recs = isotropic_subgroups(M)
             lags = [r.subgroup.indices() for r in recs if r.is_lagrangian]
-            object.__setattr__(D, "_lagrangians", lags)
+            D._lagrangians = lags
         lag_sets = D._lagrangians
         lagrangian = {
             "lagrangian_subgroups": list(lag_sets),
@@ -536,8 +547,7 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
     return checks
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     tau_plus: CycloNum
     tau_minus: CycloNum
     charge_sq: object      # CycloNum or None when tau- = 0

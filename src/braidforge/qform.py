@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from typing import NamedTuple
 
 from . import kernels
 from .abelian import (
@@ -61,7 +61,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, init=False)
 class PreMetricGroup:
     """A group with a Q/Z-valued quadratic form: q(g) = res[g]/level mod 1.
 
@@ -70,9 +69,7 @@ class PreMetricGroup:
     two forms are equal exactly when their value tables are.
     """
 
-    group: FinAbGroup
-    level: int
-    res: tuple
+    __slots__ = ("group", "level", "res")
 
     def __init__(self, group: FinAbGroup, values):
         """The form with the rational value table ``values``, read mod 1."""
@@ -94,9 +91,15 @@ class PreMetricGroup:
             )
         d = math.gcd(N, *res)
         L = N // d
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "level", L)
-        object.__setattr__(self, "res", tuple(r // d % L for r in res))
+        self.group, self.level, self.res = group, L, tuple(r // d % L for r in res)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.level, self.res) == (other.group, other.level, other.res)
+
+    def __hash__(self):
+        return hash((self.group, self.level, self.res))
 
     @property
     def order(self) -> int:
@@ -125,8 +128,7 @@ class PreMetricGroup:
         return f"PreMetricGroup({self.group!r}, {[str(v) for v in self.values]})"
 
 
-@dataclass(frozen=True)
-class Bicharacter:
+class Bicharacter(NamedTuple):
     """Symmetric biadditive pairing, tabulated on all element pairs."""
 
     group: FinAbGroup
@@ -137,14 +139,12 @@ class Bicharacter:
         return self.table[self.group.index(g) * n + self.group.index(h)]
 
 
-@dataclass(frozen=True)
-class DegeneracyClass:
+class DegeneracyClass(NamedTuple):
     tag: str  # nondegenerate | slightly_degenerate | degenerate_other
     radical: Subgroup
 
 
-@dataclass(frozen=True)
-class AnisotropicLabel:
+class AnisotropicLabel(NamedTuple):
     """Isomorphism-class label of an anisotropic form at one prime.
 
     kinds and parameters:
@@ -257,8 +257,7 @@ def _perp_indices(M: PreMetricGroup, gens) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class IsotropicSubgroup:
+class IsotropicSubgroup(NamedTuple):
     subgroup: Subgroup
     is_maximal: bool
     is_lagrangian: bool
@@ -441,8 +440,7 @@ def form_automorphisms(M: PreMetricGroup, config: Config = DEFAULT) -> list:
 # the core
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoreResult:
+class CoreResult(NamedTuple):
     core: PreMetricGroup
     subgroup: Subgroup  # the maximal isotropic used
     gamma: tuple        # induced automorphisms of the core (GroupHoms)

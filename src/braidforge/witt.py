@@ -11,9 +11,9 @@ set generated by fourth/eighth roots and the rank-1 Gauss sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import kernels
 from .abelian import Subgroup
@@ -35,8 +35,7 @@ from .qform import (
 _METRIC_KINDS = {"OddRank1", "OddNorm", "A", "M", "MplusA"}
 
 
-@dataclass(frozen=True)
-class GaussReport:
+class GaussReport(NamedTuple):
     tau_plus: CycloNum
     tau_minus: CycloNum
     norm_check: bool            # (metric implies tau+ tau- = |G|)
@@ -63,7 +62,6 @@ def is_hyperbolic(M: PreMetricGroup, config: Config = DEFAULT):
     return False, None
 
 
-@dataclass(frozen=True)
 class WittClass:
     """Per-prime anisotropic metric representative labels.
 
@@ -72,13 +70,21 @@ class WittClass:
     of classes is equality of fields.
     """
 
-    parts: tuple  # sorted tuple of (p, AnisotropicLabel)
+    __slots__ = ("parts",)  # sorted tuple of (p, AnisotropicLabel)
 
-    def __post_init__(self):
-        for _, lab in self.parts:
+    def __init__(self, parts):
+        for _, lab in parts:
             if lab.kind not in _METRIC_KINDS:
                 raise NotMetric(f"label {lab} is not a metric class")
-        object.__setattr__(self, "parts", tuple(sorted(self.parts)))
+        self.parts = tuple(sorted(parts))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def is_zero(self) -> bool:
@@ -141,8 +147,7 @@ def witt_neg(c: WittClass, config: Config = DEFAULT) -> WittClass:
 # the tau+ labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TauLabel:
+class TauLabel(NamedTuple):
     """tau+ of a Witt class modulo positive rationals.
 
     ``unit`` is the root-of-unity factor as a fraction exponent (an

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -47,6 +48,29 @@ def test_unreduced_fractions_normalize():
     G = FinAbGroup((2,))
     M = bio.qform_from_json({"group": {"orders": [2]}, "values": ["0/2", "2/8"]})
     assert M.values == (F(0), F(1, 4))
+
+
+def test_exponent_notation_is_refused_before_it_expands():
+    start = time.perf_counter()
+    for text in ("1e-1000000", "1E5", "2.5e-3", " 1e2 "):
+        with pytest.raises(SchemaError, match="bad fraction"):
+            bio.parse_fraction(text)
+    assert time.perf_counter() - start < 1.0
+    kept = [bio.parse_fraction(s) for s in ("3/4", " 3/4 ", "0.25", "1_000", 2.5e-05, 7)]
+    assert kept == [F(3, 4), F(3, 4), F(1, 4), 1000, F(1, 40000), 7]
+
+
+@pytest.mark.parametrize("conductor, coeffs", [
+    (0, []), (-4, ["1/1"]), (2.7, ["1/1"]), (True, ["1/1"]), ("1", ["1/1"]), (None, ["1/1"]),
+])
+def test_conductor_must_be_a_json_integer_at_least_1(tmp_path, capsys, conductor, coeffs):
+    message = f"conductor {conductor!r} must be an integer >= 1"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        bio.cyclo_from_json({"conductor": conductor, "coeffs": coeffs})
+    doc = bio.datum_to_json(ising_datum(F(1, 16), 1))
+    doc["dims"][0] = {"conductor": conductor, "coeffs": coeffs}
+    assert main(["premodular", "report", write(tmp_path, "d.json", doc)]) == 2
+    assert capsys.readouterr().err == f"SchemaError: {message}\n"
 
 
 def test_catalog_then_report(tmp_path, capsys):
@@ -280,13 +304,18 @@ def test_unsupported_computation_exits_1(tmp_path, capsys):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+SLOW_STDLIB = {"dataclasses", "inspect"}  # dataclasses alone costs ~10 ms of each launch
+
+
 def loaded_modules(code, cwd):
-    """The braidforge modules a fresh interpreter holds after ``code``."""
-    probe = code + "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('braidforge.')))"
+    """The braidforge layers, and which of ``SLOW_STDLIB``, a fresh
+    interpreter holds after ``code``."""
+    probe = code + ("\nimport sys\nprint(*(m for m in sys.modules"
+                    f" if m.startswith('braidforge.') or m in {SLOW_STDLIB!r}))")
     proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
-    return {m.split(".")[1] for m in proc.stdout.splitlines()[-1].split()}
+    return {m.split(".")[1] if "." in m else m for m in proc.stdout.splitlines()[-1].split()}
 
 
 @pytest.mark.parametrize("argv, loads, skips", [
@@ -303,9 +332,14 @@ def test_each_command_imports_only_its_layers(tmp_path, argv, loads, skips):
     write(tmp_path, "ising.json", bio.datum_to_json(ising_datum(F(1, 16), 1)))
     code = f"from braidforge.cli import main\nassert main({argv!r}) == 0"
     mods = loaded_modules(code, str(tmp_path))
-    assert loads <= mods and not skips & mods, mods
+    assert loads <= mods and not (skips | SLOW_STDLIB) & mods, mods
 
 
 def test_io_imports_no_layer(tmp_path):
     mods = loaded_modules("import braidforge.io", str(tmp_path))
     assert not {"qform", "fusion", "premodular", "cyclotomic"} & mods, mods
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    mods = loaded_modules("import braidforge.cli", str(tmp_path))
+    assert {"cli", "io", "config", "errors"} <= mods and not SLOW_STDLIB & mods, mods

@@ -113,6 +113,7 @@ def test_fusion_cli_survives_mutated_rings(action, doc):
 @given(st.sampled_from([["report"], ["gfp"], ["centralizer", "--subring", "1"]]),
        st.sampled_from(DATA).flatmap(mutated))
 @example(["report"], dict(DATA[0], twists=None))  # was a TypeError traceback
+@example(["report"], dict(DATA[0], twists=["0/1", "1e-1000000", "1/16"]))  # expanded 10^1000000
 def test_premodular_cli_survives_mutated_data(action, doc):
     run_case(["premodular"] + action, doc)
 
