@@ -21,7 +21,11 @@ The ``ring_from_json`` rows parse a rank-12 table (Ising x Z/4) first,
 with the interned rings cleared before each repetition, and again, when
 the lookup returns the ring already validated.  The ``_ctx`` row builds
 the root table at the default ``conductor_guard``, the largest
-conductor a datum may reach unless the guard is raised.
+conductor a datum may reach unless the guard is raised.  The
+``CycloNum.inverse`` rows invert one seeded element at each conductor
+n (a sum of four weighted n-th roots of unity).  The ``tau_image`` rows
+label the Witt class of the rank-1 form x^2/p, with the cached
+radical generator cleared before each repetition.
 
 The rows above are the best of N calls.  The ``cold start`` rows are
 medians of 7 fresh ``python -B -c CODE`` launches each (bytecode
@@ -46,7 +50,7 @@ sys.path.insert(0, str(SRC))
 
 from fractions import Fraction  # noqa: E402
 
-from braidforge import cyclotomic, fusion, premodular, qform  # noqa: E402
+from braidforge import cyclotomic, fusion, premodular, qform, witt  # noqa: E402
 from braidforge import io as bio  # noqa: E402
 from braidforge.abelian import FinAbGroup  # noqa: E402
 from braidforge.config import DEFAULT  # noqa: E402
@@ -166,6 +170,22 @@ def workloads():
         return n
 
     out.append((f"_ctx({n}) (default conductor_guard)", cyclotomic._ctx, 3, unbuilt_ctx))
+
+    for m in (8, 24, 60, 120, 240):  # not n: unbuilt_ctx reads n when it runs
+        rng = random.Random(m)
+        a = cyclotomic.root_sum([(Fraction(1, m), 1)] + [
+            (Fraction(rng.randrange(m), m), Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+            for _ in range(3)])
+        out.append((f"CycloNum.inverse n={a.conductor}", a.inverse, 5))
+
+    for p in (101, 251):
+        c = witt.witt_class(qform.odd_rank1(p, 1))
+
+        def uncached(c=c):
+            witt._radical_generator.cache_clear()
+            return c
+
+        out.append((f"tau_image Z/{p}", lambda c, p=p: witt.tau_image(c, p), 3, uncached))
     return out
 
 

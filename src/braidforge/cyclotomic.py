@@ -215,15 +215,7 @@ class CycloNum:
         """Coefficient vector of self in Q(zeta_L), n | L."""
         if L == self.n:
             return self.num
-        ctx = _ctx(L)
-        step = L // self.n
-        out = [0] * ctx.phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = ctx.pows[(i * step) % L]
-                for j in range(ctx.phi):
-                    out[j] += c * row[j]
-        return tuple(out)
+        return tuple(_substitute(_ctx(L), self.num, L // self.n))
 
     def __add__(self, other) -> "CycloNum":
         other = _coerce(other)
@@ -268,14 +260,15 @@ class CycloNum:
         return out
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse, via extended gcd with Phi_n over Q."""
+        """Multiplicative inverse by the norm: 1/a = prod_{sigma != 1} sigma(a) / N(a).
+
+        The norm N(a), the product of all Galois conjugates of a, is fixed
+        by every sigma, so it is a rational, and nonzero when a is.
+        """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        ctx = _ctx(self.n)
-        a = [Fraction(x, self.den) for x in self.num]
-        b = [Fraction(c) for c in ctx.poly]
-        s = _poly_xgcd_mod(a, b)
-        return CycloNum.from_coeffs(self.n, s + [0] * (ctx.phi - len(s)))
+        rest = math.prod(self.galois_conjugates()[1:], start=ONE)
+        return rest * (1 / (self * rest).as_rational())
 
     def __truediv__(self, other) -> "CycloNum":
         return self * _coerce(other).inverse()
@@ -291,14 +284,7 @@ class CycloNum:
             return self
         if math.gcd(k, self.n) != 1:
             raise BadParameter(f"galois exponent {k} not coprime to {self.n}")
-        ctx = _ctx(self.n)
-        out = [0] * ctx.phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = ctx.pows[(i * k) % self.n]
-                for j in range(ctx.phi):
-                    out[j] += c * row[j]
-        return CycloNum(self.n, out, self.den)
+        return CycloNum(self.n, _substitute(_ctx(self.n), self.num, k), self.den)
 
     def conjugate(self) -> "CycloNum":
         """Complex conjugation: every root of unity to its inverse."""
@@ -477,35 +463,16 @@ def _combine(a, u, b, w):
     return [x // g for x in out] if g > 1 else out
 
 
-def _poly_xgcd_mod(a, b):
-    """s with s*a = 1 mod b, over Fraction coefficients (b irreducible)."""
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def pdivmod(x, y):
-        x = x[:]
-        q = [Fraction(0)] * max(1, len(x) - len(y) + 1)
-        while len(x) >= len(y) and trim(x):
-            f = x[-1] / y[-1]
-            sh = len(x) - len(y)
-            q[sh] = f
-            for i, c in enumerate(y):
-                x[sh + i] -= f * c
-            trim(x)
-        return q, x
-
-    r0, r1 = trim([Fraction(c) for c in b]), trim([Fraction(c) for c in a])
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while r1:
-        q, r = pdivmod(r0, r1)
-        qs = _poly_mul_frac(q, s1)
-        s = [x - y for x, y in _zip_pad(s0, qs)]
-        r0, r1, s0, s1 = r1, trim(r), s1, trim(s)
-    # r0 = gcd (a nonzero constant, since Phi_n is irreducible)
-    c = r0[0]
-    return [x / c for x in s0]
+def _substitute(ctx, num, k):
+    """The vector at conductor ctx.n of sum c_i zeta^(i*k), for the
+    coefficients c_i of ``num``: zeta -> zeta^k, unreduced."""
+    out = [0] * ctx.phi
+    for i, c in enumerate(num):
+        if c:
+            row = ctx.pows[i * k % ctx.n]
+            for j in range(ctx.phi):
+                out[j] += c * row[j]
+    return out
 
 
 def _mul_vec(ctx, a, b):
@@ -525,22 +492,6 @@ def _mul_vec(ctx, a, b):
             for j in range(deg):
                 out[j] += c * row[j]
     return out
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
 
 
 # -- bulk constructors --------------------------------------------------------

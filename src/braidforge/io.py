@@ -156,7 +156,10 @@ def character_from_json(obj, G: FinAbGroup) -> tuple:
     chi = obj["chi"]
     if not isinstance(chi, list) or len(chi) != G.order:
         raise SchemaError(f"chi must list {G.order} signs in element order")
-    return tuple(int(c) for c in chi)
+    for c in chi:
+        if type(c) is not int:  # a JSON integer; bool is an int subclass
+            raise SchemaError(f"chi entry {c!r} must be an integer")
+    return tuple(chi)
 
 
 def load_json(path: str):
@@ -165,7 +168,7 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 

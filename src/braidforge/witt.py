@@ -160,15 +160,11 @@ class TauLabel(NamedTuple):
     radical: int
 
 
+@lru_cache(maxsize=None)
 def _radical_generator(p: int) -> CycloNum:
     if p == 2:
         return CycloNum.one() + CycloNum.from_root(Fraction(1, 4))  # 1 + i
     return tau_plus(odd_rank1(p, 1))
-
-
-@lru_cache(maxsize=None)
-def _radical_inverse(p: int) -> CycloNum:
-    return _radical_generator(p).inverse()
 
 
 def tau_image(c: WittClass, p: int) -> TauLabel:
@@ -182,7 +178,9 @@ def tau_image(c: WittClass, p: int) -> TauLabel:
         if p == 2
         else [Fraction(0), Fraction(1, 2)]
     )
-    for rad_exp, val in ((0, tau), (1, tau * _radical_inverse(p))):
+    # g * conj(g) = |g|^2 is p (2 for g = 1 + i), a positive rational, so
+    # tau * conj(g) and tau / g have the same label
+    for rad_exp, val in ((0, tau), (1, tau * _radical_generator(p).conjugate())):
         for u in units:
             r = (val * CycloNum.from_root(-u)).as_rational()
             if r is not None and r > 0:

@@ -1,4 +1,5 @@
-"""Fuzzed CLI contract: mutated ring and datum JSON end with an exit code.
+"""Fuzzed CLI contract: mutated ring, datum and character JSON end with
+an exit code.
 
 Each case writes one mutated document and runs ``cli.main`` on it
 in-process.  Whatever the mutation (a field of the wrong type, a list
@@ -33,6 +34,8 @@ RINGS = [bio.ring_to_json(ising_ring()), bio.ring_to_json(group_ring(FinAbGroup(
 DATA = [bio.datum_to_json(ising_datum(F(1, 16), 1)),
         bio.datum_to_json(ising_datum(F(3, 16), -1)),
         bio.datum_to_json(pointed_datum(a_form()))]
+FORM = bio.qform_to_json(a_form())  # on Z/2
+CHARACTERS = [{"chi": [1, 1]}, {"chi": [1, -1]}]
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-10, 10) | st.floats(allow_nan=True)
@@ -133,3 +136,38 @@ def test_hostile_conductors_exit_3_quickly():
                              {"ring": ring, "twists": twists, "dims": dims})
         assert code == 3 and f"conductor {n} exceeds conductor_guard = {GUARD}" in err
         assert time.perf_counter() - start < 1.0
+
+
+def run_pointed(doc):
+    """``catalog pointed`` on the form FORM, with ``doc`` as its --chi."""
+    with tempfile.TemporaryDirectory() as tmp:
+        form = os.path.join(tmp, "form.json")
+        with open(form, "w") as fh:
+            json.dump(FORM, fh)
+        return run_case(["catalog", "pointed", "--form", form, "--chi"], doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CHARACTERS).flatmap(mutated))
+def test_catalog_pointed_survives_mutated_characters(doc):
+    run_pointed(doc)
+
+
+def test_non_integer_character_entries_exit_2():
+    # "x" and null were tracebacks, and [1.0, -1.5] passed as [1, -1]
+    for chi in (["x", 1], [None, 1], [1.0, -1.5], [1, True]):
+        code, err = run_pointed({"chi": chi})
+        assert code == 2 and "must be an integer" in err, (chi, err)
+
+
+def test_integer_past_the_digit_limit_exits_2():
+    # json.load raises a plain ValueError past int's string-conversion limit
+    text = json.dumps(dict(RINGS[0], unit=0)).replace('"unit": 0', '"unit": ' + "9" * 5000)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ring.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["fusion", "check", path])
+    assert code == 2 and err.getvalue().startswith("SchemaError: invalid JSON")

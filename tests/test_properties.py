@@ -9,6 +9,7 @@ from braidforge.abelian import FinAbGroup, canonical_form
 from braidforge.cyclotomic import CycloNum, root_sum
 from braidforge.qform import direct_sum, random_form, validate
 from braidforge.witt import tau_plus
+from test_numeric_oracle import as_complex, close
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 root_exps = st.builds(F, st.integers(0, 47), st.just(48))
@@ -29,6 +30,23 @@ def test_field_axioms(a, b, c):
     assert a + b == b + a and a * b == b * a
     if not a.is_zero():
         assert a * a.inverse() == CycloNum.one()
+
+
+# odd and composite conductors, with non-cyclic Galois groups at 8, 12,
+# 15, 20 and 21 and joins up to 420
+mixed_exps = st.sampled_from([1, 3, 4, 5, 7, 8, 9, 12, 15, 20, 21]).flatmap(
+    lambda b: st.builds(F, st.integers(0, b - 1), st.just(b))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(mixed_exps, fractions), min_size=1, max_size=2).map(root_sum))
+def test_inverse_over_mixed_conductors(a):
+    if a.is_zero():
+        return
+    inv = a.inverse()
+    assert a * inv == CycloNum.one()
+    assert close(as_complex(inv), 1 / as_complex(a))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Gauss sums and the Witt group."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -152,7 +153,7 @@ def _tau_image_by_division(c, p):
     raise AssertionError(f"no label for {lab}")
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_tau_image_matches_division_reference(p):
     orders = (2, 4, 8) if p == 2 else (p, p * p)
     labels = [
@@ -165,6 +166,15 @@ def test_tau_image_matches_division_reference(p):
     for lab in labels:
         c = WittClass(((p, lab),))
         assert tau_image(c, p) == _tau_image_by_division(c, p), lab
+
+
+def test_tau_image_of_a_large_prime_is_quick():
+    # the rank-1 generator at p = 251, an order just under the default
+    # enum_guard; inverting its Gauss sum in Q(zeta_251) took minutes
+    start = time.perf_counter()
+    lab = tau_image(witt_class(odd_rank1(251, 1)), 251)
+    assert (lab.unit, lab.radical) == (F(0), 1)
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
