@@ -19,9 +19,12 @@ subring lattice, so each repetition gets a fresh datum on a fresh ring,
 built before its clock starts; the sweep also lists the lattice first.
 The ``ring_from_json`` rows parse a rank-12 table (Ising x Z/4) first,
 with the interned rings cleared before each repetition, and again, when
-the lookup returns the ring already validated.  The ``_ctx`` row builds
-the root table at the default ``conductor_guard``, the largest
-conductor a datum may reach unless the guard is raised.  The
+the lookup returns the ring already validated.  The ``_ctx`` rows build
+the reduction data of one conductor (Phi_n and its sparse tail): at the
+default ``conductor_guard`` 2310, the largest conductor a datum may
+reach unless the guard is raised; at 2257 = 37 * 61 (phi = 2160) just
+below it; and at 15015, the joined conductor of twists of orders 3, 5,
+7, 11 and 13.  The
 ``CycloNum.inverse`` rows invert one seeded element at each conductor
 n (a sum of four weighted n-th roots of unity).  The ``tau_image`` rows
 label the Witt class of the rank-1 form x^2/p, with the cached
@@ -163,15 +166,15 @@ def workloads():
     out.append(("ring_from_json rank 12, first parse", bio.ring_from_json, 5, unseen_table))
     out.append(("ring_from_json rank 12, repeated parse", bio.ring_from_json, 20, seen_table))
 
-    n = DEFAULT.conductor_guard
+    for n in (DEFAULT.conductor_guard, 2257, 15015):
+        def unbuilt_ctx(n=n):
+            cyclotomic._CTX.pop(n, None)
+            return n
 
-    def unbuilt_ctx():
-        cyclotomic._CTX.pop(n, None)
-        return n
+        note = " (default conductor_guard)" if n == DEFAULT.conductor_guard else ""
+        out.append((f"_ctx({n}){note}", cyclotomic._ctx, 3, unbuilt_ctx))
 
-    out.append((f"_ctx({n}) (default conductor_guard)", cyclotomic._ctx, 3, unbuilt_ctx))
-
-    for m in (8, 24, 60, 120, 240):  # not n: unbuilt_ctx reads n when it runs
+    for m in (8, 24, 60, 120, 240):
         rng = random.Random(m)
         a = cyclotomic.root_sum([(Fraction(1, m), 1)] + [
             (Fraction(rng.randrange(m), m), Fraction(rng.randint(-3, 3), rng.randint(1, 4)))

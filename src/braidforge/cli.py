@@ -50,18 +50,19 @@ def _emit(report: dict, cfg, out_path):
         for k, v in report["data"].items():
             lines.append(f"  {k} = {json.dumps(v)}")
         text = "\n".join(lines) + "\n"
-    if out_path:
-        _write_atomic(out_path, text)
-    else:
-        sys.stdout.write(text)
+    _write(out_path, text)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` through a unique temp file beside it.
+def _write(path, text: str) -> None:
+    """Write ``text`` to stdout, or with ``path`` (``--out``) replace
+    ``path`` with it through a unique temp file beside it.
 
     Concurrent writers never share a temp file, and a failed write
     leaves neither a temp file nor a partial ``path`` behind.
     """
+    if not path:
+        sys.stdout.write(text)
+        return
     import tempfile  # only --out needs it; keeps it off the CLI's import path
 
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
@@ -265,11 +266,7 @@ def cmd_catalog(args, cfg) -> int:
         D1 = bio.datum_from_json(bio.load_json(args.left), cfg)
         D2 = bio.datum_from_json(bio.load_json(args.right), cfg)
         D = premodular.deligne_product(D1, D2, cfg)
-    text = json.dumps(bio.datum_to_json(D), indent=2) + "\n"
-    if args.out:
-        _write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(bio.datum_to_json(D), indent=2) + "\n")
     return 0
 
 

@@ -23,8 +23,10 @@ class Config:
     # |G| <= aut_guard test alone does not bound |Aut(G)| usefully
     # (|Aut((Z/2)^5)| = |GL_5(F_2)| = 9999360).
     # conductor_guard: cyclotomic fields of larger conductor are refused
-    # before their root table (n rows of phi(n) integers) is built;
-    # _ctx(2310) takes 0.4-0.5 s on 2 cores (benchmarks/bench_kernels.py).
+    # before any arithmetic in them.  The field itself is cheap (_ctx(2310)
+    # takes about 5 ms, benchmarks/bench_kernels.py); the guard bounds
+    # what runs in it: build's r^3 products of phi(L)-term vectors at the
+    # joined conductor L, and the phi(n) products of one norm inverse.
     def __init__(self, tolerance: float = 1e-6, enum_guard: int = 256, aut_guard: int = 64,
                  rank_guard: int = 12, output: str = "json", aut_count_cap: int = 2_000_000,
                  conductor_guard: int = 2310):
@@ -55,7 +57,8 @@ class Config:
         return "Config(%s)" % ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
 
     def check_conductor(self, n: int) -> None:
-        """Refuse Q(zeta_n) before its root table is built."""
+        """Refuse Q(zeta_n) before any arithmetic in it, whose products
+        cost O(phi(n)^2) each."""
         if n > self.conductor_guard:
             raise EnumerationLimit(
                 f"conductor {n} exceeds conductor_guard = {self.conductor_guard}"

@@ -8,7 +8,11 @@ leave as reduced fractions r in [0,1) denoting e^(2*pi*i*r).
 
 The integer-vector layout keeps the hot paths (products of root sums,
 Gauss sums, S-matrix entries) in machine-integer convolutions; a single
-gcd pass restores canonical form afterwards.  Descent to a subfield
+gcd pass restores canonical form afterwards.  Every reduction mod Phi_n
+(products, root shifts, substitutions, sums of roots) is one routine,
+``_reduce``, which rewrites the top degree down by the sparse tail of
+Phi_n; a conductor keeps only that tail, so its context costs O(n)
+to build and to hold.  Descent to a subfield
 Q(zeta_m) is a projection cached per (n, m): phi(m) coordinates on which
 the embedded basis of Q(zeta_m) is invertible, and that inverse as an
 integer matrix over one denominator.  Projecting and lifting back is
@@ -48,72 +52,49 @@ def root_exp(num, den=None) -> RootExp:
 _CTX: dict = {}
 
 
-def _poly_divexact(a, b):
-    """Exact division of integer polynomials (leading coeff of b = +-1)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        coef = a[i] // lb
-        q[i - db] = coef
-        if coef:
-            for j in range(db + 1):
-                a[i - db + j] -= coef * b[j]
-    assert all(c == 0 for c in a), "inexact cyclotomic division"
-    return q
-
-
 def cyclotomic_polynomial(n: int) -> list:
-    """Integer coefficients of Phi_n, low degree first."""
-    if n == 1:
-        return [-1, 1]
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divexact(poly, cyclotomic_polynomial(d))
+    """Integer coefficients of Phi_n, low degree first.
+
+    Phi_n = prod over squarefree e | n of (x^(n/e) - 1)^mu(e) (Lang,
+    Algebra, VI 3).  The factors with mu(e) = +1 are multiplied in
+    first, so each division by x^d - 1 that follows is exact.
+    """
+    ps = primes_of(n)
+    steps = []
+    for mask in range(1 << len(ps)):
+        e = math.prod(p for i, p in enumerate(ps) if mask >> i & 1)
+        steps.append((mask.bit_count() % 2, n // e))  # (mu(e) = -1, n/e)
+    poly = [1]
+    for divide, d in sorted(steps):
+        if divide:  # q with q * (x^d - 1) = poly, from the top: q_j = poly_(j+d) + q_(j+d)
+            poly = poly[d:]
+            for j in range(len(poly) - d - 1, -1, -1):
+                poly[j] += poly[j + d]
+        else:  # poly * (x^d - 1)
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
     return poly
 
 
 class _Ctx:
-    """Cached reduction data for one conductor."""
+    """Cached reduction data for one conductor.
+
+    ``tail`` is the sparse form of x^phi mod Phi_n, [(j, -c_j)] over the
+    nonzero coefficients c_j of the monic Phi_n below its top degree;
+    ``_reduce`` is the one reduction mod Phi_n, and uses only it.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.phi = _euler_phi(n)
-        self.poly = cyclotomic_polynomial(n)
-        deg = self.phi
-        # x^k mod Phi_n for k = 0 .. max(n-1, 2*deg-2)
-        top = max(n - 1, 2 * deg - 2)
-        pows = [[0] * deg for _ in range(top + 1)]
-        for k in range(min(deg, top + 1)):
-            pows[k][k] = 1
-        for k in range(deg, top + 1):
-            prev = pows[k - 1]
-            shifted = [0] + prev[:]
-            lead = shifted[deg]
-            if lead:
-                for j in range(deg):
-                    shifted[j] -= lead * self.poly[j]
-            pows[k] = shifted[:deg]
-        self.pows = [tuple(v) for v in pows]
+        self.tail = [(j, -c) for j, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c]
         self.root_index: dict = {}
         self.projections: dict = {}  # m -> _projection(self, m), built lazily
         self.modular = None          # _modular(self), built lazily
 
 
 def _euler_phi(n: int) -> int:
-    out = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
-    return out
+    ps = primes_of(n)
+    return n // math.prod(ps) * math.prod(p - 1 for p in ps)
 
 
 def _ctx(n: int) -> _Ctx:
@@ -413,9 +394,11 @@ def _projection(ctx, m):
     is one when p | m, as zeta_n^(j*p) then needs no reduction), so only
     the other columns need elimination.
     """
-    n = ctx.n
-    step = n // m
-    basis = [ctx.pows[(j * step) % n] for j in range(_euler_phi(m))]
+    step, root = ctx.n // m, [1] + [0] * (ctx.phi - 1)
+    basis = []
+    for _ in range(_euler_phi(m)):  # zeta_n^((j+1)*step) from the one before
+        basis.append(root)
+        root = _times_root(ctx, 0, step, root)
     unit = {}
     for j, b in enumerate(basis):
         nz = [i for i, v in enumerate(b) if v]
@@ -463,35 +446,59 @@ def _combine(a, u, b, w):
     return [x // g for x in out] if g > 1 else out
 
 
+def _reduce(ctx, buf):
+    """``buf``, the coefficients of a polynomial, reduced mod Phi_n in place.
+
+    ``buf`` holds from phi to 2n entries.  Those of degree n and up fold
+    down by x^n = 1 (Phi_n divides x^n - 1); then, from the top degree
+    down, c x^k becomes c x^(k-phi) times the tail of Phi_n, and the
+    result is the first phi entries.
+    """
+    n, phi, top = ctx.n, ctx.phi, len(buf)
+    if top > n:
+        for k in range(n, top):
+            buf[k - n] += buf[k]
+        top = n
+    if top > phi:
+        tail = ctx.tail
+        for k in range(top - 1, phi - 1, -1):
+            c = buf[k]
+            if c:
+                base = k - phi
+                for j, t in tail:
+                    buf[base + j] += c * t
+        del buf[phi:]
+    return buf
+
+
+def _times_root(ctx, s, t, v):
+    """(-1)^s zeta^t v at conductor ctx.n: v shifted by t, then reduced."""
+    n, sign = ctx.n, -1 if s % 2 else 1
+    buf = [0] * n
+    for i, c in enumerate(v):
+        buf[(i + t) % n] += sign * c
+    return _reduce(ctx, buf)
+
+
 def _substitute(ctx, num, k):
     """The vector at conductor ctx.n of sum c_i zeta^(i*k), for the
     coefficients c_i of ``num``: zeta -> zeta^k, unreduced."""
-    out = [0] * ctx.phi
+    buf = [0] * ctx.n
     for i, c in enumerate(num):
         if c:
-            row = ctx.pows[i * k % ctx.n]
-            for j in range(ctx.phi):
-                out[j] += c * row[j]
-    return out
+            buf[i * k % ctx.n] += c
+    return _reduce(ctx, buf)
 
 
 def _mul_vec(ctx, a, b):
     """Product of two coefficient vectors at conductor ctx.n, unreduced."""
-    deg = ctx.phi
-    conv = [0] * (2 * deg - 1)
+    conv = [0] * (2 * ctx.phi - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     conv[i + j] += x * y
-    out = conv[:deg]
-    for k in range(deg, 2 * deg - 1):
-        c = conv[k]
-        if c:
-            row = ctx.pows[k]
-            for j in range(deg):
-                out[j] += c * row[j]
-    return out
+    return _reduce(ctx, conv)
 
 
 # -- bulk constructors --------------------------------------------------------
@@ -532,15 +539,10 @@ def level_root_sum(L: int, exps) -> CycloNum:
 def _sum_at(N: int, terms, den: int) -> CycloNum:
     """sum of c (-1)^s zeta_N^t over the terms ((s, t), c), over ``den``."""
     ctx = _ctx(N)
-    acc = [0] * ctx.phi
+    buf = [0] * N
     for (s, t), c in terms:
-        if c == 0:
-            continue
-        row = ctx.pows[t]
-        sign = -c if s else c
-        for j in range(ctx.phi):
-            acc[j] += sign * row[j]
-    return CycloNum(N, acc, den)
+        buf[t] += -c if s else c
+    return CycloNum(N, _reduce(ctx, buf), den)
 
 
 ZERO = CycloNum.zero()

@@ -16,7 +16,7 @@ Each parser imports its layer (``qform``, ``fusion``, ``premodular``,
 Equal ring tables parse to one shared ``FusionRing``: validated rings
 are interned by table in ``fusion`` (process-local, unbounded, like the
 cyclotomic ``_CTX``).  A cyclotomic conductor above ``conductor_guard``
-is refused with ``EnumerationLimit`` before any field table is built.
+is refused with ``EnumerationLimit`` before any arithmetic in that field.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from .cyclotomic import (
     _mul_vec,
     _rank_vec,
     _root_power,
+    _times_root,
     matrix_rank,
     root_exp,
 )
@@ -124,12 +125,6 @@ class _AtL:
             self.pm = pm
             self.ones = [frozenset(y for y in range(r) if pm[y][v] == 1) for v in range(r)]
         return self.pm, self.ones
-
-
-def _times_root(ctx, s, t, v):
-    """(-1)^s zeta^t v at conductor ctx.n."""
-    out = _mul_vec(ctx, ctx.pows[t % ctx.n], v)
-    return [-c for c in out] if s % 2 else out
 
 
 class PreModularDatum:
@@ -280,8 +275,9 @@ def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -
     n = G.order
     if chi is None:
         chi = (1,) * n
-    chi = tuple(int(c) for c in chi)
-    if len(chi) != n or any(c not in (1, -1) for c in chi):
+    chi = tuple(chi)
+    # type(c) is int: a float or bool entry is refused, never truncated
+    if len(chi) != n or any(type(c) is not int or c not in (1, -1) for c in chi):
         raise NotCharacter("chi must be a +-1 table over the elements")
     add = G.add_flat()
     for i in range(n):

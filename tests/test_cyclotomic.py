@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,41 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(8) == [1, 0, 0, 0, 1]
     assert cyclotomic_polynomial(6) == [1, -1, 1]
     assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # prod over d | n of Phi_d = x^n - 1, checked independently of the
+    # Moebius product that builds each Phi_d
+    for n in list(range(1, 201)) + [2310]:
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(prod) + len(phi) - 1)
+                for i, x in enumerate(prod):
+                    if x:
+                        for j, y in enumerate(phi):
+                            out[i + j] += x * y
+                prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_phi_105_is_the_first_with_a_coefficient_outside_unit_range():
+    wide = [n for n in range(1, 106) if set(cyclotomic_polynomial(n)) - {-1, 0, 1}]
+    assert wide == [105]
+    assert min(cyclotomic_polynomial(105)) == -2
+
+
+def test_a_conductor_is_cheap_to_build():
+    from braidforge import cyclotomic
+
+    cyclotomic._CTX.pop(15015, None)
+    start = time.perf_counter()
+    ctx = cyclotomic._ctx(15015)
+    elapsed = time.perf_counter() - start
+    del cyclotomic._CTX[15015]
+    assert ctx.phi == 5760 and len(ctx.tail) <= ctx.phi
+    assert elapsed < 2.0
 
 
 def test_arithmetic_examples():

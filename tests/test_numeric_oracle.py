@@ -11,6 +11,8 @@ import math
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from braidforge.cyclotomic import CycloNum, root_sum
 from braidforge.premodular import ising_datum, pointed_datum
 from braidforge.qform import hyperbolic_plane, random_form
@@ -104,3 +106,44 @@ def test_galois_action_matches_exponent_scaling():
             assert close(got, want)
             exact = root_sum(((r * k) % 1, w) for r, w in terms)
             assert a.galois(k) == exact
+
+
+def shadow(terms, k=1) -> complex:
+    """The value of sum w zeta^(k*r) over (r, w) in ``terms``, in floats."""
+    return sum(float(w) * cmath.exp(2j * cmath.pi * float(r) * k) for r, w in terms)
+
+
+@pytest.mark.parametrize("n, pairs, galois_ks", [
+    (105, 6, None),    # Phi_105 has the coefficient -2
+    (385, 4, 40),      # Phi_385 has coefficients from -3 to 2
+    (2257, 2, 4),      # = 37 * 61, phi = 2160: half of Phi's tail is nonzero
+    (2309, 2, 4),      # prime: every tail coefficient of Phi is -1
+])
+def test_large_conductors_match_complex(n, pairs, galois_ks):
+    """Sums, products and Galois conjugates at conductors whose Phi_n
+    reduces with large or dense tails, against the float shadow of the
+    terms themselves; inverses at 105."""
+    rng = random.Random(n)
+
+    def terms():
+        # a primitive n-th root with weight 1 keeps the conductor at n
+        return [(F(1, n), F(1))] + [
+            (F(rng.randrange(n), n), F(rng.randrange(-6, 7), rng.randrange(1, 5)))
+            for _ in range(5)
+        ]
+
+    units = [k for k in range(1, n) if math.gcd(k, n) == 1]
+    for _ in range(pairs):
+        ta, tb = terms(), terms()
+        a, b = root_sum(ta), root_sum(tb)
+        assert a.conductor == n
+        za, zb = shadow(ta), shadow(tb)
+        assert close(as_complex(a), za) and close(as_complex(b), zb)
+        assert close(as_complex(a + b), za + zb)
+        assert close(as_complex(a * b), za * zb)
+        assert close(as_complex(a.conjugate()), za.conjugate())
+        ks = units if galois_ks is None else rng.sample(units, galois_ks)
+        for k in ks:
+            assert close(as_complex(a.galois(k)), shadow(ta, k))
+        if n == 105:
+            assert close(as_complex(a.inverse()), 1 / za)

@@ -98,6 +98,13 @@ def test_pointed_datum_s_matrix():
         pointed_datum(M, (1, -1, 1, 1))
 
 
+@pytest.mark.parametrize("chi", [(1.0, -1.5), (1.0, 1.0), (True, True), (F(1), F(1)), ("1", "1")])
+def test_pointed_datum_refuses_non_integer_character_entries(chi):
+    # int(-1.5) would be -1: such an entry must be refused, not truncated
+    with pytest.raises(NotCharacter):
+        pointed_datum(qform.a_form(), chi)
+
+
 def test_pointed_nondegeneracy_tracks_form():
     assert is_nondegenerate(pointed_datum(qform.a_form()))
     assert is_nondegenerate(pointed_datum(qform.hyperbolic_plane(3)))
