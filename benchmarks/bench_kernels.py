@@ -12,7 +12,9 @@ Z/2 x Z/2 x Z/4, which no perfbench workload runs.  The
 Z/2 x Z/2 x Z/8 and Z/6 x Z/6, orders like those of form_stream.
 The ``premodular.build`` rows time the exact derivation and check of
 a datum's S-matrix by rank: Ising (3), Ising x Ising (9), and the
-pointed datum of a form on Z/12 (12).  The ``gauss_and_charge`` and
+pointed datum of a form on Z/12 (12), on the library's rings, and
+Ising x Ising again on its ring parsed from JSON (validated and
+interned), the ring every CLI and perfbench datum is built on.  The ``gauss_and_charge`` and
 ``centralizer sweep`` rows time a datum's reports on Ising x Ising and
 the pointed Z/12 datum.  A datum keeps its reports and a ring its
 subring lattice, so each repetition gets a fresh datum on a fresh ring,
@@ -26,7 +28,8 @@ reach unless the guard is raised; at 2257 = 37 * 61 (phi = 2160) just
 below it; and at 15015, the joined conductor of twists of orders 3, 5,
 7, 11 and 13.  The
 ``CycloNum.inverse`` rows invert one seeded element at each conductor
-n (a sum of four weighted n-th roots of unity).  The ``tau_image`` rows
+n (a sum of four weighted n-th roots of unity), up to 840 and 1155,
+the canonical conductor of the default ``conductor_guard``.  The ``tau_image`` rows
 label the Witt class of the rank-1 form x^2/p, with the cached
 radical generator cleared before each repetition.
 
@@ -128,7 +131,9 @@ def workloads():
     ising2 = premodular.deligne_product(ising, premodular.ising_datum(Fraction(3, 16), -1))
     z12 = qform.PreMetricGroup(FinAbGroup((12,)), [Fraction(k * k, 24) for k in range(12)])
     pointed = premodular.pointed_datum(z12)
-    for name, D in (("Ising", ising), ("Ising x Ising", ising2), ("pointed Z/12", pointed)):
+    parsed = bio.datum_from_json(bio.datum_to_json(ising2))
+    for name, D in (("Ising", ising), ("Ising x Ising", ising2), ("pointed Z/12", pointed),
+                    ("Ising x Ising, parsed", parsed)):
         out.append(
             (f"premodular.build {name} (rank {D.rank})",
              lambda D=D: premodular.build(D.ring, D.theta, D.dim), 5)
@@ -174,12 +179,12 @@ def workloads():
         note = " (default conductor_guard)" if n == DEFAULT.conductor_guard else ""
         out.append((f"_ctx({n}){note}", cyclotomic._ctx, 3, unbuilt_ctx))
 
-    for m in (8, 24, 60, 120, 240):
+    for m in (8, 24, 60, 120, 240, 840, 1155):
         rng = random.Random(m)
         a = cyclotomic.root_sum([(Fraction(1, m), 1)] + [
             (Fraction(rng.randrange(m), m), Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
             for _ in range(3)])
-        out.append((f"CycloNum.inverse n={a.conductor}", a.inverse, 5))
+        out.append((f"CycloNum.inverse n={a.conductor}", a.inverse, 5 if m < 1155 else 2))
 
     for p in (101, 251):
         c = witt.witt_class(qform.odd_rank1(p, 1))

@@ -25,8 +25,8 @@ class Config:
     # conductor_guard: cyclotomic fields of larger conductor are refused
     # before any arithmetic in them.  The field itself is cheap (_ctx(2310)
     # takes about 5 ms, benchmarks/bench_kernels.py); the guard bounds
-    # what runs in it: build's r^3 products of phi(L)-term vectors at the
-    # joined conductor L, and the phi(n) products of one norm inverse.
+    # what runs in it: build's products of phi(L)-term vectors at the joined
+    # conductor L (up to r^3), and the few dozen products of one inverse.
     def __init__(self, tolerance: float = 1e-6, enum_guard: int = 256, aut_guard: int = 64,
                  rank_guard: int = 12, output: str = "json", aut_count_cap: int = 2_000_000,
                  conductor_guard: int = 2310):

@@ -17,7 +17,10 @@ Q(zeta_m) is a projection cached per (n, m): phi(m) coordinates on which
 the embedded basis of Q(zeta_m) is invertible, and that inverse as an
 integer matrix over one denominator.  Projecting and lifting back is
 then the exact membership test (cf. T. Breuer, Integral bases for
-subfields of cyclotomic fields, AAECC 8 (1997)).
+subfields of cyclotomic fields, AAECC 8 (1997)).  An inverse is the
+product of the other Galois conjugates over the norm, taken down a
+cyclic decomposition of (Z/n)^* by doubling, so it costs O(log n)
+products per cyclic factor.
 
 ``matrix_rank`` eliminates fraction-free: every entry is lifted to the
 joined conductor, rows are scaled to integer coefficient vectors and
@@ -244,12 +247,30 @@ class CycloNum:
         """Multiplicative inverse by the norm: 1/a = prod_{sigma != 1} sigma(a) / N(a).
 
         The norm N(a), the product of all Galois conjugates of a, is fixed
-        by every sigma, so it is a rational, and nonzero when a is.
+        by every sigma, so it is a rational, and nonzero when a is.  The
+        Galois group (Z/n)^* is a direct product of cyclic groups <g> of
+        order m (``_unit_factors``), so the product runs down them: with
+        b = a, each factor takes r = prod_{j=1}^{m-1} sigma_g^j(b), by
+        doubling (``_orbit``), and b * r, the norm of b to the fixed field
+        of <g>, is the next b.  The product of the r is the product of the
+        conjugates up to a rational, which cancels against a times it.
         """
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        rest = math.prod(self.galois_conjugates()[1:], start=ONE)
-        return rest * (1 / (self * rest).as_rational())
+        if self.n == 1:
+            return CycloNum.from_rational(Fraction(self.den, self.num[0]))
+        ctx = _ctx(self.n)
+        # largest orders first: each factor works on the norm of the ones
+        # before it, whose integers grow with their orders
+        factors = sorted(_unit_factors(self.n), key=lambda f: -f[1])
+        b, rest = list(self.num), None
+        for k, (g, m) in enumerate(factors, 1):
+            r = _primitive(_substitute(ctx, _orbit(ctx, b, g, m - 1), g))
+            rest = r if rest is None else _primitive(_mul_vec(ctx, rest, r))
+            if k < len(factors):
+                b = _primitive(_mul_vec(ctx, b, r))
+        norm = _mul_vec(ctx, list(self.num), rest)[0]   # a rational: a * rest over den
+        return CycloNum(self.n, rest, 1) * Fraction(self.den, norm)
 
     def __truediv__(self, other) -> "CycloNum":
         return self * _coerce(other).inverse()
@@ -410,16 +431,8 @@ def _projection(ctx, m):
     for i in range(ctx.phi):
         if len(hi) == len(rest):
             break
-        if i in pinned:
-            continue
-        v = [basis[j][i] for j in rest]
-        for pos, e in echelon:
-            if v[pos]:
-                v = _combine(e[pos], v, v[pos], e)
-        pos = next((t for t, a in enumerate(v) if a), None)
-        if pos is not None:
+        if i not in pinned and _echelon_add(echelon, [basis[j][i] for j in rest]):
             hi.append(i)
-            echelon.append((pos, v))
     # D * B^-1 by fraction-free Gauss-Jordan on [B | I]; a unit column
     # already has its pivot and needs no work
     coords, cols, k = list(unit.values()) + hi, list(unit) + rest, len(basis)
@@ -439,11 +452,23 @@ def _projection(ctx, m):
     return coords, inv, D, basis
 
 
+def _echelon_add(echelon, v) -> bool:
+    """Reduce the integer vector v, fraction-free, by ``echelon``, a list of
+    (pivot, row) with each row zero at the pivots before it; append what
+    is left and return True, or return False when v lies in their span."""
+    for pos, e in echelon:
+        if v[pos]:
+            v = _combine(e[pos], v, v[pos], e)
+    pos = next((t for t, a in enumerate(v) if a), None)
+    if pos is None:
+        return False
+    echelon.append((pos, v))
+    return True
+
+
 def _combine(a, u, b, w):
     """a*u - b*w, divided by the gcd of its entries."""
-    out = [a * x - b * y for x, y in zip(u, w)]
-    g = math.gcd(*out)
-    return [x // g for x in out] if g > 1 else out
+    return _primitive([a * x - b * y for x, y in zip(u, w)])
 
 
 def _reduce(ctx, buf):
@@ -488,6 +513,56 @@ def _substitute(ctx, num, k):
         if c:
             buf[i * k % ctx.n] += c
     return _reduce(ctx, buf)
+
+
+def _primitive(v):
+    """v divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _unit_factors(n: int) -> list:
+    """(g, m) per cyclic factor of (Z/n)^*: g of order m, and (Z/n)^* the
+    direct product of the <g>.
+
+    A primitive root per odd prime power p^e, and -1 and 5 (of order
+    2^(e-2)) for 2^e, each lifted by CRT to 1 mod the other prime powers
+    (Ireland and Rosen, A Classical Introduction to Modern Number
+    Theory, ch. 4).
+    """
+    out = []
+    for p in primes_of(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        if p == 2:
+            local = [(q - 1, 2)] if q > 2 else []
+            if q >= 8:
+                local.append((5, q // 4))
+        else:
+            g = next(g for g in range(2, p)
+                     if all(pow(g, (p - 1) // s, p) != 1 for s in primes_of(p - 1)))
+            if pow(g, p - 1, p * p) == 1:   # then g + p is a primitive root mod p^e
+                g += p
+            local = [(g, q // p * (p - 1))]
+        rest = n // q
+        for g, m in local:   # g mod q, 1 mod rest
+            out.append(((g + q * ((1 - g) * pow(q, -1, rest) % rest)) % n, m))
+    return out
+
+
+def _orbit(ctx, b, g, m):
+    """prod_{j<m} sigma_g^j(b) for m >= 1, by doubling: P(2t) is
+    P(t) sigma_g^t(P(t)), and P(t+1) is b sigma_g(P(t)); up to a rational."""
+    P, t = None, 0
+    for bit in bin(m)[2:]:
+        if t:
+            P = _primitive(_mul_vec(ctx, P, _substitute(ctx, P, pow(g, t, ctx.n))))
+            t *= 2
+        if bit == "1":
+            P = list(b) if not t else _primitive(_mul_vec(ctx, b, _substitute(ctx, P, g)))
+            t += 1
+    return P
 
 
 def _mul_vec(ctx, a, b):

@@ -14,8 +14,9 @@ too; subtracting one recovers the eigenvalue.
 
 Validated rings are interned by table: ``validate_ring`` returns the
 ring it already built for an equal (labels, unit, dual, N), so data on
-one table share its FP dimensions and subring lattice.  Like ``_CTX``
-in ``cyclotomic``, the cache is process-local and unbounded.
+one table share its FP dimensions, subring lattice and algebra
+generators.  Like ``_CTX`` in ``cyclotomic``, the cache is process-local
+and unbounded.
 """
 
 from __future__ import annotations
@@ -44,17 +45,22 @@ _RINGS: dict = {}  # (labels, unit, dual, N) -> the validated FusionRing
 
 
 class FusionRing:
-    # N[i][j][k], non-negative ints.  Built on first use: _fpdim, the Perron
-    # eigenvalues of the left multiplications; _lattice, the subring index tuples.
-    __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_fpdim", "_lattice")
+    # N[i][j][k], non-negative ints.  _valid: the unit law and associativity
+    # are known to hold (set by validate_ring and the standard constructions).
+    # Built on first use: _fpdim, the Perron eigenvalues of the left
+    # multiplications; _lattice, the subring index tuples; _gens, the
+    # indices of algebra_generators.
+    __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_valid", "_fpdim",
+                 "_lattice", "_gens")
 
-    def __init__(self, labels: tuple, unit: int, dual: tuple, N: tuple):
+    def __init__(self, labels: tuple, unit: int, dual: tuple, N: tuple, valid: bool = False):
         self.labels, self.unit, self.dual, self.N = labels, unit, dual, N
         self._constituents = tuple(
             tuple(tuple(k for k, m in enumerate(row) if m > 0) for row in plane)
             for plane in N
         )
-        self._fpdim = self._lattice = None
+        self._valid = valid
+        self._fpdim = self._lattice = self._gens = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -137,7 +143,7 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
                     N[x][y][z] == N[dual[z]][x][dual[y]] == N[y][dual[z]][dual[x]]
                 ):
                     raise FrobeniusFail(f"Frobenius symmetry fails at ({x}, {y}, {z})")
-    return _RINGS.setdefault(key, FusionRing(labels, unit, dual, N))
+    return _RINGS.setdefault(key, FusionRing(labels, unit, dual, N, True))  # valid
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +159,7 @@ def group_ring(G: FinAbGroup) -> FusionRing:
         for j in range(n):
             N[i][j][add[i * n + j]] = 1
     labels = tuple("g" + "".join(str(c) for c in e) if e else "1" for e in G.elements())
-    return FusionRing(labels, 0, tuple(G.neg_flat()), _freeze(N))
+    return FusionRing(labels, 0, tuple(G.neg_flat()), _freeze(N), valid=True)
 
 
 def ising_ring() -> FusionRing:
@@ -173,11 +179,12 @@ def ising_ring() -> FusionRing:
     for (i, j), ks in table.items():
         for k in ks:
             N[i][j][k] = 1
-    return FusionRing(("1", "delta", "X"), 0, (0, 1, 2), _freeze(N))
+    return FusionRing(("1", "delta", "X"), 0, (0, 1, 2), _freeze(N), valid=True)
 
 
 def product_ring(R1: FusionRing, R2: FusionRing) -> FusionRing:
-    """Basis = pairs, structure constants multiply."""
+    """Basis = pairs, structure constants multiply; the unit law and
+    associativity hold when they hold in both factors."""
     r1, r2 = R1.rank, R2.rank
     labels = tuple(
         f"{R1.labels[i]}*{R2.labels[j]}" for i in range(r1) for j in range(r2)
@@ -200,7 +207,7 @@ def product_ring(R1: FusionRing, R2: FusionRing) -> FusionRing:
                             if m2:
                                 N[i][j][c1 * r2 + c2] = m1 * m2
     unit = R1.unit * r2 + R2.unit
-    return FusionRing(labels, unit, dual, _freeze(N))
+    return FusionRing(labels, unit, dual, _freeze(N), valid=R1._valid and R2._valid)
 
 
 def _freeze(N):
@@ -346,6 +353,71 @@ def _subring_lattice(R: FusionRing) -> tuple:
                 found.add(ext)
                 queue.append(ext)
     return tuple(sorted(found, key=lambda s: (len(s), s)))
+
+
+# ---------------------------------------------------------------------------
+# algebra generators
+# ---------------------------------------------------------------------------
+
+def algebra_generators(R: FusionRing) -> tuple:
+    """Sorted basis indices whose words, from the unit, span R over Q.
+
+    A linear map phi with phi(1) = 1 that satisfies
+    phi(yz) = phi(y) phi(z) for these y and every z is a character: the
+    y for which that holds span a unital subalgebra, by the unit law and
+    associativity, so it is all of R.  A ring not known to satisfy
+    those axioms (one built directly, not by ``validate_ring`` or a
+    standard construction) gets every index.  This is not
+    ``subring_generated``, which closes under constituents: {1*X, X*X}
+    generates Ising x Ising as a fusion ring but spans only 7 of its 9
+    dimensions as an algebra.
+
+    Greedy: each step adds the index that makes the unital algebra of
+    the chosen ones largest (the least index on ties), computed by exact
+    fraction-free elimination.  Built once per ring.
+    """
+    if R._gens is None:
+        R._gens = tuple(sorted(_greedy_generators(R))) if R._valid else tuple(range(R.rank))
+    return R._gens
+
+
+def _greedy_generators(R: FusionRing) -> list:
+    from .cyclotomic import _echelon_add
+
+    r = R.rank
+    echelon, gens = [(R.unit, [int(k == R.unit) for k in range(r)])], []
+    while len(echelon) < r:
+        best = None
+        for i in range(r):
+            if not _echelon_add(list(echelon), [int(k == i) for k in range(r)]):
+                continue   # e_i already lies in the algebra
+            trial = _close(R, echelon, gens, i)
+            if best is None or len(trial) > len(best[1]):
+                best = (i, trial)
+        gens.append(best[0])
+        echelon = best[1]
+    return gens
+
+
+def _close(R: FusionRing, echelon: list, gens: list, i: int) -> list:
+    """Echelon rows of the span of ``echelon``, which left multiplication
+    by ``gens`` keeps, closed under left multiplication by i too; a new
+    list.  The span is closed once every row has met every generator."""
+    from .cyclotomic import _echelon_add
+
+    echelon, every = list(echelon), gens + [i]
+    todo = [(row, (i,)) for _, row in echelon]
+    while todo and len(echelon) < R.rank:
+        w, by = todo.pop()
+        for g in by:
+            u = [0] * R.rank   # e_g * w
+            for v, c in enumerate(w):
+                if c:
+                    for k in R.constituents(g, v):
+                        u[k] += c * R.N[g][v][k]
+            if _echelon_add(echelon, u):
+                todo.append((echelon[-1][1], every))
+    return echelon
 
 
 def adjoint_subring(R: FusionRing) -> FusionSubring:

@@ -8,8 +8,19 @@ dimensions, S symmetric and dual-invariant, first row = dimensions,
 and the product relation s_{XY} s_{XZ} = d(X) sum_W N_{YZ}^W s_{XW}.
 S is derived and its identities are checked at one conductor L, as
 integer coefficient vectors over one denominator; the datum keeps
-those vectors, and only the stored entries of S and of
-s~ = d^-1 S d^-1 are put in canonical form.
+those vectors.  s~ = d^-1 S d^-1 is made from them too, with one inverse
+per distinct dimension, and only the stored entries of S and s~ are put
+in canonical form.
+
+The product relation says that each normalized row Y -> s_{XY} / d(X)
+is a character of the ring.  A linear map with value 1 at the unit that
+is multiplicative on a set of algebra generators Y (every Z) is a
+character, by the unit law and associativity, so on a ring known to
+satisfy those axioms ``build`` checks the relation on the rows Y of
+``fusion.algebra_generators`` only: |Y| r^2 products in place of r^3/2.
+A row X that fails there is scanned over every (Y, Z), so the error
+names the same first failing (X, Y, Z); a ring not known to satisfy the
+axioms (one made with ``FusionRing(...)`` directly) gets every row.
 
 The reports run on the same vectors and make CycloNums only for the
 values they return.  s~_{YV} = 1 is tested as s_{YV} = d(Y) d(V),
@@ -57,6 +68,7 @@ from .errors import (
 from .fusion import (
     FusionRing,
     FusionSubring,
+    algebra_generators,
     all_subrings,
     components,
     fp_dims,
@@ -186,6 +198,9 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     L joins the twists' and the dimensions' conductors and D the
     dimensions' denominators.  Entries of S are vectors at L over D, the
     product relation's sides over D^2, so each identity is list equality.
+    The product relation is checked on the rows Y of the ring's algebra
+    generators (see the module docstring), each product made when a
+    check first needs it.
     """
     r = ring.rank
     theta = tuple(root_exp(t) for t in theta)
@@ -241,27 +256,48 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
                 raise SymmetryFail(f"S not dual-invariant at ({x}, {y})")
         if S[ring.unit][x] != dv[x]:
             raise SymmetryFail(f"S[unit][{x}] != d({ring.labels[x]})")
+    # the product relation on the rows of algebra generators; a row that
+    # fails there is scanned in full, so the first failing (X, Y, Z) is named
+    gens = algebra_generators(ring)
     for x in range(r):
         Sx = S[x]
         dS = [_mul_vec(ctx, dv[x], v) for v in Sx]   # d_x S_xw, over D^2
-        lhs = {(y, z): _mul_vec(ctx, Sx[y], Sx[z]) for y in range(r) for z in range(y, r)}
-        for y in range(r):
-            for z in range(r):
-                if lhs[min(y, z), max(y, z)] != weighted_sum(ring.N[y][z], dS):
-                    raise VerlindeFail(
-                        f"product relation fails at (X, Y, Z) = "
-                        f"({ring.labels[x]}, {ring.labels[y]}, {ring.labels[z]})"
-                    )
-    # canonical form once per distinct entry
-    canon = {k: CycloNum(L, k, D) for k in {tuple(v) for row in S for v in row}}
-    S_num = tuple(tuple(canon[tuple(v)] for v in row) for row in S)
-    # one inverse per distinct dimension; S~ is symmetric, as S is
+        prods = {}
+
+        def holds(y, z):   # s_xy s_xz = d_x sum_w N_yz^w s_xw, over D^2
+            key = (y, z) if y <= z else (z, y)
+            if key not in prods:
+                prods[key] = _mul_vec(ctx, Sx[y], Sx[z])
+            return prods[key] == weighted_sum(ring.N[y][z], dS)
+
+        if all(holds(y, z) for y in gens for z in range(r)):
+            continue
+        y, z = next((y, z) for y in range(r) for z in range(r) if not holds(y, z))
+        raise VerlindeFail(
+            f"product relation fails at (X, Y, Z) = "
+            f"({ring.labels[x]}, {ring.labels[y]}, {ring.labels[z]})"
+        )
+
+    def canonical(vecs, den):   # one canonical form per distinct entry
+        forms = {k: CycloNum(L, k, den) for k in {tuple(v) for row in vecs for v in row}}
+        return tuple(tuple(forms[tuple(v)] for v in row) for row in vecs)
+
+    # s~_xy = s_xy d_x^-1 d_y^-1, symmetric as S is: one inverse per distinct
+    # dimension, lifted to L over one denominator E, and d_x^-1 d_y^-1 once
+    # per pair of dimensions
     inv = {d: d.inverse() for d in set(dim)}
+    E = reduce(math.lcm, (v.den for v in inv.values()), 1)
+    slot = {d: k for k, d in enumerate(inv)}
+    iv = [[c * (E // v.den) for c in v._lift(L)] for v in inv.values()]
+    pairs = {}
     St = [[None] * r for _ in range(r)]
     for x in range(r):
         for y in range(x, r):
-            St[x][y] = St[y][x] = S_num[x][y] * inv[dim[x]] * inv[dim[y]]
-    return PreModularDatum(ring, theta, dim, S_num, tuple(map(tuple, St)),
+            key = tuple(sorted((slot[dim[x]], slot[dim[y]])))
+            if key not in pairs:
+                pairs[key] = _mul_vec(ctx, iv[key[0]], iv[key[1]])
+            St[x][y] = St[y][x] = _mul_vec(ctx, S[x][y], pairs[key])   # over D E^2
+    return PreModularDatum(ring, theta, dim, canonical(S, D), canonical(St, D * E * E),
                            _at=_AtL(ctx, D, S, dv, qd, roots))
 
 

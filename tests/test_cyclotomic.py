@@ -81,6 +81,37 @@ def test_inverses():
         CycloNum.zero().inverse()
 
 
+def test_unit_factors_decompose_the_galois_group():
+    from braidforge.cyclotomic import _unit_factors
+
+    for n in [n for n in range(3, 400) if n % 4 != 2] + [840, 1155, 2257]:
+        units = {k for k in range(1, n) if math.gcd(k, n) == 1}
+        factors = _unit_factors(n)
+        prods = [1]
+        for g, m in factors:
+            assert pow(g, m, n) == 1
+            prods = [x * pow(g, j, n) % n for x in prods for j in range(m)]
+        # each unit exactly once: the <g> are cyclic of order m, and their
+        # product is direct and is all of (Z/n)^*
+        assert sorted(prods) == sorted(units), n
+
+
+def test_inverse_near_the_conductor_guard_is_bounded():
+    # the canonical conductor of the default conductor_guard 2310 is 1155
+    # (phi = 480); inverting by every Galois conjugate took about a minute
+    for n in (840, 1155):
+        rng = random.Random(n)
+        a = root_sum([(F(1, n), 1)] + [(F(rng.randrange(n), n), F(rng.randint(-3, 3),
+                                                                rng.randint(1, 4)))
+                                       for _ in range(3)])
+        assert a.conductor == n
+        start = time.perf_counter()
+        inv = a.inverse()
+        elapsed = time.perf_counter() - start
+        assert a * inv == ONE
+        assert elapsed < 15.0, (n, elapsed)
+
+
 def test_conjugation():
     assert (ONE + I).conjugate() == ONE - I
     z5 = CycloNum.from_root(F(1, 5))

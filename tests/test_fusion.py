@@ -320,3 +320,81 @@ def test_invalid_table_raises_on_every_parse(monkeypatch):
         with pytest.raises(AssociativityFail, match=r"at \(1, 2, 2\) -> 0"):
             validate_ring(I.labels, I.unit, I.dual, bad)
     assert fusion._RINGS == {}
+
+
+# -- algebra generators -------------------------------------------------------
+
+def _word_span_rank(R, gens):
+    """Rank over Q, by elimination in Fractions, of the words in ``gens``
+    (right products, from the unit), grown a letter at a time until no
+    word adds to the span."""
+    from fractions import Fraction
+
+    r = R.rank
+    unit = [0] * r
+    unit[R.unit] = 1
+    echelon = []   # (pivot, row with 1 there)
+
+    def add(v):
+        v = [Fraction(c) for c in v]
+        for p, e in echelon:
+            if v[p]:
+                v = [a - v[p] * b for a, b in zip(v, e)]
+        p = next((i for i, c in enumerate(v) if c), None)
+        if p is None:
+            return False
+        echelon.append((p, [c / v[p] for c in v]))
+        return True
+
+    add(unit)
+    frontier = [unit]
+    while frontier:
+        longer = []
+        for w in frontier:
+            for g in gens:
+                wg = [sum(w[u] * R.N[u][g][k] for u in range(r)) for k in range(r)]
+                if add(wg):
+                    longer.append(wg)
+        frontier = longer
+    return len(echelon)
+
+
+def test_algebra_generators_span_the_ring():
+    from braidforge import io as bio
+    from braidforge.fusion import algebra_generators
+    from test_abelian import invariant_shapes
+
+    I = ising_ring()
+    rings = [I, product_ring(I, I), s3_character_ring()]
+    rings += [group_ring(FinAbGroup(s)) for s in invariant_shapes(16)]
+    rings.append(bio.ring_from_json(bio.ring_to_json(group_ring(FinAbGroup((2, 2, 2))))))
+    for R in rings:
+        gens = algebra_generators(R)
+        assert R._gens is gens and algebra_generators(R) is gens   # built once
+        assert _word_span_rank(R, gens) == R.rank, R
+        # and none of them can be dropped
+        assert all(_word_span_rank(R, [g for g in gens if g != h]) < R.rank for h in gens)
+    labels = {tuple(R.labels[i] for i in algebra_generators(R)) for R in rings[:2]}
+    assert labels == {("X",), ("1*X", "X*1")}
+    assert len(algebra_generators(group_ring(FinAbGroup((16,))))) == 1
+    assert len(algebra_generators(rings[-1])) == 3   # (Z/2)^3, parsed
+
+
+def test_subring_closure_is_not_algebra_generation():
+    from braidforge.fusion import algebra_generators
+
+    II = product_ring(ising_ring(), ising_ring())
+    trap = (II.labels.index("1*X"), II.labels.index("X*X"))
+    assert subring_generated(II, trap).indices == tuple(range(9))
+    assert _word_span_rank(II, trap) == 7
+    assert _word_span_rank(II, algebra_generators(II)) == 9
+
+
+def test_a_ring_not_known_to_be_associative_gets_every_index():
+    from braidforge.fusion import FusionRing, algebra_generators
+
+    I = ising_ring()
+    assert algebra_generators(FusionRing(I.labels, I.unit, I.dual, I.N)) == (0, 1, 2)
+    P = product_ring(I, FusionRing(I.labels, I.unit, I.dual, I.N))
+    assert algebra_generators(P) == tuple(range(9))
+    assert len(algebra_generators(product_ring(I, I))) == 2

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -496,6 +497,58 @@ def test_build_matches_reference_on_data_and_mutations():
             if isinstance(got[0], type):
                 failures.add(got[0].__name__)
     assert {"SymmetryFail", "VerlindeFail"} <= failures
+
+
+def test_parsed_data_match_reference_on_mutations():
+    # a parsed ring is validated, so build checks the product relation on
+    # the rows of its algebra generators only; the same twist and dimension
+    # mutations as above, made in the JSON, must end as the full check does
+    from braidforge import io as bio
+    from braidforge.fusion import algebra_generators
+
+    rng = random.Random(7)
+    scales = [CycloNum.from_root(F(k, 8)) for k in range(8)]
+    scales += [CycloNum.from_rational(q) for q in (2, F(1, 2), F(-2, 3))]
+    failures = set()
+    for D in _build_corpus():
+        doc = bio.datum_to_json(D)
+        R = bio.datum_from_json(doc).ring
+        assert R._valid and len(algebra_generators(R)) < R.rank
+        for _ in range(4):
+            i = rng.randrange(1, R.rank)
+            t, d = list(D.theta), list(D.dim)
+            if rng.random() < 0.5:
+                t[i] = F(rng.randrange(48), 48)
+            else:
+                d[i] = d[i] * rng.choice(scales)
+                d[R.dual[i]] = d[i].conjugate()
+            mutated = dict(doc, twists=[bio.fraction_str(x) for x in t],
+                           dims=[bio.cyclo_to_json(x) for x in d])
+            got = _outcome(bio.datum_from_json, mutated)
+            if isinstance(got, PreModularDatum):
+                got = (got.S, got.S_tilde)
+            want = _outcome(_reference_build, R, t, d)
+            assert got == want, (R, t, d)
+            if isinstance(want[0], type):
+                failures.add(want[0].__name__)
+    assert {"SymmetryFail", "VerlindeFail"} <= failures
+
+
+def test_failing_datum_near_the_conductor_guard_ends_quickly():
+    # (Z/2)^3 with one twist of order 2257 = 37 * 61 (phi = 2160), under the
+    # default conductor_guard 2310; every product took about 6 s to fail
+    from braidforge import io as bio
+
+    ring = bio.ring_to_json(group_ring(FinAbGroup((2, 2, 2))))
+    one = {"conductor": 1, "coeffs": ["1"]}
+    for den in (1021, 2257):
+        doc = {"ring": ring, "twists": ["0", f"1/{den}"] + ["0"] * 6, "dims": [one] * 8}
+        start = time.perf_counter()
+        with pytest.raises(VerlindeFail) as err:
+            bio.datum_from_json(doc)
+        elapsed = time.perf_counter() - start
+        assert str(err.value) == "product relation fails at (X, Y, Z) = (g001, g001, g001)"
+        assert elapsed < 3.0, (den, elapsed)
 
 
 def test_build_reports_each_s_identity():
