@@ -1,0 +1,54 @@
+"""The committed CLI corpus: every record in ``golden/records.json`` replays
+byte for byte.
+
+Each record is one command, run in-process through ``cli.main`` from
+``golden/`` exactly as ``golden/record.py`` ran it when it was recorded:
+the exit code and the sha256 of stdout, stderr and each file written must
+all match.  See ``golden/record.py`` for how to re-record a record whose
+output changes on purpose.
+"""
+
+import importlib.util
+import json
+import os
+
+from braidforge.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _recorder():
+    spec = importlib.util.spec_from_file_location("golden_record",
+                                                  os.path.join(GOLDEN, "record.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _records():
+    with open(os.path.join(GOLDEN, "records.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_corpus_covers_every_action_and_exit_code():
+    records = _records()
+    seen = {tuple(r["argv"][:2]) for r in records}
+    for action in ("analyze", "classify", "gauss", "witt", "core", "wap"):
+        assert ("qform", action) in seen
+    for action in ("check", "dims", "grading", "subrings"):
+        assert ("fusion", action) in seen
+    for action in ("report", "centralizer", "gfp"):
+        assert ("premodular", action) in seen
+    assert {("catalog", w) for w in ("ising", "pointed", "product")} <= seen
+    assert {r["exit"] for r in records} == {0, 1, 2, 3}
+    assert any("--out" in r["argv"] for r in records)
+    assert any("text" in r["argv"] for r in records)
+    assert len({r["id"] for r in records}) == len(records)
+
+
+def test_every_record_replays_byte_for_byte(monkeypatch):
+    for key in [k for k in os.environ if k.startswith("BRAIDFORGE_")]:
+        monkeypatch.delenv(key)
+    run = _recorder().run
+    moved = [r["id"] for r in _records() if run(r["argv"], main) != r]
+    assert not moved, f"{len(moved)} records changed: {moved[:20]}"
