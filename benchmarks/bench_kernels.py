@@ -31,7 +31,10 @@ below it; and at 15015, the joined conductor of twists of orders 3, 5,
 n (a sum of four weighted n-th roots of unity), up to 840 and 1155,
 the canonical conductor of the default ``conductor_guard``.  The ``tau_image`` rows
 label the Witt class of the rank-1 form x^2/p, with the cached
-radical generator cleared before each repetition.
+radical generator and the label memo cleared before each repetition.
+The ``isotropic_subgroups`` and ``q_automorphism_perms`` rows time one
+seeded form on (Z/2)^4 and on Z/4 x Z/8: a first call, on a fresh copy
+of the form, and a repeat, which reads what the form kept.
 
 The rows above are the best of N calls.  The ``cold start`` rows are
 medians of 7 fresh ``python -B -c CODE`` launches each (bytecode
@@ -186,11 +189,27 @@ def workloads():
             for _ in range(3)])
         out.append((f"CycloNum.inverse n={a.conductor}", a.inverse, 5 if m < 1155 else 2))
 
+    for shape in ((2, 2, 2, 2), (4, 8)):
+        M = qform.random_form(FinAbGroup(shape), random.Random(1))
+
+        def fresh(M=M):
+            return qform.PreMetricGroup.at_level(M.group, M.level, M.res)
+
+        def kept(M=M):
+            qform.isotropic_subgroups(M)
+            qform.q_automorphism_perms(M)
+            return M
+
+        for fn in (qform.isotropic_subgroups, qform.q_automorphism_perms):
+            out.append((f"{fn.__name__} {shape}, first call", fn, 5, fresh))
+            out.append((f"{fn.__name__} {shape}, repeat", fn, 20, kept))
+
     for p in (101, 251):
         c = witt.witt_class(qform.odd_rank1(p, 1))
 
         def uncached(c=c):
             witt._radical_generator.cache_clear()
+            witt._tau_label.cache_clear()
             return c
 
         out.append((f"tau_image Z/{p}", lambda c, p=p: witt.tau_image(c, p), 3, uncached))

@@ -127,15 +127,14 @@ def cmd_qform(args, cfg) -> int:
     elif args.action == "witt":
         from . import witt
         c = witt.witt_class(M, cfg)
+        taus = {p: witt.tau_image(c, p) for p, _ in c.parts}
         data = {
             "parts": [
                 {"prime": p, "kind": l.kind, "params": [str(x) for x in l.params]}
                 for p, l in c.parts
             ],
             "tau_labels": {
-                str(p): {"unit": _frac(witt.tau_image(c, p).unit),
-                         "radical": witt.tau_image(c, p).radical}
-                for p, _ in c.parts
+                str(p): {"unit": _frac(t.unit), "radical": t.radical} for p, t in taus.items()
             },
         }
     elif args.action == "core":

@@ -23,6 +23,12 @@ norm forms; the order-2 forms i^(n^2); the order-4 family with a
 distinguished element of value -1; their order-8 sums; the two
 degenerate anisotropic 2-groups), and weak anisotropy with its
 hyperbolic-plane decomposition.
+
+A form keeps what its questions share: its radical (``degeneracy``),
+its lattice of isotropic subgroups and Aut(G, q) are computed on first
+use and kept on the form for its lifetime.  The guards of
+``isotropic_subgroups`` and ``q_automorphism_perms`` run on every call,
+before the kept value is read, and each call returns a fresh list.
 """
 
 from __future__ import annotations
@@ -66,10 +72,13 @@ class PreMetricGroup:
 
     ``res`` holds one residue in [0, level) per element in lex (index)
     order.  ``level`` is the least common denominator of the values, so
-    two forms are equal exactly when their value tables are.
+    two forms are equal exactly when their value tables are.  The slots
+    ``_deg``, ``_iso`` and ``_auts`` keep the radical, the isotropic
+    lattice and Aut(G, q) once computed; equality and hashing ignore them.
+    Every call still runs its guards first and gets a fresh list.
     """
 
-    __slots__ = ("group", "level", "res")
+    __slots__ = ("group", "level", "res", "_deg", "_iso", "_auts")
 
     def __init__(self, group: FinAbGroup, values):
         """The form with the rational value table ``values``, read mod 1."""
@@ -92,6 +101,7 @@ class PreMetricGroup:
         d = math.gcd(N, *res)
         L = N // d
         self.group, self.level, self.res = group, L, tuple(r // d % L for r in res)
+        self._deg = self._iso = self._auts = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -217,7 +227,9 @@ def bicharacter(M: PreMetricGroup) -> Bicharacter:
 
 
 def degeneracy(M: PreMetricGroup) -> DegeneracyClass:
-    """Radical Ker b and the three-way degeneracy tag."""
+    """Radical Ker b and the three-way degeneracy tag, kept on M."""
+    if M._deg is not None:
+        return M._deg
     G = M.group
     rad = _perp_indices(M, range(G.order))
     radical = Subgroup(G, rad)
@@ -227,7 +239,8 @@ def degeneracy(M: PreMetricGroup) -> DegeneracyClass:
         tag = "slightly_degenerate"
     else:
         tag = "degenerate_other"
-    return DegeneracyClass(tag, radical)
+    M._deg = DegeneracyClass(tag, radical)
+    return M._deg
 
 
 def is_metric(M: PreMetricGroup) -> bool:
@@ -267,12 +280,15 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     """All subgroups with q = 0, maximal/Lagrangian flags set.
 
     Grown by closure: H extends by x exactly when q(x) = 0 and
-    b(x, H) = 0, so the search never leaves the isotropic lattice.
+    b(x, H) = 0, so the search never leaves the isotropic lattice.  The
+    records are kept on M; the guard runs on every call.
     """
     G = M.group
     n = G.order
     if n > config.enum_guard:
         raise EnumerationLimit(f"|G| = {n} exceeds enum_guard = {config.enum_guard}")
+    if M._iso is not None:
+        return list(M._iso)
     L, t = M.level, M.res
     add = G.add_flat()
     iso_elems = [i for i in range(n) if t[i] == 0]
@@ -305,6 +321,7 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
         # H is isotropic, so H lies in H-perp: Lagrangian iff |H-perp| = |H|
         perp = _perp_indices(M, sub.gen_idx)
         result.append(IsotropicSubgroup(sub, maximal[idx], len(perp) == len(idx)))
+    M._iso = tuple(result)
     return result
 
 
@@ -422,13 +439,16 @@ def q_automorphism_perms(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     """Aut(G, q) as index permutations, in the order of ``automorphism_perms``.
 
     Searched directly as the stabilizer of q, under the same size checks
-    as Aut(G); Aut(G) itself is never enumerated.
+    as Aut(G), which run on every call; Aut(G) itself is never
+    enumerated.  The permutations are kept on M.
     """
     G = M.group
     check_aut_size(G, config)
-    return kernels.stabilizer(
-        G.order, G.add_flat(), G.order_flat(), G.gen_strides(), list(G.orders), M.res
-    )
+    if M._auts is None:
+        M._auts = tuple(kernels.stabilizer(
+            G.order, G.add_flat(), G.order_flat(), G.gen_strides(), list(G.orders), M.res
+        ))
+    return list(M._auts)
 
 
 def form_automorphisms(M: PreMetricGroup, config: Config = DEFAULT) -> list:

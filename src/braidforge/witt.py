@@ -168,10 +168,19 @@ def _radical_generator(p: int) -> CycloNum:
 
 
 def tau_image(c: WittClass, p: int) -> TauLabel:
-    """Express tau+ of the class at p in the canonical generators."""
+    """Express tau+ of the class at p in the canonical generators.
+
+    The TauLabel is memoised by the class's label at p, like
+    ``_radical_generator``: labels come from the anisotropic catalog, a
+    few per prime, so the memo stays small.
+    """
     lab = c.at(p)
-    if lab is None:
-        return TauLabel(Fraction(0), 0)
+    return TauLabel(Fraction(0), 0) if lab is None else _tau_label(lab)
+
+
+@lru_cache(maxsize=None)
+def _tau_label(lab) -> TauLabel:
+    p = lab.prime
     tau = tau_plus(build_labeled_form(lab))
     units = (
         [Fraction(k, 8) for k in range(8)]

@@ -8,7 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from braidforge.abelian import FinAbGroup, Subgroup, subgroups
+from braidforge.config import Config
 from braidforge.errors import (
+    EnumerationLimit,
     NotAnisotropic,
     NotEven,
     NotIsotropic,
@@ -36,6 +38,7 @@ from braidforge.qform import (
     odd_norm,
     odd_rank1,
     orthogonal_complement,
+    q_automorphism_perms,
     quotient_form,
     random_form,
     restrict,
@@ -514,3 +517,71 @@ def test_validate_matches_reference_on_forms_and_mutations():
     for tail in itertools.product(range(8), repeat=3):
         case = [F(0)] + [F(k, 8) for k in tail]
         assert _outcome(validate, G, case) == _outcome(reference_validate, G, case), case
+
+
+# -- what a form keeps: its radical, isotropic lattice and Aut(G, q) ----------
+
+def _copy(M):
+    return PreMetricGroup.at_level(M.group, M.level, M.res)
+
+
+def _answers(M):
+    """Every kept structure of M, read in the order form actions read them."""
+    deg = degeneracy(M)
+    iso = isotropic_subgroups(M)
+    wa = is_weakly_anisotropic(M)
+    res = core(M)
+    return deg, iso, wa, q_automorphism_perms(M), (res.core, res.subgroup, res.gamma)
+
+
+def test_kept_structures_equal_a_fresh_copys():
+    # every form of every shape of order <= 16, but (Z/2)^4, whose 16,384
+    # forms would take the Aut(G, q) search alone half a minute: 256 of them
+    rng = random.Random(17)
+    for orders in invariant_shapes(16):
+        forms = list(all_forms(FinAbGroup(orders)))
+        if orders == (2, 2, 2, 2):
+            forms = rng.sample(forms, 256)
+        for M in forms:
+            first = _answers(M)
+            isotropic_subgroups(M).clear()      # what a caller does to its
+            q_automorphism_perms(M).append(0)   # lists never reaches the form
+            assert _answers(M) == first == _answers(_copy(M)), (orders, M)
+            assert M == _copy(M) and hash(M) == hash(_copy(M))
+
+
+def test_returned_lists_are_fresh():
+    M = direct_sum(hyperbolic_plane(2), a_form())
+    iso, auts = isotropic_subgroups(M), q_automorphism_perms(M)
+    want_iso, want_auts = list(iso), list(auts)
+    iso.reverse()
+    del auts[1:]
+    assert isotropic_subgroups(M) == want_iso and isotropic_subgroups(M) is not iso
+    assert q_automorphism_perms(M) == want_auts and q_automorphism_perms(M) is not auts
+
+
+def test_guards_run_on_every_call():
+    M = direct_sum(hyperbolic_plane(2), hyperbolic_plane(2))  # on (Z/2)^4
+    _answers(M)
+    for small, kept in ((Config(enum_guard=8), isotropic_subgroups),
+                        (Config(aut_guard=8), q_automorphism_perms),
+                        (Config(aut_count_cap=100), q_automorphism_perms)):
+        for call in (kept, core, is_weakly_anisotropic, wap_decompose):
+            with pytest.raises(EnumerationLimit):
+                call(M, small)
+    assert len(q_automorphism_perms(M)) == 72  # |O+(4, 2)|, still kept
+
+
+def test_a_refusal_keeps_nothing():
+    G = FinAbGroup((2,) * 5)
+    values = [(F(x[0] * x[1] + x[2] * x[3], 2) + F(x[4], 4)) % 1 for x in G.elements()]
+    M = validate(G, values)
+    with pytest.raises(EnumerationLimit, match="aut_count_cap"):
+        q_automorphism_perms(M)
+    assert M._auts is None
+    with pytest.raises(EnumerationLimit, match="enum_guard"):
+        isotropic_subgroups(M, Config(enum_guard=16))
+    assert M._iso is None
+    with pytest.raises(EnumerationLimit, match="aut_count_cap"):
+        core(M)  # the lattice is kept, Aut(G, q) is refused again
+    assert M._iso is not None and M._auts is None
