@@ -34,7 +34,12 @@ label the Witt class of the rank-1 form x^2/p, with the cached
 radical generator and the label memo cleared before each repetition.
 The ``isotropic_subgroups`` and ``q_automorphism_perms`` rows time one
 seeded form on (Z/2)^4 and on Z/4 x Z/8: a first call, on a fresh copy
-of the form, and a repeat, which reads what the form kept.
+of the form with the group memo (the subgroup structure each group keeps
+in ``abelian``) cleared, and a repeat, which reads what the form kept.
+The ``quotient_form`` rows take the induced form on H-perp/H for every H
+in the isotropic lattice of the same two forms: cold, with the group
+memo cleared before each repetition, and warm, when every subgroup's
+generators, abstract group and quotient are read from the memo.
 
 The rows above are the best of N calls.  The ``cold start`` rows are
 medians of 7 fresh ``python -B -c CODE`` launches each (bytecode
@@ -59,7 +64,7 @@ sys.path.insert(0, str(SRC))
 
 from fractions import Fraction  # noqa: E402
 
-from braidforge import cyclotomic, fusion, premodular, qform, witt  # noqa: E402
+from braidforge import abelian, cyclotomic, fusion, premodular, qform, witt  # noqa: E402
 from braidforge import io as bio  # noqa: E402
 from braidforge.abelian import FinAbGroup  # noqa: E402
 from braidforge.config import DEFAULT  # noqa: E402
@@ -189,10 +194,15 @@ def workloads():
             for _ in range(3)])
         out.append((f"CycloNum.inverse n={a.conductor}", a.inverse, 5 if m < 1155 else 2))
 
+    def clear_group_memo():
+        for entry in abelian._TABLE_CACHE.values():
+            entry[3].clear()
+
     for shape in ((2, 2, 2, 2), (4, 8)):
         M = qform.random_form(FinAbGroup(shape), random.Random(1))
 
         def fresh(M=M):
+            clear_group_memo()
             return qform.PreMetricGroup.at_level(M.group, M.level, M.res)
 
         def kept(M=M):
@@ -203,6 +213,20 @@ def workloads():
         for fn in (qform.isotropic_subgroups, qform.q_automorphism_perms):
             out.append((f"{fn.__name__} {shape}, first call", fn, 5, fresh))
             out.append((f"{fn.__name__} {shape}, repeat", fn, 20, kept))
+
+        lattice = [r.subgroup for r in qform.isotropic_subgroups(M)]
+
+        def quotients(M, lattice=lattice):
+            for H in lattice:
+                qform.quotient_form(M, H)
+
+        def cold(M=M):
+            clear_group_memo()
+            return M
+
+        n = len(lattice)
+        out.append((f"quotient_form {shape} x{n}, cold", quotients, 5, cold))
+        out.append((f"quotient_form {shape} x{n}, warm", quotients, 20, lambda M=M: M))
 
     for p in (101, 251):
         c = witt.witt_class(qform.odd_rank1(p, 1))

@@ -10,20 +10,26 @@ source index).  Coordinate tuples appear only in JSON and in the
 accessors that return them: ``Subgroup.elements`` and ``generators``,
 ``GroupHom.images``, calling a hom, and its kernel and image lists.
 
-Values are immutable and operations pure (the generators a subgroup
-derives on first use are the same whoever derives them), so everything
-here is safe for concurrent read-only use.
+A group keeps its add, negation and element-order tables and a memo of
+each subgroup touched: its generators, abstract group and quotient
+(``_minimal_generators``, ``_sub_structure``, ``_quotient_images``, keyed
+by index tuple), all in one ``_TABLE_CACHE`` entry per ``orders``,
+process-local and unbounded like ``_CTX`` in ``cyclotomic``.  Values are
+immutable (kept ones are tuples and read-only mappings) and operations
+pure, so everything here is safe for concurrent read-only use.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import reduce
+from functools import reduce, wraps
+from itertools import product
+from types import MappingProxyType
 
 from . import kernels
 from .config import DEFAULT, Config
-from .errors import EnumerationLimit, InvalidPresentation, NotASubgroup
+from .errors import ClassificationBug, EnumerationLimit, InvalidPresentation, NotASubgroup
 
 GroupElement = tuple  # residue coordinates, one per invariant factor
 
@@ -119,7 +125,7 @@ class FinAbGroup:
         if hit is None:
             add = kernels.add_table(self.orders)
             neg = kernels.neg_table(self.orders)
-            hit = (add, neg, kernels.element_orders(self.order, add))
+            hit = (add, neg, kernels.element_orders(self.order, add), {})
             _TABLE_CACHE[key] = hit
         return hit
 
@@ -293,6 +299,20 @@ class Subgroup:
         return H
 
 
+def _kept(fn):
+    """``fn(G, idx)`` kept in G's memo, keyed by fn and the index tuple;
+    ``__wrapped__`` computes afresh."""
+    @wraps(fn)
+    def kept(G, idx):
+        memo, key = G._tables()[3], (fn.__name__, tuple(idx))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = fn(G, key[1])
+        return hit
+    return kept
+
+
+@_kept
 def _minimal_generators(G: FinAbGroup, idx) -> tuple:
     """Irredundant generating sequence of the subgroup with sorted element
     indices ``idx``, as indices; deterministic.
@@ -471,14 +491,46 @@ def quotient(G: FinAbGroup, H: Subgroup):
     return Q, GroupHom.on_indices(G, Q, images)
 
 
+@_kept
 def _quotient_images(G: FinAbGroup, gens):
     """G modulo the subgroup generated by the indices ``gens``:
-    (Q in canonical form, indices in Q of G's standard generators)."""
+    (Q in canonical form, indices in Q of G's standard generators).
+    Kept per group."""
     cols = [G.from_index(h) for h in gens]
-    return smith_presentation(
+    Q, images = smith_presentation(
         [[m if i == j else 0 for j in range(G.rank)] + [c[i] for c in cols]
          for i, m in enumerate(G.orders)]
     )
+    return Q, tuple(images)
+
+
+@_kept
+def _sub_structure(G: FinAbGroup, gens):
+    """Abstract structure of the subgroup generated by the indices ``gens``:
+    (K, to_K, from_K), kept per group.
+
+    K is canonical; to_K maps the subgroup's G-indices to K-indices (a
+    read-only mapping), and from_K lists the G-index of each K-index.
+    Derived from the relation lattice of the generating sequence via
+    Smith reduction, so dependent generators are handled correctly.
+    """
+    k = len(gens)
+    gord = [G.order_flat()[g] for g in gens]
+    sums = kernels.combinations(G.order, G.add_flat(), gens, gord)
+    # relations inside the box prod Z/ord(g_i): all combos summing to zero
+    rel_cols = [[gord[i] if j == i else 0 for j in range(k)] for i in range(k)]
+    box = product(*map(range, gord))
+    rel_cols += [list(v) for v, s in zip(box, sums) if s == 0 and any(v)]
+    K, images = smith_presentation([[col[i] for col in rel_cols] for i in range(k)])
+    to_K = {}
+    for g, kk in zip(sums, kernels.combinations(K.order, K.add_flat(), images, gord)):
+        to_K.setdefault(g, kk)
+    if len(set(to_K.values())) != K.order or K.order != len(to_K):
+        raise ClassificationBug("subgroup structure map is not bijective")
+    from_K = [0] * K.order
+    for g, kk in to_K.items():
+        from_K[kk] = g
+    return K, MappingProxyType(to_K), tuple(from_K)
 
 
 def check_aut_size(G: FinAbGroup, config: Config = DEFAULT) -> None:

@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import config as cfgmod
 from . import io as bio
@@ -271,6 +272,7 @@ def cmd_catalog(args, cfg) -> int:
 
 # -- wiring ----------------------------------------------------------------------
 
+@cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float)

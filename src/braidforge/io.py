@@ -15,8 +15,10 @@ Each parser imports its layer (``qform``, ``fusion``, ``premodular``,
 ``cyclotomic``) on use, so loading this module loads none of them.
 Equal ring tables parse to one shared ``FusionRing``: validated rings
 are interned by table in ``fusion`` (process-local, unbounded, like the
-cyclotomic ``_CTX``).  A cyclotomic conductor above ``conductor_guard``
-is refused with ``EnumerationLimit`` before any arithmetic in that field.
+cyclotomic ``_CTX``); a parsed group reads the tables and subgroup memo
+that every equal group shares (``_TABLE_CACHE`` in ``abelian``).  A
+cyclotomic conductor above ``conductor_guard`` is refused with
+``EnumerationLimit`` before any arithmetic in that field.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Everything here runs on flat element indices with the group's cached
 add and element-order tables: a ``Subgroup`` is a sorted index tuple,
 a ``GroupHom`` (an automorphism, an isomorphism, an induced automorphism
 of the core) wraps the kernel's index permutation, and subquotients and
-restrictions are built by Smith reduction on indices.  Coordinates
+restrictions are built from the subgroup structure that each group keeps
+in ``abelian`` (generators, abstract group, quotient).  Coordinates
 appear only in exception messages and in the accessors of the values
 returned (``q``, ``b``, ``Subgroup.elements`` and the like).
 
@@ -37,7 +38,6 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 from typing import NamedTuple
 
 from . import kernels
@@ -48,11 +48,11 @@ from .abelian import (
     TRIVIAL_GROUP,
     _minimal_generators,
     _quotient_images,
+    _sub_structure,
     automorphism_perms,  # re-exported: Aut(G) beside Aut(G, q)
     canonical_form,
     check_aut_size,
     primes_of,
-    smith_presentation,
 )
 from .config import DEFAULT, Config
 from .errors import (
@@ -323,34 +323,6 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
         result.append(IsotropicSubgroup(sub, maximal[idx], len(perp) == len(idx)))
     M._iso = tuple(result)
     return result
-
-
-def _sub_structure(G: FinAbGroup, gens):
-    """Abstract structure of the subgroup generated by the indices ``gens``:
-    (K, to_K, from_K).
-
-    K is canonical; to_K maps the subgroup's G-indices to K-indices, and
-    from_K lists the G-index of each K-index.  Derived from the relation
-    lattice of the generating sequence via Smith reduction, so dependent
-    generators are handled correctly.
-    """
-    k = len(gens)
-    gord = [G.order_flat()[g] for g in gens]
-    sums = kernels.combinations(G.order, G.add_flat(), gens, gord)
-    # relations inside the box prod Z/ord(g_i): all combos summing to zero
-    rel_cols = [[gord[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    box = product(*map(range, gord))
-    rel_cols += [list(v) for v, s in zip(box, sums) if s == 0 and any(v)]
-    K, images = smith_presentation([[col[i] for col in rel_cols] for i in range(k)])
-    to_K = {}
-    for g, kk in zip(sums, kernels.combinations(K.order, K.add_flat(), images, gord)):
-        to_K.setdefault(g, kk)
-    if len(set(to_K.values())) != K.order or K.order != len(to_K):
-        raise ClassificationBug("subgroup structure map is not bijective")
-    from_K = [0] * K.order
-    for g, kk in to_K.items():
-        from_K[kk] = g
-    return K, to_K, from_K
 
 
 def _restricted(M: PreMetricGroup, gens) -> PreMetricGroup:

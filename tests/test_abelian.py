@@ -6,9 +6,12 @@ against the library path.
 """
 
 import itertools
+import random
+from types import MappingProxyType
 
 import pytest
 
+from braidforge import abelian
 from braidforge.abelian import (
     FinAbGroup,
     GroupHom,
@@ -351,6 +354,72 @@ def test_subgroup_structure_maps_are_isomorphisms():
                     assert to_K[G.index(G.add(a, b))] == K.index(K.add(ka, kb))
             assert all(from_K[to_K[a]] == a for a in H.indices())
             assert sorted(from_K) == list(H.indices())
+
+
+# -- the structure a group keeps per subgroup -----------------------------------
+
+_KEPT = (abelian._minimal_generators, abelian._sub_structure, abelian._quotient_images)
+
+
+def _plain(value):
+    """A kept value with its read-only mappings as dicts, for comparison."""
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return dict(value) if isinstance(value, MappingProxyType) else value
+
+
+def _subgroups_to_check():
+    """Every subgroup of every group of order <= 16, then a seeded six of
+    each group of order 17 to 36."""
+    rng = random.Random(18)
+    for orders in invariant_shapes(36):
+        G = FinAbGroup(orders)
+        subs = subgroups(G, Config(enum_guard=64))
+        for H in subs if G.order <= 16 else rng.sample(subs, min(6, len(subs))):
+            yield G, H
+
+
+def _kept_args(H):
+    """The argument of each function in _KEPT for the subgroup H."""
+    return H.idx, H.gen_idx, H.gen_idx
+
+
+def test_kept_subgroup_structure_equals_a_fresh_computation():
+    abelian._TABLE_CACHE.clear()
+    for G, H in _subgroups_to_check():
+        for fn, arg in zip(_KEPT, _kept_args(H)):
+            fresh = _plain(fn.__wrapped__(G, arg))
+            first = fn(G, list(arg))    # a list and a tuple hit one line
+            assert fn(G, tuple(arg)) is first, (fn.__name__, G, H)
+            assert _plain(first) == fresh, (fn.__name__, G, H)
+    # and the same answers again once the memo is refilled from empty
+    def answers():
+        return _plain(tuple(tuple(fn(G, arg) for fn, arg in zip(_KEPT, _kept_args(H)))
+                            for G, H in _subgroups_to_check()))
+
+    kept = answers()
+    abelian._TABLE_CACHE.clear()
+    assert answers() == kept
+
+
+def test_kept_subgroup_structure_is_immutable():
+    G = FinAbGroup((2, 4, 4))
+    H = Subgroup.generated(G, [(1, 2, 0), (0, 1, 1)])
+    gens, (K, to_K, from_K), (Q, images) = (
+        fn(G, arg) for fn, arg in zip(_KEPT, _kept_args(H)))
+
+    def leaves(value):
+        if isinstance(value, (tuple, MappingProxyType)):
+            for v in (value.items() if isinstance(value, MappingProxyType) else value):
+                yield from leaves(v)
+        else:
+            yield value
+
+    assert all(type(v) in (int, FinAbGroup) for v in leaves((gens, K, to_K, from_K, Q, images)))
+    with pytest.raises(TypeError):
+        to_K[0] = 1
+    with pytest.raises(AttributeError):
+        to_K.clear()
 
 
 def test_subgroup_index_tuple_must_hold_zero_and_be_closed():
