@@ -190,6 +190,12 @@ def inputs() -> dict:
     docs["bad_datum_twist_conductor.json"] = bad_datum(
         lambda d: d["twists"].__setitem__(2, "1/4621"))
     docs["bad_datum_cover.json"] = bad_datum(lambda d: d["twists"].pop())
+    # a seeded dimension at conductor 2310 (phi = 480), at the default
+    # conductor_guard: its descent to 1155 is the work before DualDimFail
+    rng = random.Random(7)
+    dim = {"conductor": 2310, "coeffs": [
+        bio.fraction_str(F(rng.randint(-2, 2), rng.randint(1, 3))) for _ in range(480)]}
+    docs["bad_datum_descent_2310.json"] = bad_datum(lambda d: d["dims"].__setitem__(2, dim))
     z4 = bio.datum_to_json(pointed_datum(m_form(F(1, 8))))
     z4["twists"] = ["0/1", "0/1", "0/1", "1/8"]  # S is not dual-invariant
     docs["bad_datum_symmetry.json"] = z4
@@ -277,6 +283,7 @@ def commands(names) -> list:
         ["premodular", "report", inp("datum_ising_1p.json"), "--conductor-guard", "15"],
         ["premodular", "report", inp("datum_ising_1p.json"), "--output", "text"],
         ["premodular", "gfp", inp("datum_ising2.json"), "--out", f"{OUT}/gfp.json"],
+        ["premodular", "gfp", inp("bad_datum_descent_2310.json")],
         ["premodular", "report", inp("ring_ising.json")],
     ]
 

@@ -30,6 +30,28 @@ def _records():
         return json.load(fh)
 
 
+def _conductors(doc):
+    """Every cyclotomic conductor written in a JSON input."""
+    if isinstance(doc, dict):
+        if "conductor" in doc:
+            yield doc["conductor"]
+        for value in doc.values():
+            yield from _conductors(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _conductors(value)
+
+
+def _max_conductor(argv) -> int:
+    top = 1
+    for arg in argv:
+        path = os.path.join(GOLDEN, arg)
+        if arg.startswith("inputs/") and os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                top = max([top, *_conductors(json.load(fh))])
+    return top
+
+
 def test_corpus_covers_every_action_and_exit_code():
     records = _records()
     seen = {tuple(r["argv"][:2]) for r in records}
@@ -44,6 +66,8 @@ def test_corpus_covers_every_action_and_exit_code():
     assert any("--out" in r["argv"] for r in records)
     assert any("text" in r["argv"] for r in records)
     assert len({r["id"] for r in records}) == len(records)
+    # descent near the conductor guard, on an input no guard refuses
+    assert any(r["exit"] != 3 and _max_conductor(r["argv"]) >= 1000 for r in records)
 
 
 def test_every_record_replays_byte_for_byte(monkeypatch):
