@@ -29,9 +29,17 @@ below it; and at 15015, the joined conductor of twists of orders 3, 5,
 7, 11 and 13.  The
 ``CycloNum.inverse`` rows invert one seeded element at each conductor
 n (a sum of four weighted n-th roots of unity), up to 840 and 1155,
-the canonical conductor of the default ``conductor_guard``.  The ``tau_image`` rows
-label the Witt class of the rank-1 form x^2/p, with the cached
-radical generator and the label memo cleared before each repetition.
+the canonical conductor of the default ``conductor_guard``.  The
+``is_root_of_unity`` rows build the table of the 2n roots of unity in
+Q(zeta_n), each normalised to its minimal conductor by descent, at
+2309 (a prime) and 2257 = 37 * 61 near the guard, with every
+conductor's context cleared first.  The ``from_coeffs`` row normalises
+one seeded element given at conductor 2310 (480 coefficients
+``randint(-2, 2)/randint(1, 3)`` from seed 7, the dimension of the CLI
+corpus's descent datum), which descends to 1155, again from cleared
+contexts.  The ``tau_image`` rows label the Witt class of the rank-1
+form x^2/p, with the cached radical generator and the label memo
+cleared before each repetition.
 The ``isotropic_subgroups`` and ``q_automorphism_perms`` rows time one
 seeded form on (Z/2)^4 and on Z/4 x Z/8: a first call, on a fresh copy
 of the form with the group memo (the subgroup structure each group keeps
@@ -193,6 +201,24 @@ def workloads():
             (Fraction(rng.randrange(m), m), Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
             for _ in range(3)])
         out.append((f"CycloNum.inverse n={a.conductor}", a.inverse, 5 if m < 1155 else 2))
+
+    for n in (2309, 2257):
+        def cold_root(n=n):
+            cyclotomic._CTX.clear()
+            return cyclotomic.CycloNum.from_root(Fraction(1, n))
+
+        out.append((f"is_root_of_unity n={n}, cold table", cyclotomic.CycloNum.is_root_of_unity,
+                    2, cold_root))
+
+    rng = random.Random(7)
+    coeffs = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(480)]
+
+    def cold_coeffs():
+        cyclotomic._CTX.clear()
+        return coeffs
+
+    out.append(("CycloNum.from_coeffs n=2310, cold",
+                lambda c: cyclotomic.CycloNum.from_coeffs(2310, c), 2, cold_coeffs))
 
     def clear_group_memo():
         for entry in abelian._TABLE_CACHE.values():

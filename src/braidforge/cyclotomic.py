@@ -12,10 +12,11 @@ gcd pass restores canonical form afterwards.  Every reduction mod Phi_n
 (products, root shifts, substitutions, sums of roots) is one routine,
 ``_reduce``, which rewrites the top degree down by the sparse tail of
 Phi_n; a conductor keeps only that tail, so its context costs O(n)
-to build and to hold.  Descent to a subfield
-Q(zeta_m) is a projection cached per (n, m): phi(m) coordinates on which
-the embedded basis of Q(zeta_m) is invertible, and that inverse as an
-integer matrix over one denominator.  Projecting and lifting back is
+to build and to hold.  Descent to a subfield Q(zeta_m), m = n/p up to a
+factor 2, needs no matrix: when p | m a member is a slice of the
+coefficients, and otherwise the relative trace sends each power of
+zeta_n to a power of zeta_m times a Ramanujan sum, so it is a strided
+sum over the coefficients.  Dividing by the degree and lifting back is
 then the exact membership test (cf. T. Breuer, Integral bases for
 subfields of cyclotomic fields, AAECC 8 (1997)).  An inverse is the
 product of the other Galois conjugates over the norm, taken down a
@@ -91,7 +92,6 @@ class _Ctx:
         self.phi = _euler_phi(n)
         self.tail = [(j, -c) for j, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c]
         self.root_index: dict = {}
-        self.projections: dict = {}  # m -> _projection(self, m), built lazily
         self.modular = None          # _modular(self), built lazily
 
 
@@ -171,7 +171,7 @@ class CycloNum:
         return tuple(Fraction(x, self.den) for x in self.num)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.num)
+        return not any(self.num)
 
     def as_rational(self):
         """The value as a Fraction, or None when it is irrational."""
@@ -342,12 +342,9 @@ def _normalize(n, num, den):
     if den < 0:
         den = -den
         num = [-x for x in num]
-    if all(x == 0 for x in num):
+    if not any(num):
         return 1, (0,), 1
-    g = 0
-    for x in num:
-        g = math.gcd(g, x)
-    g = math.gcd(g, den)
+    g = math.gcd(*num, den)
     if g > 1:
         num = [x // g for x in num]
         den //= g
@@ -357,118 +354,60 @@ def _normalize(n, num, den):
 
 def _descend(n, num):
     """Re-express at the minimal conductor, one prime divisor at a time."""
+    if n % 4 == 2:   # zeta_n = -zeta_m^((m+1)/2) for n = 2m, m odd
+        n //= 2
+        num = _substitute(_ctx(n), [-c if i % 2 else c for i, c in enumerate(num)],
+                          (n + 1) // 2)
     changed = True
     while changed and n > 1:
         changed = False
         for p in primes_of(n):
-            m = n // p
-            m = _canonical_conductor(m)
-            if m == n:
-                continue
+            m = _canonical_conductor(n // p)
             sub = _try_subfield(n, num, m)
             if sub is not None:
                 n, num = m, sub
                 changed = True
                 break
-    return n, list(num)
+    return n, num
 
 
 def _try_subfield(n, num, m):
     """Coefficients (a list) in Q(zeta_m) of the element with integer
-    coefficient list ``num`` at conductor n, if it lies there, else None.
+    coefficient list ``num`` at canonical conductor n, if it lies there,
+    else None.  m is canonical(n/p) for a prime p | n, so q = n/m is p,
+    or 4 when n = 4m with m odd.
 
-    The embedded basis zeta_n^(j*n/m), j < phi(m), spans Q(zeta_m) inside
-    Q(zeta_n).  ``_projection`` gives phi(m) coordinates on which it is
-    invertible and that inverse over one denominator D, so the candidate
-    coordinates are one integer mat-vec.  A member of Z[zeta_n] lying in
-    Q(zeta_m) lies in Z[zeta_m], so a candidate not divisible by D means
-    no member; otherwise lifting the candidate back to n and comparing
-    with ``num`` is the exact membership test.
+    If q | m, Phi_n(x) = Phi_m(x^q): a member is supported on multiples
+    of q, with coordinates ``num[::q]``.  Otherwise, with s = q^-1 mod m,
+    the trace down to Q(zeta_m) sends zeta_n^i to zeta_m^(i*s) c_q(i),
+    where c_q is the Ramanujan sum: q [q | i] - 1 for q = p, and 2, 0,
+    -2, 0 by i mod 4 for q = 4 (Hardy and Wright, ch. XVI).  A member of
+    Z[zeta_n] lying in Q(zeta_m) lies in Z[zeta_m] and is its trace over
+    phi(q), so a trace not divisible by phi(q) means no member; otherwise
+    lifting the quotient back to n and comparing with ``num`` is the
+    exact membership test.
     """
-    ctx = _ctx(n)
-    proj = ctx.projections.get(m)
-    if proj is None:
-        proj = ctx.projections[m] = _projection(ctx, m)
-    coords, inv, D, basis = proj
-    x = [num[i] for i in coords]
-    sub = []
-    for row in inv:
-        c = sum(v * x[k] for k, v in row)
-        if c % D:
-            return None
-        sub.append(c // D)
-    out = [0] * len(num)
-    for c, col in zip(sub, basis):
-        if c:
-            for i, v in col:
-                out[i] += c * v
-    return sub if out == num else None
-
-
-def _projection(ctx, m):
-    """(coordinates, inverse rows, D, basis) for descent from ctx.n to m.
-
-    ``basis[j]`` is the sparse (index, coeff) form of zeta_n^(j*n/m);
-    ``coordinates`` picks phi(m) indices on which the basis matrix B is
-    invertible, and ``inverse rows`` are the sparse rows of D * B^-1.
-    A column that is a unit vector e_i pins coordinate i (every column
-    is one when p | m, as zeta_n^(j*p) then needs no reduction), so only
-    the other columns need elimination.
-    """
-    step, root = ctx.n // m, [1] + [0] * (ctx.phi - 1)
-    basis = []
-    for _ in range(_euler_phi(m)):  # zeta_n^((j+1)*step) from the one before
-        basis.append(root)
-        root = _times_root(ctx, 0, step, root)
-    unit = {}
-    for j, b in enumerate(basis):
-        nz = [i for i, v in enumerate(b) if v]
-        if len(nz) == 1 and b[nz[0]] == 1:
-            unit[j] = nz[0]
-    rest = [j for j in range(len(basis)) if j not in unit]
-    # greedy independent coordinates for the other columns, fraction-free
-    hi, echelon, pinned = [], [], set(unit.values())
-    for i in range(ctx.phi):
-        if len(hi) == len(rest):
-            break
-        if i not in pinned and _echelon_add(echelon, [basis[j][i] for j in rest]):
-            hi.append(i)
-    # D * B^-1 by fraction-free Gauss-Jordan on [B | I]; a unit column
-    # already has its pivot and needs no work
-    coords, cols, k = list(unit.values()) + hi, list(unit) + rest, len(basis)
-    A = [[basis[j][i] for j in cols] + [int(r == t) for t in range(k)]
-         for r, i in enumerate(coords)]
-    for col in range(len(unit), k):
-        piv = next(r for r in range(col, k) if A[r][col])
-        A[col], A[piv] = A[piv], A[col]
-        for r in range(k):
-            if r != col and A[r][col]:
-                A[r] = _combine(A[col][col], A[r], A[r][col], A[col])
-    D = reduce(math.lcm, (A[r][r] for r in range(k)), 1)
-    inv = [None] * k
-    for r, j in enumerate(cols):
-        inv[j] = [(t, x * (D // A[r][r])) for t, x in enumerate(A[r][k:]) if x]
-    basis = [[(i, v) for i, v in enumerate(b) if v] for b in basis]
-    return coords, inv, D, basis
-
-
-def _echelon_add(echelon, v) -> bool:
-    """Reduce the integer vector v, fraction-free, by ``echelon``, a list of
-    (pivot, row) with each row zero at the pivots before it; append what
-    is left and return True, or return False when v lies in their span."""
-    for pos, e in echelon:
-        if v[pos]:
-            v = _combine(e[pos], v, v[pos], e)
-    pos = next((t for t, a in enumerate(v) if a), None)
-    if pos is None:
-        return False
-    echelon.append((pos, v))
-    return True
-
-
-def _combine(a, u, b, w):
-    """a*u - b*w, divided by the gcd of its entries."""
-    return _primitive([a * x - b * y for x, y in zip(u, w)])
+    q = n // m
+    if m % q == 0:
+        sub = num[::q]
+        out = [0] * len(num)
+        out[::q] = sub
+        return sub if out == num else None
+    v = num + [0] * (n - len(num))
+    s = pow(q, -1, m)
+    trace = [0] * m
+    for a in range(m):   # the terms with i = a mod m, by strided sums
+        i0 = a * q * s % n   # the i = a mod m with i = 0 mod q
+        if q == 4:
+            trace[a * s % m] = 2 * (v[i0] - v[(i0 + 2 * m) % n])
+        else:
+            trace[a * s % m] = q * v[i0] - sum(v[a::m])
+    phi_q = 2 if q == 4 else q - 1
+    trace = _reduce(_ctx(m), trace)
+    if any(x % phi_q for x in trace):
+        return None
+    sub = [x // phi_q for x in trace]
+    return sub if _substitute(_ctx(n), sub, q) == num else None
 
 
 def _reduce(ctx, buf):

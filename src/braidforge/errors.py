@@ -88,10 +88,6 @@ class DualityFail(RingAxiomError):
     pass
 
 
-class FrobeniusFail(RingAxiomError):
-    pass
-
-
 class DatumError(SchemaError):
     """Base class for pre-modular datum violations."""
 

@@ -336,3 +336,48 @@ def test_matrix_rank_matches_reference_elimination(case):
     rank = matrix_rank(P)
     assert rank == _reference_rank(P)
     assert rank <= k
+
+
+def _fixing_generator(n, m):
+    """A generator of H = {k in (Z/n)^* : k = 1 mod m}, the Galois group of
+    Q(zeta_n) over Q(zeta_m); H is cyclic for m = canonical(n/p)."""
+    H = [k for k in range(1, n, m) if math.gcd(k, n) == 1]
+    for g in H:
+        k, order = g, 1
+        while k != 1:
+            k, order = k * g % n, order + 1
+        if order == len(H):
+            return g
+
+
+def test_try_subfield_matches_the_galois_fixed_field():
+    # a vector at n lies in Q(zeta_m) exactly when sigma_g fixes it, for a
+    # generator g of Gal(Q(zeta_n)/Q(zeta_m)); the coordinates of a member
+    # lifted from known coordinates y are y
+    from braidforge.abelian import primes_of
+    from braidforge.cyclotomic import (
+        _canonical_conductor, _ctx, _euler_phi, _substitute, _try_subfield,
+    )
+
+    rng = random.Random(22)
+    branches = set()
+    for n in [n for n in range(3, 200) if n % 4 != 2] + [840, 1155, 2309]:
+        ctx, phi = _ctx(n), _euler_phi(n)
+        for p in primes_of(n):
+            m = _canonical_conductor(n // p)
+            q = n // m
+            branches.add("q=4" if q == 4 else "shared" if m % q == 0 else "coprime")
+            g = _fixing_generator(n, m)
+            y = [rng.randint(-3, 3) for _ in range(_euler_phi(m))]
+            member = _substitute(ctx, y, q)
+            assert _try_subfield(n, list(member), m) == y, (n, m)
+            assert _substitute(ctx, member, g) == member, (n, m)
+            perturbed = list(member)
+            perturbed[rng.randrange(phi)] += rng.choice((-1, 1, phi))
+            for v in (perturbed, [rng.randint(-2, 2) for _ in range(phi)]):
+                got = _try_subfield(n, list(v), m)
+                fixed = _substitute(ctx, v, g) == v
+                assert (got is not None) == fixed, (n, m, v)
+                if got is not None:
+                    assert _substitute(ctx, got, q) == v, (n, m)
+    assert branches == {"shared", "coprime", "q=4"}

@@ -1,5 +1,6 @@
 """Fusion rings: axioms, FP dimensions, subrings, gradings."""
 
+import itertools
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from braidforge.errors import (
     AssociativityFail,
     EnumerationLimit,
     NotWeaklyIntegral,
+    RingAxiomError,
     Unsupported,
 )
 from braidforge.fusion import (
@@ -398,3 +400,59 @@ def test_a_ring_not_known_to_be_associative_gets_every_index():
     P = product_ring(I, FusionRing(I.labels, I.unit, I.dual, I.N))
     assert algebra_generators(P) == tuple(range(9))
     assert len(algebra_generators(product_ring(I, I))) == 2
+
+
+# -- Frobenius symmetry --------------------------------------------------------
+
+def _frobenius_rotations_hold(dual, N) -> bool:
+    """N_xy^z = N_(z*x)^(y*) = N_(y z*)^(x*) at every (x, y, z): the check
+    ``validate_ring`` once made after associativity and duality."""
+    r = len(N)
+    return all(N[x][y][z] == N[dual[z]][x][dual[y]] == N[y][dual[z]][dual[x]]
+               for x in range(r) for y in range(r) for z in range(r))
+
+
+def _accepts(dual, N) -> bool:
+    try:
+        validate_ring(tuple(map(str, range(len(N)))), 0, dual, N)
+    except RingAxiomError:
+        return False
+    return True
+
+
+def test_accepted_tables_are_frobenius_symmetric(monkeypatch):
+    # associativity and N_xy^1 = [y = x*] imply both rotations, so
+    # validate_ring does not check them: every rank-3 table with unit 0,
+    # either duality, N_xy^1 as the duality asks and each other entry of
+    # x, y != 1 in 0..2 (2 * 3^8 tables), and every single-entry change
+    # of Ising and of Z/3 that validate_ring accepts satisfies them
+    from braidforge import fusion
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    accepted = 0
+    for dual in ((0, 1, 2), (0, 2, 1)):
+        for free in itertools.product(range(3), repeat=8):
+            N = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+            for j in range(3):
+                N[0][j][j] = N[j][0][j] = 1
+            it = iter(free)
+            for x in (1, 2):
+                for y in (1, 2):
+                    N[x][y] = [int(y == dual[x]), next(it), next(it)]
+            if _accepts(dual, N):
+                accepted += 1
+                assert _frobenius_rotations_hold(dual, N), (dual, N)
+        fusion._RINGS.clear()
+    assert accepted == 19
+    mutants = 0
+    for R in (ising_ring(), group_ring(FinAbGroup((3,)))):
+        for x, y, z in itertools.product(range(3), repeat=3):
+            for value in range(4):
+                if value == R.N[x][y][z]:
+                    continue
+                N = [[list(row) for row in plane] for plane in R.N]
+                N[x][y][z] = value
+                if _accepts(R.dual, N):
+                    mutants += 1
+                    assert _frobenius_rotations_hold(R.dual, N), (R, x, y, z, value)
+    assert mutants == 3   # X X = 1 + delta + k X in Ising, k = 1, 2, 3

@@ -551,6 +551,24 @@ def test_failing_datum_near_the_conductor_guard_ends_quickly():
         assert elapsed < 3.0, (den, elapsed)
 
 
+def test_dimension_at_the_conductor_guard_descends_quickly():
+    # Ising with d(X) a seeded element at conductor 2310 (the default
+    # conductor_guard; phi = 480, 376 coefficients nonzero), as in the CLI
+    # corpus: descending it to 1155 took about 15 s by a projection matrix
+    from braidforge import io as bio
+
+    rng = random.Random(7)
+    doc = bio.datum_to_json(ising_datum(F(1, 16), 1))
+    doc["dims"][2] = {"conductor": 2310, "coeffs": [
+        bio.fraction_str(F(rng.randint(-2, 2), rng.randint(1, 3))) for _ in range(480)]}
+    start = time.perf_counter()
+    with pytest.raises(DualDimFail) as err:
+        bio.datum_from_json(doc)
+    elapsed = time.perf_counter() - start
+    assert str(err.value) == "d(dual X) != conjugate(d(X))"
+    assert elapsed < 3.0, elapsed
+
+
 def test_build_reports_each_s_identity():
     I = ising_datum(F(1, 16), 1)
     R = I.ring
