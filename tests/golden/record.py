@@ -12,6 +12,12 @@ this directory as the working directory (report subjects hold the input
 path as given), no ``BRAIDFORGE_*`` variable set, and ``{out}`` in an
 argv standing for a fresh directory that ``--out`` writes into.
 
+An input too large to commit is derived: ``DERIVED`` names its path under
+``generated/`` (not in git) and the command whose stdout it is.  That
+command has a record of its own, and ``run`` writes the file each time it
+runs that command; a record that reads the file makes it first, unless
+this process has already written it.
+
 ``tests/test_golden.py`` replays every record.  A change that alters an
 output on purpose re-records only the records it alters, by id, and says
 which and why; nothing else re-records.
@@ -33,14 +39,28 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 INPUTS = os.path.join(HERE, "inputs")
 RECORDS = os.path.join(HERE, "records.json")
 OUT = "{out}"
+# derived input -> the command whose stdout it is: the pointed datum of
+# q(x) = x^2/128 on Z/64, 3.5 MB of JSON
+DERIVED = {"generated/datum_pointed_z64.json":
+           ["catalog", "pointed", "--form", "inputs/big_form_z64.json"]}
+_written = set()   # derived inputs this process has written
 
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def derive(path, main) -> None:
+    """Write the derived input ``path`` unless this process already has."""
+    if path not in _written:
+        run(DERIVED[path], main)
+
+
 def run(argv, main) -> dict:
     """One command through ``main``, from this directory: its record."""
+    for arg in argv:
+        if arg in DERIVED:
+            derive(arg, main)
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -54,6 +74,12 @@ def run(argv, main) -> dict:
         for name in sorted(os.listdir(tmp)):
             with open(os.path.join(tmp, name), "rb") as fh:
                 files[name] = sha(fh.read())
+    for path, recipe in DERIVED.items():
+        if list(argv) == recipe:
+            os.makedirs(os.path.dirname(os.path.join(HERE, path)), exist_ok=True)
+            with open(os.path.join(HERE, path), "w", encoding="utf-8", newline="") as fh:
+                fh.write(out.getvalue())
+            _written.add(path)
     return {
         "id": " ".join(argv),
         "argv": list(argv),
@@ -118,6 +144,9 @@ def inputs() -> dict:
     docs["form_hha.json"] = {"group": {"orders": [2] * 5}, "values": [
         bio.fraction_str((F(x[0] * x[1] + x[2] * x[3], 2) + F(x[4], 4)) % 1)
         for x in G.elements()]}
+    # q(x) = x^2/128 on Z/64: the form of the derived rank-64 pointed datum
+    docs["big_form_z64.json"] = {"group": {"orders": [64]},
+                                 "values": [bio.fraction_str(F(x * x, 128) % 1) for x in range(64)]}
     named = {"ai": a_form(), "h2": hyperbolic_plane(2), "h3": hyperbolic_plane(3),
              "m1": m_form(F(1, 8)), "m2": m_form(F(1, 4)), "o3": odd_rank1(3),
              "o5n": odd_rank1(5, 2), "n3": odd_norm(3), "n2": odd_norm(2)}
@@ -307,6 +336,14 @@ def commands(names) -> list:
         ["catalog", "product", inp("datum_ising_3m.json"), inp("datum_ising_7p.json"),
          "--out", f"{OUT}/prod.json"],
         ["catalog", "product", inp("datum_pointed_h2.json"), inp("bad_datum_verlinde.json")],
+    ]
+    # the rank-64 pointed datum: made, refused by rank_guard, and reported
+    z64 = "generated/datum_pointed_z64.json"
+    cmds += [
+        DERIVED[z64],
+        ["premodular", "report", z64],
+        ["premodular", "report", z64, "--rank-guard", "64"],
+        ["premodular", "gfp", z64, "--rank-guard", "64"],
     ]
     return cmds
 

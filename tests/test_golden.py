@@ -8,6 +8,7 @@ all match.  See ``golden/record.py`` for how to re-record a record whose
 output changes on purpose.
 """
 
+import functools
 import importlib.util
 import json
 import os
@@ -17,6 +18,7 @@ from braidforge.cli import main
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
+@functools.cache
 def _recorder():
     spec = importlib.util.spec_from_file_location("golden_record",
                                                   os.path.join(GOLDEN, "record.py"))
@@ -42,14 +44,25 @@ def _conductors(doc):
             yield from _conductors(value)
 
 
-def _max_conductor(argv) -> int:
-    top = 1
+def _inputs(argv):
+    """The JSON document of each input an argv reads, derived ones made first."""
     for arg in argv:
+        if arg in _recorder().DERIVED:
+            _recorder().derive(arg, main)
         path = os.path.join(GOLDEN, arg)
-        if arg.startswith("inputs/") and os.path.exists(path):
+        if arg.startswith(("inputs/", "generated/")) and os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
-                top = max([top, *_conductors(json.load(fh))])
-    return top
+                yield json.load(fh)
+
+
+def _max_conductor(argv) -> int:
+    return max([1, *(c for doc in _inputs(argv) for c in _conductors(doc))])
+
+
+def _max_rank(argv) -> int:
+    """The largest rank of a datum an argv reads, or 0."""
+    return max([0, *(len(doc["ring"]["labels"]) for doc in _inputs(argv)
+                     if isinstance(doc, dict) and isinstance(doc.get("ring"), dict))])
 
 
 def test_corpus_covers_every_action_and_exit_code():
@@ -68,6 +81,8 @@ def test_corpus_covers_every_action_and_exit_code():
     assert len({r["id"] for r in records}) == len(records)
     # descent near the conductor guard, on an input no guard refuses
     assert any(r["exit"] != 3 and _max_conductor(r["argv"]) >= 1000 for r in records)
+    # a datum far past the default rank_guard, with the guard raised to it
+    assert any(r["exit"] == 0 and _max_rank(r["argv"]) >= 64 for r in records)
 
 
 def test_every_record_replays_byte_for_byte(monkeypatch):
