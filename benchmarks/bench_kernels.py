@@ -19,9 +19,14 @@ interned), the ring every CLI and perfbench datum is built on.  The ``gauss_and_
 the pointed Z/12 datum.  A datum keeps its reports and a ring its
 subring lattice, so each repetition gets a fresh datum on a fresh ring,
 built before its clock starts; the sweep also lists the lattice first.
+The fresh ring is made with ``FusionRing(...)`` directly, so that
+build finds, checks and uses its algebra generators as on a parsed ring.
 The ``ring_from_json`` rows parse a rank-12 table (Ising x Z/4) first,
 with the interned rings cleared before each repetition, and again, when
-the lookup returns the ring already validated.  The ``_ctx`` rows build
+the lookup returns the ring already validated.  The ``validate_ring``
+rows check the group-ring tables of Z/64 and Z/128, with the interned
+rings cleared first (rank 64 and 128, past the default ``rank_guard``
+of 12, which the CLI applies only after parsing).  The ``_ctx`` rows build
 the reduction data of one conductor (Phi_n and its sparse tail): at the
 default ``conductor_guard`` 2310, the largest conductor a datum may
 reach unless the guard is raised; at 2257 = 37 * 61 (phi = 2160) just
@@ -186,6 +191,13 @@ def workloads():
 
     out.append(("ring_from_json rank 12, first parse", bio.ring_from_json, 5, unseen_table))
     out.append(("ring_from_json rank 12, repeated parse", bio.ring_from_json, 20, seen_table))
+    for n in (64, 128):
+        def cold_table(R=fusion.group_ring(FinAbGroup((n,)))):
+            fusion._RINGS.clear()
+            return R.labels, R.unit, R.dual, R.N
+
+        out.append((f"validate_ring Z/{n}, cold", lambda t: fusion.validate_ring(*t), 3,
+                    cold_table))
 
     for n in (DEFAULT.conductor_guard, 2257, 15015):
         def unbuilt_ctx(n=n):

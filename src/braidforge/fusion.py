@@ -4,7 +4,10 @@ a unit, and a duality involution.
 The table N[i][j][k] counts the k-th basis element inside the product
 of the i-th and j-th.  Validation checks the unit, associativity and
 duality against the unit (N_xy^1 = [y = x*]) exactly; everything
-downstream assumes a validated ring.  The Frobenius symmetries
+downstream assumes a validated ring.  Associativity is Light's test on
+the algebra generators (see ``algebra_generators``); only a table that
+fails it is scanned in order, to name its first failing triple.  The
+Frobenius symmetries
 N_xy^z = N_(yz*)^(x*) = N_(z*x)^(y*) follow from those two: the unit
 coefficient of (xy)z* is N_xy^z and that of x(yz*) is N_(yz*)^(x*).
 
@@ -47,21 +50,17 @@ _RINGS: dict = {}  # (labels, unit, dual, N) -> the validated FusionRing
 
 
 class FusionRing:
-    # N[i][j][k], non-negative ints.  _valid: the unit law and associativity
-    # are known to hold (set by validate_ring and the standard constructions).
-    # Built on first use: _fpdim, the Perron eigenvalues of the left
-    # multiplications; _lattice, the subring index tuples; _gens, the
-    # indices of algebra_generators.
-    __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_valid", "_fpdim",
-                 "_lattice", "_gens")
+    # N[i][j][k], non-negative ints.  Built on first use: _fpdim, the Perron
+    # eigenvalues of the left multiplications; _lattice, the subring index
+    # tuples; _gens, the indices of algebra_generators.
+    __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_fpdim", "_lattice", "_gens")
 
-    def __init__(self, labels: tuple, unit: int, dual: tuple, N: tuple, valid: bool = False):
+    def __init__(self, labels: tuple, unit: int, dual: tuple, N: tuple):
         self.labels, self.unit, self.dual, self.N = labels, unit, dual, N
         self._constituents = tuple(
             tuple(tuple(k for k, m in enumerate(row) if m > 0) for row in plane)
             for plane in N
         )
-        self._valid = valid
         self._fpdim = self._lattice = self._gens = None
 
     def __eq__(self, other):
@@ -76,9 +75,6 @@ class FusionRing:
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    def mult(self, i: int, j: int) -> tuple:
-        return self.N[i][j]
 
     def constituents(self, i: int, j: int) -> tuple:
         return self._constituents[i][j]
@@ -99,7 +95,7 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
     labels = tuple(str(l) for l in labels)
     r = len(labels)
     dual = tuple(int(d) for d in dual)
-    N = tuple(tuple(tuple(int(m) for m in row) for row in plane) for plane in N)
+    N = tuple(tuple(tuple(map(int, row)) for row in plane) for plane in N)
     key = (labels, unit, dual, N)
     if key in _RINGS:
         return _RINGS[key]
@@ -107,38 +103,43 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
         raise UnitFail(f"N must be {r}x{r}x{r}")
     if sorted(dual) != list(range(r)) or any(dual[dual[i]] != i for i in range(r)):
         raise DualityFail("dual is not an involution on indices")
-    if any(m < 0 for p in N for row in p for m in row):
+    if any(min(row) < 0 for p in N for row in p):
         raise UnitFail("negative structure constant")
-    for j in range(r):
-        for k in range(r):
-            want = 1 if j == k else 0
-            if N[unit][j][k] != want or N[j][unit][k] != want:
-                raise UnitFail(f"unit law fails at ({j}, {k})")
-    support = [[[(w, m) for w, m in enumerate(row) if m] for row in plane] for plane in N]
+    R = FusionRing(labels, unit, dual, N)
+    fault = _unit_fault(R)
+    if fault:
+        raise UnitFail(f"unit law fails at ({fault[0]}, {fault[1]})")
+    # the unit is never a generator: every index back means Light's test failed
+    if len(algebra_generators(R)) == r and (fault := _associator_fault(R, range(r))):
+        raise AssociativityFail("associativity fails at ({}, {}, {}) -> {}".format(*fault))
     for x in range(r):
         for y in range(r):
-            for z in range(r):
-                # (x*y)*z and x*(y*z) as coefficient vectors over v
-                lhs = [0] * r
-                for w, m in support[x][y]:
-                    for v, c in support[w][z]:
-                        lhs[v] += m * c
-                rhs = [0] * r
-                for w, m in support[y][z]:
-                    for v, c in support[x][w]:
-                        rhs[v] += m * c
-                if lhs != rhs:
-                    v = next(v for v in range(r) if lhs[v] != rhs[v])
-                    raise AssociativityFail(
-                        f"associativity fails at ({x}, {y}, {z}) -> {v}"
-                    )
-    for x in range(r):
-        for y in range(r):
-            if N[x][y][unit] != (1 if y == dual[x] else 0):
-                raise DualityFail(
-                    f"N[{x}][{y}][unit] = {N[x][y][unit]} but dual({x}) = {dual[x]}"
-                )
-    return _RINGS.setdefault(key, FusionRing(labels, unit, dual, N, True))  # valid
+            if N[x][y][unit] != (y == dual[x]):
+                raise DualityFail(f"N[{x}][{y}][unit] = {N[x][y][unit]} but dual({x}) = {dual[x]}")
+    return _RINGS.setdefault(key, R)
+
+
+def _unit_fault(R: FusionRing):
+    """The first (j, k) at which 1 j or j 1 differs from j at k, or None."""
+    N, u, r = R.N, R.unit, R.rank
+    return next(((j, k) for j in range(r) for k in range(r)
+                 if N[u][j][k] != (j == k) or N[j][u][k] != (j == k)), None)
+
+
+def _associator_fault(R: FusionRing, ys):
+    """The first (x, y, z, v), y in ``ys``, in that order, at which (xy)z
+    and x(yz) differ in the coefficient of v (the least such v), or None."""
+    N, C, r = R.N, R._constituents, range(R.rank)
+    for x, y, z in ((x, y, z) for x in r for y in ys for z in r):
+        lhs, rhs = {}, {}   # sparse: every coefficient kept is positive
+        for w in C[x][y]:
+            for v in C[w][z]:
+                lhs[v] = lhs.get(v, 0) + N[x][y][w] * N[w][z][v]
+        for w in C[y][z]:
+            for v in C[x][w]:
+                rhs[v] = rhs.get(v, 0) + N[y][z][w] * N[x][w][v]
+        if lhs != rhs:
+            return x, y, z, min(v for v in lhs.keys() | rhs.keys() if lhs.get(v) != rhs.get(v))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,7 @@ def group_ring(G: FinAbGroup) -> FusionRing:
         for j in range(n):
             N[i][j][add[i * n + j]] = 1
     labels = tuple("g" + "".join(str(c) for c in e) if e else "1" for e in G.elements())
-    return FusionRing(labels, 0, tuple(G.neg_flat()), _freeze(N), valid=True)
+    return FusionRing(labels, 0, tuple(G.neg_flat()), _freeze(N))
 
 
 def ising_ring() -> FusionRing:
@@ -174,12 +175,11 @@ def ising_ring() -> FusionRing:
     for (i, j), ks in table.items():
         for k in ks:
             N[i][j][k] = 1
-    return FusionRing(("1", "delta", "X"), 0, (0, 1, 2), _freeze(N), valid=True)
+    return FusionRing(("1", "delta", "X"), 0, (0, 1, 2), _freeze(N))
 
 
 def product_ring(R1: FusionRing, R2: FusionRing) -> FusionRing:
-    """Basis = pairs, structure constants multiply; the unit law and
-    associativity hold when they hold in both factors."""
+    """Basis = pairs, structure constants multiply."""
     r1, r2 = R1.rank, R2.rank
     labels = tuple(
         f"{R1.labels[i]}*{R2.labels[j]}" for i in range(r1) for j in range(r2)
@@ -202,7 +202,7 @@ def product_ring(R1: FusionRing, R2: FusionRing) -> FusionRing:
                             if m2:
                                 N[i][j][c1 * r2 + c2] = m1 * m2
     unit = R1.unit * r2 + R2.unit
-    return FusionRing(labels, unit, dual, _freeze(N), valid=R1._valid and R2._valid)
+    return FusionRing(labels, unit, dual, _freeze(N))
 
 
 def _freeze(N):
@@ -360,19 +360,26 @@ def algebra_generators(R: FusionRing) -> tuple:
     A linear map phi with phi(1) = 1 that satisfies
     phi(yz) = phi(y) phi(z) for these y and every z is a character: the
     y for which that holds span a unital subalgebra, by the unit law and
-    associativity, so it is all of R.  A ring not known to satisfy
-    those axioms (one built directly, not by ``validate_ring`` or a
-    standard construction) gets every index.  This is not
-    ``subring_generated``, which closes under constituents: {1*X, X*X}
-    generates Ising x Ising as a fusion ring but spans only 7 of its 9
-    dimensions as an algebra.
+    associativity, so it is all of R.  This is not ``subring_generated``,
+    which closes under constituents: {1*X, X*X} generates Ising x Ising
+    as a fusion ring but spans only 7 of its 9 dimensions as an algebra.
 
     Greedy: each step adds the index that makes the unital algebra of
     the chosen ones largest (the least index on ties), computed by exact
-    fraction-free elimination.  Built once per ring.
+    fraction-free elimination.  It ends only under the unit law (e_i 1 =
+    e_i makes each trial grow), which is checked first.  Its set Y then
+    proves associativity by Light's test (Clifford and Preston, The
+    Algebraic Theory of Semigroups I, 1.2) on |Y| r^2 triples: the y with
+    (xy)z = x(yz) for all x, z (the middle nucleus) include 1, are closed
+    under products and hold Y, whose words span R, so they are all of R.
+    A failing ring, whoever built it, gets every index.  Built once per ring.
     """
     if R._gens is None:
-        R._gens = tuple(sorted(_greedy_generators(R))) if R._valid else tuple(range(R.rank))
+        R._gens = tuple(range(R.rank))
+        if _unit_fault(R) is None:
+            gens = tuple(sorted(_greedy_generators(R)))
+            if _associator_fault(R, gens) is None:
+                R._gens = gens
     return R._gens
 
 
@@ -387,6 +394,8 @@ def _greedy_generators(R: FusionRing) -> list:
             trial = _close(R, echelon, gens, i)
             if best is None or len(trial) > len(best[1]):
                 best = (i, trial)
+            if len(trial) == r:
+                break   # no later index does better
         gens.append(best[0])
         echelon = best[1]
     return gens

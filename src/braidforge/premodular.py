@@ -15,12 +15,11 @@ in canonical form.
 The product relation says that each normalized row Y -> s_{XY} / d(X)
 is a character of the ring.  A linear map with value 1 at the unit that
 is multiplicative on a set of algebra generators Y (every Z) is a
-character, by the unit law and associativity, so on a ring known to
-satisfy those axioms ``build`` checks the relation on the rows Y of
-``fusion.algebra_generators`` only: |Y| r^2 products in place of r^3/2.
-A row X that fails there is scanned over every (Y, Z), so the error
-names the same first failing (X, Y, Z); a ring not known to satisfy the
-axioms (one made with ``FusionRing(...)`` directly) gets every row.
+character, by the unit law and associativity, so ``build`` checks the
+relation on the rows Y of ``fusion.algebra_generators`` only (every row
+if the ring fails either axiom): |Y| r^2 products in place of r^3/2.  A
+row X that fails there is scanned over every (Y, Z), so the error names
+the same first failing (X, Y, Z).
 
 The reports run on the same vectors and make CycloNums only for the
 values they return.  s~_{YV} = 1 is tested as s_{YV} = d(Y) d(V),
@@ -199,8 +198,8 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     dimensions' denominators.  Entries of S are vectors at L over D, the
     product relation's sides over D^2, so each identity is list equality.
     The product relation is checked on the rows Y of the ring's algebra
-    generators (see the module docstring), each product made when a
-    check first needs it.
+    generators, which ``fusion`` checks on the ring itself (see the module
+    docstring), each product made when a check first needs it.
     """
     r = ring.rank
     theta = tuple(root_exp(t) for t in theta)

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import time
 
 import pytest
 
@@ -393,13 +395,130 @@ def test_subring_closure_is_not_algebra_generation():
 
 
 def test_a_ring_not_known_to_be_associative_gets_every_index():
+    # the generators are checked on the ring itself, whoever built it
     from braidforge.fusion import FusionRing, algebra_generators
 
     I = ising_ring()
-    assert algebra_generators(FusionRing(I.labels, I.unit, I.dual, I.N)) == (0, 1, 2)
-    P = product_ring(I, FusionRing(I.labels, I.unit, I.dual, I.N))
-    assert algebra_generators(P) == tuple(range(9))
-    assert len(algebra_generators(product_ring(I, I))) == 2
+    for R in (I, product_ring(I, I), group_ring(FinAbGroup((2, 4)))):
+        twin = validate_ring(R.labels, R.unit, R.dual, R.N)
+        copy = FusionRing(R.labels, R.unit, R.dual, R.N)
+        assert algebra_generators(copy) == algebra_generators(twin)
+        assert len(algebra_generators(copy)) < R.rank
+    bad = [list(map(list, p)) for p in I.N]
+    bad[2][2][1] = 2   # X X = 1 + 2 delta: the unit law holds, associativity fails
+    with pytest.raises(AssociativityFail):
+        validate_ring(I.labels, I.unit, I.dual, bad)
+    B = FusionRing(I.labels, I.unit, I.dual, tuple(tuple(map(tuple, p)) for p in bad))
+    assert algebra_generators(B) == (0, 1, 2)
+    assert algebra_generators(product_ring(I, B)) == tuple(range(9))
+
+
+def test_a_ring_without_a_right_unit_gets_every_index(monkeypatch):
+    # N[X][1] = 0: no greedy trial could grow the span, so the search,
+    # which would never end, is not entered
+    from braidforge import fusion
+
+    def never(R):
+        raise AssertionError("greedy search entered without the unit law")
+
+    monkeypatch.setattr(fusion, "_greedy_generators", never)
+    I = ising_ring()
+    N = [[list(row) for row in plane] for plane in I.N]
+    N[2][0] = [0, 0, 0]
+    R = fusion.FusionRing(I.labels, I.unit, I.dual, tuple(tuple(map(tuple, p)) for p in N))
+    assert fusion.algebra_generators(R) == (0, 1, 2)
+
+
+# -- Light's associativity test ------------------------------------------------
+
+def _reference_verdict(dual, N):
+    """(class name, message) of the first axiom failure, or None: the
+    checks ``validate_ring`` made with a scan of every triple."""
+    r = len(N)
+    if sorted(dual) != list(range(r)) or any(dual[dual[i]] != i for i in range(r)):
+        return "DualityFail", "dual is not an involution on indices"
+    if any(m < 0 for p in N for row in p for m in row):
+        return "UnitFail", "negative structure constant"
+    for j in range(r):
+        for k in range(r):
+            want = 1 if j == k else 0
+            if N[0][j][k] != want or N[j][0][k] != want:
+                return "UnitFail", f"unit law fails at ({j}, {k})"
+    support = [[[(w, m) for w, m in enumerate(row) if m] for row in plane] for plane in N]
+    for x in range(r):
+        for y in range(r):
+            for z in range(r):
+                lhs = [0] * r
+                for w, m in support[x][y]:
+                    for v, c in support[w][z]:
+                        lhs[v] += m * c
+                rhs = [0] * r
+                for w, m in support[y][z]:
+                    for v, c in support[x][w]:
+                        rhs[v] += m * c
+                if lhs != rhs:
+                    v = next(v for v in range(r) if lhs[v] != rhs[v])
+                    return "AssociativityFail", f"associativity fails at ({x}, {y}, {z}) -> {v}"
+    for x in range(r):
+        for y in range(r):
+            if N[x][y][0] != (1 if y == dual[x] else 0):
+                return "DualityFail", f"N[{x}][{y}][unit] = {N[x][y][0]} but dual({x}) = {dual[x]}"
+    return None
+
+
+def _verdict(dual, N):
+    try:
+        validate_ring(tuple(map(str, range(len(N)))), 0, dual, N)
+    except RingAxiomError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _mutants(R, count, rng):
+    """``count`` seeded mutants of R's table (and now and then of its
+    duality): one or two entries each moved to another value in 0..2."""
+    r = R.rank
+    for _ in range(count):
+        dual = list(R.dual)
+        if rng.random() < 0.05:
+            i, j = rng.randrange(1, r), rng.randrange(1, r)
+            dual[i], dual[j] = dual[j], dual[i]
+        N = [[list(row) for row in plane] for plane in R.N]
+        for _ in range(rng.randint(1, 2)):
+            x, y, z = (rng.randrange(r) for _ in range(3))
+            N[x][y][z] = rng.choice([m for m in range(3) if m != N[x][y][z]])
+        yield tuple(dual), N
+
+
+def test_lights_test_gives_the_verdict_of_the_full_scan(monkeypatch):
+    from braidforge import fusion
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    rng = random.Random(23)
+    I = ising_ring()
+    tables = [t for R in (I, product_ring(I, I), group_ring(FinAbGroup((16,))),
+                          group_ring(FinAbGroup((2, 4))))
+              for t in _mutants(R, 150, rng)]
+    tables += _rank3_tables()
+    outcomes = set()
+    for dual, N in tables:
+        want = _reference_verdict(dual, N)
+        assert _verdict(dual, N) == want, (dual, N)
+        outcomes.add(want and want[0])
+    assert outcomes == {None, "UnitFail", "AssociativityFail", "DualityFail"}
+
+
+def test_validating_the_z128_table_is_quick(monkeypatch):
+    # Light's test reads |Y| r^2 = 128^2 triples; a scan of all r^3 took
+    # seconds more
+    from braidforge import fusion
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    R = group_ring(FinAbGroup((128,)))
+    start = time.perf_counter()
+    V = validate_ring(R.labels, R.unit, R.dual, R.N)
+    assert time.perf_counter() - start < 3.0
+    assert V == R and len(fusion.algebra_generators(V)) == 1
 
 
 # -- Frobenius symmetry --------------------------------------------------------
@@ -420,16 +539,9 @@ def _accepts(dual, N) -> bool:
     return True
 
 
-def test_accepted_tables_are_frobenius_symmetric(monkeypatch):
-    # associativity and N_xy^1 = [y = x*] imply both rotations, so
-    # validate_ring does not check them: every rank-3 table with unit 0,
-    # either duality, N_xy^1 as the duality asks and each other entry of
-    # x, y != 1 in 0..2 (2 * 3^8 tables), and every single-entry change
-    # of Ising and of Z/3 that validate_ring accepts satisfies them
-    from braidforge import fusion
-
-    monkeypatch.setattr(fusion, "_RINGS", {})
-    accepted = 0
+def _rank3_tables():
+    """Every rank-3 table with unit 0, either duality, N_xy^1 as the
+    duality asks and each other entry of x, y != 1 in 0..2: 2 * 3^8."""
     for dual in ((0, 1, 2), (0, 2, 1)):
         for free in itertools.product(range(3), repeat=8):
             N = [[[0] * 3 for _ in range(3)] for _ in range(3)]
@@ -439,10 +551,22 @@ def test_accepted_tables_are_frobenius_symmetric(monkeypatch):
             for x in (1, 2):
                 for y in (1, 2):
                     N[x][y] = [int(y == dual[x]), next(it), next(it)]
-            if _accepts(dual, N):
-                accepted += 1
-                assert _frobenius_rotations_hold(dual, N), (dual, N)
-        fusion._RINGS.clear()
+            yield dual, N
+
+
+def test_accepted_tables_are_frobenius_symmetric(monkeypatch):
+    # associativity and N_xy^1 = [y = x*] imply both rotations, so
+    # validate_ring does not check them: every rank-3 table of
+    # _rank3_tables, and every single-entry change of Ising and of Z/3,
+    # that validate_ring accepts satisfies them
+    from braidforge import fusion
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    accepted = 0
+    for dual, N in _rank3_tables():
+        if _accepts(dual, N):
+            accepted += 1
+            assert _frobenius_rotations_hold(dual, N), (dual, N)
     assert accepted == 19
     mutants = 0
     for R in (ising_ring(), group_ring(FinAbGroup((3,)))):
