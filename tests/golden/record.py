@@ -228,6 +228,21 @@ def inputs() -> dict:
     z4 = bio.datum_to_json(pointed_datum(m_form(F(1, 8))))
     z4["twists"] = ["0/1", "0/1", "0/1", "1/8"]  # S is not dual-invariant
     docs["bad_datum_symmetry.json"] = z4
+    # the (Z/2)^3 group ring with unit dimensions and one twist of order
+    # 1021 or 2257 (phi = 2160): a product relation fails just under the
+    # default conductor_guard
+    z2cubed = bio.ring_to_json(group_ring(FinAbGroup((2, 2, 2))))
+    one = {"conductor": 1, "coeffs": ["1/1"]}
+    for den in (1021, 2257):
+        docs[f"tail_datum_2x2x2_t{den}.json"] = {
+            "ring": z2cubed, "twists": ["0/1", f"1/{den}"] + ["0/1"] * 6, "dims": [one] * 8}
+    # x^2/251 on Z/251, just under enum_guard; the smallest groups past the
+    # default enum_guard (|G| = 257) and aut_guard (|G| = 65)
+    docs["tail_form_z251.json"] = bio.qform_to_json(odd_rank1(251))
+    docs["guard_form_z257.json"] = bio.qform_to_json(odd_rank1(257))
+    docs["guard_form_z65.json"] = {"group": {"orders": [65]},
+                                   "values": [bio.fraction_str(F(x * x, 65) % 1)
+                                              for x in range(65)]}
 
     # characters
     docs["chi_ai.json"] = {"chi": [1, -1]}
@@ -344,6 +359,15 @@ def commands(names) -> list:
         ["premodular", "report", z64],
         ["premodular", "report", z64, "--rank-guard", "64"],
         ["premodular", "gfp", z64, "--rank-guard", "64"],
+    ]
+    # near the default guards, and refused at them: enum_guard on Z/257,
+    # aut_guard on Z/65 (the core needs Aut(G, q))
+    cmds += [
+        ["premodular", "report", inp("tail_datum_2x2x2_t1021.json")],
+        ["premodular", "report", inp("tail_datum_2x2x2_t2257.json")],
+        ["qform", "witt", inp("tail_form_z251.json")],
+        ["qform", "analyze", inp("guard_form_z257.json")],
+        ["qform", "core", inp("guard_form_z65.json")],
     ]
     return cmds
 

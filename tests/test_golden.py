@@ -8,10 +8,13 @@ all match.  See ``golden/record.py`` for how to re-record a record whose
 output changes on purpose.
 """
 
+import contextlib
 import functools
 import importlib.util
+import io
 import json
 import os
+import re
 
 from braidforge.cli import main
 
@@ -65,7 +68,26 @@ def _max_rank(argv) -> int:
                      if isinstance(doc, dict) and isinstance(doc.get("ring"), dict))])
 
 
-def test_corpus_covers_every_action_and_exit_code():
+GUARDS = ("enum_guard", "aut_guard", "aut_count_cap", "rank_guard", "conductor_guard")
+
+
+def _guard_refused(argv) -> str:
+    """The guard named by the refusal an argv ends in, run from ``golden/``."""
+    for arg in argv:
+        if arg in _recorder().DERIVED:
+            _recorder().derive(arg, main)
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 3
+    finally:
+        os.chdir(cwd)
+    return re.fullmatch(r"guard exceeded: .* exceeds (\w+) = \d+\n", err.getvalue()).group(1)
+
+
+def test_corpus_covers_every_action_and_exit_code(monkeypatch):
     records = _records()
     seen = {tuple(r["argv"][:2]) for r in records}
     for action in ("analyze", "classify", "gauss", "witt", "core", "wap"):
@@ -83,6 +105,12 @@ def test_corpus_covers_every_action_and_exit_code():
     assert any(r["exit"] != 3 and _max_conductor(r["argv"]) >= 1000 for r in records)
     # a datum far past the default rank_guard, with the guard raised to it
     assert any(r["exit"] == 0 and _max_rank(r["argv"]) >= 64 for r in records)
+    # every guard refuses some record at its default limit
+    for key in [k for k in os.environ if k.startswith("BRAIDFORGE_")]:
+        monkeypatch.delenv(key)
+    at_default = [r["argv"] for r in records
+                  if r["exit"] == 3 and not any(a.endswith("-guard") for a in r["argv"])]
+    assert {_guard_refused(argv) for argv in at_default} == set(GUARDS)
 
 
 def test_every_record_replays_byte_for_byte(monkeypatch):
