@@ -172,6 +172,8 @@ def load_json(path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:  # nested past the decoder's recursion limit
+        raise SchemaError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def ingest(path: str, config: Config = DEFAULT):

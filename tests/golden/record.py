@@ -119,7 +119,7 @@ def _name(orders) -> str:
 
 
 def inputs() -> dict:
-    """File name (under inputs/) -> JSON document."""
+    """File name (under inputs/) -> JSON document, or the file's text as a str."""
     from braidforge import io as bio
     from braidforge.abelian import FinAbGroup
     from braidforge.fusion import group_ring, ising_ring, product_ring
@@ -243,6 +243,10 @@ def inputs() -> dict:
     docs["guard_form_z65.json"] = {"group": {"orders": [65]},
                                    "values": [bio.fraction_str(F(x * x, 65) % 1)
                                               for x in range(65)]}
+
+    # JSON nested 2,000 deep, past the decoder's recursion limit; a str is
+    # written as it is
+    docs["deep_nesting.json"] = "[" * 2000 + "]" * 2000 + "\n"
 
     # characters
     docs["chi_ai.json"] = {"chi": [1, -1]}
@@ -369,6 +373,16 @@ def commands(names) -> list:
         ["qform", "analyze", inp("guard_form_z257.json")],
         ["qform", "core", inp("guard_form_z65.json")],
     ]
+    # every JSON reader, on input nested too deeply to decode
+    deep = inp("deep_nesting.json")
+    cmds += [
+        ["qform", "analyze", deep],
+        ["fusion", "dims", deep],
+        ["premodular", "report", deep],
+        ["catalog", "pointed", "--form", deep],
+        ["catalog", "pointed", "--form", inp("form_ai.json"), "--chi", deep],
+        ["catalog", "product", inp("datum_pointed_ai.json"), deep],
+    ]
     return cmds
 
 
@@ -384,8 +398,11 @@ def main(argv=None) -> int:
         os.makedirs(INPUTS, exist_ok=True)
         for name, doc in docs.items():
             with open(os.path.join(INPUTS, name), "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
-                fh.write("\n")
+                if isinstance(doc, str):
+                    fh.write(doc)
+                else:
+                    json.dump(doc, fh, indent=1)
+                    fh.write("\n")
         records = [run(argv, cli_main) for argv in commands(docs)]
     else:
         with open(RECORDS, encoding="utf-8") as fh:

@@ -148,6 +148,17 @@ def test_aut_count_cap_refuses_quickly(tmp_path):
     assert elapsed < 2.0
 
 
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path):
+    # 200,000 nested lists: the decoder raises RecursionError near depth 1,000
+    path = str(tmp_path / "deep.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[" * 200_000 + "]" * 200_000)
+    proc = subprocess.run([sys.executable, "-m", "braidforge.cli", "qform", "analyze", path],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == f"SchemaError: invalid JSON in {path}: nested too deeply\n"
+
+
 def test_out_replaces_the_file_and_leaves_no_temp_file(tmp_path, capsys):
     out_path = tmp_path / "ising.json"
     out_path.write_text("stale")
