@@ -52,7 +52,13 @@ in ``abelian``) cleared, and a repeat, which reads what the form kept.
 The ``quotient_form`` rows take the induced form on H-perp/H for every H
 in the isotropic lattice of the same two forms: cold, with the group
 memo cleared before each repetition, and warm, when every subgroup's
-generators, abstract group and quotient are read from the memo.
+generators, abstract group and quotient are read from the memo.  The
+``find_isomorphism`` rows search for a form-carrying automorphism
+between the residue tables of the same two forms and, first, a copy
+moved by a seeded automorphism (the isomorphic pair) and then a seeded
+form of the same level that is not isomorphic (the search fails).  The
+cold ``degeneracy`` row takes the radical of one seeded form on
+Z/6 x Z/6, on a fresh copy of the form each repetition.
 
 The rows above are the best of N calls.  The ``cold start`` rows are
 medians of 7 fresh ``python -B -c CODE`` launches each (bytecode
@@ -265,6 +271,20 @@ def workloads():
         n = len(lattice)
         out.append((f"quotient_form {shape} x{n}, cold", quotients, 5, cold))
         out.append((f"quotient_form {shape} x{n}, warm", quotients, 20, lambda M=M: M))
+
+        G = M.group
+        args = (G.order, G.add_flat(), G.order_flat(), G.gen_strides(), list(shape))
+        rng = random.Random(2)
+        moved = list(pure.apply_perm(rng.choice(abelian.automorphism_perms(G)), M.res))
+        other = next(N.res for N in iter(lambda: qform.random_form(G, rng), None)
+                     if N.level == M.level and pure.find_isomorphism(*args, M.res, N.res) is None)
+        for name, target in (("isomorphic", moved), ("not isomorphic", other)):
+            out.append((f"find_isomorphism {shape}, {name} pair",
+                        lambda t=target, a=args, M=M: pure.find_isomorphism(*a, M.res, t), 20))
+
+    M66 = qform.random_form(FinAbGroup((6, 6)), random.Random(1))
+    out.append(("degeneracy (6, 6), cold", qform.degeneracy, 20,
+                lambda: qform.PreMetricGroup.at_level(M66.group, M66.level, M66.res)))
 
     for p in (101, 251):
         c = witt.witt_class(qform.odd_rank1(p, 1))

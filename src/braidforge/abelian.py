@@ -10,8 +10,9 @@ source index).  Coordinate tuples appear only in JSON and in the
 accessors that return them: ``Subgroup.elements`` and ``generators``,
 ``GroupHom.images``, calling a hom, and its kernel and image lists.
 
-A group keeps its add, negation and element-order tables and a memo of
-each subgroup touched: its generators, abstract group and quotient
+A group's order is a slot, set once when it is made.  A group keeps its
+add, negation and element-order tables and a memo of each subgroup
+touched: its generators, abstract group and quotient
 (``_minimal_generators``, ``_sub_structure``, ``_quotient_images``, keyed
 by index tuple), all in one ``_TABLE_CACHE`` entry per ``orders``,
 process-local and unbounded like ``_CTX`` in ``cyclotomic``.  Values are
@@ -44,12 +45,13 @@ class FinAbGroup:
     the chain and should pass through :func:`canonical_form` first.
     """
 
-    __slots__ = ("orders",)
+    __slots__ = ("orders", "order")
 
     def __init__(self, orders):
         self.orders = tuple(int(m) for m in orders)
         if any(m < 2 for m in self.orders):
             raise InvalidPresentation(f"orders must all be >= 2: {self.orders}")
+        self.order = math.prod(self.orders)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -58,10 +60,6 @@ class FinAbGroup:
 
     def __hash__(self):
         return hash((self.orders,))
-
-    @property
-    def order(self) -> int:
-        return reduce(lambda a, b: a * b, self.orders, 1)
 
     @property
     def rank(self) -> int:

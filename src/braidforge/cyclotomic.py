@@ -223,7 +223,15 @@ class CycloNum:
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "CycloNum":
+        """The product.  A nonzero rational c scales a's vector: c * a lies
+        in exactly the fields that a does, so a's conductor stays minimal,
+        and a gcd pass is all the normalising needed (no convolution)."""
         other = _coerce(other)
+        a, c = (self, other) if other.n == 1 else (other, self)
+        if c.n == 1 and c.num[0]:
+            num, den = [x * c.num[0] for x in a.num], a.den * c.den
+            g = math.gcd(*num, den)
+            return _mk_reduced(a.n, [x // g for x in num], den // g)
         L = _join(self.n, other.n)
         out = _mul_vec(_ctx(L), self._lift(L), other._lift(L))
         return CycloNum(L, out, self.den * other.den)
@@ -547,7 +555,7 @@ def root_sum(terms) -> CycloNum:
 def level_root_sum(L: int, exps) -> CycloNum:
     """Exact sum of e^(2*pi*i*a/L) over the integers a in ``exps``."""
     N = _canonical_conductor(L)
-    return _sum_at(N, Counter(_root_power(a, L, N) for a in exps).items(), 1)
+    return _sum_at(N, ((_root_power(a, L, N), c) for a, c in Counter(exps).items()), 1)
 
 
 def _sum_at(N: int, terms, den: int) -> CycloNum:

@@ -9,7 +9,6 @@ from .pure import (
     combinations,
     element_orders,
     find_isomorphism,
-    group_size,
     neg_table,
     stabilizer,
 )

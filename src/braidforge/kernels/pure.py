@@ -16,14 +16,9 @@ coordinates outermost-first lists indices 0..n-1 in order.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import EnumerationLimit
-
-
-def group_size(orders):
-    n = 1
-    for m in orders:
-        n *= m
-    return n
 
 
 def _all_coords(radix):
@@ -35,7 +30,7 @@ def _all_coords(radix):
 
 def add_table(orders):
     """Flat n*n table: add[a*n + b] = index of a + b."""
-    n = group_size(orders)
+    n = math.prod(orders)
     if not orders:
         return [0]
     radix = list(orders)
@@ -51,7 +46,7 @@ def add_table(orders):
 
 
 def neg_table(orders):
-    n = group_size(orders)
+    n = math.prod(orders)
     if not orders:
         return [0]
     radix = list(orders)
@@ -147,7 +142,12 @@ def _carrying(n, add, ords, gen_strides, gen_ords, table_a, table_b):
     a full assignment passing it is bijective.  The prefix subgroup
     <e_1..e_k> maps onto S, its elements in enumeration order are
     exactly the indices with zero later coordinates, and the tables are
-    compared on it before the search goes deeper.
+    compared on it before the search goes deeper.  Before that coset is
+    built, m must carry e_d's value, and phi(e_i) + m that of e_i + e_d
+    for each earlier e_i (at pos_i = prod(gen_ords[i+1:d]) in the prefix):
+    entries 1 and pos_i * need + 1 of the coset, which the comparison
+    reads too, so these filters drop only what it would.  Candidates stay
+    in index order, and so do the permutations found.
     """
     if table_a[0] != table_b[0]:
         return
@@ -155,15 +155,19 @@ def _carrying(n, add, ords, gen_strides, gen_ords, table_a, table_b):
     if r == 0:
         yield (0,)
         return
-    cyclic = {need: [] for need in gen_ords}
-    for m in range(n):
-        if ords[m] in cyclic:
-            cyclic[ords[m]].append(_multiples(n, add, m, ords[m]))
     want = []
     prefix = [0]
     for step, om in zip(gen_strides, gen_ords):
         prefix = [e + j * step for e in prefix for j in range(om)]
         want.append([table_a[e] for e in prefix])
+    # per depth d: each m of e_d's order and value with its multiples, and
+    # (pos_i, value of e_i + e_d) per earlier e_i
+    cands = [[(m, _multiples(n, add, m, om)) for m in range(n)
+              if ords[m] == om and table_b[m] == table_a[step]]
+             for step, om in zip(gen_strides, gen_ords)]
+    pairs = [[(p, want[d][p * gen_ords[d] + 1])
+              for p in (math.prod(gen_ords[i + 1:d]) for i in range(d))]
+             for d in range(r)]
 
     def rec(depth, phi):
         if depth == r:
@@ -171,7 +175,10 @@ def _carrying(n, add, ords, gen_strides, gen_ords, table_a, table_b):
             return
         span = set(phi)
         target = want[depth]
-        for mult in cyclic[gen_ords[depth]]:
+        earlier = [(phi[p] * n, v) for p, v in pairs[depth]]
+        for m, mult in cands[depth]:
+            if any(table_b[add[g + m]] != v for g, v in earlier):
+                continue
             if any(x in span for x in mult[1:]):
                 continue
             new_phi = [add[p * n + x] for p in phi for x in mult]

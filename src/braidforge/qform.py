@@ -227,11 +227,12 @@ def bicharacter(M: PreMetricGroup) -> Bicharacter:
 
 
 def degeneracy(M: PreMetricGroup) -> DegeneracyClass:
-    """Radical Ker b and the three-way degeneracy tag, kept on M."""
+    """Radical Ker b and the three-way degeneracy tag, kept on M.  Each
+    b(g, .) is a character, so Ker b is the orthogonal of G's generators."""
     if M._deg is not None:
         return M._deg
     G = M.group
-    rad = _perp_indices(M, range(G.order))
+    rad = _perp_indices(M, G.gen_strides())
     radical = Subgroup(G, rad)
     if len(rad) == 1:
         tag = "nondegenerate"
@@ -260,14 +261,15 @@ def orthogonal_complement(M: PreMetricGroup, H: Subgroup) -> Subgroup:
 
 
 def _perp_indices(M: PreMetricGroup, gens) -> list:
-    """Indices of the g with b(g, h) = 0 for every index h in ``gens``."""
+    """Indices of the g with b(g, h) = 0 for every index h in ``gens``:
+    as b(g, .) is a character, the orthogonal of the subgroup they
+    generate.  Filtered one generator at a time, so the list shrinks."""
     n, L, t = M.group.order, M.level, M.res
     add = M.group.add_flat()
-    return [
-        i
-        for i in range(n)
-        if all((t[add[i * n + j]] - t[i] - t[j]) % L == 0 for j in gens)
-    ]
+    idx = list(range(n))
+    for j in gens:
+        idx = [i for i in idx if (t[add[i * n + j]] - t[i] - t[j]) % L == 0]
+    return idx
 
 
 class IsotropicSubgroup(NamedTuple):
@@ -462,11 +464,11 @@ def _induced_on_core(M, H, to_Q, coreform, config):
     for p in q_automorphism_perms(M, config):
         if {p[i] for i in h_idx} != h_idx:
             continue
-        mapping = {}
-        for i, src in to_Q.items():
-            if mapping.setdefault(src, to_Q[p[i]]) != to_Q[p[i]]:
-                raise ClassificationBug("automorphism does not descend to the core")
-        induced.add(tuple(mapping[y] for y in range(Q.order)))
+        # one (class, image class) pair per class exactly when p descends
+        pairs = {(src, to_Q[p[i]]) for i, src in to_Q.items()}
+        if len(pairs) != Q.order:
+            raise ClassificationBug("automorphism does not descend to the core")
+        induced.add(tuple(image for _, image in sorted(pairs)))
     gamma = sorted(induced)
     if any(t[perm[i]] != t[i] for perm in gamma for i in range(Q.order)):
         raise ClassificationBug("core automorphism does not preserve the form")

@@ -8,7 +8,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidforge.cyclotomic import CycloNum, cyclotomic_polynomial, matrix_rank, root_sum
+from braidforge import cyclotomic
+from braidforge.cyclotomic import (
+    CycloNum, cyclotomic_polynomial, level_root_sum, matrix_rank, root_sum,
+)
 from braidforge.errors import DivisionByZero
 
 ONE = CycloNum.one()
@@ -381,3 +384,35 @@ def test_try_subfield_matches_the_galois_fixed_field():
                 if got is not None:
                     assert _substitute(ctx, got, q) == v, (n, m)
     assert branches == {"shared", "coprime", "q=4"}
+
+
+def _convolved(a, c):
+    """a * c by the general product: lift to the joined conductor,
+    convolve, reduce and normalise."""
+    L = cyclotomic._join(a.n, c.n)
+    out = cyclotomic._mul_vec(cyclotomic._ctx(L), a._lift(L), c._lift(L))
+    return CycloNum(L, out, a.den * c.den)
+
+
+def test_rational_products_match_the_convolution():
+    rng = random.Random(11)
+    rationals = [0, 1, -1, 6, -4, F(0), F(-7, 12), F(9, 4), F(2, 3)]
+    for n in [m for m in range(1, 61) if m % 4 != 2] + [840]:
+        a = root_sum([(F(1, n), 1)] + [
+            (F(rng.randrange(n), n), F(rng.randint(-3, 3), rng.randint(1, 4)))
+            for _ in range(3)])
+        for x in (a, -a, CycloNum.from_rational(F(-5, 6)), CycloNum.zero()):
+            for q in rationals:
+                c = CycloNum.from_rational(q)
+                want = _convolved(x, c)
+                for got in (x * q, q * x, x * c, c * x):
+                    assert (got.n, got.num, got.den) == (want.n, want.num, want.den), (n, q)
+
+
+def test_level_root_sum_matches_root_sum():
+    rng = random.Random(5)
+    for L in (1, 2, 3, 4, 6, 8, 10, 12, 16, 30, 36, 72, 120):
+        assert level_root_sum(L, []) == root_sum([]) == CycloNum.zero()
+        exps = [rng.randrange(-2 * L, 3 * L) for _ in range(12)]
+        exps += exps[:5] + [0, 0, L, -L, 2 * L + 1, 1]   # repeated and unreduced
+        assert level_root_sum(L, exps) == root_sum([(F(a, L), 1) for a in exps]), L

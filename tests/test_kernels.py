@@ -1,5 +1,6 @@
 """The kernel's pruned searches against brute-force filters of Aut(G)."""
 
+import itertools
 import random
 
 import pytest
@@ -43,6 +44,38 @@ def test_pruned_searches_match_filtered_automorphisms(orders):
         other = [rng.choice(table) for _ in range(n)]
         for target in (moved, other):
             first = next((p for p in auts if carries(p, table, target)), None)
+            assert pure.find_isomorphism(n, add, ords, strides, gords, table, target) == first
+
+
+def brute_automorphisms(G):
+    """Aut(G) without the kernel's search: every tuple of generator images,
+    in lexicographic index order, whose homomorphism is a bijection."""
+    n, add, ords = G.order, G.add_flat(), G.order_flat()
+    out = []
+    for images in itertools.product(range(n), repeat=G.rank):
+        if all(m % ords[g] == 0 for g, m in zip(images, G.orders)):
+            table = pure.combinations(n, add, images, G.orders)
+            if len(set(table)) == n:
+                out.append(tuple(table))
+    return out
+
+
+@pytest.mark.parametrize("orders", invariant_shapes(16), ids=str)
+def test_searches_match_brute_force_automorphisms(orders):
+    # independent of _carrying: same lists, same order, on every shape of order <= 16
+    rng = random.Random(repr(orders) + "brute")
+    G = FinAbGroup(orders)
+    n, add, ords = G.order, G.add_flat(), G.order_flat()
+    strides, gords = G.gen_strides(), list(orders)
+    brute = brute_automorphisms(G)
+    assert pure.automorphisms(n, add, ords, strides, gords, 10 ** 6) == brute
+    for table in tables_on(G, rng):
+        want = [p for p in brute if carries(p, table, table)]
+        assert pure.stabilizer(n, add, ords, strides, gords, table) == want
+        moved = list(pure.apply_perm(rng.choice(brute), table))
+        other = [rng.choice(table) for _ in range(n)]
+        for target in (moved, other):
+            first = next((p for p in brute if carries(p, table, target)), None)
             assert pure.find_isomorphism(n, add, ords, strides, gords, table, target) == first
 
 

@@ -588,3 +588,21 @@ def test_a_refusal_keeps_nothing():
     with pytest.raises(EnumerationLimit, match="aut_count_cap"):
         core(M)  # the lattice is kept, Aut(G, q) is refused again
     assert M._iso is not None and M._auts is None
+
+
+def test_radical_from_generators_matches_all_elements():
+    # Ker b from b(g, .) on the generators against b(g, h) on every h
+    tags = set()
+    for k, orders in enumerate(invariant_shapes(36)):
+        G = FinAbGroup(orders)
+        n, add = G.order, G.add_flat()
+        rng = random.Random(700 + k)
+        for _ in range(4):
+            M = random_form(G, rng)
+            L, t = M.level, M.res
+            want = tuple(g for g in range(n)
+                         if all((t[add[g * n + h]] - t[g] - t[h]) % L == 0 for h in range(n)))
+            deg = degeneracy(M)
+            assert deg.radical.idx == want, (orders, t)
+            tags.add(deg.tag)
+    assert tags == {"nondegenerate", "slightly_degenerate", "degenerate_other"}
