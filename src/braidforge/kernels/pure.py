@@ -68,13 +68,15 @@ def element_orders(n, add):
 
 
 def _extend(n, add, sub, g):
-    """Element set of <sub, g> for a subgroup ``sub`` (iterable of indices)."""
-    new = set(sub)
+    """Element set of <sub, g> for a subgroup ``sub`` (iterable of indices):
+    the cosets k*g + sub for k = 0, 1, ... up to the first k*g in sub."""
+    have = set(sub)
+    new = set(have)
     x = g
-    while x != 0:
+    while x not in have:
         base = x * n
         new.update(add[base + h] for h in sub)
-        x = add[x * n + g]
+        x = add[base + g]
     return tuple(sorted(new))
 
 

@@ -282,7 +282,11 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     """All subgroups with q = 0, maximal/Lagrangian flags set.
 
     Grown by closure: H extends by x exactly when q(x) = 0 and
-    b(x, H) = 0, so the search never leaves the isotropic lattice.  The
+    b(x, H) = 0, so the search never leaves the isotropic lattice; b(x, .)
+    is a character, so b(x, H) = 0 is tested on the generators that H was
+    grown from.  g -> b(g, .) on H has kernel H-perp, and its image is the
+    characters of H that vanish on H n Ker b, so |H-perp| = |G| |H n Ker b|
+    / |H|; H, which lies in H-perp, is Lagrangian when that is |H|.  The
     records are kept on M; the guard runs on every call.
     """
     G = M.group
@@ -294,35 +298,26 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     L, t = M.level, M.res
     add = G.add_flat()
     iso_elems = [i for i in range(n) if t[i] == 0]
-
-    def extensions(idx_tuple):
-        out = []
-        for x in iso_elems:
-            if x in idx_tuple:
-                continue
-            if all((t[add[x * n + h]] - t[x] - t[h]) % L == 0 for h in idx_tuple):
-                out.append(x)
-        return out
-
     trivial = (0,)
     found = {trivial}
-    queue = [trivial]
+    queue = [(trivial, ())]   # each subgroup with a generating tuple of it
     maximal = {}
     while queue:
-        cur = queue.pop()
-        exts = extensions(cur)
+        cur, gens = queue.pop()
+        have = set(cur)
+        exts = [x for x in iso_elems if x not in have
+                and all((t[add[x * n + h]] - t[x] - t[h]) % L == 0 for h in gens)]
         maximal[cur] = not exts
         for x in exts:
-            new = kernels.closure(n, add, list(cur) + [x])
+            new = kernels.closure(n, add, gens + (x,))
             if new not in found:
                 found.add(new)
-                queue.append(new)
+                queue.append((new, gens + (x,)))
+    rad = set(degeneracy(M).radical.idx)
     result = []
     for idx in sorted(found, key=lambda s: (len(s), s)):
-        sub = Subgroup(G, idx)
-        # H is isotropic, so H lies in H-perp: Lagrangian iff |H-perp| = |H|
-        perp = _perp_indices(M, sub.gen_idx)
-        result.append(IsotropicSubgroup(sub, maximal[idx], len(perp) == len(idx)))
+        lagrangian = n * len(rad.intersection(idx)) == len(idx) ** 2
+        result.append(IsotropicSubgroup(Subgroup(G, idx), maximal[idx], lagrangian))
     M._iso = tuple(result)
     return result
 

@@ -590,9 +590,10 @@ def test_a_refusal_keeps_nothing():
     assert M._iso is not None and M._auts is None
 
 
-def test_radical_from_generators_matches_all_elements():
-    # Ker b from b(g, .) on the generators against b(g, h) on every h
-    tags = set()
+def test_radical_and_lagrangian_flags_match_all_elements():
+    # Ker b from b(g, .) on the generators, and the Lagrangian flag from
+    # |Ker b n H|, against b(g, h) on every h
+    tags, degenerate_lagrangians = set(), 0
     for k, orders in enumerate(invariant_shapes(36)):
         G = FinAbGroup(orders)
         n, add = G.order, G.add_flat()
@@ -605,4 +606,11 @@ def test_radical_from_generators_matches_all_elements():
             deg = degeneracy(M)
             assert deg.radical.idx == want, (orders, t)
             tags.add(deg.tag)
+            for rec in isotropic_subgroups(M):
+                H = rec.subgroup.idx
+                perp = tuple(g for g in range(n)
+                             if all((t[add[g * n + h]] - t[g] - t[h]) % L == 0 for h in H))
+                assert rec.is_lagrangian == (perp == H), (orders, t, H)
+                degenerate_lagrangians += rec.is_lagrangian and len(want) > 1
     assert tags == {"nondegenerate", "slightly_degenerate", "degenerate_other"}
+    assert degenerate_lagrangians
