@@ -170,6 +170,8 @@ def _carrying(n, add, ords, gen_strides, gen_ords, table_a, table_b):
     pairs = [[(p, want[d][p * gen_ords[d] + 1])
               for p in (math.prod(gen_ords[i + 1:d]) for i in range(d))]
              for d in range(r)]
+    if len(set(table_b)) == 1:   # a constant table_b (Aut(G) itself) passes them all
+        pairs = [()] * r
 
     def rec(depth, phi):
         if depth == r:
@@ -177,10 +179,11 @@ def _carrying(n, add, ords, gen_strides, gen_ords, table_a, table_b):
             return
         span = set(phi)
         target = want[depth]
-        earlier = [(phi[p] * n, v) for p, v in pairs[depth]]
-        for m, mult in cands[depth]:
-            if any(table_b[add[g + m]] != v for g, v in earlier):
-                continue
+        todo = cands[depth]
+        for p, v in pairs[depth]:
+            g = phi[p] * n
+            todo = [c for c in todo if table_b[add[g + c[0]]] == v]
+        for m, mult in todo:
             if any(x in span for x in mult[1:]):
                 continue
             new_phi = [add[p * n + x] for p in phi for x in mult]
