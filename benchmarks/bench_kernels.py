@@ -17,10 +17,18 @@ Ising x Ising again on its ring parsed from JSON (validated and
 interned), the ring every CLI and perfbench datum is built on.  The ``gauss_and_charge`` and
 ``centralizer sweep`` rows time a datum's reports on Ising x Ising and
 the pointed Z/12 datum.  A datum keeps its reports and a ring its
-subring lattice, so each repetition gets a fresh datum on a fresh ring,
-built before its clock starts; the sweep also lists the lattice first.
-The fresh ring is made with ``FusionRing(...)`` directly, so that
+subring lattice and centralizer components, so each repetition gets a
+fresh datum on a fresh ring, built before its clock starts; the sweep
+also lists the lattice first.  The fresh ring is made with
+``FusionRing(...)`` directly, so it starts with an empty ring memo, and
 build finds, checks and uses its algebra generators as on a parsed ring.
+The ``report`` row times ``gauss_and_charge`` and the centralizer of
+every subring on a fresh datum parsed onto the interned Ising x Ising
+ring, as every perfbench request after the first on a table does: the
+lattice and components were kept by an earlier datum.  The ``_mul_vec``
+rows take 20,000 / phi(L) products of vectors at L = 16 and 840, one
+operand a dense seeded vector and the other a rational (zero past
+index 0) or a second dense vector.
 The ``ring_from_json`` rows parse a rank-12 table (Ising x Z/4) first,
 with the interned rings cleared before each repetition, and again, when
 the lookup returns the ring already validated.  The ``validate_ring``
@@ -183,6 +191,28 @@ def workloads():
                     premodular.gauss_and_charge, 5, fresh))
         n = len(all_subrings(D.ring).subrings)
         out.append((f"centralizer sweep {name} ({n} subrings)", sweep, 5, with_lattice))
+
+    doc = bio.datum_to_json(ising2)
+
+    def report(E):
+        premodular.gauss_and_charge(E)
+        for K in all_subrings(E.ring).subrings:
+            premodular.centralizer(E, K)
+
+    report(bio.datum_from_json(doc))
+    out.append(("report Ising x Ising, fresh datum on the interned ring", report, 5,
+                lambda: bio.datum_from_json(doc)))
+
+    for L in (16, 840):
+        ctx = cyclotomic._ctx(L)
+        rng = random.Random(L)
+        dense = [[rng.randint(-9, 9) for _ in range(ctx.phi)] for _ in range(2)]
+        scalar = [rng.randint(2, 9)] + [0] * (ctx.phi - 1)
+        reps = 20_000 // ctx.phi
+        for name, a in (("scalar", scalar), ("dense", dense[1])):
+            out.append((f"_mul_vec L={L} {name} x dense (x{reps})",
+                        lambda ctx=ctx, a=a, b=dense[0], reps=reps:
+                        [cyclotomic._mul_vec(ctx, a, b) for _ in range(reps)], 5))
 
     ring_doc = bio.ring_to_json(fusion.product_ring(fusion.ising_ring(),
                                                     fusion.group_ring(FinAbGroup((4,)))))

@@ -10,7 +10,8 @@
 Reports are JSON (or text) with one record per verified identity and a
 data block of computed values.  Exit codes: 0 all checks pass, 1 some
 check failed, 2 malformed input, 3 an enumeration or conductor guard
-was exceeded.  Output is written atomically when --out is given.
+was exceeded or memory ran out.  Output is written atomically when
+--out is given.
 
 Imports: this module loads only ``config``, ``io`` and ``errors``; each
 cmd_* handler, or the action in it, imports the layers it runs, and a new
@@ -343,6 +344,10 @@ def main(argv=None) -> int:
     except BraidforgeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass   # report below, once the traceback and the frames it holds are freed
+    print("guard exceeded: memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -52,8 +52,12 @@ _RINGS: dict = {}  # (labels, unit, dual, N) -> the validated FusionRing
 class FusionRing:
     # N[i][j][k], non-negative ints.  Built on first use: _fpdim, the Perron
     # eigenvalues of the left multiplications; _lattice, the subring index
-    # tuples; _gens, the indices of algebra_generators.
-    __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_fpdim", "_lattice", "_gens")
+    # tuples; _gens, the indices of algebra_generators.  _comps maps the
+    # indices of each centralizer of a report premodular.centralizer
+    # passed (so a subring) to its components; a refused report keeps
+    # nothing.  Equality and hashing read the table alone.
+    __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_fpdim", "_lattice", "_gens",
+                 "_comps")
 
     def __init__(self, labels: tuple, unit: int, dual: tuple, N: tuple):
         self.labels, self.unit, self.dual, self.N = labels, unit, dual, N
@@ -62,6 +66,7 @@ class FusionRing:
             for plane in N
         )
         self._fpdim = self._lattice = self._gens = None
+        self._comps = {}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -25,10 +25,16 @@ The reports run on the same vectors and make CycloNums only for the
 values they return.  s~_{YV} = 1 is tested as s_{YV} = d(Y) d(V),
 list equality at L, once per datum; the centralizer of K is the set of
 V whose test holds for all of K, and its component count is checked
-against the exact rank of the K rows of S.  Each centralizer report is
-built once per (datum, subring) and each subring lattice once per ring.
+against the exact rank of the K rows of S.  Those ranks are read from
+one image of S over F_p per datum: full rank there gives every K its
+|K| at once, and only K rows short of full rank mod p are eliminated
+exactly.  A centralizer's subring test and components depend on the
+ring alone, so they are kept on the ring, once per index set.  Each
+centralizer report is built once per (datum, subring) and each subring
+lattice once per ring.
 Gauss sums, the squared central charge, and the square-class Gauss
-sums of weakly integral non-degenerate data close out the invariant set.
+sums of weakly integral non-degenerate data close out the invariant set;
+the square-class sums are kept on the datum, as its reports are.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ from .cyclotomic import (
     CycloNum,
     _canonical_conductor,
     _ctx,
+    _image_mod_p,
     _mul_vec,
+    _rank_mod_p,
     _rank_vec,
     _root_power,
     _times_root,
@@ -90,23 +98,22 @@ class _AtL:
     ``S``, ``dv`` (d) and ``qd`` (theta d) hold coefficient vectors at L
     over the denominator ``den``, and ``roots[i]`` = (s, t) with
     theta_i = (-1)^s zeta_L^t.  Built on first use: ``dd`` (d^2) and
-    ``td[sign]`` (theta^sign d^2) over den^2, and ``pm[y][v]``, which is
+    ``td[sign]`` (theta^sign d^2) over den^2; ``pm[y][v]``, which is
     s~_{yv} where that is +-1 and 0 elsewhere, with ``ones[v]`` the set
-    of y where it is 1.
+    of y where it is 1; and ``Sp``, (p, the image of S over F_p) of
+    ``_image_mod_p``, with ``full`` whether that image has full rank.
     """
 
-    __slots__ = ("ctx", "den", "S", "dv", "qd", "roots", "dd", "td", "pm", "ones")
+    __slots__ = ("ctx", "den", "S", "dv", "qd", "roots", "dd", "td", "pm", "ones", "Sp", "full")
 
     def __init__(self, ctx, den, S, dv, qd, roots):
         self.ctx, self.den, self.S, self.dv, self.qd, self.roots = ctx, den, S, dv, qd, roots
-        self.dd = self.td = self.pm = self.ones = None
+        self.dd = self.td = self.pm = self.ones = self.Sp = self.full = None
 
     def total(self, vecs, indices=None) -> list:
         """Sum of ``vecs`` over ``indices`` (all of them when None)."""
-        out = [0] * self.ctx.phi
-        for v in vecs if indices is None else (vecs[i] for i in indices):
-            out = [a + b for a, b in zip(out, v)]
-        return out
+        vecs = vecs if indices is None else [vecs[i] for i in indices]
+        return list(map(sum, zip(*vecs))) or [0] * self.ctx.phi
 
     def squares(self):
         """(dd, td), built once."""
@@ -137,6 +144,22 @@ class _AtL:
             self.ones = [frozenset(y for y in range(r) if pm[y][v] == 1) for v in range(r)]
         return self.pm, self.ones
 
+    def rank_rows(self, rows) -> int:
+        """Exact rank of the rows of S in ``rows``.
+
+        When the image of S over F_p has full rank, so has S, and every
+        set of its rows is independent.  Otherwise the image rows in
+        ``rows`` are eliminated, and only when they fall short of full
+        rank does ``_rank_vec`` eliminate exactly.
+        """
+        if self.Sp is None:
+            p, A = self.Sp = _image_mod_p(self.ctx, self.S)
+            self.full = _rank_mod_p(p, list(A)) == len(A)
+        p, A = self.Sp
+        if self.full or _rank_mod_p(p, [A[y] for y in rows]) == len(rows):
+            return len(rows)
+        return _rank_vec(self.ctx, [self.S[y] for y in rows])
+
 
 class PreModularDatum:
     # theta: twists as Fraction exponents of roots of unity; dim: CycloNum
@@ -144,15 +167,16 @@ class PreModularDatum:
     # pointed_source: (PreMetricGroup, chi tuple) when pointed; _at: the
     # build's vectors at its conductor (_AtL).  Built on first use:
     # _nondegenerate, _lagrangians (index sets of the Lagrangian subgroups
-    # of a pointed source) and _cents (K.indices -> CentralizerReport).
+    # of a pointed source), _cents (K.indices -> CentralizerReport) and _gfp
+    # (config.tolerance -> the result of gfp_invariants).
     __slots__ = ("ring", "theta", "dim", "S", "S_tilde", "pointed_source", "_at",
-                 "_nondegenerate", "_lagrangians", "_cents")
+                 "_nondegenerate", "_lagrangians", "_cents", "_gfp")
 
     def __init__(self, ring: FusionRing, theta: tuple, dim: tuple, S: tuple, S_tilde: tuple,
                  pointed_source=None, _at=None):
         self.ring, self.theta, self.dim, self.S, self.S_tilde = ring, theta, dim, S, S_tilde
         self.pointed_source, self._at = pointed_source, _at
-        self._nondegenerate, self._lagrangians, self._cents = None, None, {}
+        self._nondegenerate, self._lagrangians, self._cents, self._gfp = None, None, {}, {}
 
     def _key(self) -> tuple:
         return (self.ring, self.theta, self.dim, self.S, self.S_tilde, self.pointed_source)
@@ -227,20 +251,20 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     # theta_z = (-1)^s zeta_L^t
     roots = [_root_power(t.numerator, t.denominator, L) for t in theta]
 
-    def weighted_sum(mults, vecs):
-        acc = None
-        for w, m in enumerate(mults):
-            if m:
-                v = vecs[w] if m == 1 else [m * b for b in vecs[w]]
-                acc = v if acc is None else [a + b for a, b in zip(acc, v)]
-        return [0] * ctx.phi if acc is None else acc
+    def weighted_sum(x, y, vecs):   # sum_w N_xy^w vecs[w]
+        Nxy = ring.N[x][y]
+        terms = [vecs[w] if Nxy[w] == 1 else [Nxy[w] * b for b in vecs[w]]
+                 for w in ring.constituents(x, y)]
+        if len(terms) == 1:   # one constituent, as in a group ring: read, never written
+            return terms[0]
+        return list(map(sum, zip(*terms))) or [0] * ctx.phi
 
     # S_xy = theta_x^-1 theta_y^-1 sum_z N_xy^z theta_z d_z, over D
     qd = [_times_root(ctx, s, t, v) for (s, t), v in zip(roots, dv)]
     S = [
         [
             _times_root(ctx, roots[x][0] + roots[y][0], -roots[x][1] - roots[y][1],
-                        weighted_sum(ring.N[x][y], qd))
+                        weighted_sum(x, y, qd))
             for y in range(r)
         ]
         for x in range(r)
@@ -267,7 +291,7 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
             key = (y, z) if y <= z else (z, y)
             if key not in prods:
                 prods[key] = _mul_vec(ctx, Sx[y], Sx[z])
-            return prods[key] == weighted_sum(ring.N[y][z], dS)
+            return prods[key] == weighted_sum(y, z, dS)
 
         if all(holds(y, z) for y in gens for z in range(r)):
             continue
@@ -398,9 +422,12 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     list equality at the build's conductor.  The rank of the K-rows of
     s~ equals the number of K'-components; it is computed on the K rows
     of S, whose rank is the same, since s~ = d^-1 S d^-1 scales rows and
-    columns by nonzero dimensions.  Disagreement would falsify the datum
-    and raises ClassificationBug.  The report is built once per
-    (datum, K.indices) and kept on the datum.
+    columns by nonzero dimensions (``_AtL.rank_rows``).  Disagreement
+    would falsify the datum and raises ClassificationBug.  The report is
+    built once per (datum, K.indices) and kept on the datum.  The
+    components of the centralizer are kept on the ring, by its indices,
+    once it is found to be a subring and the report passes, so a later
+    datum on the ring skips both; a refused report keeps nothing.
     """
     rep = D._cents.get(K.indices)
     if rep is not None:
@@ -408,15 +435,17 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     R = D.ring
     at = D._at
     _, ones = at.pairing()
-    cent = [v for v in range(R.rank) if ones[v].issuperset(K.indices)]
-    cent_sub = FusionSubring(R, tuple(cent))
-    if subring_generated(R, cent_sub.indices).indices != cent_sub.indices:
-        raise ClassificationBug("centralizer is not a subring")
-    comps = components(R, cent)
-    rank = _rank_vec(at.ctx, [at.S[y] for y in K.indices])
+    cent = tuple(v for v in range(R.rank) if ones[v].issuperset(K.indices))
+    comps = R._comps.get(cent)
+    if comps is None:
+        if subring_generated(R, cent).indices != cent:
+            raise ClassificationBug("centralizer is not a subring")
+        comps = components(R, cent)
+    rank = at.rank_rows(K.indices)
     if rank != len(comps):
         raise ClassificationBug(f"rank {rank} != component count {len(comps)}")
-    rep = D._cents[K.indices] = CentralizerReport(K, cent_sub, comps, rank)
+    R._comps[cent] = comps
+    rep = D._cents[K.indices] = CentralizerReport(K, FusionSubring(R, cent), comps, rank)
     return rep
 
 
@@ -672,8 +701,14 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     s~_{a, X} = theta_a d(a) for all a centralizing the integral part
     and all X of square class x; T+- sums integer-normalized FP
     dimensions against theta^+-1 d over that class.  The pairing values
-    are read from the datum's table of s_{aX} = +-d(a) d(X).
+    are read from the datum's table of s_{aX} = +-d(a) d(X).  The result
+    is kept on the datum per ``config.tolerance``, the one setting the FP
+    rounding reads, so ``gauss_and_charge`` and a later call share it; a
+    refusal keeps nothing.
     """
+    kept = D._gfp.get(config.tolerance)
+    if kept is not None:
+        return kept
     if not is_nondegenerate(D):
         raise Degenerate("square-class Gauss sums need a non-degenerate datum")
     R = D.ring
@@ -721,4 +756,5 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     t_p, t_m = CycloNum(ctx.n, t_p, den), CycloNum(ctx.n, t_m, den)
     if t_m != t_p.conjugate():
         raise ClassificationBug("square-class sums are not conjugate")
-    return n_c, t_p, t_m
+    kept = D._gfp[config.tolerance] = (n_c, t_p, t_m)
+    return kept

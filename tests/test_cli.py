@@ -159,6 +159,22 @@ def test_json_nested_past_the_recursion_limit_exits_2(tmp_path):
     assert proc.stderr == f"SchemaError: invalid JSON in {path}: nested too deeply\n"
 
 
+def test_memory_exhaustion_exits_3(tmp_path):
+    # under a 40 MB address-space limit on the child alone, the pointed
+    # datum of the form x^2/128 on Z/64 runs out of memory
+    resource = pytest.importorskip("resource")
+    limit = 40 * 2 ** 20
+    form = os.path.join(os.path.dirname(__file__), "golden", "inputs", "big_form_z64.json")
+    out_path = tmp_path / "pointed.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidforge.cli", "catalog", "pointed", "--form", form,
+         "--out", str(out_path)],
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "guard exceeded: memory\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_out_replaces_the_file_and_leaves_no_temp_file(tmp_path, capsys):
     out_path = tmp_path / "ising.json"
     out_path.write_text("stale")

@@ -386,12 +386,48 @@ def test_try_subfield_matches_the_galois_fixed_field():
     assert branches == {"shared", "coprime", "q=4"}
 
 
+def _convolution(ctx, a, b):
+    """a * b by full convolution and reduction mod Phi_n, whatever the
+    operands."""
+    conv = [0] * (2 * ctx.phi - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return cyclotomic._reduce(ctx, conv)
+
+
 def _convolved(a, c):
     """a * c by the general product: lift to the joined conductor,
     convolve, reduce and normalise."""
     L = cyclotomic._join(a.n, c.n)
-    out = cyclotomic._mul_vec(cyclotomic._ctx(L), a._lift(L), c._lift(L))
-    return CycloNum(L, out, a.den * c.den)
+    ctx = cyclotomic._ctx(L)
+    return CycloNum(L, _convolution(ctx, a._lift(L), c._lift(L)), a.den * c.den)
+
+
+def test_mul_vec_matches_the_convolution():
+    # a rational operand (zero past index 0) takes the scalar path, on
+    # either side; the result is a new list in every case
+    rng = random.Random(27)
+    for n in [m for m in range(1, 61) if m % 4 != 2] + [840]:
+        ctx = cyclotomic._ctx(n)
+        phi = ctx.phi
+        monomial = [0] * phi
+        monomial[rng.randrange(1, phi) if phi > 1 else 0] = rng.choice((-2, -1, 1, 3))
+        dense = [rng.randint(-4, 4) for _ in range(phi)]
+        dense[-1] = 5
+        operands = {
+            "zero": [0] * phi,
+            "rational": [rng.choice((-7, -1, 1, 6))] + [0] * (phi - 1),
+            "monomial": monomial,
+            "dense": dense,
+        }
+        for ka, a in operands.items():
+            for kb, b in operands.items():
+                want = _convolution(ctx, a, b)
+                for x, y in ((a, b), (tuple(a), tuple(b))):
+                    got = cyclotomic._mul_vec(ctx, x, y)
+                    assert got == want, (n, ka, kb)
+                    assert type(got) is list and got is not x and got is not y
 
 
 def test_rational_products_match_the_convolution():

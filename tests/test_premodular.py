@@ -798,11 +798,11 @@ def test_reports_build_each_centralizer_and_lattice_once(monkeypatch):
 
     data = _build_corpus()
     ctx_keys = set(cyclotomic._CTX)
-    # one exact rank per computed centralizer report
+    # one rank step per computed centralizer report
     ranked, lattices = [], []
-    real_rank, real_lattice = premodular._rank_vec, fusion._subring_lattice
-    monkeypatch.setattr(premodular, "_rank_vec",
-                        lambda ctx, M: ranked.append(len(M)) or real_rank(ctx, M))
+    real_rank, real_lattice = premodular._AtL.rank_rows, fusion._subring_lattice
+    monkeypatch.setattr(premodular._AtL, "rank_rows",
+                        lambda at, rows: ranked.append(len(rows)) or real_rank(at, rows))
     monkeypatch.setattr(fusion, "_subring_lattice",
                         lambda R: lattices.append(id(R)) or real_lattice(R))
     asked = set()
@@ -827,6 +827,104 @@ def test_reports_build_each_centralizer_and_lattice_once(monkeypatch):
         all_subrings(D.ring, Config(rank_guard=1))
     with pytest.raises(EnumerationLimit):
         gauss_and_charge(D, Config(rank_guard=1))
+
+
+def test_centralizer_ranks_match_the_exact_rank(monkeypatch):
+    # every K-row rank against _rank_vec on the K rows of S; the datum's
+    # one F_p image of S settles it when it has full rank, the K rows of
+    # the image when they do, and _rank_vec only when neither does
+    from braidforge import premodular
+    from braidforge.cyclotomic import _rank_vec
+
+    exact = []
+    monkeypatch.setattr(premodular, "_rank_vec",
+                        lambda ctx, M: exact.append(len(M)) or _rank_vec(ctx, M))
+    paths = set()
+    for D in _build_corpus():
+        at = D._at
+        for K in all_subrings(D.ring).subrings:
+            calls = len(exact)
+            rep = centralizer(D, K)
+            assert rep.rank_stilde == _rank_vec(at.ctx, [at.S[y] for y in K.indices]), (D, K)
+            paths.add("image of S" if at.full else
+                      "exact" if len(exact) > calls else "image of the K rows")
+        assert is_nondegenerate(D) or not at.full
+    assert paths == {"image of S", "image of the K rows", "exact"}
+
+
+def test_centralizer_components_are_kept_on_the_ring(monkeypatch):
+    # a second datum parsed onto the same interned ring reads the components
+    # the first one kept, and they equal a fresh computation
+    from braidforge import io as bio
+    from braidforge import premodular
+    from braidforge.fusion import components
+
+    computed = []
+    monkeypatch.setattr(premodular, "components",
+                        lambda R, cent: computed.append(tuple(cent)) or components(R, cent))
+    pairs = [(ising_datum(F(1, 16), 1), ising_datum(F(3, 16), -1))]
+    rng = random.Random(27)
+    G = FinAbGroup((2, 4))
+    pairs.append(tuple(pointed_datum(qform.random_form(G, rng)) for _ in range(2)))
+    for first, second in pairs:
+        D1, D2 = (bio.datum_from_json(bio.datum_to_json(D)) for D in (first, second))
+        R = D1.ring
+        assert D2.ring is R and D2 != D1
+        computed.clear()
+        for K in all_subrings(R).subrings:
+            centralizer(D1, K)
+        kept, before, hits = dict(R._comps), len(computed), 0
+        for K in all_subrings(R).subrings:
+            rep = centralizer(D2, K)
+            cent = rep.centralizer.indices
+            assert rep.components == components(R, cent)
+            assert (cent in kept) == (len(computed) == before)
+            hits += cent in kept
+            before = len(computed)
+        assert hits
+        assert set(R._comps) == set(kept) | set(computed)
+        # the ring's equality and hash read its table alone
+        bare = FusionRing(R.labels, R.unit, R.dual, R.N)
+        assert bare == R and hash(bare) == hash(R) and not bare._comps
+
+
+def test_a_centralizer_that_is_no_subring_keeps_nothing():
+    # a falsified pairing table puts {0, 1} in the centralizer of the unit
+    # on Z/4, which 1 + 1 = 2 leaves: refused, and nothing is kept
+    D = pointed_datum(qform.random_form(FinAbGroup((4,)), random.Random(3)))
+    R = D.ring
+    at = D._at
+    at.pairing()
+    at.ones = [frozenset({0}) if v in (0, 1) else frozenset() for v in range(R.rank)]
+    with pytest.raises(ClassificationBug, match="centralizer is not a subring"):
+        centralizer(D, FusionSubring(R, (0,)))
+    assert R._comps == {} and D._cents == {}
+    with pytest.raises(ClassificationBug, match="centralizer is not a subring"):
+        centralizer(D, FusionSubring(R, (0,)))
+
+
+def test_square_class_sums_are_kept_per_tolerance(monkeypatch):
+    # gauss_and_charge and a later gfp_invariants share one computation;
+    # another tolerance computes afresh, and a refusal keeps nothing
+    from braidforge import premodular
+    from braidforge.config import Config
+
+    squares = []
+    monkeypatch.setattr(premodular, "fp_square_integers",
+                        lambda R, config: squares.append(config.tolerance)
+                        or fp_square_integers(R, config))
+    D = deligne_product(ising_datum(F(1, 16), 1), ising_datum(F(3, 16), -1))
+    rep = gauss_and_charge(D)
+    got = gfp_invariants(D)
+    assert got is gfp_invariants(D) and (rep.x_class, rep.gfp_plus, rep.gfp_minus) == got
+    tight = Config(tolerance=1e-9)
+    assert gfp_invariants(D, tight) == got and len(squares) == 2
+    assert set(D._gfp) == {Config().tolerance, 1e-9}
+    E = pointed_datum(qform.PreMetricGroup(FinAbGroup((2,)), (F(0), F(0))))
+    for _ in range(2):
+        with pytest.raises(Degenerate):
+            gfp_invariants(E)
+    assert E._gfp == {}
 
 
 def test_rings_differing_in_labels_keep_their_own_messages(monkeypatch):
