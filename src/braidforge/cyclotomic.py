@@ -605,7 +605,7 @@ def _rank_vec(ctx, M) -> int:
     """Exact rank of a matrix whose entries are integer coefficient
     vectors at conductor ctx.n.
 
-    First the matrix is reduced mod p (``_image_mod_p``); a minor that is
+    First the matrix is reduced mod p (``_modular``); a minor that is
     nonzero mod p is nonzero, so full row rank there is full row rank.
     Otherwise a row r below the pivot row p becomes piv*r - f*p, then
     is divided by the gcd of all its coefficients, so no field inverse
@@ -615,7 +615,7 @@ def _rank_vec(ctx, M) -> int:
     """
     if not M:
         return 0
-    if _rank_mod_p(*_image_mod_p(ctx, M)) == len(M):
+    if _rank_mod_p(ctx, M) == len(M):
         return len(M)
     zero = [0] * ctx.phi
     ncols = len(M[0])
@@ -669,18 +669,10 @@ def _modular(ctx):
     return ctx.modular
 
 
-def _image_mod_p(ctx, M):
-    """(p, A): the prime of ``_modular`` and the image of M under it, a
-    new matrix over F_p."""
+def _rank_mod_p(ctx, M) -> int:
+    """Rank over F_p of the image of M under ``_modular``: at most its rank."""
     p, w = _modular(ctx)
-    return p, [[sum(map(operator.mul, v, w)) % p for v in row] for row in M]
-
-
-def _rank_mod_p(p, A) -> int:
-    """Rank over F_p of A, a nonempty matrix of residues mod p; for the
-    image of M under ``_modular`` it is at most the rank of M.  The list
-    ``A`` is reordered and its rows replaced, but no row is changed in
-    place."""
+    A = [[sum(map(operator.mul, v, w)) % p for v in row] for row in M]
     rank = 0
     for col in range(len(A[0])):
         piv = next((r for r in range(rank, len(A)) if A[r][col]), None)

@@ -25,10 +25,9 @@ The reports run on the same vectors and make CycloNums only for the
 values they return.  s~_{YV} = 1 is tested as s_{YV} = d(Y) d(V),
 list equality at L, once per datum; the centralizer of K is the set of
 V whose test holds for all of K, and its component count is checked
-against the exact rank of the K rows of S.  Those ranks are read from
-one image of S over F_p per datum: full rank there gives every K its
-|K| at once, and only K rows short of full rank mod p are eliminated
-exactly.  A centralizer's subring test and components depend on the
+against the exact rank of the K rows of S.  Whether the image of S
+over F_p has full rank is tested once per datum: if it has, every K's
+rank is |K| at once, and otherwise the K rows are eliminated exactly.  A centralizer's subring test and components depend on the
 ring alone, so they are kept on the ring, once per index set.  Each
 centralizer report is built once per (datum, subring) and each subring
 lattice once per ring.
@@ -49,7 +48,6 @@ from .cyclotomic import (
     CycloNum,
     _canonical_conductor,
     _ctx,
-    _image_mod_p,
     _mul_vec,
     _rank_mod_p,
     _rank_vec,
@@ -100,15 +98,15 @@ class _AtL:
     theta_i = (-1)^s zeta_L^t.  Built on first use: ``dd`` (d^2) and
     ``td[sign]`` (theta^sign d^2) over den^2; ``pm[y][v]``, which is
     s~_{yv} where that is +-1 and 0 elsewhere, with ``ones[v]`` the set
-    of y where it is 1; and ``Sp``, (p, the image of S over F_p) of
-    ``_image_mod_p``, with ``full`` whether that image has full rank.
+    of y where it is 1; and ``full``, whether the image of S over F_p
+    (``_rank_mod_p``) has full rank.
     """
 
-    __slots__ = ("ctx", "den", "S", "dv", "qd", "roots", "dd", "td", "pm", "ones", "Sp", "full")
+    __slots__ = ("ctx", "den", "S", "dv", "qd", "roots", "dd", "td", "pm", "ones", "full")
 
     def __init__(self, ctx, den, S, dv, qd, roots):
         self.ctx, self.den, self.S, self.dv, self.qd, self.roots = ctx, den, S, dv, qd, roots
-        self.dd = self.td = self.pm = self.ones = self.Sp = self.full = None
+        self.dd = self.td = self.pm = self.ones = self.full = None
 
     def total(self, vecs, indices=None) -> list:
         """Sum of ``vecs`` over ``indices`` (all of them when None)."""
@@ -148,17 +146,12 @@ class _AtL:
         """Exact rank of the rows of S in ``rows``.
 
         When the image of S over F_p has full rank, so has S, and every
-        set of its rows is independent.  Otherwise the image rows in
-        ``rows`` are eliminated, and only when they fall short of full
-        rank does ``_rank_vec`` eliminate exactly.
+        set of its rows is independent; otherwise ``_rank_vec`` eliminates
+        the rows exactly.
         """
-        if self.Sp is None:
-            p, A = self.Sp = _image_mod_p(self.ctx, self.S)
-            self.full = _rank_mod_p(p, list(A)) == len(A)
-        p, A = self.Sp
-        if self.full or _rank_mod_p(p, [A[y] for y in rows]) == len(rows):
-            return len(rows)
-        return _rank_vec(self.ctx, [self.S[y] for y in rows])
+        if self.full is None:
+            self.full = _rank_mod_p(self.ctx, self.S) == len(self.S)
+        return len(rows) if self.full else _rank_vec(self.ctx, [self.S[y] for y in rows])
 
 
 class PreModularDatum:
@@ -168,7 +161,7 @@ class PreModularDatum:
     # build's vectors at its conductor (_AtL).  Built on first use:
     # _nondegenerate, _lagrangians (index sets of the Lagrangian subgroups
     # of a pointed source), _cents (K.indices -> CentralizerReport) and _gfp
-    # (config.tolerance -> the result of gfp_invariants).
+    # ((config.tolerance, the result of gfp_invariants) for the last tolerance).
     __slots__ = ("ring", "theta", "dim", "S", "S_tilde", "pointed_source", "_at",
                  "_nondegenerate", "_lagrangians", "_cents", "_gfp")
 
@@ -176,7 +169,7 @@ class PreModularDatum:
                  pointed_source=None, _at=None):
         self.ring, self.theta, self.dim, self.S, self.S_tilde = ring, theta, dim, S, S_tilde
         self.pointed_source, self._at = pointed_source, _at
-        self._nondegenerate, self._lagrangians, self._cents, self._gfp = None, None, {}, {}
+        self._nondegenerate, self._lagrangians, self._cents, self._gfp = None, None, {}, None
 
     def _key(self) -> tuple:
         return (self.ring, self.theta, self.dim, self.S, self.S_tilde, self.pointed_source)
@@ -702,13 +695,12 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     and all X of square class x; T+- sums integer-normalized FP
     dimensions against theta^+-1 d over that class.  The pairing values
     are read from the datum's table of s_{aX} = +-d(a) d(X).  The result
-    is kept on the datum per ``config.tolerance``, the one setting the FP
-    rounding reads, so ``gauss_and_charge`` and a later call share it; a
-    refusal keeps nothing.
+    is kept on the datum with ``config.tolerance``, the one setting the FP
+    rounding reads, so ``gauss_and_charge`` and a later call at the same
+    tolerance share it; a refusal keeps nothing.
     """
-    kept = D._gfp.get(config.tolerance)
-    if kept is not None:
-        return kept
+    if D._gfp is not None and D._gfp[0] == config.tolerance:
+        return D._gfp[1]
     if not is_nondegenerate(D):
         raise Degenerate("square-class Gauss sums need a non-degenerate datum")
     R = D.ring
@@ -756,5 +748,6 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     t_p, t_m = CycloNum(ctx.n, t_p, den), CycloNum(ctx.n, t_m, den)
     if t_m != t_p.conjugate():
         raise ClassificationBug("square-class sums are not conjugate")
-    kept = D._gfp[config.tolerance] = (n_c, t_p, t_m)
+    kept = (n_c, t_p, t_m)
+    D._gfp = (config.tolerance, kept)
     return kept
