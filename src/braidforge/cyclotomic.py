@@ -80,18 +80,19 @@ def cyclotomic_polynomial(n: int) -> list:
 
 
 class _Ctx:
-    """Cached reduction data for one conductor.
+    """Reduction data for one conductor, in fixed slots: no other memo.
 
     ``tail`` is the sparse form of x^phi mod Phi_n, [(j, -c_j)] over the
     nonzero coefficients c_j of the monic Phi_n below its top degree;
     ``_reduce`` is the one reduction mod Phi_n, and uses only it.
     """
 
+    __slots__ = ("n", "phi", "tail", "modular")
+
     def __init__(self, n: int):
         self.n = n
         self.phi = _euler_phi(n)
         self.tail = [(j, -c) for j, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c]
-        self.root_index: dict = {}
         self.modular = None          # _modular(self), built lazily
 
 
@@ -180,19 +181,8 @@ class CycloNum:
         return None
 
     def is_root_of_unity(self):
-        """The exponent r with self = e^(2*pi*i*r), or None.
-
-        The roots of unity inside Q(zeta_n) form exactly the group
-        mu_m with m = lcm(2, n), so membership is a finite table lookup.
-        """
-        if self.den != 1:
-            return None
-        ctx = _ctx(self.n)
-        if not ctx.root_index:
-            m = self.n if self.n % 2 == 0 else 2 * self.n
-            for j in range(m):
-                ctx.root_index[CycloNum.from_root(Fraction(j, m))] = root_exp(j, m)
-        return ctx.root_index.get(self)
+        """The exponent r with self = e^(2*pi*i*r), or None: ``_monomial`` with c = 1."""
+        return m[1] if (m := _monomial(self)) and m[0] == 1 else None
 
     # -- ring operations ------------------------------------------------------
     def _lift(self, L: int) -> tuple:
@@ -450,6 +440,24 @@ def _times_root(ctx, s, t, v):
     for i, c in enumerate(v):
         buf[(i + t) % n] += sign * c
     return _reduce(ctx, buf)
+
+
+def _monomial(x):
+    """(c, r) with x = c e^(2*pi*i*r) and c a positive rational, or None.
+
+    The roots of unity in Q(zeta_n), n canonical, are the +-zeta_n^k with
+    0 <= k < n (Washington, Introduction to Cyclotomic Fields, ch. 2).  For
+    k in [s, s + phi), zeta_n^(-s) x is +-c times a power-basis vector, so
+    the ceil(n/phi) shifts by s = 0, phi, 2 phi, ... find k and the sign.
+    """
+    n, ctx = x.n, _ctx(x.n)
+    for s in range(0, n, ctx.phi):
+        v = _times_root(ctx, 0, -s, x.num) if s else x.num
+        nz = [i for i, a in enumerate(v) if a]
+        if len(nz) == 1:   # x = a zeta_n^k, and -1 = e^(2 pi i n / 2n)
+            k, a = nz[0] + s, v[nz[0]]
+            return Fraction(abs(a), x.den), Fraction((2 * k + n * (a < 0)) % (2 * n), 2 * n)
+    return None
 
 
 def _substitute(ctx, num, k):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import kernels
 from .abelian import Subgroup
 from .config import DEFAULT, Config
-from .cyclotomic import CycloNum, level_root_sum
+from .cyclotomic import CycloNum, _monomial, level_root_sum
 from .errors import ClassificationBug, NotMetric
 from .qform import (
     PreMetricGroup,
@@ -160,7 +160,6 @@ class TauLabel(NamedTuple):
     radical: int
 
 
-@lru_cache(maxsize=None)
 def _radical_generator(p: int) -> CycloNum:
     if p == 2:
         return CycloNum.one() + CycloNum.from_root(Fraction(1, 4))  # 1 + i
@@ -170,9 +169,8 @@ def _radical_generator(p: int) -> CycloNum:
 def tau_image(c: WittClass, p: int) -> TauLabel:
     """Express tau+ of the class at p in the canonical generators.
 
-    The TauLabel is memoised by the class's label at p, like
-    ``_radical_generator``: labels come from the anisotropic catalog, a
-    few per prime, so the memo stays small.
+    The TauLabel is memoised by the class's label at p: labels come from
+    the anisotropic catalog, a few per prime, so the memo stays small.
     """
     lab = c.at(p)
     return TauLabel(Fraction(0), 0) if lab is None else _tau_label(lab)
@@ -182,16 +180,10 @@ def tau_image(c: WittClass, p: int) -> TauLabel:
 def _tau_label(lab) -> TauLabel:
     p = lab.prime
     tau = tau_plus(build_labeled_form(lab))
-    units = (
-        [Fraction(k, 8) for k in range(8)]
-        if p == 2
-        else [Fraction(0), Fraction(1, 2)]
-    )
     # g * conj(g) = |g|^2 is p (2 for g = 1 + i), a positive rational, so
-    # tau * conj(g) and tau / g have the same label
+    # tau * conj(g) and tau / g have the same label, read off by _monomial
     for rad_exp, val in ((0, tau), (1, tau * _radical_generator(p).conjugate())):
-        for u in units:
-            r = (val * CycloNum.from_root(-u)).as_rational()
-            if r is not None and r > 0:
-                return TauLabel(u, rad_exp)
+        m = _monomial(val)
+        if m is not None and ((8 if p == 2 else 2) * m[1]).denominator == 1:
+            return TauLabel(m[1], rad_exp)
     raise ClassificationBug(f"tau+ of {lab} outside the generator set at p = {p}")

@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Mutants of the library that named tests must kill, and their runner.
+
+    python tests/mutants.py [ID ...]
+
+Each entry changes one exact text of one file under ``src/`` and names
+the tests that must then fail.  The runner copies ``src/`` to a fresh
+temporary directory per mutant, replaces the text there, and runs the
+named tests with ``PYTHONPATH`` set to the copy, so the checkout itself
+is never changed.  It reports each mutant as
+
+- ``killed``: the tests failed, as they should;
+- ``survived``: they passed;
+- ``stale``: the old text does not occur exactly once, because a later
+  change rewrote it.  A change that rewrites a mutated text updates the
+  entry with it.
+
+A pytest exit other than pass or fail (a test id that matches nothing,
+an interrupted run) stops the runner with pytest's output.
+
+An entry marked ``survives`` is expected to survive (an equivalent
+mutant on every input the tests reach); its note says why.  The exit
+status is 0 when every mutant meets its expectation and no entry is
+stale.  pytest does not collect this file: its name does not start with
+``test_``.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    id: str
+    file: str               # relative to src/
+    old: str
+    new: str
+    tests: tuple            # pytest node ids, relative to the checkout
+    survives: bool = False
+    note: str = ""
+
+
+_ROOTS = "tests/test_cyclotomic.py::test_roots_of_unity_match_the_root_table"
+_MONOMIAL = "tests/test_cyclotomic.py::test_monomial_reads_rational_multiples_of_roots"
+_TAU = "tests/test_witt.py::test_tau_image_matches_division_reference"
+
+MUTANTS = (
+    Mutant("monomial-shift-range-one-block-short", "braidforge/cyclotomic.py",
+           "    for s in range(0, n, ctx.phi):",
+           "    for s in range(0, n - ctx.phi, ctx.phi):",
+           (_ROOTS,)),
+    Mutant("monomial-sign-term-dropped", "braidforge/cyclotomic.py",
+           "Fraction((2 * k + n * (a < 0)) % (2 * n), 2 * n)",
+           "Fraction((2 * k) % (2 * n), 2 * n)",
+           (_ROOTS,)),
+    Mutant("monomial-single-coefficient-loosened", "braidforge/cyclotomic.py",
+           "        if len(nz) == 1:",
+           "        if len(nz) >= 1:",
+           (_ROOTS,)),
+    Mutant("root-of-unity-accepts-any-rational-factor", "braidforge/cyclotomic.py",
+           "return m[1] if (m := _monomial(self)) and m[0] == 1 else None",
+           "return m[1] if (m := _monomial(self)) else None",
+           (_ROOTS,)),
+    Mutant("tau-label-unit-test-removed", "braidforge/witt.py",
+           "if m is not None and ((8 if p == 2 else 2) * m[1]).denominator == 1:",
+           "if m is not None:",
+           (_TAU, _MONOMIAL),
+           survives=True,
+           note="tau+ of a metric form is sqrt|G| times an eighth root of unity "
+                "(Milgram); on every catalog label, whichever of tau and tau * conj(g) "
+                "is a monomial first has an allowed unit, so the test only guards the raise"),
+)
+
+
+def run(m: Mutant) -> str:
+    """``killed``, ``survived`` or ``stale`` for one mutant."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / m.file
+        text = path.read_text()
+        if text.count(m.old) != 1:
+            return "stale"
+        path.write_text(text.replace(m.old, m.new))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        probe = subprocess.run([sys.executable, "-c", "import braidforge; print(braidforge.__file__)"],
+                               env=env, capture_output=True, text=True, cwd=ROOT)
+        if not probe.stdout.startswith(str(src)):
+            raise RuntimeError(f"braidforge imported from {probe.stdout.strip()!r}, not the copy")
+        res = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                              *m.tests], env=env, capture_output=True, cwd=ROOT)
+        # pytest exits 1 when tests failed; 2-5 mean no verdict (an
+        # interrupted run, a usage error, a test id that matches nothing)
+        if res.returncode not in (0, 1):
+            raise RuntimeError(f"pytest exited {res.returncode} on {m.id}:\n{res.stdout.decode()}")
+        return "survived" if res.returncode == 0 else "killed"
+
+
+def main(ids):
+    unknown = set(ids) - {m.id for m in MUTANTS}
+    if unknown:
+        sys.exit(f"unknown mutant ids: {', '.join(sorted(unknown))}")
+    ok = True
+    for m in MUTANTS:
+        if ids and m.id not in ids:
+            continue
+        outcome = run(m)
+        expected = "survived" if m.survives else "killed"
+        ok &= outcome == expected
+        flag = "" if outcome == expected else f"  (expected {expected})"
+        print(f"{outcome:<9} {m.id}{flag}")
+        if m.note and outcome == expected:
+            print(f"          {m.note}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

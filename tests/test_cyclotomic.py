@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidforge import cyclotomic
 from braidforge.cyclotomic import (
-    CycloNum, cyclotomic_polynomial, level_root_sum, matrix_rank, root_sum,
+    CycloNum, cyclotomic_polynomial, level_root_sum, matrix_rank, root_exp, root_sum,
 )
 from braidforge.errors import DivisionByZero
 
@@ -135,6 +135,60 @@ def test_rationality_and_roots():
     assert abs(abs(complex(1, 1)) ** 2 - 2) < 1e-12
     assert CycloNum.from_rational(-1).is_root_of_unity() == F(1, 2)
     assert ONE.is_root_of_unity() == F(0, 1)
+
+
+def _root_table(n):
+    """Every root of unity in Q(zeta_n), normalised through ``from_root``,
+    to its exponent: the table ``is_root_of_unity`` once built per
+    conductor, kept here as the oracle of ``_monomial``."""
+    m = n if n % 2 == 0 else 2 * n
+    return {CycloNum.from_root(F(j, m)): root_exp(j, m) for j in range(m)}
+
+
+def test_roots_of_unity_match_the_root_table():
+    # each root, its rational multiples 2x and x/2, and the root with one
+    # coefficient moved by +-1, at every canonical conductor up to 200
+    for n in range(1, 201):
+        if n % 4 == 2:
+            continue
+        table = _root_table(n)
+        for j, (x, r) in enumerate(table.items()):
+            assert x.is_root_of_unity() == r, (n, r)
+            assert cyclotomic._mk_reduced(x.n, [2 * a for a in x.num], 1).is_root_of_unity() is None
+            assert cyclotomic._monomial(cyclotomic._mk_reduced(x.n, x.num, 2)) == (F(1, 2), r)
+            v = list(x.num)
+            v[j % len(v)] += 1 if j % 2 else -1
+            y = CycloNum(x.n, v, 1)
+            assert y.is_root_of_unity() == table.get(y), (n, r, v)
+
+
+def test_roots_of_unity_near_the_conductor_guard():
+    # 2309 is prime and 2257 = 37 * 61, one and two shifts of phi
+    for n in (2309, 2257):
+        rng = random.Random(n)
+        for _ in range(12):
+            r = root_exp(rng.randrange(2 * n), 2 * n)
+            x = CycloNum.from_root(r)
+            assert x.is_root_of_unity() == r, (n, r)
+            v = list(x.num)
+            v[rng.randrange(len(v))] += rng.choice((1, -1))
+            y = CycloNum(x.n, v, 1)
+            s = y.is_root_of_unity()
+            assert s is None or CycloNum.from_root(s) == y, (n, r)
+
+
+def test_monomial_reads_rational_multiples_of_roots():
+    rng = random.Random(7)
+    for n in (1, 3, 4, 8, 15, 16, 60, 105, 840, 2257):
+        for _ in range(6):
+            r = root_exp(rng.randrange(2 * n), 2 * n)
+            q = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            x = q * CycloNum.from_root(r)
+            c, s = cyclotomic._monomial(x)
+            assert c > 0 and c * CycloNum.from_root(s) == x, (n, r, q)
+            assert (c, s) == (abs(q), root_exp(r + (0 if q > 0 else F(1, 2)))), (n, r, q)
+    assert cyclotomic._monomial(CycloNum.zero()) is None
+    assert cyclotomic._monomial(ONE + I) is None
 
 
 def test_conductor_minimization():
