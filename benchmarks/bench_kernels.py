@@ -46,9 +46,9 @@ the canonical conductor of the default ``conductor_guard``.  The
 ``is_root_of_unity`` rows read e^(2 pi i / n) and a seeded non-root
 (phi(n) coefficients ``randint(-2, 2)``) off their power-basis vectors,
 by at most ceil(n/phi(n)) shifts, at 2309 (a prime, phi = 2308) and
-2257 = 37 * 61 (phi = 2160) near the guard; the context of n is built
-before the clock starts.  The ``from_coeffs`` row normalises
-one seeded element given at conductor 2310 (480 coefficients
+2257 = 37 * 61 (phi = 2160) near the guard; each value is made, and
+the context of n built, before the clock starts.  The ``from_coeffs``
+row normalises one seeded element given at conductor 2310 (480 coefficients
 ``randint(-2, 2)/randint(1, 3)`` from seed 7, the dimension of the CLI
 corpus's descent datum), which descends to 1155, again from cleared
 contexts.  The ``tau_image`` rows label the Witt class of the rank-1
@@ -251,12 +251,16 @@ def workloads():
         out.append((f"CycloNum.inverse n={a.conductor}", a.inverse, 5 if m < 1155 else 2))
 
     for n in (2309, 2257):
-        rng = random.Random(n)
-        root = cyclotomic.CycloNum.from_root(Fraction(1, n))
-        other = cyclotomic.CycloNum(n, [rng.randint(-2, 2) for _ in root.num], 1)
-        for name, x in (("root", root), ("non-root", other)):
+        def root(n=n):
+            return cyclotomic.CycloNum.from_root(Fraction(1, n))
+
+        def non_root(n=n):
+            rng = random.Random(n)
+            return cyclotomic.CycloNum(n, [rng.randint(-2, 2) for _ in range(cyclotomic._ctx(n).phi)], 1)
+
+        for name, setup in (("root", root), ("non-root", non_root)):
             out.append((f"is_root_of_unity n={n}, {name}", cyclotomic.CycloNum.is_root_of_unity,
-                        5, lambda x=x: (cyclotomic._ctx(x.n), x)[1]))
+                        5, setup))
 
     rng = random.Random(7)
     coeffs = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(480)]

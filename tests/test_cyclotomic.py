@@ -163,11 +163,14 @@ def test_roots_of_unity_match_the_root_table():
 
 
 def test_roots_of_unity_near_the_conductor_guard():
-    # 2309 is prime and 2257 = 37 * 61, one and two shifts of phi
+    # 2309 is prime (phi = 2308) and 2257 = 37 * 61 (phi = 2160): both take
+    # a second shift, which holds +-zeta_n^k for k >= phi; the first two
+    # exponents are zeta_n^(n-1) and -zeta_n^(n-1), in that last block
     for n in (2309, 2257):
         rng = random.Random(n)
-        for _ in range(12):
-            r = root_exp(rng.randrange(2 * n), 2 * n)
+        last = F(n - 1, n)
+        for r in [last, root_exp(last + F(1, 2))] + [root_exp(rng.randrange(2 * n), 2 * n)
+                                                     for _ in range(12)]:
             x = CycloNum.from_root(r)
             assert x.is_root_of_unity() == r, (n, r)
             v = list(x.num)
