@@ -27,6 +27,7 @@ and unbounded.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 from .abelian import FinAbGroup, TRIVIAL_GROUP, primes_of, smith_presentation
@@ -52,12 +53,16 @@ _RINGS: dict = {}  # (labels, unit, dual, N) -> the validated FusionRing
 class FusionRing:
     # N[i][j][k], non-negative ints.  Built on first use: _fpdim, the Perron
     # eigenvalues of the left multiplications; _lattice, the subring index
-    # tuples; _gens, the indices of algebra_generators.  _comps maps the
+    # tuples; _gens, the indices of algebra_generators; _squares,
+    # (tolerance, fp_square_integers, their squarefree parts, the indices of
+    # integral_part) for the last tolerance premodular.gfp_invariants read
+    # them at.  _comps maps the
     # indices of each centralizer of a report premodular.centralizer
-    # passed (so a subring) to its components; a refused report keeps
-    # nothing.  Equality and hashing read the table alone.
+    # passed (so a subring) to its components; a refused report or
+    # refused square classes keep nothing.  Equality and hashing read the
+    # table alone.
     __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_fpdim", "_lattice", "_gens",
-                 "_comps")
+                 "_squares", "_comps")
 
     def __init__(self, labels: tuple, unit: int, dual: tuple, N: tuple):
         self.labels, self.unit, self.dual, self.N = labels, unit, dual, N
@@ -65,7 +70,7 @@ class FusionRing:
             tuple(tuple(k for k, m in enumerate(row) if m > 0) for row in plane)
             for plane in N
         )
-        self._fpdim = self._lattice = self._gens = None
+        self._fpdim = self._lattice = self._gens = self._squares = None
         self._comps = {}
 
     def __eq__(self, other):
@@ -96,11 +101,19 @@ class FusionRing:
 
 def validate_ring(labels, unit, dual, N) -> FusionRing:
     """Exact axioms check; the first violation is reported with indices.
-    An equal table gets the ring that passed before, with its caches."""
+    An equal table gets the ring that passed before, with its caches.
+
+    The unit and every entry of ``dual`` and ``N`` must be an int: a
+    float, bool or str is refused with TypeError before the lookup, never
+    truncated or taken for the int it equals.
+    """
     labels = tuple(str(l) for l in labels)
     r = len(labels)
-    dual = tuple(int(d) for d in dual)
-    N = tuple(tuple(tuple(map(int, row)) for row in plane) for plane in N)
+    dual = tuple(dual)
+    N = tuple(tuple(map(tuple, plane)) for plane in N)
+    if type(unit) is not int or not set(map(type, chain(dual, *chain.from_iterable(N)))) <= {int}:
+        bad = next(c for c in chain((unit,), dual, *chain.from_iterable(N)) if type(c) is not int)
+        raise TypeError(f"ring entry {bad!r} is not an integer")
     key = (labels, unit, dual, N)
     if key in _RINGS:
         return _RINGS[key]

@@ -6,11 +6,13 @@ Field names are part of the wire format:
     element:   [1, 3]
     qform:     {"group": {...}, "values": ["0/1", "1/8", ...]}   (lex order)
     ring:      {"labels": [...], "unit": 0, "dual": [...], "N": [[[...]]]}
+               (unit, dual and N entries are JSON integers)
     datum:     {"ring": {...}, "twists": ["a/b", ...],
                 "dims": [{"conductor": n, "coeffs": ["p/q", ...]}, ...]}
     character: {"chi": [1, -1, ...]}                             (lex order)
 
-Fractions may arrive unreduced; they are normalized on ingestion.
+Fractions may arrive unreduced; they are normalized on ingestion.  A
+datum's dimensions are parsed once per distinct document.
 Each parser imports its layer (``qform``, ``fusion``, ``premodular``,
 ``cyclotomic``) on use, so loading this module loads none of them.
 Equal ring tables parse to one shared ``FusionRing``: validated rings
@@ -117,7 +119,7 @@ def ring_from_json(obj) -> FusionRing:
     if not isinstance(obj, dict) or not need <= set(obj):
         raise SchemaError(f"ring must carry fields {sorted(need)}")
     try:
-        return validate_ring(obj["labels"], int(obj["unit"]), obj["dual"], obj["N"])
+        return validate_ring(obj["labels"], obj["unit"], obj["dual"], obj["N"])
     except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise SchemaError(f"malformed ring table: {exc}") from exc
 
@@ -144,12 +146,25 @@ def datum_from_json(obj, config: Config = DEFAULT) -> PreModularDatum:
         covered = False
     if not covered:
         raise SchemaError("twists and dims must cover the basis")
-    return build(
-        R,
-        tuple(parse_fraction(t) for t in twists),
-        tuple(cyclo_from_json(d, config) for d in dims),
-        config,
-    )
+    theta = tuple(parse_fraction(t) for t in twists)
+    return build(R, theta, tuple(_dims_from_json(dims, config)), config)
+
+
+def _dims_from_json(dims, config: Config):
+    """``cyclo_from_json`` of each dimension, once per distinct document in
+    the written form (an int conductor, str coeffs), kept by value: ``true``
+    and ``1``, or ``1.0`` and ``"1"``, compare equal but parse differently,
+    so they share no entry, and every error is raised where it was."""
+    parsed = {}
+    for d in dims:
+        key = None
+        if type(d) is dict and len(d) == 2 and type(d.get("conductor")) is int:
+            coeffs = d.get("coeffs")
+            if type(coeffs) is list and set(map(type, coeffs)) <= {str}:
+                key = (d["conductor"], *coeffs)
+        if key is None or key not in parsed:   # None: parsed every time
+            parsed[key] = cyclo_from_json(d, config)
+        yield parsed[key]
 
 
 def character_from_json(obj, G: FinAbGroup) -> tuple:

@@ -8,9 +8,13 @@ dimensions, S symmetric and dual-invariant, first row = dimensions,
 and the product relation s_{XY} s_{XZ} = d(X) sum_W N_{YZ}^W s_{XW}.
 S is derived and its identities are checked at one conductor L, as
 integer coefficient vectors over one denominator; the datum keeps
-those vectors.  s~ = d^-1 S d^-1 is made from them too, with one inverse
-per distinct dimension, and only the stored entries of S and s~ are put
-in canonical form.
+those vectors.  S_YX is the same expression as S_XY wherever
+N_XY = N_YX (every pair of a commutative ring), so it is made once and
+shared; only a pair with N_XY != N_YX is made twice and compared.
+s~ = d^-1 S d^-1 is made from the vectors too, with one inverse per
+distinct dimension.  The canonical CycloNum matrices ``S`` and
+``S_tilde`` are made from the kept vectors when first read, and no
+report reads them but ``mueger_report``.
 
 The product relation says that each normalized row Y -> s_{XY} / d(X)
 is a character of the ring.  A linear map with value 1 at the unit that
@@ -23,17 +27,20 @@ the same first failing (X, Y, Z).
 
 The reports run on the same vectors and make CycloNums only for the
 values they return.  s~_{YV} = 1 is tested as s_{YV} = d(Y) d(V),
-list equality at L, once per datum; the centralizer of K is the set of
+list equality at L, once per datum, with d(Y) d(V) made once per pair
+of distinct dimensions; the centralizer of K is the set of
 V whose test holds for all of K, and its component count is checked
 against the exact rank of the K rows of S.  Whether the image of S
 over F_p has full rank is tested once per datum: if it has, every K's
-rank is |K| at once, and otherwise the K rows are eliminated exactly.  A centralizer's subring test and components depend on the
+rank is |K| at once, and otherwise the K rows are eliminated exactly.
+A centralizer's subring test and components depend on the
 ring alone, so they are kept on the ring, once per index set.  Each
 centralizer report is built once per (datum, subring) and each subring
 lattice once per ring.
 Gauss sums, the squared central charge, and the square-class Gauss
 sums of weakly integral non-degenerate data close out the invariant set;
-the square-class sums are kept on the datum, as its reports are.
+the square-class sums are kept on the datum, as its reports are, and
+the ring's square classes and integral part on the ring.
 """
 
 from __future__ import annotations
@@ -94,18 +101,22 @@ class _AtL:
     """The integer vectors of ``build`` at its one conductor L.
 
     ``S``, ``dv`` (d) and ``qd`` (theta d) hold coefficient vectors at L
-    over the denominator ``den``, and ``roots[i]`` = (s, t) with
-    theta_i = (-1)^s zeta_L^t.  Built on first use: ``dd`` (d^2) and
-    ``td[sign]`` (theta^sign d^2) over den^2; ``pm[y][v]``, which is
-    s~_{yv} where that is +-1 and 0 elsewhere, with ``ones[v]`` the set
-    of y where it is 1; and ``full``, whether the image of S over F_p
-    (``_rank_mod_p``) has full rank.
+    over the denominator ``den``, ``St`` those of s~ over ``st_den``, and
+    ``roots[i]`` = (s, t) with theta_i = (-1)^s zeta_L^t.  ``cls[i]``
+    numbers d(i) among the distinct dimensions.  S_xy and S_yx may be
+    one list; no entry is changed in place.  Built on first use: ``dd``
+    (d^2) and ``td[sign]`` (theta^sign d^2) over den^2; ``pm[y][v]``,
+    which is s~_{yv} where that is +-1 and 0 elsewhere, with ``ones[v]``
+    the set of y where it is 1; and ``full``, whether the image of S over
+    F_p (``_rank_mod_p``) has full rank.
     """
 
-    __slots__ = ("ctx", "den", "S", "dv", "qd", "roots", "dd", "td", "pm", "ones", "full")
+    __slots__ = ("ctx", "den", "S", "dv", "qd", "roots", "cls", "St", "st_den",
+                 "dd", "td", "pm", "ones", "full")
 
-    def __init__(self, ctx, den, S, dv, qd, roots):
+    def __init__(self, ctx, den, S, dv, qd, roots, cls, St, st_den):
         self.ctx, self.den, self.S, self.dv, self.qd, self.roots = ctx, den, S, dv, qd, roots
+        self.cls, self.St, self.st_den = cls, St, st_den
         self.dd = self.td = self.pm = self.ones = self.full = None
 
     def total(self, vecs, indices=None) -> list:
@@ -125,18 +136,27 @@ class _AtL:
         return self.dd, self.td
 
     def pairing(self):
-        """(pm, ones), built once: s_{yv} against +-d(y) d(v), over den^2."""
+        """(pm, ones), built once: s_{yv} against +-d(y) d(v), over den^2.
+
+        d(y) d(v) and its negative are made once per pair of distinct
+        dimensions (``cls``), not once per pair of indices.
+        """
         if self.pm is None:
-            ctx, S, dv = self.ctx, self.S, self.dv
+            ctx, S, dv, cls = self.ctx, self.S, self.dv, self.cls
             r = len(dv)
             pm = [[0] * r for _ in range(r)]
+            prods = {}
             for y in range(r):
                 for v in range(y, r):
+                    key = (cls[y], cls[v]) if cls[y] <= cls[v] else (cls[v], cls[y])
+                    if key not in prods:
+                        dd = _mul_vec(ctx, dv[y], dv[v])
+                        prods[key] = dd, [-c for c in dd]
+                    dd, neg = prods[key]
                     s = [c * self.den for c in S[y][v]]
-                    dd = _mul_vec(ctx, dv[y], dv[v])
                     if s == dd:
                         pm[y][v] = pm[v][y] = 1
-                    elif s == [-c for c in dd]:
+                    elif s == neg:
                         pm[y][v] = pm[v][y] = -1
             self.pm = pm
             self.ones = [frozenset(y for y in range(r) if pm[y][v] == 1) for v in range(r)]
@@ -155,24 +175,39 @@ class _AtL:
 
 
 class PreModularDatum:
-    # theta: twists as Fraction exponents of roots of unity; dim: CycloNum
-    # per index; S: the derived CycloNum matrix; S_tilde: s_XY / (d(X) d(Y));
-    # pointed_source: (PreMetricGroup, chi tuple) when pointed; _at: the
-    # build's vectors at its conductor (_AtL).  Built on first use:
-    # _nondegenerate, _lagrangians (index sets of the Lagrangian subgroups
-    # of a pointed source), _cents (K.indices -> CentralizerReport) and _gfp
-    # ((config.tolerance, the result of gfp_invariants) for the last tolerance).
-    __slots__ = ("ring", "theta", "dim", "S", "S_tilde", "pointed_source", "_at",
+    """theta: twists as Fraction exponents of roots of unity; dim: CycloNum
+    per index; pointed_source: (PreMetricGroup, chi tuple) when pointed;
+    _at: the build's vectors at its conductor (_AtL).  ``S``, the derived
+    CycloNum matrix, and ``S_tilde``, s_XY / (d(X) d(Y)), are made from
+    _at on first read.  Built on first use too: _nondegenerate,
+    _lagrangians (index sets of the Lagrangian subgroups of a pointed
+    source), _cents (K.indices -> CentralizerReport) and _gfp
+    ((config.tolerance, the result of gfp_invariants) for the last
+    tolerance).  Ring, twists and dimensions fix S and s~: equality and
+    hashing read them and the pointed source."""
+
+    __slots__ = ("ring", "theta", "dim", "pointed_source", "_at", "_S", "_S_tilde",
                  "_nondegenerate", "_lagrangians", "_cents", "_gfp")
 
-    def __init__(self, ring: FusionRing, theta: tuple, dim: tuple, S: tuple, S_tilde: tuple,
-                 pointed_source=None, _at=None):
-        self.ring, self.theta, self.dim, self.S, self.S_tilde = ring, theta, dim, S, S_tilde
-        self.pointed_source, self._at = pointed_source, _at
+    def __init__(self, ring: FusionRing, theta: tuple, dim: tuple, at: _AtL, pointed_source=None):
+        self.ring, self.theta, self.dim, self._at = ring, theta, dim, at
+        self.pointed_source, self._S, self._S_tilde = pointed_source, None, None
         self._nondegenerate, self._lagrangians, self._cents, self._gfp = None, None, {}, None
 
+    @property
+    def S(self) -> tuple:
+        if self._S is None:
+            self._S = _canonical(self._at.ctx.n, self._at.S, self._at.den)
+        return self._S
+
+    @property
+    def S_tilde(self) -> tuple:
+        if self._S_tilde is None:
+            self._S_tilde = _canonical(self._at.ctx.n, self._at.St, self._at.st_den)
+        return self._S_tilde
+
     def _key(self) -> tuple:
-        return (self.ring, self.theta, self.dim, self.S, self.S_tilde, self.pointed_source)
+        return (self.ring, self.theta, self.dim, self.pointed_source)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -204,6 +239,13 @@ class PreModularDatum:
         return f"PreModularDatum({self.ring!r})"
 
 
+def _canonical(L, vecs, den) -> tuple:
+    """The CycloNum matrix of ``vecs`` at L over ``den``: one canonical
+    form per distinct entry."""
+    forms = {k: CycloNum(L, k, den) for k in {tuple(v) for row in vecs for v in row}}
+    return tuple(tuple(forms[tuple(v)] for v in row) for row in vecs)
+
+
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -214,9 +256,15 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     L joins the twists' and the dimensions' conductors and D the
     dimensions' denominators.  Entries of S are vectors at L over D, the
     product relation's sides over D^2, so each identity is list equality.
+    S is made on one triangle, x <= y: where N_xy = N_yx, S_yx is the
+    same expression as S_xy and shares its vector; elsewhere it is made
+    and compared, in row-major order, so a non-commutative table fails
+    at the same first pair as a check of the whole matrix.
     The product relation is checked on the rows Y of the ring's algebra
     generators, which ``fusion`` checks on the ring itself (see the module
-    docstring), each product made when a check first needs it.
+    docstring), each product made when a check first needs it.  The
+    vectors of s~ are made here too, over D E^2; the canonical S and s~
+    are left to the datum's first read.
     """
     r = ring.rank
     theta = tuple(root_exp(t) for t in theta)
@@ -254,17 +302,16 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
 
     # S_xy = theta_x^-1 theta_y^-1 sum_z N_xy^z theta_z d_z, over D
     qd = [_times_root(ctx, s, t, v) for (s, t), v in zip(roots, dv)]
-    S = [
-        [
-            _times_root(ctx, roots[x][0] + roots[y][0], -roots[x][1] - roots[y][1],
-                        weighted_sum(x, y, qd))
-            for y in range(r)
-        ]
-        for x in range(r)
-    ]
+
+    def entry(x, y):
+        return _times_root(ctx, roots[x][0] + roots[y][0], -roots[x][1] - roots[y][1],
+                           weighted_sum(x, y, qd))
+
+    S = [[None] * r for _ in range(r)]
     for x in range(r):
         for y in range(x, r):
-            if S[x][y] != S[y][x]:
+            S[x][y] = S[y][x] = entry(x, y)
+            if ring.N[x][y] != ring.N[y][x] and entry(y, x) != S[x][y]:
                 raise SymmetryFail(f"S not symmetric at ({x}, {y})")
     for x in range(r):
         for y in range(r):
@@ -294,27 +341,23 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
             f"({ring.labels[x]}, {ring.labels[y]}, {ring.labels[z]})"
         )
 
-    def canonical(vecs, den):   # one canonical form per distinct entry
-        forms = {k: CycloNum(L, k, den) for k in {tuple(v) for row in vecs for v in row}}
-        return tuple(tuple(forms[tuple(v)] for v in row) for row in vecs)
-
     # s~_xy = s_xy d_x^-1 d_y^-1, symmetric as S is: one inverse per distinct
     # dimension, lifted to L over one denominator E, and d_x^-1 d_y^-1 once
     # per pair of dimensions
     inv = {d: d.inverse() for d in set(dim)}
     E = reduce(math.lcm, (v.den for v in inv.values()), 1)
     slot = {d: k for k, d in enumerate(inv)}
+    cls = [slot[d] for d in dim]
     iv = [[c * (E // v.den) for c in v._lift(L)] for v in inv.values()]
     pairs = {}
     St = [[None] * r for _ in range(r)]
     for x in range(r):
         for y in range(x, r):
-            key = tuple(sorted((slot[dim[x]], slot[dim[y]])))
+            key = (cls[x], cls[y]) if cls[x] <= cls[y] else (cls[y], cls[x])
             if key not in pairs:
                 pairs[key] = _mul_vec(ctx, iv[key[0]], iv[key[1]])
             St[x][y] = St[y][x] = _mul_vec(ctx, S[x][y], pairs[key])   # over D E^2
-    return PreModularDatum(ring, theta, dim, canonical(S, D), canonical(St, D * E * E),
-                           _at=_AtL(ctx, D, S, dv, qd, roots))
+    return PreModularDatum(ring, theta, dim, _AtL(ctx, D, S, dv, qd, roots, cls, St, D * E * E))
 
 
 def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -> PreModularDatum:
@@ -344,7 +387,7 @@ def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -
     )
     dim = tuple(CycloNum.from_rational(c) for c in chi)
     D = build(ring, theta, dim, config)
-    return PreModularDatum(D.ring, D.theta, D.dim, D.S, D.S_tilde, (M, chi), D._at)
+    return PreModularDatum(D.ring, D.theta, D.dim, D._at, (M, chi))
 
 
 def ising_datum(zeta, eps: int, config: Config = DEFAULT) -> PreModularDatum:
@@ -388,8 +431,7 @@ def deligne_product(D1: PreModularDatum, D2: PreModularDatum,
         from .qform import direct_sum
         form = direct_sum(D1.pointed_source[0], D2.pointed_source[0])
         src = (form, (1,) * form.group.order)
-    return PreModularDatum(datum.ring, datum.theta, datum.dim, datum.S, datum.S_tilde, src,
-                           datum._at)
+    return PreModularDatum(datum.ring, datum.theta, datum.dim, datum._at, src)
 
 
 def trivial_datum() -> PreModularDatum:
@@ -697,7 +739,9 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     are read from the datum's table of s_{aX} = +-d(a) d(X).  The result
     is kept on the datum with ``config.tolerance``, the one setting the FP
     rounding reads, so ``gauss_and_charge`` and a later call at the same
-    tolerance share it; a refusal keeps nothing.
+    tolerance share it; a refusal keeps nothing.  The square classes and
+    the integral part, which depend on the ring and tolerance alone, are
+    kept so on the ring (``FusionRing._squares``) for every datum on it.
     """
     if D._gfp is not None and D._gfp[0] == config.tolerance:
         return D._gfp[1]
@@ -707,10 +751,12 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     at = D._at
     ctx, den = at.ctx, at.den
     pm, _ = at.pairing()
-    sq = fp_square_integers(R, config)      # NotWeaklyIntegral if not
-    sf = [_squarefree(m) for m in sq]
-    int_part = integral_part(R, config)
-    A = centralizer(D, int_part).centralizer
+    if R._squares is None or R._squares[0] != config.tolerance:
+        sq = fp_square_integers(R, config)      # NotWeaklyIntegral if not
+        R._squares = (config.tolerance, sq, tuple(_squarefree(m) for m in sq),
+                      integral_part(R, config).indices)
+    _, sq, sf, int_part = R._squares
+    A = centralizer(D, FusionSubring(R, int_part)).centralizer
     if not set(A.indices) <= set(pointed_part(R).indices):
         raise ClassificationBug("centralizer of the integral part is not pointed")
     one = [den] + [0] * (ctx.phi - 1)

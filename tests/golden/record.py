@@ -3,6 +3,7 @@
 
     python tests/golden/record.py            # write inputs/ and every record
     python tests/golden/record.py ID [ID...]  # re-record only these records
+    python tests/golden/record.py --add       # record only commands with no record
 
 Run from anywhere; ``src`` is put on the path.  Inputs are written as JSON
 under ``inputs/`` beside this file; ``records.json`` holds, per command,
@@ -20,7 +21,10 @@ this process has already written it.
 
 ``tests/test_golden.py`` replays every record.  A change that alters an
 output on purpose re-records only the records it alters, by id, and says
-which and why; nothing else re-records.
+which and why; nothing else re-records.  A change that adds inputs or
+commands runs ``--add``: it writes only the inputs not yet on disk and
+records only the commands that have no record, in corpus order, and
+keeps every other record as it is.
 """
 
 from __future__ import annotations
@@ -187,6 +191,10 @@ def inputs() -> dict:
     docs["bad_ring_dual.json"] = mutated(lambda d: d.__setitem__("dual", [0, 2, 1]))
     docs["bad_ring_table.json"] = mutated(lambda d: d.__setitem__("N", 3))
     docs["bad_ring_fields.json"] = {"labels": ["1"], "unit": 0}
+    # entries that are no JSON integer, each equal to the integer it replaces
+    docs["bad_ring_float.json"] = mutated(lambda d: d["N"][2][2].__setitem__(0, 1.9))
+    docs["bad_ring_bool.json"] = mutated(lambda d: d["dual"].__setitem__(1, True))
+    docs["bad_ring_string.json"] = mutated(lambda d: d.__setitem__("unit", "0"))
 
     # data
     data = {"ising_1p": ising_datum(F(1, 16), 1), "ising_3m": ising_datum(F(3, 16), -1),
@@ -310,6 +318,7 @@ def commands(names) -> list:
         ["fusion", "dims", inp("ring_ising.json"), "--output", "text"],
         ["fusion", "grading", inp("ring_ising2.json"), "--out", f"{OUT}/grading.json"],
         ["fusion", "dims", inp("ring_ising.json"), "--tolerance", "1e-9"],
+        ["fusion", "dims", inp("bad_ring_float.json")],
     ]
 
     data = sorted(n for n in names if n.startswith("datum_"))
@@ -386,6 +395,15 @@ def commands(names) -> list:
     return cmds
 
 
+def write_input(name, doc) -> None:
+    with open(os.path.join(INPUTS, name), "w", encoding="utf-8") as fh:
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(HERE)), "src"))
     for key in [k for k in os.environ if k.startswith("BRAIDFORGE_")]:
@@ -393,16 +411,23 @@ def main(argv=None) -> int:
     from braidforge.cli import main as cli_main
 
     only = set(argv if argv is not None else sys.argv[1:])
-    if not only:
+    if only == {"--add"}:
+        docs = inputs()
+        for name, doc in docs.items():
+            if not os.path.exists(os.path.join(INPUTS, name)):
+                write_input(name, doc)
+        with open(RECORDS, encoding="utf-8") as fh:
+            kept = {r["id"]: r for r in json.load(fh)}
+        records = [kept.get(" ".join(argv)) or run(argv, cli_main) for argv in commands(docs)]
+        lost = kept.keys() - {r["id"] for r in records}
+        if lost:
+            print(f"records with no command: {sorted(lost)}", file=sys.stderr)
+            return 2
+    elif not only:
         docs = inputs()
         os.makedirs(INPUTS, exist_ok=True)
         for name, doc in docs.items():
-            with open(os.path.join(INPUTS, name), "w", encoding="utf-8") as fh:
-                if isinstance(doc, str):
-                    fh.write(doc)
-                else:
-                    json.dump(doc, fh, indent=1)
-                    fh.write("\n")
+            write_input(name, doc)
         records = [run(argv, cli_main) for argv in commands(docs)]
     else:
         with open(RECORDS, encoding="utf-8") as fh:

@@ -49,6 +49,11 @@ class Mutant(NamedTuple):
 _ROOTS = "tests/test_cyclotomic.py::test_roots_of_unity_match_the_root_table"
 _MONOMIAL = "tests/test_cyclotomic.py::test_monomial_reads_rational_multiples_of_roots"
 _TAU = "tests/test_witt.py::test_tau_image_matches_division_reference"
+_DIMS = "tests/test_cli.py::test_dimensions_parsed_once_match_a_parse_of_each"
+_S_IDENTITIES = "tests/test_premodular.py::test_build_reports_each_s_identity"
+_SQUARES = "tests/test_premodular.py::test_square_classes_are_kept_on_the_ring_per_tolerance"
+_PAIRING = "tests/test_premodular.py::test_pairing_matches_an_unmemoised_pairing"
+_RING_ENTRIES = "tests/test_cli.py::test_ring_entries_must_be_json_integers"
 
 MUTANTS = (
     Mutant("monomial-shift-range-one-block-short", "braidforge/cyclotomic.py",
@@ -75,6 +80,26 @@ MUTANTS = (
            note="tau+ of a metric form is sqrt|G| times an eighth root of unity "
                 "(Milgram); on every catalog label, whichever of tau and tau * conj(g) "
                 "is a monomial first has an allowed unit, so the test only guards the raise"),
+    Mutant("dims-memo-keys-true-as-1", "braidforge/io.py",
+           'type(d.get("conductor")) is int',
+           'isinstance(d.get("conductor"), int)',
+           (_DIMS,)),
+    Mutant("s-triangle-copied-across-non-commuting-pair", "braidforge/premodular.py",
+           "if ring.N[x][y] != ring.N[y][x] and entry(y, x) != S[x][y]:",
+           "if ring.N[x][y] != ring.N[y][x] and entry(x, y) != S[x][y]:",
+           (_S_IDENTITIES,)),
+    Mutant("ring-squares-slot-ignores-tolerance", "braidforge/premodular.py",
+           "if R._squares is None or R._squares[0] != config.tolerance:",
+           "if R._squares is None:",
+           (_SQUARES,)),
+    Mutant("pairing-memo-keyed-by-index", "braidforge/premodular.py",
+           "key = (cls[y], cls[v]) if cls[y] <= cls[v] else (cls[v], cls[y])",
+           "key = (y, v)",
+           (_PAIRING,)),
+    Mutant("ring-float-entry-accepted", "braidforge/fusion.py",
+           "*chain.from_iterable(N)))) <= {int}:",
+           "*chain.from_iterable(N)))) <= {int, float}:",
+           (_RING_ENTRIES,)),
 )
 
 

@@ -13,6 +13,7 @@ import pytest
 from braidforge import io as bio
 from braidforge.abelian import FinAbGroup
 from braidforge.cli import main
+from braidforge.config import DEFAULT
 from braidforge.cyclotomic import CycloNum
 from braidforge.errors import SchemaError
 from braidforge.premodular import ising_datum
@@ -70,6 +71,79 @@ def test_conductor_must_be_a_json_integer_at_least_1(tmp_path, capsys, conductor
     doc = bio.datum_to_json(ising_datum(F(1, 16), 1))
     doc["dims"][0] = {"conductor": conductor, "coeffs": coeffs}
     assert main(["premodular", "report", write(tmp_path, "d.json", doc)]) == 2
+    assert capsys.readouterr().err == f"SchemaError: {message}\n"
+
+
+_ONE = {"conductor": 1, "coeffs": ["1"]}
+
+
+@pytest.mark.parametrize("dims", [
+    [_ONE, _ONE, {"conductor": 8, "coeffs": ["0", "1", "0", "-1"]}, _ONE, _ONE],
+    [_ONE, {"conductor": True, "coeffs": ["1"]}],          # true equals 1 but is refused
+    [{"conductor": True, "coeffs": ["1"]}, _ONE],
+    [_ONE, {"conductor": 1.0, "coeffs": ["1"]}],
+    [{"conductor": 1, "coeffs": [1.0]}, _ONE, {"conductor": 1, "coeffs": [1.0]}],
+    [{"conductor": 1, "coeffs": [1]}, {"conductor": 1, "coeffs": [True]}],
+    [{"conductor": 1, "coeffs": [10 ** 16]}, {"conductor": 1, "coeffs": [1e16]}],
+    [_ONE, {"conductor": 1, "coeffs": ["1"], "extra": 0}],
+    [_ONE, {"conductor": 1, "coeffs": ("1",)}, {"conductor": 1, "coeffs": "1"}],
+    [_ONE, {"conductor": 3000, "coeffs": ["1"]}, {"conductor": 3000, "coeffs": ["1"]}],
+    [{"conductor": 4, "coeffs": ["1/2", "x"]}, {"conductor": 4, "coeffs": ["1/2", "x"]}],
+])
+def test_dimensions_parsed_once_match_a_parse_of_each(dims):
+    # each document parsed on its own is the oracle: the same CycloNums,
+    # or the same first error class and message
+    def each():
+        return tuple(bio.cyclo_from_json(d) for d in dims)
+
+    def once():
+        return tuple(bio._dims_from_json(dims, DEFAULT))
+
+    def outcome(fn):
+        try:
+            return fn()
+        except Exception as exc:   # noqa: BLE001 - the class and message are compared
+            return type(exc), str(exc)
+
+    assert outcome(once) == outcome(each)
+
+
+def test_equal_dimension_documents_share_one_parse():
+    from braidforge.premodular import deligne_product
+
+    D = deligne_product(ising_datum(F(1, 16), 1), ising_datum(F(3, 16), -1))
+    doc = bio.datum_to_json(D)
+    dims = bio.datum_from_json(doc).dim
+    assert dims == D.dim and len(dims) == 9 and len({id(d) for d in dims}) == 3
+
+
+@pytest.mark.parametrize("field, path, value", [
+    ("N", (2, 2, 0), 1.9), ("N", (2, 2, 0), True), ("N", (2, 2, 0), "1"), ("N", (2, 2, 0), None),
+    ("N", (1, 1, 0), 1.0), ("dual", (1,), True), ("dual", (2,), "2"), ("dual", (2,), 2.0),
+    ("unit", (), "0"), ("unit", (), False), ("unit", (), 0.0), ("unit", (), float("inf")),
+])
+def test_ring_entries_must_be_json_integers(tmp_path, capsys, field, path, value):
+    # each value equals (or truncates to) the integer it replaces, so a
+    # parser that converted with int() would accept Ising unchanged
+    from braidforge.fusion import ising_ring, validate_ring
+
+    R = ising_ring()
+    good = bio.ring_to_json(R)
+    assert bio.ring_from_json(good) == R   # Ising is now interned
+    doc = json.loads(json.dumps(good))
+    if path:
+        target = doc[field]
+        for k in path[:-1]:
+            target = target[k]
+        target[path[-1]] = value
+    else:
+        doc[field] = value
+    message = f"malformed ring table: ring entry {value!r} is not an integer"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        bio.ring_from_json(doc)
+    with pytest.raises(TypeError):
+        validate_ring(doc["labels"], doc["unit"], doc["dual"], doc["N"])
+    assert main(["fusion", "dims", write(tmp_path, "r.json", doc)]) == 2
     assert capsys.readouterr().err == f"SchemaError: {message}\n"
 
 

@@ -1015,3 +1015,117 @@ def test_seed_round_builds_ring_work_once_per_table(monkeypatch):
         assert workloads.datum_report(obj)["identity"]
     assert len(fusion._RINGS) == 18
     assert {name: len(seen) for name, seen in calls.items()} == dict.fromkeys(calls, 18)
+
+
+def _corpus_data():
+    """The build corpus, and every datum of the CLI corpus that builds."""
+    import json
+    from pathlib import Path
+
+    from braidforge import io as bio
+
+    out = _build_corpus()
+    for path in sorted((Path(__file__).parent / "golden" / "inputs").glob("datum_*.json")):
+        out.append(bio.datum_from_json(json.loads(path.read_text())))
+    return out
+
+
+def test_canonical_s_and_s_tilde_are_made_on_first_read():
+    # the reports never read the canonical matrices; the first read makes
+    # them from the kept vectors, equal to the reference build's, and keeps them
+    from braidforge import io as bio
+    from braidforge.config import Config
+
+    cfg = Config(rank_guard=13)
+    for D in _corpus_data():
+        gauss_and_charge(D, cfg)
+        for K in all_subrings(D.ring, cfg).subrings:
+            centralizer(D, K)
+            dichotomy_check(D, K)
+            symmetric_and_isotropic(D, K)
+        for E in (D, bio.datum_from_json(bio.datum_to_json(D)),
+                  deligne_product(D, trivial_datum())):
+            assert E._S is None and E._S_tilde is None, E
+        if D.rank <= 12:
+            assert (D.S, D.S_tilde) == _reference_build(D.ring, D.theta, D.dim), D
+        else:   # Z/13: each entry against s_xy = d_x d_y s~_xy
+            for x in range(D.rank):
+                for y in range(D.rank):
+                    assert D.S[x][y] == D.dim[x] * D.dim[y] * D.S_tilde[x][y]
+        assert D.S is D.S and D.S_tilde is D.S_tilde
+    P = pointed_datum(qform.random_form(FinAbGroup((2, 4)), random.Random(2)))
+    assert P._S is None and P._S_tilde is None
+
+
+def test_s_is_shared_across_the_diagonal_only_where_the_table_commutes():
+    for D in _build_corpus():
+        S, N = D._at.S, D.ring.N
+        for x in range(D.rank):
+            for y in range(D.rank):
+                assert (S[x][y] is S[y][x]) == (N[x][y] == N[y][x]), (D, x, y)
+    # X delta = 2X but delta X = X: no datum, and the same first pair as a
+    # check of the whole matrix names
+    I = ising_datum(F(1, 16), 1)
+    bad = _with_n(I.ring, _set_n(I.ring.N, 2, 1, (0, 0, 2)))
+    assert _outcome(build, bad, I.theta, I.dim) == (SymmetryFail, "S not symmetric at (1, 2)")
+    _assert_builds_agree(bad, I.theta, I.dim)
+
+
+def test_pairing_matches_an_unmemoised_pairing(monkeypatch):
+    # s_yv against +-d(y) d(v) at every pair, and d(y) d(v) made once per
+    # pair of distinct dimensions
+    from braidforge import premodular
+    from braidforge.cyclotomic import _mul_vec
+
+    made = []
+    monkeypatch.setattr(premodular, "_mul_vec",
+                        lambda ctx, a, b: made.append(1) or _mul_vec(ctx, a, b))
+    for D in _corpus_data():
+        at, r = D._at, D.rank
+        first = {}
+        for i, d in enumerate(D.dim):
+            first.setdefault(d, i)
+        made.clear()
+        pm, ones = at.pairing()
+        assert len(made) == len({tuple(sorted((first[D.dim[y]], first[D.dim[v]])))
+                                 for y in range(r) for v in range(r)}), D
+        for y in range(r):
+            for v in range(r):
+                s = [c * at.den for c in at.S[y][v]]
+                dd = _mul_vec(at.ctx, at.dv[y], at.dv[v])
+                want = 1 if s == dd else -1 if s == [-c for c in dd] else 0
+                assert pm[y][v] == want, (D, y, v)
+            assert ones[y] == {x for x in range(r) if pm[x][y] == 1}
+
+
+def test_square_classes_are_kept_on_the_ring_per_tolerance(monkeypatch):
+    # one slot on the ring, for the last tolerance: a second datum on the
+    # ring reads it, another tolerance computes afresh, and a refusal at a
+    # tolerance the Perron dimensions cannot meet keeps nothing
+    from braidforge import fusion
+    from braidforge import io as bio
+    from braidforge import premodular
+    from braidforge.config import Config
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    squares = []
+    monkeypatch.setattr(premodular, "fp_square_integers",
+                        lambda R, config: squares.append(config.tolerance)
+                        or fp_square_integers(R, config))
+    first, second = (deligne_product(ising_datum(F(1, 16), 1), ising_datum(F(k, 16), -1))
+                     for k in (3, 5))
+    D1, D2 = (bio.datum_from_json(bio.datum_to_json(D)) for D in (first, second))
+    R = D1.ring
+    assert D2.ring is R and R._squares is None
+    got = gfp_invariants(D1)
+    assert R._squares[0] == 1e-6 and squares == [1e-6]
+    sq = fp_square_integers(R)
+    assert R._squares[1:] == (sq, tuple(_squarefree(m) for m in sq), integral_part(R).indices)
+    assert gfp_invariants(D2) == _ref_gfp(D2) and squares == [1e-6]
+    with pytest.raises(NotWeaklyIntegral):
+        gfp_invariants(D2, Config(tolerance=1e-14))
+    assert R._squares[0] == 1e-6 and squares == [1e-6, 1e-14]
+    assert gfp_invariants(D1, Config(tolerance=1e-12)) == got and squares[-1] == 1e-12
+    assert R._squares[0] == 1e-12
+    with pytest.raises(NotWeaklyIntegral):
+        gfp_invariants(D1, Config(tolerance=1e-14))

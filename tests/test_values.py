@@ -59,7 +59,7 @@ def test_hash_is_the_hash_of_the_compared_fields():
     cfg = Config()
     assert hash(cfg) == hash((1e-6, 256, 64, 12, "json", 2_000_000, 2310))
     D = ising_datum(F(1, 16), 1)
-    assert hash(D) == hash((D.ring, D.theta, D.dim, D.S, D.S_tilde, None))
+    assert hash(D) == hash((D.ring, D.theta, D.dim, None))
 
 
 def test_caches_are_not_compared():
