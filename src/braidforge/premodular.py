@@ -125,10 +125,11 @@ class _AtL:
         return list(map(sum, zip(*vecs))) or [0] * self.ctx.phi
 
     def squares(self):
-        """(dd, td), built once."""
+        """(dd, td), built once; d^2 once per distinct dimension."""
         if self.dd is None:
             ctx = self.ctx
-            self.dd = [_mul_vec(ctx, d, d) for d in self.dv]
+            sq = {k: _mul_vec(ctx, d, d) for k, d in dict(zip(self.cls, self.dv)).items()}
+            self.dd = [sq[k] for k in self.cls]
             self.td = {
                 +1: [_mul_vec(ctx, q, d) for q, d in zip(self.qd, self.dv)],
                 -1: [_times_root(ctx, s, -t, v) for (s, t), v in zip(self.roots, self.dd)],
@@ -262,7 +263,8 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     at the same first pair as a check of the whole matrix.
     The product relation is checked on the rows Y of the ring's algebra
     generators, which ``fusion`` checks on the ring itself (see the module
-    docstring), each product made when a check first needs it.  The
+    docstring), each product made when a check first needs it.  Each
+    distinct dimension is conjugated, lifted to L and inverted once.  The
     vectors of s~ are made here too, over D E^2; the canonical S and s~
     are left to the datum's first read.
     """
@@ -278,8 +280,11 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     for i, d in enumerate(dim):
         if d.is_zero():
             raise ZeroDim(f"dimension of {ring.labels[i]} is zero")
+    kinds = {d: k for k, d in enumerate(dict.fromkeys(dim))}   # the distinct dimensions
+    cls = [kinds[d] for d in dim]
+    conj = [d.conjugate() for d in kinds]
     for i in range(r):
-        if dim[ring.dual[i]] != dim[i].conjugate():
+        if dim[ring.dual[i]] != conj[cls[i]]:
             raise DualDimFail(
                 f"d(dual {ring.labels[i]}) != conjugate(d({ring.labels[i]}))"
             )
@@ -288,7 +293,8 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     D = reduce(math.lcm, (d.den for d in dim), 1)
     config.check_conductor(L)
     ctx = _ctx(L)
-    dv = [[c * (D // d.den) for c in d._lift(L)] for d in dim]
+    lifts = [[c * (D // d.den) for c in d._lift(L)] for d in kinds]
+    dv = [lifts[k] for k in cls]
     # theta_z = (-1)^s zeta_L^t
     roots = [_root_power(t.numerator, t.denominator, L) for t in theta]
 
@@ -344,11 +350,9 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     # s~_xy = s_xy d_x^-1 d_y^-1, symmetric as S is: one inverse per distinct
     # dimension, lifted to L over one denominator E, and d_x^-1 d_y^-1 once
     # per pair of dimensions
-    inv = {d: d.inverse() for d in set(dim)}
-    E = reduce(math.lcm, (v.den for v in inv.values()), 1)
-    slot = {d: k for k, d in enumerate(inv)}
-    cls = [slot[d] for d in dim]
-    iv = [[c * (E // v.den) for c in v._lift(L)] for v in inv.values()]
+    inv = [d.inverse() for d in kinds]
+    E = reduce(math.lcm, (v.den for v in inv), 1)
+    iv = [[c * (E // v.den) for c in v._lift(L)] for v in inv]
     pairs = {}
     St = [[None] * r for _ in range(r)]
     for x in range(r):
