@@ -54,13 +54,11 @@ class FusionRing:
     # N[i][j][k], non-negative ints.  Built on first use: _fpdim, the Perron
     # eigenvalues of the left multiplications; _lattice, the subring index
     # tuples; _gens, the indices of algebra_generators; _squares,
-    # (tolerance, fp_square_integers, their squarefree parts, the indices of
-    # integral_part) for the last tolerance premodular.gfp_invariants read
-    # them at.  _comps maps the
-    # indices of each centralizer of a report premodular.centralizer
-    # passed (so a subring) to its components; a refused report or
-    # refused square classes keep nothing.  Equality and hashing read the
-    # table alone.
+    # (tolerance, fp_square_integers, their squarefree parts, the indices
+    # of integral_part) at the last tolerance premodular.gfp_invariants
+    # asked for.  _comps maps the indices of each centralizer of a report
+    # premodular.centralizer passed (so a subring) to its components.  A
+    # refusal keeps nothing.  Equality and hashing read the table alone.
     __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_fpdim", "_lattice", "_gens",
                  "_squares", "_comps")
 

@@ -8,13 +8,10 @@ dimensions, S symmetric and dual-invariant, first row = dimensions,
 and the product relation s_{XY} s_{XZ} = d(X) sum_W N_{YZ}^W s_{XW}.
 S is derived and its identities are checked at one conductor L, as
 integer coefficient vectors over one denominator; the datum keeps
-those vectors.  S_YX is the same expression as S_XY wherever
-N_XY = N_YX (every pair of a commutative ring), so it is made once and
-shared; only a pair with N_XY != N_YX is made twice and compared.
-s~ = d^-1 S d^-1 is made from the vectors too, with one inverse per
-distinct dimension.  The canonical CycloNum matrices ``S`` and
-``S_tilde`` are made from the kept vectors when first read, and no
-report reads them but ``mueger_report``.
+those vectors, S_XY and S_YX made once where N_XY = N_YX (``build``).
+s~ = d^-1 S d^-1 is made from them too, with one inverse per distinct
+dimension.  The canonical CycloNum matrices ``S`` and ``S_tilde`` are
+made on first read; no report but ``mueger_report`` reads them.
 
 The product relation says that each normalized row Y -> s_{XY} / d(X)
 is a character of the ring.  A linear map with value 1 at the unit that
@@ -257,10 +254,10 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     L joins the twists' and the dimensions' conductors and D the
     dimensions' denominators.  Entries of S are vectors at L over D, the
     product relation's sides over D^2, so each identity is list equality.
-    S is made on one triangle, x <= y: where N_xy = N_yx, S_yx is the
-    same expression as S_xy and shares its vector; elsewhere it is made
-    and compared, in row-major order, so a non-commutative table fails
-    at the same first pair as a check of the whole matrix.
+    S is made on one triangle, x <= y: where N_xy = N_yx (every pair of
+    a commutative ring), S_yx is the same expression and shares S_xy's
+    vector; elsewhere it is made and compared in row-major order, so a
+    non-commutative table fails at the pair a full check would name.
     The product relation is checked on the rows Y of the ring's algebra
     generators, which ``fusion`` checks on the ring itself (see the module
     docstring), each product made when a check first needs it.  Each
