@@ -39,7 +39,9 @@ the reduction data of one conductor (Phi_n and its sparse tail): at the
 default ``conductor_guard`` 2310, the largest conductor a datum may
 reach unless the guard is raised; at 2257 = 37 * 61 (phi = 2160) just
 below it; and at 15015, the joined conductor of twists of orders 3, 5,
-7, 11 and 13.  The
+7, 11 and 13.  The ``_fold_bound`` rows make the bound on the
+coefficients of x^j mod Phi_n that every datum's integer tests read, at
+2257 and 2310, with the context built and its bound cleared first.  The
 ``CycloNum.inverse`` rows invert one seeded element at each conductor
 n (a sum of four weighted n-th roots of unity), up to 840 and 1155,
 the canonical conductor of the default ``conductor_guard``.  The
@@ -71,7 +73,11 @@ Z/6 x Z/6, on a fresh copy of the form each repetition.
 The ``datum_from_json`` row parses the Ising x Ising datum document
 (9 dimensions, 3 distinct) onto its interned ring and builds the datum,
 from a fresh copy of the document each repetition: the first step of
-every perfbench datum_reports request.
+every perfbench datum_reports request.  The ``pointed_datum`` rows build
+the pointed datum of q(x) = x^2/2n on Z/64 and Z/128 (ranks past the
+default ``rank_guard``, which only the reports apply), each in a fresh
+``python -B`` interpreter, and give the median time of the call and the
+median peak RSS of the process (``ru_maxrss``) over 3 launches.
 
 The rows above are the best of N calls, taken round-robin (``best_of``):
 each pass calls every row once, so a slow phase of a shared host costs
@@ -271,6 +277,14 @@ def workloads():
         note = " (default conductor_guard)" if n == DEFAULT.conductor_guard else ""
         out.append((f"_ctx({n}){note}", cyclotomic._ctx, 3, unbuilt_ctx))
 
+    for n in (2257, DEFAULT.conductor_guard):
+        def unfolded(n=n):
+            ctx = cyclotomic._ctx(n)
+            ctx.fold = None
+            return ctx
+
+        out.append((f"_fold_bound({n}), cold", cyclotomic._fold_bound, 3, unfolded))
+
     for m in (8, 24, 60, 120, 240, 840, 1155):
         rng = random.Random(m)
         a = cyclotomic.root_sum([(Fraction(1, m), 1)] + [
@@ -397,8 +411,40 @@ def cold_start_rows(launches=7):
     return [(f"cold start: {code}", statistics.median(times[code])) for code in snippets]
 
 
+_POINTED = """
+import resource, sys, time
+from fractions import Fraction
+from braidforge import premodular, qform
+from braidforge.abelian import FinAbGroup
+n = int(sys.argv[1])
+M = qform.PreMetricGroup(FinAbGroup((n,)), [Fraction(k * k, 2 * n) for k in range(n)])
+t0 = time.perf_counter()
+premodular.pointed_datum(M)
+print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def pointed_rows(launches=3):
+    """pointed_datum of q(x) = x^2/2n on Z/n, n = 64 and 128, each in a
+    fresh interpreter, taken in turn: the median time of the call and
+    the median peak RSS of the process (``ru_maxrss``, KB on Linux).
+    Linux keeps the high-water mark of the memory a process replaced by
+    exec, so a child's ``ru_maxrss`` is at least this process's RSS when
+    it launched the child: run these rows before the others grow it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = {n: [] for n in (64, 128)}
+    for _ in range(launches):
+        for n in runs:
+            out = subprocess.run([sys.executable, "-B", "-c", _POINTED, str(n)], env=env,
+                                 check=True, capture_output=True, text=True).stdout.split()
+            runs[n].append((float(out[0]), int(out[1])))
+    return [(f"pointed_datum Z/{n} (peak RSS {statistics.median(kb for _, kb in r) / 1024:.1f} MB)",
+             statistics.median(t for t, _ in r)) for n, r in runs.items()]
+
+
 def main():
-    rows = best_of(workloads()) + cold_start_rows()
+    pointed = pointed_rows()   # first, while this process is small (see pointed_rows)
+    rows = best_of(workloads()) + pointed + cold_start_rows()
     width = max(len(r[0]) for r in rows)
     print(f"{'workload':<{width}}  {'time':>10}")
     print("-" * (width + 12))

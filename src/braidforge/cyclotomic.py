@@ -56,18 +56,21 @@ def root_exp(num, den=None) -> RootExp:
 _CTX: dict = {}
 
 
-def cyclotomic_polynomial(n: int) -> list:
-    """Integer coefficients of Phi_n, low degree first.
+def cyclotomic_polynomial(n: int, cofactor: bool = False) -> list:
+    """Integer coefficients of Phi_n, low degree first, or with
+    ``cofactor`` those of Psi_n = (x^n - 1) / Phi_n.
 
     Phi_n = prod over squarefree e | n of (x^(n/e) - 1)^mu(e) (Lang,
-    Algebra, VI 3).  The factors with mu(e) = +1 are multiplied in
-    first, so each division by x^d - 1 that follows is exact.
+    Algebra, VI 3), so Psi_n is the product over e > 1 with exponents
+    -mu(e).  The factors of exponent +1 are multiplied in first, so each
+    division by x^d - 1 that follows is exact: Phi_d, d | n, divides the
+    numerator once more than the whole denominator when d < n for Psi_n.
     """
     ps = primes_of(n)
     steps = []
-    for mask in range(1 << len(ps)):
+    for mask in range(cofactor, 1 << len(ps)):
         e = math.prod(p for i, p in enumerate(ps) if mask >> i & 1)
-        steps.append((mask.bit_count() % 2, n // e))  # (mu(e) = -1, n/e)
+        steps.append((mask.bit_count() % 2 ^ cofactor, n // e))  # (divide, n/e)
     poly = [1]
     for divide, d in sorted(steps):
         if divide:  # q with q * (x^d - 1) = poly, from the top: q_j = poly_(j+d) + q_(j+d)
@@ -84,16 +87,18 @@ class _Ctx:
 
     ``tail`` is the sparse form of x^phi mod Phi_n, [(j, -c_j)] over the
     nonzero coefficients c_j of the monic Phi_n below its top degree;
-    ``_reduce`` is the one reduction mod Phi_n, and uses only it.
+    ``_reduce`` is the one reduction mod Phi_n, and uses only it.  Two
+    constants are built lazily, each on first use: ``modular``
+    (``_modular``) and ``fold`` (``_fold_bound``).
     """
 
-    __slots__ = ("n", "phi", "tail", "modular")
+    __slots__ = ("n", "phi", "tail", "modular", "fold")
 
     def __init__(self, n: int):
         self.n = n
         self.phi = _euler_phi(n)
         self.tail = [(j, -c) for j, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c]
-        self.modular = None          # _modular(self), built lazily
+        self.modular = self.fold = None
 
 
 def _euler_phi(n: int) -> int:
@@ -438,7 +443,8 @@ def _times_root(ctx, s, t, v):
     n, sign = ctx.n, -1 if s % 2 else 1
     buf = [0] * n
     for i, c in enumerate(v):
-        buf[(i + t) % n] += sign * c
+        if c:
+            buf[(i + t) % n] += sign * c
     return _reduce(ctx, buf)
 
 
@@ -675,6 +681,31 @@ def _modular(ctx):
             g += 1
         ctx.modular = p, [pow(omega, i, p) for i in range(ctx.phi)]
     return ctx.modular
+
+
+def _fold_bound(ctx):
+    """(c, h), built once per conductor: c bounds every coefficient of
+    x^j mod Phi_n, for every j >= 0, and h every coefficient of Phi_n
+    below its top degree.
+
+    x^j mod Phi_n is the polynomial of degree < phi that takes the value
+    zeta^j at each primitive n-th root zeta; by Lagrange it is
+    sum_zeta zeta^j Phi_n(x) / ((x - zeta) Phi_n'(zeta)).  The quotient
+    Phi_n(x) / (x - zeta) has coefficients that are sums of the
+    coefficients of Phi_n above, or (as Phi_n(zeta) = 0) below, a given
+    degree, times roots of unity, so at most ||Phi_n||_1 / 2.  With
+    x^n - 1 = Phi_n Psi_n, |Phi_n'(zeta)| = n / |Psi_n(zeta)|, and by
+    Cauchy-Schwarz and Parseval over all n-th roots of unity,
+    sum_zeta |Psi_n(zeta)| <= sqrt(phi n ||Psi_n||_2^2).  So every
+    coefficient is at most ||Phi_n||_1 sqrt(phi ||Psi_n||_2^2 / n) / 2.
+    """
+    if ctx.fold is None:
+        n, phi = ctx.n, ctx.phi
+        l1 = 1 + sum(abs(t) for _, t in ctx.tail)
+        s2 = sum(c * c for c in cyclotomic_polynomial(n, cofactor=True))
+        root = math.isqrt(-(-phi * s2 // n)) + 1          # > sqrt(phi s2 / n)
+        ctx.fold = -(-l1 * root // 2), max(abs(t) for _, t in ctx.tail)
+    return ctx.fold
 
 
 def _rank_mod_p(ctx, M) -> int:

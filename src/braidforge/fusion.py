@@ -26,6 +26,7 @@ and unbounded.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import chain
 from typing import NamedTuple
@@ -56,11 +57,13 @@ class FusionRing:
     # tuples; _gens, the indices of algebra_generators; _squares,
     # (tolerance, fp_square_integers, their squarefree parts, the indices
     # of integral_part) at the last tolerance premodular.gfp_invariants
-    # asked for.  _comps maps the indices of each centralizer of a report
-    # premodular.centralizer passed (so a subring) to its components.  A
-    # refusal keeps nothing.  Equality and hashing read the table alone.
+    # asked for; _mult, the largest sum of the positive entries of a row
+    # N_xy, which bounds premodular.build's integer tests.  _comps maps
+    # the indices of each centralizer of a report premodular.centralizer
+    # passed (so a subring) to its components.  A refusal keeps nothing.
+    # Equality and hashing read the table alone.
     __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_fpdim", "_lattice", "_gens",
-                 "_squares", "_comps")
+                 "_squares", "_mult", "_comps")
 
     def __init__(self, labels: tuple, unit: int, dual: tuple, N: tuple):
         self.labels, self.unit, self.dual, self.N = labels, unit, dual, N
@@ -68,7 +71,7 @@ class FusionRing:
             tuple(tuple(k for k, m in enumerate(row) if m > 0) for row in plane)
             for plane in N
         )
-        self._fpdim = self._lattice = self._gens = self._squares = None
+        self._fpdim = self._lattice = self._gens = self._squares = self._mult = None
         self._comps = {}
 
     def __eq__(self, other):
@@ -101,17 +104,21 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
     """Exact axioms check; the first violation is reported with indices.
     An equal table gets the ring that passed before, with its caches.
 
-    The unit and every entry of ``dual`` and ``N`` must be an int: a
-    float, bool or str is refused with TypeError before the lookup, never
-    truncated or taken for the int it equals.
+    Every label must be a str, and the unit and every entry of ``dual``
+    and ``N`` an int: anything else (a float, bool, null or list) is
+    refused with TypeError before the lookup, never converted, truncated
+    or taken for the int it equals.  The message quotes the value as JSON.
     """
-    labels = tuple(str(l) for l in labels)
+    labels = tuple(labels)
     r = len(labels)
     dual = tuple(dual)
     N = tuple(tuple(map(tuple, plane)) for plane in N)
+    if not set(map(type, labels)) <= {str}:
+        bad = next(l for l in labels if type(l) is not str)
+        raise TypeError(f"ring label {json.dumps(bad, default=repr)} is not a string")
     if type(unit) is not int or not set(map(type, chain(dual, *chain.from_iterable(N)))) <= {int}:
         bad = next(c for c in chain((unit,), dual, *chain.from_iterable(N)) if type(c) is not int)
-        raise TypeError(f"ring entry {bad!r} is not an integer")
+        raise TypeError(f"ring entry {json.dumps(bad, default=repr)} is not an integer")
     key = (labels, unit, dual, N)
     if key in _RINGS:
         return _RINGS[key]

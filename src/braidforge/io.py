@@ -74,7 +74,7 @@ def cyclo_from_json(obj, config: Config = DEFAULT) -> CycloNum:
         raise SchemaError('cyclotomic number must be {"conductor": n, "coeffs": [...]}')
     n = obj["conductor"]
     if type(n) is not int or n < 1:  # a JSON integer; bool is an int subclass
-        raise SchemaError(f"conductor {n!r} must be an integer >= 1")
+        raise SchemaError(f"conductor {json.dumps(n, default=repr)} must be an integer >= 1")
     try:
         config.check_conductor(n)
         return CycloNum.from_coeffs(n, [parse_fraction(s) for s in obj["coeffs"]])
@@ -175,7 +175,7 @@ def character_from_json(obj, G: FinAbGroup) -> tuple:
         raise SchemaError(f"chi must list {G.order} signs in element order")
     for c in chi:
         if type(c) is not int:  # a JSON integer; bool is an int subclass
-            raise SchemaError(f"chi entry {c!r} must be an integer")
+            raise SchemaError(f"chi entry {json.dumps(c, default=repr)} must be an integer")
     return tuple(chi)
 
 

@@ -6,12 +6,16 @@ never user-supplied, and a datum exists only if every structural
 identity holds exactly: unit twist, nonzero dimensions, conjugate dual
 dimensions, S symmetric and dual-invariant, first row = dimensions,
 and the product relation s_{XY} s_{XZ} = d(X) sum_W N_{YZ}^W s_{XW}.
-S is derived and its identities are checked at one conductor L, as
-integer coefficient vectors over one denominator; the datum keeps
-those vectors, S_XY and S_YX made once where N_XY = N_YX (``build``).
-s~ = d^-1 S d^-1 is made from them too, with one inverse per distinct
-dimension.  The canonical CycloNum matrices ``S`` and ``S_tilde`` are
-made on first read; no report but ``mueger_report`` reads them.
+S is derived at one conductor L, as integer coefficient vectors over
+one denominator; the datum keeps those vectors, S_XY and S_YX made once
+where N_XY = N_YX (``build``).  An identity with products in it is one
+integer test: the vectors are evaluated at one base per datum, by
+Kronecker substitution (``_Kron``; D. Harvey, Faster polynomial
+multiplication via multipoint Kronecker substitution, J. Symbolic
+Comput. 44 (2009)), so a product is one multiplication of integers in C.
+The canonical CycloNum matrices ``S`` and ``S_tilde`` (s~ = d^-1 S d^-1,
+from S and one inverse per distinct dimension) are made on first read;
+no report but ``mueger_report`` reads them.
 
 The product relation says that each normalized row Y -> s_{XY} / d(X)
 is a character of the ring.  A linear map with value 1 at the unit that
@@ -36,6 +40,7 @@ centralizer report is built once per (datum, subring) and each subring
 lattice once per ring.
 Gauss sums, the squared central charge, and the square-class Gauss
 sums of weakly integral non-degenerate data close out the invariant set;
+their identities are tested on the build's evaluations at its base;
 the square-class sums are kept on the datum, as its reports are, and
 the ring's square classes and integral part on the ring.
 """
@@ -45,6 +50,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
+from operator import mul
 from typing import NamedTuple
 
 from .config import DEFAULT, Config
@@ -52,6 +59,7 @@ from .cyclotomic import (
     CycloNum,
     _canonical_conductor,
     _ctx,
+    _fold_bound,
     _mul_vec,
     _rank_mod_p,
     _rank_vec,
@@ -97,41 +105,38 @@ ONE = CycloNum.one()
 class _AtL:
     """The integer vectors of ``build`` at its one conductor L.
 
-    ``S``, ``dv`` (d) and ``qd`` (theta d) hold coefficient vectors at L
-    over the denominator ``den``, ``St`` those of s~ over ``st_den``, and
-    ``roots[i]`` = (s, t) with theta_i = (-1)^s zeta_L^t.  ``cls[i]``
-    numbers d(i) among the distinct dimensions.  S_xy and S_yx may be
-    one list; no entry is changed in place.  Built on first use: ``dd``
-    (d^2) and ``td[sign]`` (theta^sign d^2) over den^2; ``pm[y][v]``,
-    which is s~_{yv} where that is +-1 and 0 elsewhere, with ``ones[v]``
-    the set of y where it is 1; and ``full``, whether the image of S over
-    F_p (``_rank_mod_p``) has full rank.
+    ``S``, ``dv`` (d), ``qd`` (theta d) and ``qi`` (theta^-1 d) hold
+    coefficient vectors at L over the denominator ``den``, ``dd`` (d^2)
+    and ``td[sign]`` (theta^sign d^2) over den^2, and ``roots[i]`` =
+    (s, t) with theta_i = (-1)^s zeta_L^t.  ``cls[i]`` numbers d(i) among
+    the distinct dimensions, and ``inv[k]`` is the inverse of the k-th
+    over ``inv_den``.  S_xy and S_yx may be one list, and so may d^2 of
+    equal dimensions; no entry is changed in place.  ``kron`` holds the
+    same vectors evaluated at the datum's one base (``_Kron``), made by
+    ``build`` for its own checks and read again by ``gauss_and_charge``.
+    Built on first use: ``pm[y][v]``, which is s~_{yv} where that is +-1
+    and 0 elsewhere, with ``ones[v]`` the set of y where it is 1; and
+    ``full``, whether the image of S over F_p (``_rank_mod_p``) has full
+    rank.
     """
 
-    __slots__ = ("ctx", "den", "S", "dv", "qd", "roots", "cls", "St", "st_den",
-                 "dd", "td", "pm", "ones", "full")
+    __slots__ = ("ctx", "den", "S", "dv", "qd", "qi", "roots", "cls", "dd", "td",
+                 "inv", "inv_den", "kron", "pm", "ones", "full")
 
-    def __init__(self, ctx, den, S, dv, qd, roots, cls, St, st_den):
+    def __init__(self, ctx, den, S, dv, qd, roots, cls):
         self.ctx, self.den, self.S, self.dv, self.qd, self.roots = ctx, den, S, dv, qd, roots
-        self.cls, self.St, self.st_den = cls, St, st_den
-        self.dd = self.td = self.pm = self.ones = self.full = None
+        self.cls = cls
+        self.qi = [_times_root(ctx, s, -t, v) for (s, t), v in zip(roots, dv)]
+        sq = {k: _mul_vec(ctx, d, d) for k, d in dict(zip(cls, dv)).items()}
+        self.dd = [sq[k] for k in cls]
+        self.td = {sign: [_times_root(ctx, s, sign * t, v) for (s, t), v in zip(roots, self.dd)]
+                   for sign in (1, -1)}
+        self.inv = self.inv_den = self.kron = self.pm = self.ones = self.full = None
 
     def total(self, vecs, indices=None) -> list:
         """Sum of ``vecs`` over ``indices`` (all of them when None)."""
         vecs = vecs if indices is None else [vecs[i] for i in indices]
         return list(map(sum, zip(*vecs))) or [0] * self.ctx.phi
-
-    def squares(self):
-        """(dd, td), built once; d^2 once per distinct dimension."""
-        if self.dd is None:
-            ctx = self.ctx
-            sq = {k: _mul_vec(ctx, d, d) for k, d in dict(zip(self.cls, self.dv)).items()}
-            self.dd = [sq[k] for k in self.cls]
-            self.td = {
-                +1: [_mul_vec(ctx, q, d) for q, d in zip(self.qd, self.dv)],
-                -1: [_times_root(ctx, s, -t, v) for (s, t), v in zip(self.roots, self.dd)],
-            }
-        return self.dd, self.td
 
     def pairing(self):
         """(pm, ones), built once: s_{yv} against +-d(y) d(v), over den^2.
@@ -160,6 +165,55 @@ class _AtL:
             self.ones = [frozenset(y for y in range(r) if pm[y][v] == 1) for v in range(r)]
         return self.pm, self.ones
 
+    def s_tilde(self) -> list:
+        """The vectors of s~_xy = s_xy d_x^-1 d_y^-1, over den inv_den^2:
+        symmetric as S is, with d_x^-1 d_y^-1 made once per pair of
+        distinct dimensions."""
+        ctx, S, cls, inv = self.ctx, self.S, self.cls, self.inv
+        r = len(S)
+        pairs = {}
+        St = [[None] * r for _ in range(r)]
+        for x in range(r):
+            for y in range(x, r):
+                key = (cls[x], cls[y]) if cls[x] <= cls[y] else (cls[y], cls[x])
+                if key not in pairs:
+                    pairs[key] = _mul_vec(ctx, inv[key[0]], inv[key[1]])
+                St[x][y] = St[y][x] = _mul_vec(ctx, S[x][y], pairs[key])
+        return St
+
+    def evaluate(self, m: int) -> _Kron:
+        """``kron``: the vectors at one base, fit for every identity that
+        ``build`` and ``gauss_and_charge`` test, made once.
+
+        Each identity is a sum of products of two of these vectors, whose
+        coefficients are at most A in size, with integer weights of total
+        size at most W; each coefficient of such a product is a sum of at
+        most phi terms, so M = phi A^2 W bounds the identity's.  The
+        weights, with r the rank, m the most constituents of a product
+        counted with multiplicity, and D = ``den``: 1 + m for the product
+        relation, r (D + 1) for a twisted row sum, 2 r^2 for a product of
+        Gauss sums over subrings and r^2 + r D^2 for the norm, so
+        W = max(1 + m, r (2 r + D^2)).  Sums of vectors, with no product,
+        are compared as integers: two such differ by coefficients below B.
+        """
+        S, r, td = self.S, len(self.S), self.td
+        vecs = [v for row in S for v in row]
+        vecs += self.dv + self.qd + self.qi + self.dd + td[1] + td[-1]
+        A = max(1, max(map(max, vecs)), -min(map(min, vecs)))
+        W = max(1 + m, r * (2 * r + self.den ** 2))
+        kr = self.kron = _Kron(self.ctx, self.ctx.phi * A * A * W)
+        pack = kr.pack
+        pS = [[None] * r for _ in range(r)]
+        for x in range(r):
+            for y in range(x, r):
+                pS[x][y] = pack(S[x][y])
+                pS[y][x] = pS[x][y] if S[y][x] is S[x][y] else pack(S[y][x])
+        kr.S = pS
+        kr.dv, kr.qd, kr.qi = (list(map(pack, vs)) for vs in (self.dv, self.qd, self.qi))
+        kr.dd = list(map(pack, self.dd))
+        kr.td = {sign: list(map(pack, td[sign])) for sign in (1, -1)}
+        return kr
+
     def rank_rows(self, rows) -> int:
         """Exact rank of the rows of S in ``rows``.
 
@@ -172,12 +226,54 @@ class _AtL:
         return len(rows) if self.full else _rank_vec(self.ctx, [self.S[y] for y in rows])
 
 
+class _Kron:
+    """Evaluation at one base B = 2^k, and the test that turns an
+    identity between vectors at L into one integer divisibility.
+
+    ``pack(v)`` is v(B) = sum v_i B^i, exactly.  Let Delta be a sum of
+    products of two vectors (each of phi coefficients) with integer
+    weights, so of degree <= 2 phi - 2, whose coefficients are at most M
+    in size.  Then Phi_L divides Delta if and only if Phi_L(B) divides
+    Delta(B) (``divides``), since B > R + h + 1, where R = (2 phi - 1) M c
+    and (c, h) = ``_fold_bound``: c bounds the coefficients of x^j mod
+    Phi_L and h those of Phi_L below its top.
+
+    Proof: Phi_L is monic, so Delta = q Phi_L + rho with q integral and
+    deg rho < phi, and each |rho_i| <= R, as each of the 2 phi - 1 terms
+    Delta_j x^j folds down to at most M c per coefficient.  Phi_L(B)
+    divides Delta(B) exactly when it divides rho(B).  But |rho(B)| <=
+    R (B^phi - 1) / (B - 1) < B^phi - h (B^phi - 1) / (B - 1) <= Phi_L(B),
+    since B - 1 > R + h; so that forces rho(B) = 0, and as every
+    |rho_i| < B, the lowest nonzero coefficient of a nonzero rho would
+    be a multiple of B: so rho = 0.  The slots past ``mod`` hold a
+    datum's vectors at the base (``_AtL.evaluate``).
+    """
+
+    __slots__ = ("k", "mod", "S", "dv", "qd", "qi", "dd", "td")
+
+    def __init__(self, ctx, M: int):
+        c, h = _fold_bound(ctx)
+        self.k = k = ((2 * ctx.phi - 1) * M * c + h + 1).bit_length()   # B = 2^k > R + h + 1
+        self.mod = (1 << k * ctx.phi) - sum(t << k * j for j, t in ctx.tail)   # Phi_L(B)
+
+    def pack(self, v) -> int:
+        """v(B) for a vector v."""
+        k = self.k
+        return sum(c << k * i for i, c in enumerate(v) if c)
+
+    def divides(self, x: int) -> bool:
+        """Whether Phi_L(B) divides x."""
+        return x % self.mod == 0
+
+
 class PreModularDatum:
     """theta: twists as Fraction exponents of roots of unity; dim: CycloNum
     per index; pointed_source: (PreMetricGroup, chi tuple) when pointed;
     _at: the build's vectors at its conductor (_AtL).  ``S``, the derived
     CycloNum matrix, and ``S_tilde``, s_XY / (d(X) d(Y)), are made from
-    _at on first read.  Built on first use too: _nondegenerate,
+    _at on first read; S~'s vectors are made then too, from S and the
+    inverses that ``build`` keeps, and only its canonical matrix is kept.
+    Built on first use too: _nondegenerate,
     _lagrangians (index sets of the Lagrangian subgroups of a pointed
     source), _cents (K.indices -> CentralizerReport) and _gfp
     ((config.tolerance, the result of gfp_invariants) for the last
@@ -200,8 +296,12 @@ class PreModularDatum:
 
     @property
     def S_tilde(self) -> tuple:
+        """s~_XY = s_XY d(X)^-1 d(Y)^-1, canonical, made on first read: its
+        vectors from S and the inverses ``build`` kept (``_AtL.s_tilde``),
+        over den inv_den^2; only the canonical matrix is kept."""
         if self._S_tilde is None:
-            self._S_tilde = _canonical(self._at.ctx.n, self._at.St, self._at.st_den)
+            at = self._at
+            self._S_tilde = _canonical(at.ctx.n, at.s_tilde(), at.den * at.inv_den ** 2)
         return self._S_tilde
 
     def _key(self) -> tuple:
@@ -224,14 +324,14 @@ class PreModularDatum:
 
     def cat_dim(self, indices) -> CycloNum:
         at = self._at
-        return CycloNum(at.ctx.n, at.total(at.squares()[0], indices), at.den ** 2)
+        return CycloNum(at.ctx.n, at.total(at.dd, indices), at.den ** 2)
 
     def tau(self, sign: int = +1, indices=None) -> CycloNum:
         """sum theta^sign d^2 over ``indices`` (every index by default)."""
         if sign not in (1, -1):
             raise BadParameter("sign must be +1 or -1")
         at = self._at
-        return CycloNum(at.ctx.n, at.total(at.squares()[1][sign], indices), at.den ** 2)
+        return CycloNum(at.ctx.n, at.total(at.td[sign], indices), at.den ** 2)
 
     def __repr__(self):
         return f"PreModularDatum({self.ring!r})"
@@ -252,8 +352,11 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     """Derive the S-matrix and verify every datum identity exactly.
 
     L joins the twists' and the dimensions' conductors and D the
-    dimensions' denominators.  Entries of S are vectors at L over D, the
-    product relation's sides over D^2, so each identity is list equality.
+    dimensions' denominators.  Entries of S are vectors at L over D, so
+    symmetry, duality and the unit row are list equality.  The product
+    relation's sides are over D^2, and each (X, Y, Z) is one integer
+    divisibility test on the vectors evaluated at the datum's base
+    (``_Kron``), in the order the vector test took.
     S is made on one triangle, x <= y: where N_xy = N_yx (every pair of
     a commutative ring), S_yx is the same expression and shares S_xy's
     vector; elsewhere it is made and compared in row-major order, so a
@@ -261,9 +364,11 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     The product relation is checked on the rows Y of the ring's algebra
     generators, which ``fusion`` checks on the ring itself (see the module
     docstring), each product made when a check first needs it.  Each
-    distinct dimension is conjugated, lifted to L and inverted once.  The
-    vectors of s~ are made here too, over D E^2; the canonical S and s~
-    are left to the datum's first read.
+    distinct dimension is conjugated, lifted to L and inverted once; the
+    inverses are kept for s~, whose vectors and canonical matrix, like
+    S's, are left to the datum's first read (``PreModularDatum.S_tilde``).
+    perfbench's binding test counts ``cyclotomic.mul`` on a build, which
+    the CycloNum product in ``inverse`` makes, so build keeps inverting.
     """
     r = ring.rank
     theta = tuple(root_exp(t) for t in theta)
@@ -324,17 +429,19 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
             raise SymmetryFail(f"S[unit][{x}] != d({ring.labels[x]})")
     # the product relation on the rows of algebra generators; a row that
     # fails there is scanned in full, so the first failing (X, Y, Z) is named
+    at = _AtL(ctx, D, S, dv, qd, roots, cls)
+    if ring._mult is None:   # the most constituents of a product, with multiplicity
+        ring._mult = max(sum(filter((0).__lt__, row)) for row in chain.from_iterable(ring.N))
+    kr = at.evaluate(ring._mult)
+    pS, pd, divides = kr.S, kr.dv, kr.divides
     gens = algebra_generators(ring)
     for x in range(r):
-        Sx = S[x]
-        dS = [_mul_vec(ctx, dv[x], v) for v in Sx]   # d_x S_xw, over D^2
-        prods = {}
+        Px, dx = pS[x], pd[x]
 
         def holds(y, z):   # s_xy s_xz = d_x sum_w N_yz^w s_xw, over D^2
-            key = (y, z) if y <= z else (z, y)
-            if key not in prods:
-                prods[key] = _mul_vec(ctx, Sx[y], Sx[z])
-            return prods[key] == weighted_sum(y, z, dS)
+            Nyz = ring.N[y][z]
+            rhs = sum(Nyz[w] * Px[w] for w in ring.constituents(y, z))
+            return divides(Px[y] * Px[z] - dx * rhs)
 
         if all(holds(y, z) for y in gens for z in range(r)):
             continue
@@ -344,21 +451,11 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
             f"({ring.labels[x]}, {ring.labels[y]}, {ring.labels[z]})"
         )
 
-    # s~_xy = s_xy d_x^-1 d_y^-1, symmetric as S is: one inverse per distinct
-    # dimension, lifted to L over one denominator E, and d_x^-1 d_y^-1 once
-    # per pair of dimensions
+    # one inverse per distinct dimension, lifted to L over one denominator
     inv = [d.inverse() for d in kinds]
-    E = reduce(math.lcm, (v.den for v in inv), 1)
-    iv = [[c * (E // v.den) for c in v._lift(L)] for v in inv]
-    pairs = {}
-    St = [[None] * r for _ in range(r)]
-    for x in range(r):
-        for y in range(x, r):
-            key = (cls[x], cls[y]) if cls[x] <= cls[y] else (cls[y], cls[x])
-            if key not in pairs:
-                pairs[key] = _mul_vec(ctx, iv[key[0]], iv[key[1]])
-            St[x][y] = St[y][x] = _mul_vec(ctx, S[x][y], pairs[key])   # over D E^2
-    return PreModularDatum(ring, theta, dim, _AtL(ctx, D, S, dv, qd, roots, cls, St, D * E * E))
+    at.inv_den = reduce(math.lcm, (v.den for v in inv), 1)
+    at.inv = [[c * (at.inv_den // v.den) for c in v._lift(L)] for v in inv]
+    return PreModularDatum(ring, theta, dim, at)
 
 
 def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -> PreModularDatum:
@@ -584,8 +681,7 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
     """
     R = D.ring
     at = D._at
-    ctx = at.ctx
-    dd, _ = at.squares()
+    ctx, dd = at.ctx, at.dd
     lat = all_subrings(R, config)
     whole = FusionSubring(R, tuple(range(R.rank)))
     Kc = centralizer(D, K).centralizer
@@ -662,40 +758,42 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
     relation tau+-(C) tau-+(K) = dim(K) tau+-(K') for every subring K;
     and for non-degenerate data, tau(E') = tau(C) for isotropic E plus
     tau+ tau- = dim(C) with the charge a root of unity.  tau+-(K) and
-    dim(K) are sums of the build's vectors over K, and each identity is
-    list equality with both sides over one power of the denominator.
+    dim(K) are sums over K of the build's vectors; the returned sums are
+    made as vectors, and every identity but the first and the last is
+    tested on the build's evaluations at its base (``_Kron``): the
+    twisted row sums, the products over subrings and the norm as one
+    integer divisibility each, with both sides over one power of the
+    denominator, and tau(E') = tau(C), sums without products, as integer
+    equality.
     """
     R = D.ring
     at = D._at
-    ctx, L, den = at.ctx, at.ctx.n, at.den
-    dd, td = at.squares()
+    kr = at.kron
+    L, den, divides = at.ctx.n, at.den, kr.divides
     every = range(R.rank)
-    tp, tm, dtot = at.total(td[+1]), at.total(td[-1]), at.total(dd)
-    tau_p = CycloNum(L, tp, den ** 2)
-    tau_m = CycloNum(L, tm, den ** 2)
-    dim_tot = CycloNum(L, dtot, den ** 2)
+    tau_p = CycloNum(L, at.total(at.td[+1]), den ** 2)
+    tau_m = CycloNum(L, at.total(at.td[-1]), den ** 2)
+    dim_tot = CycloNum(L, at.total(at.dd), den ** 2)
     checks = [
         Check("conjugate-sums", "gauss-conjugate-pair",
               "pass" if tau_m == tau_p.conjugate() else "fail")
     ]
-    for y in every:
-        # both sides over den^3
-        acc = at.total([_mul_vec(ctx, at.qd[x], at.S[x][y]) for x in every])
-        s, t = at.roots[y]
-        want = _mul_vec(ctx, _times_root(ctx, s, -t, at.dv[y]), tp)
+    ptd, pdd = kr.td, kr.dd
+    tp, tm = sum(ptd[+1]), sum(ptd[-1])
+    for y in every:   # both sides over den^3
+        ok = divides(den * sum(map(mul, kr.qd, kr.S[y])) - kr.qi[y] * tp)
         checks.append(
-            Check(f"twisted-row-sum[{R.labels[y]}]", "twisted-row-sum",
-                  "pass" if [c * den for c in acc] == want else "fail")
+            Check(f"twisted-row-sum[{R.labels[y]}]", "twisted-row-sum", "pass" if ok else "fail")
         )
     lat = all_subrings(R, config)
     nondeg = is_nondegenerate(D)
     for sub in lat.subrings:
         kc = centralizer(D, sub).centralizer.indices
-        dk = at.total(dd, sub.indices)
-        tp_c, tm_c = at.total(td[+1], kc), at.total(td[-1], kc)
+        dk = sum(pdd[i] for i in sub.indices)
+        tp_c, tm_c = sum(ptd[+1][i] for i in kc), sum(ptd[-1][i] for i in kc)
         ok = (   # over den^4
-            _mul_vec(ctx, tp, at.total(td[-1], sub.indices)) == _mul_vec(ctx, dk, tp_c)
-            and _mul_vec(ctx, tm, at.total(td[+1], sub.indices)) == _mul_vec(ctx, dk, tm_c)
+            divides(tp * sum(ptd[-1][i] for i in sub.indices) - dk * tp_c)
+            and divides(tm * sum(ptd[+1][i] for i in sub.indices) - dk * tm_c)
         )
         checks.append(
             Check(f"gauss-mult[{','.join(sub.labels())}]",
@@ -713,7 +811,7 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
     if not tau_m.is_zero():
         charge = tau_p / tau_m
     if nondeg:
-        norm = _mul_vec(ctx, tp, tm) == [c * den ** 2 for c in dtot]   # over den^4
+        norm = divides(tp * tm - den ** 2 * sum(pdd))   # over den^4
         checks.append(
             Check("norm", "gauss-norm-is-dimension", "pass" if norm else "fail")
         )
@@ -789,9 +887,8 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
         w = math.isqrt(m2)
         if w * w != m2:
             raise ClassificationBug("normalized FP dimension is not an integer")
-        s, t = at.roots[x]
         t_p = [a + w * b for a, b in zip(t_p, at.qd[x])]
-        t_m = [a + w * b for a, b in zip(t_m, _times_root(ctx, s, -t, at.dv[x]))]
+        t_m = [a + w * b for a, b in zip(t_m, at.qi[x])]
     t_p, t_m = CycloNum(ctx.n, t_p, den), CycloNum(ctx.n, t_m, den)
     if t_m != t_p.conjugate():
         raise ClassificationBug("square-class sums are not conjugate")

@@ -195,6 +195,8 @@ def inputs() -> dict:
     docs["bad_ring_float.json"] = mutated(lambda d: d["N"][2][2].__setitem__(0, 1.9))
     docs["bad_ring_bool.json"] = mutated(lambda d: d["dual"].__setitem__(1, True))
     docs["bad_ring_string.json"] = mutated(lambda d: d.__setitem__("unit", "0"))
+    # labels that are no JSON strings, which str() would have turned into some
+    docs["bad_ring_labels.json"] = mutated(lambda d: d.__setitem__("labels", [None, 1.5, ["X"]]))
 
     # data
     data = {"ising_1p": ising_datum(F(1, 16), 1), "ising_3m": ising_datum(F(3, 16), -1),
@@ -319,6 +321,7 @@ def commands(names) -> list:
         ["fusion", "grading", inp("ring_ising2.json"), "--out", f"{OUT}/grading.json"],
         ["fusion", "dims", inp("ring_ising.json"), "--tolerance", "1e-9"],
         ["fusion", "dims", inp("bad_ring_float.json")],
+        ["fusion", "dims", inp("bad_ring_labels.json")],
     ]
 
     data = sorted(n for n in names if n.startswith("datum_"))

@@ -54,6 +54,11 @@ _S_IDENTITIES = "tests/test_premodular.py::test_build_reports_each_s_identity"
 _SQUARES = "tests/test_premodular.py::test_square_classes_are_kept_on_the_ring_per_tolerance"
 _PAIRING = "tests/test_premodular.py::test_pairing_matches_an_unmemoised_pairing"
 _RING_ENTRIES = "tests/test_cli.py::test_ring_entries_must_be_json_integers"
+_RING_LABELS = "tests/test_cli.py::test_ring_labels_must_be_json_strings"
+_FOLD = "tests/test_cyclotomic.py::test_fold_bound_covers_every_power_of_x"
+_ZERO_TEST = "tests/test_premodular.py::test_kronecker_zero_test_agrees_with_reduce"
+_FITS = "tests/test_premodular.py::test_every_identity_fits_the_datum_base"
+_S_TILDE = "tests/test_premodular.py::test_s_tilde_makes_one_inverse_product_per_pair_of_dimensions"
 
 MUTANTS = (
     Mutant("monomial-shift-range-one-block-short", "braidforge/cyclotomic.py",
@@ -99,6 +104,30 @@ MUTANTS = (
     Mutant("ring-float-entry-accepted", "braidforge/fusion.py",
            "*chain.from_iterable(N)))) <= {int}:",
            "*chain.from_iterable(N)))) <= {int, float}:",
+           (_RING_ENTRIES,)),
+    Mutant("fold-bound-taken-as-1", "braidforge/cyclotomic.py",
+           "ctx.fold = -(-l1 * root // 2), max(",
+           "ctx.fold = 1, max(",
+           (_FOLD,)),
+    Mutant("kron-base-not-above-the-bound", "braidforge/premodular.py",
+           "self.k = k = ((2 * ctx.phi - 1) * M * c + h + 1).bit_length()",
+           "self.k = k = ((2 * ctx.phi - 1) * M * c + h + 1).bit_length() - 1",
+           (_ZERO_TEST, _FITS)),
+    Mutant("kron-negative-coefficient-packed-positive", "braidforge/premodular.py",
+           "return sum(c << k * i for i, c in enumerate(v) if c)",
+           "return sum(abs(c) << k * i for i, c in enumerate(v) if c)",
+           (_ZERO_TEST,)),
+    Mutant("s-tilde-pairs-keyed-by-index", "braidforge/premodular.py",
+           "key = (cls[x], cls[y]) if cls[x] <= cls[y] else (cls[y], cls[x])",
+           "key = (x, y)",
+           (_S_TILDE,)),
+    Mutant("ring-label-not-a-string-accepted", "braidforge/fusion.py",
+           "if not set(map(type, labels)) <= {str}:",
+           "if False:",
+           (_RING_LABELS,)),
+    Mutant("ring-entry-quoted-by-repr", "braidforge/fusion.py",
+           "ring entry {json.dumps(bad, default=repr)} is not",
+           "ring entry {bad!r} is not",
            (_RING_ENTRIES,)),
 )
 

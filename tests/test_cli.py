@@ -65,7 +65,7 @@ def test_exponent_notation_is_refused_before_it_expands():
     (0, []), (-4, ["1/1"]), (2.7, ["1/1"]), (True, ["1/1"]), ("1", ["1/1"]), (None, ["1/1"]),
 ])
 def test_conductor_must_be_a_json_integer_at_least_1(tmp_path, capsys, conductor, coeffs):
-    message = f"conductor {conductor!r} must be an integer >= 1"
+    message = f"conductor {json.dumps(conductor)} must be an integer >= 1"
     with pytest.raises(SchemaError, match=re.escape(message)):
         bio.cyclo_from_json({"conductor": conductor, "coeffs": coeffs})
     doc = bio.datum_to_json(ising_datum(F(1, 16), 1))
@@ -138,13 +138,40 @@ def test_ring_entries_must_be_json_integers(tmp_path, capsys, field, path, value
         target[path[-1]] = value
     else:
         doc[field] = value
-    message = f"malformed ring table: ring entry {value!r} is not an integer"
+    message = f"malformed ring table: ring entry {json.dumps(value)} is not an integer"
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         bio.ring_from_json(doc)
     with pytest.raises(TypeError):
         validate_ring(doc["labels"], doc["unit"], doc["dual"], doc["N"])
     assert main(["fusion", "dims", write(tmp_path, "r.json", doc)]) == 2
     assert capsys.readouterr().err == f"SchemaError: {message}\n"
+
+
+@pytest.mark.parametrize("labels, shown", [
+    ([None, "delta", "X"], "null"), (["1", 1.5, "X"], "1.5"), (["1", "delta", ["X"]], '["X"]'),
+    ([1, "delta", "X"], "1"), (["1", True, "X"], "true"), (["1", "delta", {"X": 0}], '{"X": 0}'),
+])
+def test_ring_labels_must_be_json_strings(tmp_path, capsys, labels, shown):
+    # str() of each would give a ring whose labels the file never held
+    from braidforge.fusion import validate_ring
+
+    doc = bio.ring_to_json(ising_datum(F(1, 16), 1).ring)
+    doc["labels"] = labels
+    message = f"malformed ring table: ring label {shown} is not a string"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        bio.ring_from_json(doc)
+    with pytest.raises(TypeError):
+        validate_ring(doc["labels"], doc["unit"], doc["dual"], doc["N"])
+    assert main(["fusion", "check", write(tmp_path, "r.json", doc)]) == 2
+    assert capsys.readouterr().err == f"SchemaError: {message}\n"
+
+
+@pytest.mark.parametrize("chi, shown", [([1, True], "true"), ([1, "1"], '"1"'), ([1, None], "null"),
+                                        ([1, 1.0], "1.0")])
+def test_json_values_are_quoted_as_json_in_messages(chi, shown):
+    G = FinAbGroup((2,))
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'chi entry {shown} must be an integer')}$"):
+        bio.character_from_json({"chi": chi}, G)
 
 
 def test_catalog_then_report(tmp_path, capsys):

@@ -509,3 +509,67 @@ def test_level_root_sum_matches_root_sum():
         exps = [rng.randrange(-2 * L, 3 * L) for _ in range(12)]
         exps += exps[:5] + [0, 0, L, -L, 2 * L + 1, 1]   # repeated and unreduced
         assert level_root_sum(L, exps) == root_sum([(F(a, L), 1) for a in exps]), L
+
+
+def _powers_mod_phi(ctx, top):
+    """The coefficient vectors of x^j mod Phi_n for phi <= j <= top, by
+    shifting and folding the top coefficient down by the tail."""
+    phi = ctx.phi
+    v = [0] * (phi - 1) + [1]
+    for _ in range(phi, top + 1):
+        t = v[-1]
+        v = [0] + v[:-1]
+        for j, c in ctx.tail:
+            v[j] += t * c
+        yield v
+
+
+def test_cofactor_times_phi_is_x_n_minus_1():
+    for n in range(1, 201):
+        psi = cyclotomic_polynomial(n, cofactor=True)
+        phi = cyclotomic_polynomial(n)
+        prod = [0] * (len(phi) + len(psi) - 1)
+        for i, a in enumerate(phi):
+            for j, b in enumerate(psi):
+                prod[i + j] += a * b
+        assert prod == [-1] + [0] * (n - 1) + [1], n
+
+
+@pytest.mark.parametrize("ns", [[n for n in range(1, 201) if n % 4 != 2], [2257, 2310]],
+                         ids=["canonical n <= 200", "2257 and 2310"])
+def test_fold_bound_covers_every_power_of_x(ns):
+    # c bounds x^j mod Phi_n for j up to 2 phi - 2, the degrees a product
+    # of two vectors reaches, and h is the height of Phi_n below its top
+    above_one = 0
+    for n in ns:
+        ctx = cyclotomic._ctx(n)
+        c, h = cyclotomic._fold_bound(ctx)
+        assert h == max(abs(a) for a in cyclotomic_polynomial(n)[:-1]), n
+        worst = max((max(map(abs, v)) for v in _powers_mod_phi(ctx, 2 * ctx.phi - 2)), default=1)
+        assert worst <= c, (n, worst, c)
+        above_one += worst > 1
+        assert cyclotomic._fold_bound(ctx) is ctx.fold
+    assert above_one >= 1   # so c = 1 would not do
+
+
+def test_fold_bound_is_cheap_at_the_guard():
+    for n in (2257, 2310):
+        cyclotomic._CTX.pop(n, None)
+        ctx = cyclotomic._ctx(n)
+        start = time.perf_counter()
+        cyclotomic._fold_bound(ctx)
+        assert time.perf_counter() - start < 0.5, n
+
+
+def test_times_root_shifts_only_nonzero_coefficients():
+    # the sparse shift against a dense shift of every coefficient
+    rng = random.Random(3)
+    for n in (1, 3, 8, 15, 16, 21, 105):
+        ctx = cyclotomic._ctx(n)
+        for _ in range(10):
+            v = [rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(ctx.phi)]
+            s, t = rng.randrange(2), rng.randrange(n)
+            buf = [0] * n
+            for i, c in enumerate(v):
+                buf[(i + t) % n] += (-1) ** s * c
+            assert cyclotomic._times_root(ctx, s, t, v) == cyclotomic._reduce(ctx, buf)

@@ -1129,3 +1129,250 @@ def test_square_classes_are_kept_on_the_ring_per_tolerance(monkeypatch):
     assert R._squares[0] == 1e-12
     with pytest.raises(NotWeaklyIntegral):
         gfp_invariants(D1, Config(tolerance=1e-14))
+
+
+# -- the integer tests: Kronecker substitution against _reduce and vectors ----
+
+def _conv(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zero_cases(ctx, rng, dense):
+    """Seeded (Delta, M): polynomials of degree <= 2 phi - 2 whose
+    coefficients reach M in size, half of them multiples of Phi_n."""
+    from braidforge.cyclotomic import _reduce, cyclotomic_polynomial
+
+    phi = ctx.phi
+    Phi = cyclotomic_polynomial(ctx.n)
+
+    def vec(size, bound):
+        if dense:
+            return [rng.randint(-bound, bound) for _ in range(size)]
+        v = [0] * size
+        for i in rng.sample(range(size), min(size, 3)):
+            v[i] = rng.choice((-bound, bound, rng.randint(-bound, bound)))
+        return v
+
+    for bound in (1, 7, 2 ** 40):
+        a, b = vec(phi, bound), vec(phi, bound)
+        ab = _conv(a, b)
+        red = _reduce(ctx, list(ab))
+        yield [x - (red[j] if j < phi else 0) for j, x in enumerate(ab)]   # a b - (a b mod Phi)
+        red[rng.randrange(phi)] += rng.choice((-1, 1))
+        yield [x - (red[j] if j < phi else 0) for j, x in enumerate(ab)]   # off by one
+        q = vec(phi - 1, bound)
+        qP = _conv(q, Phi)
+        yield qP                                                            # q Phi
+        qP[rng.randrange(len(qP))] -= bound
+        yield qP
+        yield vec(2 * phi - 1, bound)
+
+
+@pytest.mark.parametrize("ns", [[n for n in range(1, 201) if n % 4 != 2], [2257, 2310]],
+                         ids=["canonical n <= 200", "2257 and 2310"])
+def test_kronecker_zero_test_agrees_with_reduce(ns):
+    # Phi_n(B) | Delta(B) exactly when Delta reduces to zero, on seeded
+    # Delta whose coefficients reach the bound M the base is made for,
+    # with negative coefficients, sparse and dense
+    from braidforge import cyclotomic
+    from braidforge.cyclotomic import _fold_bound, _reduce
+    from braidforge.premodular import _Kron
+
+    seen = set()
+    for n in ns:
+        ctx = cyclotomic._ctx(n)
+        rng = random.Random(n)
+        c, h = _fold_bound(ctx)
+        for dense in ((False, True) if n <= 200 else (False,)):
+            for delta in _zero_cases(ctx, rng, dense):
+                M = max(map(abs, delta))
+                kr = _Kron(ctx, M)
+                assert 1 << kr.k > (2 * ctx.phi - 1) * M * c + h + 1, n
+                assert kr.mod == sum(a << kr.k * i for i, a in
+                                     enumerate(cyclotomic.cyclotomic_polynomial(n)))
+                value = sum(a << kr.k * i for i, a in enumerate(delta))
+                assert kr.pack(delta[:ctx.phi]) == sum(a << kr.k * i for i, a in
+                                                       enumerate(delta[:ctx.phi]))
+                zero = not any(_reduce(ctx, list(delta)))
+                assert kr.divides(value) == zero, (n, delta)
+                seen.add(zero)
+    assert seen == {True, False}
+
+
+def _identity_deltas(D):
+    """The unreduced polynomial of each identity the integer tests read,
+    for the coefficient bound: the product relation at every (X, Y, Z), the
+    twisted row sums, the Gauss-sum products over every subring and the
+    norm, with both sides over one power of the denominator."""
+    at, R = D._at, D.ring
+    den, r = at.den, D.rank
+    tot = lambda vs, idx: at.total(vs, idx)  # noqa: E731
+    pad = lambda v, n: list(v) + [0] * (n - len(v))  # noqa: E731
+    sub = lambda a, b: [x - y for x, y in zip(pad(a, len(b)), pad(b, len(a)))]  # noqa: E731
+    for x in range(r):
+        for y in range(r):
+            for z in range(r):
+                rhs = [0] * D._at.ctx.phi
+                for w in R.constituents(y, z):
+                    rhs = [u + R.N[y][z][w] * v for u, v in zip(rhs, at.S[x][w])]
+                yield sub(_conv(at.S[x][y], at.S[x][z]), _conv(at.dv[x], rhs))
+    tp, tm = tot(at.td[1], None), tot(at.td[-1], None)
+    for y in range(r):
+        acc = [0] * (2 * at.ctx.phi - 1)
+        for x in range(r):
+            acc = [u + den * v for u, v in zip(acc, _conv(at.qd[x], at.S[x][y]))]
+        yield sub(acc, _conv(at.qi[y], tp))
+    for K in all_subrings(R).subrings:
+        kc = centralizer(D, K).centralizer.indices
+        dk = tot(at.dd, K.indices)
+        yield sub(_conv(tp, tot(at.td[-1], K.indices)), _conv(dk, tot(at.td[1], kc)))
+        yield sub(_conv(tm, tot(at.td[1], K.indices)), _conv(dk, tot(at.td[-1], kc)))
+    yield sub(_conv(tp, tm), [den * den * v for v in tot(at.dd, None)])
+
+
+def test_every_identity_fits_the_datum_base():
+    # the base each datum chose is large enough for the identities' actual
+    # coefficients, so the proof in _Kron's docstring applies to each test
+    from braidforge.cyclotomic import _fold_bound
+
+    for D in _corpus_data():
+        if D.rank > 12:
+            continue
+        kr, ctx = D._at.kron, D._at.ctx
+        c, h = _fold_bound(ctx)
+        M = max(max(map(abs, delta)) for delta in _identity_deltas(D))
+        assert 1 << kr.k > (2 * ctx.phi - 1) * M * c + h + 1, D
+
+
+def _vector_checks(D):
+    """The statuses of gauss_and_charge's checks by the vector test it
+    replaced: _mul_vec products and list equality, on the datum's own
+    vectors, with the same CycloNum checks where no product is made."""
+    from braidforge.cyclotomic import _mul_vec, _times_root
+
+    R, at = D.ring, D._at
+    ctx, L, den = at.ctx, at.ctx.n, at.den
+    dd, td = at.dd, at.td
+    every = range(R.rank)
+    tp, tm, dtot = at.total(td[1]), at.total(td[-1]), at.total(dd)
+    tau_p, tau_m = CycloNum(L, tp, den ** 2), CycloNum(L, tm, den ** 2)
+    out = [("conjugate-sums", tau_m == tau_p.conjugate())]
+    for y in every:
+        acc = at.total([_mul_vec(ctx, at.qd[x], at.S[x][y]) for x in every])
+        s, t = at.roots[y]
+        want = _mul_vec(ctx, _times_root(ctx, s, -t, at.dv[y]), tp)
+        out.append((f"twisted-row-sum[{R.labels[y]}]", [c * den for c in acc] == want))
+    nondeg = is_nondegenerate(D)
+    for sub in all_subrings(R).subrings:
+        kc = centralizer(D, sub).centralizer.indices
+        dk = at.total(dd, sub.indices)
+        tp_c, tm_c = at.total(td[1], kc), at.total(td[-1], kc)
+        ok = (_mul_vec(ctx, tp, at.total(td[-1], sub.indices)) == _mul_vec(ctx, dk, tp_c)
+              and _mul_vec(ctx, tm, at.total(td[1], sub.indices)) == _mul_vec(ctx, dk, tm_c))
+        name = ",".join(sub.labels())
+        out.append((f"gauss-mult[{name}]", ok))
+        if nondeg and symmetric_and_isotropic(D, sub)["isotropic"]:
+            out.append((f"isotropic-centralizer-gauss[{name}]", tp_c == tp and tm_c == tm))
+    if nondeg:
+        out.append(("norm", _mul_vec(ctx, tp, tm) == [c * den ** 2 for c in dtot]))
+        charge = None if tau_m.is_zero() else tau_p / tau_m
+        out.append(("charge-root", charge is not None and charge.is_root_of_unity() is not None))
+    return [(name, "pass" if ok else "fail") for name, ok in out]
+
+
+def _tampered(D, rng):
+    """D with one twist moved in its vectors after build, so S and theta d
+    no longer match theta^+-1 d^2: the integer tests see a datum whose
+    identities fail, which build would have refused."""
+    from braidforge.premodular import _AtL
+
+    at = D._at
+    i = rng.randrange(1, D.rank)
+    roots = list(at.roots)
+    roots[i] = (roots[i][0] + 1, (roots[i][1] + rng.randrange(at.ctx.n)) % at.ctx.n)
+    bad = _AtL(at.ctx, at.den, at.S, at.dv, at.qd, roots, at.cls)
+    bad.evaluate(D.ring._mult)
+    bad.inv, bad.inv_den = at.inv, at.inv_den
+    return PreModularDatum(D.ring, D.theta, D.dim, bad)
+
+
+def test_integer_checks_match_the_vector_checks_on_data_and_mutations(monkeypatch):
+    # every corpus datum, and seeded copies with one twist, one dimension or
+    # one N entry changed: the same error class and message as the
+    # reference build, or the same check statuses as the vector test; and
+    # copies whose vectors were moved after build, where checks fail
+    from braidforge import premodular
+
+    def no_gfp(D, config=None):
+        raise Degenerate("not asked for")
+
+    rng = random.Random(35)
+    scales = [CycloNum.from_root(F(k, 8)) for k in range(8)]
+    scales += [CycloNum.from_rational(q) for q in (2, F(1, 2), F(-2, 3))]
+    statuses, errors = {}, set()
+    for D in _corpus_data():
+        R, r = D.ring, D.rank
+        if r > 12:   # Z/13: the subring lattice is past the default rank_guard
+            continue
+        copies = [(R, D.theta, D.dim)]
+        for kind in ("theta", "dim", "N") * (2 if r > 1 else 0):
+            i = rng.randrange(1, r)
+            t, d, ring = list(D.theta), list(D.dim), R
+            if kind == "theta":
+                t[i] = F(rng.randrange(48), 48)
+            elif kind == "dim":
+                d[i] = d[i] * rng.choice(scales)
+                d[R.dual[i]] = d[i].conjugate()
+            else:
+                x, y = rng.randrange(r), rng.randrange(r)
+                row = list(R.N[x][y])
+                row[rng.randrange(r)] += rng.choice((1, 2))
+                ring = _with_n(R, _set_n(R.N, x, y, row))
+            copies.append((ring, tuple(t), tuple(d)))
+        for ring, t, d in copies:
+            got = _outcome(build, ring, t, d)
+            want = _outcome(_reference_build, ring, t, d)
+            if isinstance(want[0], type):
+                assert got == want, (ring, t, d)
+                errors.add(want[0].__name__)
+                continue
+            assert (got.S, got.S_tilde) == want
+            checks = [(c.name, c.status) for c in gauss_and_charge(got).checks]
+            assert checks == _vector_checks(got), (ring, t, d)
+        with monkeypatch.context() as m:
+            m.setattr(premodular, "gfp_invariants", no_gfp)
+            for _ in range(2 if r > 1 else 0):
+                E = _tampered(D, rng)
+                checks = [(c.name, c.status) for c in gauss_and_charge(E).checks]
+                assert checks == _vector_checks(E), D
+                for name, status in checks:
+                    statuses.setdefault(name.split("[")[0], set()).add(status)
+    assert {"VerlindeFail", "SymmetryFail"} <= errors
+    for name in ("twisted-row-sum", "gauss-mult", "norm"):
+        assert statuses[name] == {"pass", "fail"}, name
+
+
+def test_s_tilde_makes_one_inverse_product_per_pair_of_dimensions(monkeypatch):
+    # build makes no vector of s~; its first read makes d_x^-1 d_y^-1 once
+    # per pair of distinct dimensions and s_xy times it once per x <= y
+    from braidforge import premodular
+    from braidforge.cyclotomic import _mul_vec
+
+    made = []
+    monkeypatch.setattr(premodular, "_mul_vec",
+                        lambda ctx, a, b: made.append(1) or _mul_vec(ctx, a, b))
+    for D in _corpus_data():
+        E = build(D.ring, D.theta, D.dim)
+        made.clear()
+        St = E.S_tilde
+        r, classes = D.rank, len(set(D.dim))
+        assert len(made) == classes * (classes + 1) // 2 + r * (r + 1) // 2, D
+        assert St == D.S_tilde and E.S_tilde is St
+        for x in range(r):
+            for y in range(r):
+                assert St[x][y] * D.dim[x] * D.dim[y] == D.S[x][y]
