@@ -104,11 +104,14 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
     """Exact axioms check; the first violation is reported with indices.
     An equal table gets the ring that passed before, with its caches.
 
-    Every label must be a str, and the unit and every entry of ``dual``
-    and ``N`` an int: anything else (a float, bool, null or list) is
-    refused with TypeError before the lookup, never converted, truncated
-    or taken for the int it equals.  The message quotes the value as JSON.
+    The labels must be a list (or tuple) of str, and the unit and every
+    entry of ``dual`` and ``N`` an int: anything else (a float, bool,
+    null or list; a string in place of the labels' list) is refused with
+    TypeError before the lookup, never converted, truncated or taken for
+    the int it equals.  The message quotes the value as JSON.
     """
+    if type(labels) not in (list, tuple):
+        raise TypeError(f"ring labels {json.dumps(labels, default=repr)} are not a list")
     labels = tuple(labels)
     r = len(labels)
     dual = tuple(dual)

@@ -150,14 +150,17 @@ def test_ring_entries_must_be_json_integers(tmp_path, capsys, field, path, value
 @pytest.mark.parametrize("labels, shown", [
     ([None, "delta", "X"], "null"), (["1", 1.5, "X"], "1.5"), (["1", "delta", ["X"]], '["X"]'),
     ([1, "delta", "X"], "1"), (["1", True, "X"], "true"), (["1", "delta", {"X": 0}], '{"X": 0}'),
+    ("1dX", None),
 ])
 def test_ring_labels_must_be_json_strings(tmp_path, capsys, labels, shown):
-    # str() of each would give a ring whose labels the file never held
+    # str() of each would give a ring whose labels the file never held,
+    # and a string in place of the list would give one label per character
     from braidforge.fusion import validate_ring
 
     doc = bio.ring_to_json(ising_datum(F(1, 16), 1).ring)
     doc["labels"] = labels
-    message = f"malformed ring table: ring label {shown} is not a string"
+    message = (f"malformed ring table: ring label {shown} is not a string" if shown else
+               'malformed ring table: ring labels "1dX" are not a list')
     with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         bio.ring_from_json(doc)
     with pytest.raises(TypeError):
