@@ -6,7 +6,7 @@ Field names are part of the wire format:
     element:   [1, 3]
     qform:     {"group": {...}, "values": ["0/1", "1/8", ...]}   (lex order)
     ring:      {"labels": [...], "unit": 0, "dual": [...], "N": [[[...]]]}
-               (unit, dual and N entries are JSON integers)
+               (labels are JSON strings; unit, dual and N entries JSON integers)
     datum:     {"ring": {...}, "twists": ["a/b", ...],
                 "dims": [{"conductor": n, "coeffs": ["p/q", ...]}, ...]}
     character: {"chi": [1, -1, ...]}                             (lex order)

@@ -363,10 +363,10 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     non-commutative table fails at the pair a full check would name.
     The product relation is checked on the rows Y of the ring's algebra
     generators, which ``fusion`` checks on the ring itself (see the module
-    docstring), each product made when a check first needs it.  Each
-    distinct dimension is conjugated, lifted to L and inverted once; the
-    inverses are kept for s~, whose vectors and canonical matrix, like
-    S's, are left to the datum's first read (``PreModularDatum.S_tilde``).
+    docstring).  Each distinct dimension is conjugated, lifted to L and
+    inverted once; the inverses are kept for s~, whose vectors and
+    canonical matrix, like S's, are left to the datum's first read
+    (``PreModularDatum.S_tilde``).
     perfbench's binding test counts ``cyclotomic.mul`` on a build, which
     the CycloNum product in ``inverse`` makes, so build keeps inverting.
     """
@@ -427,13 +427,13 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
                 raise SymmetryFail(f"S not dual-invariant at ({x}, {y})")
         if S[ring.unit][x] != dv[x]:
             raise SymmetryFail(f"S[unit][{x}] != d({ring.labels[x]})")
-    # the product relation on the rows of algebra generators; a row that
-    # fails there is scanned in full, so the first failing (X, Y, Z) is named
     at = _AtL(ctx, D, S, dv, qd, roots, cls)
     if ring._mult is None:   # the most constituents of a product, with multiplicity
         ring._mult = max(sum(filter((0).__lt__, row)) for row in chain.from_iterable(ring.N))
     kr = at.evaluate(ring._mult)
     pS, pd, divides = kr.S, kr.dv, kr.divides
+    # the product relation on the rows of algebra generators; a row that
+    # fails there is scanned in full, so the first failing (X, Y, Z) is named
     gens = algebra_generators(ring)
     for x in range(r):
         Px, dx = pS[x], pd[x]

@@ -173,7 +173,8 @@ def test_ring_labels_must_be_json_strings(tmp_path, capsys, labels, shown):
                                         ([1, 1.0], "1.0")])
 def test_json_values_are_quoted_as_json_in_messages(chi, shown):
     G = FinAbGroup((2,))
-    with pytest.raises(SchemaError, match=f"^{re.escape(f'chi entry {shown} must be an integer')}$"):
+    message = f"chi entry {shown} must be an integer"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         bio.character_from_json({"chi": chi}, G)
 
 
