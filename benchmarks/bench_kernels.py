@@ -73,11 +73,15 @@ Z/6 x Z/6, on a fresh copy of the form each repetition.
 The ``datum_from_json`` row parses the Ising x Ising datum document
 (9 dimensions, 3 distinct) onto its interned ring and builds the datum,
 from a fresh copy of the document each repetition: the first step of
-every perfbench datum_reports request.  The ``pointed_datum`` rows build
-the pointed datum of q(x) = x^2/2n on Z/64 and Z/128 (ranks past the
-default ``rank_guard``, which only the reports apply), each in a fresh
-``python -B`` interpreter, and give the median time of the call and the
-median peak RSS of the process (``ru_maxrss``) over 3 launches.
+every perfbench datum_reports request.  The fresh-process rows
+(``fresh_rows``) each make one thing in a fresh ``python -B``
+interpreter and give the median time of the call and the median peak
+RSS of the process (``ru_maxrss``) over 3 launches: ``group_ring`` of
+Z/128 and Z/256; ``product_ring`` of Ising x Ising and Ising (rank 27);
+the pointed datum of q(x) = x^2/2n on Z/64, Z/128 and Z/256 (ranks past
+the default ``rank_guard``, which only the reports apply); and
+``ring_from_json`` of the group-ring table of Z/128 and Z/256, from a
+parsed document, when no ring is interned.
 
 The rows above are the best of N calls, taken round-robin (``best_of``):
 each pass calls every row once, so a slow phase of a shared host costs
@@ -411,40 +415,62 @@ def cold_start_rows(launches=7):
     return [(f"cold start: {code}", statistics.median(times[code])) for code in snippets]
 
 
-_POINTED = """
+_FRESH = """
 import resource, sys, time
 from fractions import Fraction
-from braidforge import premodular, qform
+from braidforge import fusion, premodular, qform
+from braidforge import io as bio
 from braidforge.abelian import FinAbGroup
-n = int(sys.argv[1])
-M = qform.PreMetricGroup(FinAbGroup((n,)), [Fraction(k * k, 2 * n) for k in range(n)])
+what, n = sys.argv[1], int(sys.argv[2])
+if what == "pointed_datum":
+    M = qform.PreMetricGroup(FinAbGroup((n,)), [Fraction(k * k, 2 * n) for k in range(n)])
+    call = lambda: premodular.pointed_datum(M)
+elif what == "group_ring":
+    call = lambda: fusion.group_ring(FinAbGroup((n,)))
+elif what == "product_ring":   # Ising^n from Ising^(n-1) and Ising
+    I = fusion.ising_ring()
+    R = I
+    for _ in range(n - 2):
+        R = fusion.product_ring(R, I)
+    call = lambda: fusion.product_ring(R, I)
+else:   # ring_from_json of the group-ring table of Z/n, as parsed JSON
+    doc = bio.ring_to_json(fusion.group_ring(FinAbGroup((n,))))
+    call = lambda: bio.ring_from_json(doc)
 t0 = time.perf_counter()
-premodular.pointed_datum(M)
+call()
 print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+FRESH_ROWS = (("group_ring", 128, "Z/128"), ("group_ring", 256, "Z/256"),
+              ("product_ring", 3, "Ising^3"),
+              ("pointed_datum", 64, "Z/64"), ("pointed_datum", 128, "Z/128"),
+              ("pointed_datum", 256, "Z/256"),
+              ("ring_from_json", 128, "Z/128 group-ring table, first parse"),
+              ("ring_from_json", 256, "Z/256 group-ring table, first parse"))
 
 
-def pointed_rows(launches=3):
-    """pointed_datum of q(x) = x^2/2n on Z/n, n = 64 and 128, each in a
-    fresh interpreter, taken in turn: the median time of the call and
-    the median peak RSS of the process (``ru_maxrss``, KB on Linux).
-    Linux keeps the high-water mark of the memory a process replaced by
-    exec, so a child's ``ru_maxrss`` is at least this process's RSS when
-    it launched the child: run these rows before the others grow it."""
+def fresh_rows(launches=3):
+    """The ``FRESH_ROWS``, each call in a fresh interpreter, taken in
+    turn: the median time of the call and the median peak RSS of the
+    process (``ru_maxrss``, KB on Linux), which includes what the row
+    made before its clock started (Ising x Ising for Ising^3, the parsed
+    document for ``ring_from_json``).  Linux keeps the high-water mark
+    of the memory a process replaced by exec, so a child's ``ru_maxrss``
+    is at least this process's RSS when it launched the child: run these
+    rows before the others grow it."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    runs = {n: [] for n in (64, 128)}
+    runs = {row: [] for row in FRESH_ROWS}
     for _ in range(launches):
-        for n in runs:
-            out = subprocess.run([sys.executable, "-B", "-c", _POINTED, str(n)], env=env,
+        for what, n, name in runs:
+            out = subprocess.run([sys.executable, "-B", "-c", _FRESH, what, str(n)], env=env,
                                  check=True, capture_output=True, text=True).stdout.split()
-            runs[n].append((float(out[0]), int(out[1])))
-    return [(f"pointed_datum Z/{n} (peak RSS {statistics.median(kb for _, kb in r) / 1024:.1f} MB)",
-             statistics.median(t for t, _ in r)) for n, r in runs.items()]
+            runs[what, n, name].append((float(out[0]), int(out[1])))
+    return [(f"{what} {name} (peak RSS {statistics.median(kb for _, kb in r) / 1024:.1f} MB)",
+             statistics.median(t for t, _ in r)) for (what, n, name), r in runs.items()]
 
 
 def main():
-    pointed = pointed_rows()   # first, while this process is small (see pointed_rows)
-    rows = best_of(workloads()) + pointed + cold_start_rows()
+    fresh = fresh_rows()   # first, while this process is small (see fresh_rows)
+    rows = best_of(workloads()) + fresh + cold_start_rows()
     width = max(len(r[0]) for r in rows)
     print(f"{'workload':<{width}}  {'time':>10}")
     print("-" * (width + 12))

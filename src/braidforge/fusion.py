@@ -1,13 +1,14 @@
 """Fusion rings: based rings with non-negative structure constants,
 a unit, and a duality involution.
 
-The table N[i][j][k] counts the k-th basis element inside the product
-of the i-th and j-th.  Validation checks the unit, associativity and
-duality against the unit (N_xy^1 = [y = x*]) exactly; everything
-downstream assumes a validated ring.  Associativity is Light's test on
-the algebra generators (see ``algebra_generators``); only a table that
-fails it is scanned in order, to name its first failing triple.  The
-Frobenius symmetries
+A ring keeps one table: rows[x][y] = (zs, ms), the basis indices z in
+the product of x and y, increasing, and their multiplicities N_xy^z.
+The dense N is a view of it, made on first read.  Validation checks
+the unit, associativity and duality against the unit (N_xy^1 =
+[y = x*]) exactly; everything downstream assumes a validated ring.
+Associativity is Light's test on the algebra generators (see
+``algebra_generators``); only a table that fails it is scanned in
+order, to name its first failing triple.  The Frobenius symmetries
 N_xy^z = N_(yz*)^(x*) = N_(z*x)^(y*) follow from those two: the unit
 coefficient of (xy)z* is N_xy^z and that of x(yz*) is N_(yz*)^(x*).
 
@@ -17,18 +18,18 @@ found by power iteration with a deterministic all-ones seed.  The
 iteration runs on L_x + 1 so periodic (bipartite-like) tables converge
 too; subtracting one recovers the eigenvalue.
 
-Validated rings are interned by table: ``validate_ring`` returns the
-ring it already built for an equal (labels, unit, dual, N), so data on
-one table share its FP dimensions, subring lattice and algebra
-generators.  Like ``_CTX`` in ``cyclotomic``, the cache is process-local
-and unbounded.
+Validated rings are interned by the parsed table: ``validate_ring``
+returns the ring it built for an equal (labels, unit, dual, N), whose
+view is that parsed table, so data on one table share its FP
+dimensions, subring lattice and algebra generators.  Like ``_CTX`` in
+``cyclotomic``, the cache is process-local and unbounded.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, compress
 from typing import NamedTuple
 
 from .abelian import FinAbGroup, TRIVIAL_GROUP, primes_of, smith_presentation
@@ -52,52 +53,69 @@ _RINGS: dict = {}  # (labels, unit, dual, N) -> the validated FusionRing
 
 
 class FusionRing:
-    # N[i][j][k], non-negative ints.  Built on first use: _fpdim, the Perron
+    # rows[x][y] = (zs, ms): the z with N_xy^z > 0, increasing, and those
+    # N_xy^z; equal rows of a table given dense share one pair.  _N, the
+    # dense view, is the table given to the constructor, or made from the
+    # rows on first read of N.  Built on first use: _fpdim, the Perron
     # eigenvalues of the left multiplications; _lattice, the subring index
     # tuples; _gens, the indices of algebra_generators; _squares,
     # (tolerance, fp_square_integers, their squarefree parts, the indices
     # of integral_part) at the last tolerance premodular.gfp_invariants
-    # asked for; _mult, the largest sum of the positive entries of a row
-    # N_xy, which bounds premodular.build's integer tests.  _comps maps
+    # asked for; _mult, the largest sum of the multiplicities of a row,
+    # which bounds premodular.build's integer tests.  _comps maps
     # the indices of each centralizer of a report premodular.centralizer
     # passed (so a subring) to its components.  A refusal keeps nothing.
-    # Equality and hashing read the table alone.
-    __slots__ = ("labels", "unit", "dual", "N", "_constituents", "_fpdim", "_lattice", "_gens",
+    # Equality and hashing read the labels, unit, dual and rows alone.
+    __slots__ = ("labels", "unit", "dual", "rows", "_N", "_fpdim", "_lattice", "_gens",
                  "_squares", "_mult", "_comps")
 
     def __init__(self, labels: tuple, unit: int, dual: tuple, N: tuple):
-        self.labels, self.unit, self.dual, self.N = labels, unit, dual, N
-        self._constituents = tuple(
-            tuple(tuple(k for k, m in enumerate(row) if m > 0) for row in plane)
-            for plane in N
-        )
+        r = range(len(N))
+        cut = {row: (tuple(compress(r, row)), tuple(filter(None, row)))
+               for row in set(chain.from_iterable(N))}
+        self.labels, self.unit, self.dual, self._N = labels, unit, dual, N
+        self.rows = tuple(tuple(map(cut.__getitem__, p)) for p in N)
         self._fpdim = self._lattice = self._gens = self._squares = self._mult = None
         self._comps = {}
+
+    @property
+    def N(self) -> tuple:
+        """The dense table N[x][y][z], made from the rows on first read."""
+        if self._N is None:
+            dense = {row: tuple(map(dict(zip(*row)).get, range(self.rank), [0] * self.rank))
+                     for row in set(chain.from_iterable(self.rows))}
+            self._N = tuple(tuple(map(dense.__getitem__, p)) for p in self.rows)
+        return self._N
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.labels, self.unit, self.dual, self.N) == (
-            other.labels, other.unit, other.dual, other.N)
+        return (self.labels, self.unit, self.dual, self.rows) == (
+            other.labels, other.unit, other.dual, other.rows)
 
     def __hash__(self):
-        return hash((self.labels, self.unit, self.dual, self.N))
+        return hash((self.labels, self.unit, self.dual, self.rows))
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
     def constituents(self, i: int, j: int) -> tuple:
-        return self._constituents[i][j]
+        return self.rows[i][j][0]
 
     def is_commutative(self) -> bool:
-        r = self.rank
-        return all(
-            self.N[i][j] == self.N[j][i] for i in range(r) for j in range(i + 1, r)
-        )
+        rows, r = self.rows, self.rank
+        return all(rows[i][j] == rows[j][i] for i in range(r) for j in range(i + 1, r))
 
     def __repr__(self):
         return f"FusionRing({', '.join(self.labels)})"
+
+
+def _of_rows(labels: tuple, unit: int, dual: tuple, rows: tuple) -> FusionRing:
+    """The ring of these rows; its dense view is made on first read."""
+    R = FusionRing(labels, unit, dual, ())
+    R.rows, R._N = rows, None
+    return R
 
 
 def validate_ring(labels, unit, dual, N) -> FusionRing:
@@ -108,7 +126,9 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
     entry of ``dual`` and ``N`` an int: anything else (a float, bool,
     null or list; a string in place of the labels' list) is refused with
     TypeError before the lookup, never converted, truncated or taken for
-    the int it equals.  The message quotes the value as JSON.
+    the int it equals.  The message quotes the value as JSON.  A unit
+    that is no basis index (negative, past the last, or any unit of the
+    empty table) is refused with UnitFail.
     """
     if type(labels) not in (list, tuple):
         raise TypeError(f"ring labels {json.dumps(labels, default=repr)} are not a list")
@@ -127,11 +147,14 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
         return _RINGS[key]
     if len(N) != r or any(len(p) != r or any(len(row) != r for row in p) for p in N):
         raise UnitFail(f"N must be {r}x{r}x{r}")
+    if not 0 <= unit < r:
+        raise UnitFail(f"unit {unit} is not a basis index "
+                       + (f"0..{r - 1}" if r else "(the basis is empty)"))
     if sorted(dual) != list(range(r)) or any(dual[dual[i]] != i for i in range(r)):
         raise DualityFail("dual is not an involution on indices")
-    if any(min(row) < 0 for p in N for row in p):
-        raise UnitFail("negative structure constant")
     R = FusionRing(labels, unit, dual, N)
+    if any(m < 0 for _, ms in chain.from_iterable(R.rows) for m in ms):
+        raise UnitFail("negative structure constant")
     fault = _unit_fault(R)
     if fault:
         raise UnitFail(f"unit law fails at ({fault[0]}, {fault[1]})")
@@ -140,30 +163,33 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
         raise AssociativityFail("associativity fails at ({}, {}, {}) -> {}".format(*fault))
     for x in range(r):
         for y in range(r):
-            if N[x][y][unit] != (y == dual[x]):
-                raise DualityFail(f"N[{x}][{y}][unit] = {N[x][y][unit]} but dual({x}) = {dual[x]}")
+            zs, ms = R.rows[x][y]
+            if (m := ms[zs.index(unit)] if unit in zs else 0) != (y == dual[x]):
+                raise DualityFail(f"N[{x}][{y}][unit] = {m} but dual({x}) = {dual[x]}")
     return _RINGS.setdefault(key, R)
 
 
 def _unit_fault(R: FusionRing):
     """The first (j, k) at which 1 j or j 1 differs from j at k, or None."""
-    N, u, r = R.N, R.unit, R.rank
-    return next(((j, k) for j in range(r) for k in range(r)
-                 if N[u][j][k] != (j == k) or N[j][u][k] != (j == k)), None)
+    u, rows = R.unit, R.rows
+    for j in range(R.rank):
+        bad = [dict(zip(*row)) for row in (rows[u][j], rows[j][u]) if row != ((j,), (1,))]
+        if bad:
+            return j, min(k for c in bad for k in c.keys() | {j} if c.get(k, 0) != (k == j))
 
 
 def _associator_fault(R: FusionRing, ys):
     """The first (x, y, z, v), y in ``ys``, in that order, at which (xy)z
     and x(yz) differ in the coefficient of v (the least such v), or None."""
-    N, C, r = R.N, R._constituents, range(R.rank)
+    rows, r = R.rows, range(R.rank)
     for x, y, z in ((x, y, z) for x in r for y in ys for z in r):
         lhs, rhs = {}, {}   # sparse: every coefficient kept is positive
-        for w in C[x][y]:
-            for v in C[w][z]:
-                lhs[v] = lhs.get(v, 0) + N[x][y][w] * N[w][z][v]
-        for w in C[y][z]:
-            for v in C[x][w]:
-                rhs[v] = rhs.get(v, 0) + N[y][z][w] * N[x][w][v]
+        for w, a in zip(*rows[x][y]):
+            for v, b in zip(*rows[w][z]):
+                lhs[v] = lhs.get(v, 0) + a * b
+        for w, a in zip(*rows[y][z]):
+            for v, b in zip(*rows[x][w]):
+                rhs[v] = rhs.get(v, 0) + a * b
         if lhs != rhs:
             return x, y, z, min(v for v in lhs.keys() | rhs.keys() if lhs.get(v) != rhs.get(v))
 
@@ -176,63 +202,33 @@ def group_ring(G: FinAbGroup) -> FusionRing:
     """The pointed ring of a finite abelian group."""
     n = G.order
     add = G.add_flat()
-    N = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            N[i][j][add[i * n + j]] = 1
+    cell = [((k,), (1,)) for k in range(n)]
+    rows = tuple(tuple(map(cell.__getitem__, add[i * n:(i + 1) * n])) for i in range(n))
     labels = tuple("g" + "".join(str(c) for c in e) if e else "1" for e in G.elements())
-    return FusionRing(labels, 0, tuple(G.neg_flat()), _freeze(N))
+    return _of_rows(labels, 0, tuple(G.neg_flat()), rows)
 
 
 def ising_ring() -> FusionRing:
     """Rank 3: unit, delta, X with X*X = 1 + delta."""
-    N = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    table = {
-        (0, 0): [0],
-        (0, 1): [1],
-        (0, 2): [2],
-        (1, 0): [1],
-        (1, 1): [0],
-        (1, 2): [2],
-        (2, 0): [2],
-        (2, 1): [2],
-        (2, 2): [0, 1],
-    }
-    for (i, j), ks in table.items():
-        for k in ks:
-            N[i][j][k] = 1
-    return FusionRing(("1", "delta", "X"), 0, (0, 1, 2), _freeze(N))
+    one, delta, X = ((0,), (1,)), ((1,), (1,)), ((2,), (1,))
+    rows = ((one, delta, X), (delta, one, X), (X, X, ((0, 1), (1, 1))))
+    return _of_rows(("1", "delta", "X"), 0, (0, 1, 2), rows)
 
 
 def product_ring(R1: FusionRing, R2: FusionRing) -> FusionRing:
     """Basis = pairs, structure constants multiply."""
     r1, r2 = R1.rank, R2.rank
-    labels = tuple(
-        f"{R1.labels[i]}*{R2.labels[j]}" for i in range(r1) for j in range(r2)
-    )
-    dual = tuple(R1.dual[i] * r2 + R2.dual[j] for i in range(r1) for j in range(r2))
-    rank = r1 * r2
-    N = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for a1 in range(r1):
-        for a2 in range(r2):
-            i = a1 * r2 + a2
-            for b1 in range(r1):
-                for b2 in range(r2):
-                    j = b1 * r2 + b2
-                    for c1 in range(r1):
-                        m1 = R1.N[a1][b1][c1]
-                        if not m1:
-                            continue
-                        for c2 in range(r2):
-                            m2 = R2.N[a2][b2][c2]
-                            if m2:
-                                N[i][j][c1 * r2 + c2] = m1 * m2
-    unit = R1.unit * r2 + R2.unit
-    return FusionRing(labels, unit, dual, _freeze(N))
+    labels = tuple(f"{a}*{b}" for a in R1.labels for b in R2.labels)
+    dual = tuple(d1 * r2 + d2 for d1 in R1.dual for d2 in R2.dual)
 
+    def times(row1, row2):   # z1 r2 + z2 increases with (z1, z2)
+        return (tuple(z1 * r2 + z2 for z1 in row1[0] for z2 in row2[0]),
+                tuple(m1 * m2 for m1 in row1[1] for m2 in row2[1]))
 
-def _freeze(N):
-    return tuple(tuple(tuple(row) for row in plane) for plane in N)
+    rows = tuple(tuple(times(R1.rows[a1][b1], R2.rows[a2][b2])
+                       for b1 in range(r1) for b2 in range(r2))
+                 for a1 in range(r1) for a2 in range(r2))
+    return _of_rows(labels, R1.unit * r2 + R2.unit, dual, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +251,20 @@ def fp_dims(R: FusionRing, config: Config = DEFAULT) -> FPData:
 
 def _perron_dims(R: FusionRing) -> tuple:
     dims = []
-    r = R.rank
-    for x in range(r):
-        # A[z][y] = N[x][y][z]; iterate on A + 1 so periodic tables converge
-        A = [[R.N[x][y][z] + (1 if y == z else 0) for y in range(r)] for z in range(r)]
-        v = [1.0] * r
+    r = range(R.rank)
+    for x in r:
+        # column z of L_x + 1 (so periodic tables converge): its nonzero
+        # (y, N_xy^z + [y = z]) in increasing y, the order of a dense sum
+        cols = [[] for _ in r]
+        for y in r:
+            row = dict(zip(*R.rows[x][y]))
+            row[y] = row.get(y, 0) + 1
+            for z, m in row.items():
+                cols[z].append((y, m))
+        v = [1.0] * R.rank
         lam = 1.0
         for _ in range(_POWER_CAP):
-            w = [sum(A[z][y] * v[y] for y in range(r)) for z in range(r)]
+            w = [sum([m * v[y] for y, m in col]) for col in cols]
             tot = sum(w)
             new_lam = tot / sum(v)
             v = [wi / tot for wi in w]
@@ -439,8 +441,8 @@ def _close(R: FusionRing, echelon: list, gens: list, i: int) -> list:
             u = [0] * R.rank   # e_g * w
             for v, c in enumerate(w):
                 if c:
-                    for k in R.constituents(g, v):
-                        u[k] += c * R.N[g][v][k]
+                    for k, m in zip(*R.rows[g][v]):
+                        u[k] += c * m
             if _echelon_add(echelon, u):
                 todo.append((echelon[-1][1], every))
     return echelon
@@ -477,11 +479,7 @@ def adjoint_subring(R: FusionRing) -> FusionSubring:
 
 def pointed_part(R: FusionRing) -> FusionSubring:
     """Subring of invertibles (x with x (x) dual(x) = unit on the nose)."""
-    inv = [
-        x
-        for x in range(R.rank)
-        if sum(R.N[x][R.dual[x]]) == 1 and R.N[x][R.dual[x]][R.unit] == 1
-    ]
+    inv = [x for x in range(R.rank) if R.rows[x][R.dual[x]] == ((R.unit,), (1,))]
     sub = FusionSubring(R, tuple(inv))
     if subring_generated(R, sub.indices).indices != sub.indices:
         raise ClassificationBug("invertibles do not close under the product")

@@ -6,7 +6,8 @@ Field names are part of the wire format:
     element:   [1, 3]
     qform:     {"group": {...}, "values": ["0/1", "1/8", ...]}   (lex order)
     ring:      {"labels": [...], "unit": 0, "dual": [...], "N": [[[...]]]}
-               (labels are JSON strings; unit, dual and N entries JSON integers)
+               (labels are JSON strings; unit, dual and N entries JSON integers;
+               unit a basis index; N dense, the ring's view of its rows)
     datum:     {"ring": {...}, "twists": ["a/b", ...],
                 "dims": [{"conductor": n, "coeffs": ["p/q", ...]}, ...]}
     character: {"chi": [1, -1, ...]}                             (lex order)
@@ -16,9 +17,10 @@ datum's dimensions are parsed once per distinct document.
 Each parser imports its layer (``qform``, ``fusion``, ``premodular``,
 ``cyclotomic``) on use, so loading this module loads none of them.
 Equal ring tables parse to one shared ``FusionRing``: validated rings
-are interned by table in ``fusion`` (process-local, unbounded, like the
-cyclotomic ``_CTX``); a parsed group reads the tables and subgroup memo
-that every equal group shares (``_TABLE_CACHE`` in ``abelian``).  A
+are interned by the parsed table, which is then the ring's dense view,
+in ``fusion`` (process-local, unbounded, like the cyclotomic ``_CTX``);
+a parsed group reads the tables and subgroup memo that every equal
+group shares (``_TABLE_CACHE`` in ``abelian``).  A
 cyclotomic conductor above ``conductor_guard`` is refused with
 ``EnumerationLimit`` before any arithmetic in that field.
 """

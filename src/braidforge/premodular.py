@@ -401,9 +401,7 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     roots = [_root_power(t.numerator, t.denominator, L) for t in theta]
 
     def weighted_sum(x, y, vecs):   # sum_w N_xy^w vecs[w]
-        Nxy = ring.N[x][y]
-        terms = [vecs[w] if Nxy[w] == 1 else [Nxy[w] * b for b in vecs[w]]
-                 for w in ring.constituents(x, y)]
+        terms = [vecs[w] if m == 1 else [m * b for b in vecs[w]] for w, m in zip(*ring.rows[x][y])]
         if len(terms) == 1:   # one constituent, as in a group ring: read, never written
             return terms[0]
         return list(map(sum, zip(*terms))) or [0] * ctx.phi
@@ -419,7 +417,7 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     for x in range(r):
         for y in range(x, r):
             S[x][y] = S[y][x] = entry(x, y)
-            if ring.N[x][y] != ring.N[y][x] and entry(y, x) != S[x][y]:
+            if ring.rows[x][y] != ring.rows[y][x] and entry(y, x) != S[x][y]:
                 raise SymmetryFail(f"S not symmetric at ({x}, {y})")
     for x in range(r):
         for y in range(r):
@@ -429,7 +427,7 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
             raise SymmetryFail(f"S[unit][{x}] != d({ring.labels[x]})")
     at = _AtL(ctx, D, S, dv, qd, roots, cls)
     if ring._mult is None:   # the most constituents of a product, with multiplicity
-        ring._mult = max(sum(filter((0).__lt__, row)) for row in chain.from_iterable(ring.N))
+        ring._mult = max(sum(ms) for _, ms in chain.from_iterable(ring.rows))
     kr = at.evaluate(ring._mult)
     pS, pd, divides = kr.S, kr.dv, kr.divides
     # the product relation on the rows of algebra generators; a row that
@@ -439,8 +437,7 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
         Px, dx = pS[x], pd[x]
 
         def holds(y, z):   # s_xy s_xz = d_x sum_w N_yz^w s_xw, over D^2
-            Nyz = ring.N[y][z]
-            rhs = sum(Nyz[w] * Px[w] for w in ring.constituents(y, z))
+            rhs = sum(m * Px[w] for w, m in zip(*ring.rows[y][z]))
             return divides(Px[y] * Px[z] - dx * rhs)
 
         if all(holds(y, z) for y in gens for z in range(r)):

@@ -197,6 +197,12 @@ def inputs() -> dict:
     docs["bad_ring_string.json"] = mutated(lambda d: d.__setitem__("unit", "0"))
     # labels that are no JSON strings, which str() would have turned into some
     docs["bad_ring_labels.json"] = mutated(lambda d: d.__setitem__("labels", [None, 1.5, ["X"]]))
+    # units that are no basis index: one past the last, one read from the
+    # end, and the empty ring's
+    docs["bad_ring_unit_past.json"] = mutated(lambda d: d.__setitem__("unit", 3))
+    docs["bad_ring_unit_negative.json"] = mutated(lambda d: d.__setitem__("unit", -1))
+    empty = {"labels": [], "unit": 0, "dual": [], "N": []}
+    docs["bad_ring_unit_empty.json"] = empty
 
     # data
     data = {"ising_1p": ising_datum(F(1, 16), 1), "ising_3m": ising_datum(F(3, 16), -1),
@@ -229,6 +235,7 @@ def inputs() -> dict:
     docs["bad_datum_twist_conductor.json"] = bad_datum(
         lambda d: d["twists"].__setitem__(2, "1/4621"))
     docs["bad_datum_cover.json"] = bad_datum(lambda d: d["twists"].pop())
+    docs["bad_datum_empty_ring.json"] = {"ring": empty, "twists": [], "dims": []}
     # a seeded dimension at conductor 2310 (phi = 480), at the default
     # conductor_guard: its descent to 1155 is the work before DualDimFail
     rng = random.Random(7)
@@ -322,6 +329,9 @@ def commands(names) -> list:
         ["fusion", "dims", inp("ring_ising.json"), "--tolerance", "1e-9"],
         ["fusion", "dims", inp("bad_ring_float.json")],
         ["fusion", "dims", inp("bad_ring_labels.json")],
+        ["fusion", "dims", inp("bad_ring_unit_empty.json")],
+        ["fusion", "subrings", inp("bad_ring_unit_empty.json")],
+        ["fusion", "grading", inp("bad_ring_unit_empty.json")],
     ]
 
     data = sorted(n for n in names if n.startswith("datum_"))
@@ -344,6 +354,7 @@ def commands(names) -> list:
         ["premodular", "report", inp("datum_ising_1p.json"), "--output", "text"],
         ["premodular", "gfp", inp("datum_ising2.json"), "--out", f"{OUT}/gfp.json"],
         ["premodular", "gfp", inp("bad_datum_descent_2310.json")],
+        ["premodular", "gfp", inp("bad_datum_empty_ring.json")],
         ["premodular", "report", inp("ring_ising.json")],
     ]
 

@@ -59,6 +59,9 @@ _FOLD = "tests/test_cyclotomic.py::test_fold_bound_covers_every_power_of_x"
 _ZERO_TEST = "tests/test_premodular.py::test_kronecker_zero_test_agrees_with_reduce"
 _FITS = "tests/test_premodular.py::test_every_identity_fits_the_datum_base"
 _S_TILDE = "tests/test_premodular.py::test_s_tilde_makes_one_inverse_product_per_pair_of_dimensions"
+_DENSE = "tests/test_fusion.py::test_constructions_match_their_dense_tables"
+_RIGHT_UNIT = "tests/test_fusion.py::test_a_ring_without_a_right_unit_gets_every_index"
+_UNIT_RANGE = "tests/test_cli.py::test_a_unit_outside_the_basis_is_refused"
 
 MUTANTS = (
     Mutant("monomial-shift-range-one-block-short", "braidforge/cyclotomic.py",
@@ -90,8 +93,8 @@ MUTANTS = (
            'isinstance(d.get("conductor"), int)',
            (_DIMS,)),
     Mutant("s-triangle-copied-across-non-commuting-pair", "braidforge/premodular.py",
-           "if ring.N[x][y] != ring.N[y][x] and entry(y, x) != S[x][y]:",
-           "if ring.N[x][y] != ring.N[y][x] and entry(x, y) != S[x][y]:",
+           "if ring.rows[x][y] != ring.rows[y][x] and entry(y, x) != S[x][y]:",
+           "if ring.rows[x][y] != ring.rows[y][x] and entry(x, y) != S[x][y]:",
            (_S_IDENTITIES,)),
     Mutant("ring-squares-slot-ignores-tolerance", "braidforge/premodular.py",
            "if R._squares is None or R._squares[0] != config.tolerance:",
@@ -129,6 +132,22 @@ MUTANTS = (
            "ring entry {json.dumps(bad, default=repr)} is not",
            "ring entry {bad!r} is not",
            (_RING_ENTRIES,)),
+    Mutant("product-ring-adds-multiplicities", "braidforge/fusion.py",
+           "tuple(m1 * m2 for m1 in row1[1]",
+           "tuple(m1 + m2 for m1 in row1[1]",
+           (_DENSE,)),
+    Mutant("perron-sums-in-decreasing-y", "braidforge/fusion.py",
+           "        for y in r:\n            row = dict(zip(*R.rows[x][y]))",
+           "        for y in reversed(r):\n            row = dict(zip(*R.rows[x][y]))",
+           (_DENSE,)),
+    Mutant("unit-law-checked-on-the-left-only", "braidforge/fusion.py",
+           "for row in (rows[u][j], rows[j][u])",
+           "for row in (rows[u][j],)",
+           (_RIGHT_UNIT,)),
+    Mutant("unit-range-off-by-one", "braidforge/fusion.py",
+           "if not 0 <= unit < r:",
+           "if not 0 <= unit <= r:",
+           (_UNIT_RANGE,)),
 )
 
 

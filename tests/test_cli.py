@@ -169,6 +169,37 @@ def test_ring_labels_must_be_json_strings(tmp_path, capsys, labels, shown):
     assert capsys.readouterr().err == f"SchemaError: {message}\n"
 
 
+@pytest.mark.parametrize("unit, message", [
+    (-1, "unit -1 is not a basis index 0..2"),
+    (3, "unit 3 is not a basis index 0..2"),
+    (5, "unit 5 is not a basis index 0..2"),
+    (0, "unit 0 is not a basis index (the basis is empty)"),
+])
+def test_a_unit_outside_the_basis_is_refused(tmp_path, capsys, unit, message):
+    # -1 was read from the end and 5 ended in an IndexError; the empty
+    # ring passed its check, and its subrings, grading and data ended in
+    # a traceback
+    from braidforge.errors import UnitFail
+    from braidforge.fusion import validate_ring
+
+    doc = bio.ring_to_json(ising_datum(F(1, 16), 1).ring)
+    if message.endswith("empty)"):
+        doc = {"labels": [], "dual": [], "N": []}
+    doc["unit"] = unit
+    with pytest.raises(UnitFail, match=f"^{re.escape(message)}$"):
+        validate_ring(doc["labels"], doc["unit"], doc["dual"], doc["N"])
+    r = len(doc["labels"])
+    ring = write(tmp_path, "r.json", doc)
+    datum = write(tmp_path, "d.json", {"ring": doc, "twists": ["0/1"] * r,
+                                       "dims": [{"conductor": 1, "coeffs": ["1/1"]}] * r})
+    for argv in (["fusion", action, ring] for action in ("check", "dims", "subrings", "grading")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"UnitFail: {message}\n"
+    for argv in (["premodular", action, datum] for action in ("report", "gfp")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"UnitFail: {message}\n"
+
+
 @pytest.mark.parametrize("chi, shown", [([1, True], "true"), ([1, "1"], '"1"'), ([1, None], "null"),
                                         ([1, 1.0], "1.0")])
 def test_json_values_are_quoted_as_json_in_messages(chi, shown):

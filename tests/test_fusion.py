@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 import time
 
@@ -580,3 +581,144 @@ def test_accepted_tables_are_frobenius_symmetric(monkeypatch):
                     mutants += 1
                     assert _frobenius_rotations_hold(R.dual, N), (R, x, y, z, value)
     assert mutants == 3   # X X = 1 + delta + k X in Ising, k = 1, 2, 3
+
+
+# -- one table: sparse rows, the dense view ------------------------------------
+
+def _reference_group_n(G):
+    """The dense table ``group_ring`` built before rows."""
+    n, add = G.order, G.add_flat()
+    N = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            N[i][j][add[i * n + j]] = 1
+    return N
+
+
+def _reference_ising_n():
+    N = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    table = {(0, 0): [0], (0, 1): [1], (0, 2): [2], (1, 0): [1], (1, 1): [0], (1, 2): [2],
+             (2, 0): [2], (2, 1): [2], (2, 2): [0, 1]}
+    for (i, j), ks in table.items():
+        for k in ks:
+            N[i][j][k] = 1
+    return N
+
+
+def _reference_product_n(N1, N2):
+    """The dense table ``product_ring`` built before rows."""
+    r1, r2 = len(N1), len(N2)
+    rank = r1 * r2
+    N = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
+    for a1, a2, b1, b2, c1, c2 in itertools.product(range(r1), range(r2), range(r1),
+                                                    range(r2), range(r1), range(r2)):
+        m = N1[a1][b1][c1] * N2[a2][b2][c2]
+        if m:
+            N[a1 * r2 + a2][b1 * r2 + b2][c1 * r2 + c2] = m
+    return N
+
+
+def _reference_rows(N):
+    """Rows as ``_constituents`` was derived from N, with the entries."""
+    return tuple(tuple((tuple(k for k, m in enumerate(row) if m > 0),
+                        tuple(m for m in row if m > 0)) for row in plane) for plane in N)
+
+
+def _reference_perron(N):
+    """``_perron_dims`` on the dense table, as it was: each sum takes
+    every A[z][y] * v[y] in increasing y, the zeros too."""
+    dims, r = [], len(N)
+    for x in range(r):
+        A = [[N[x][y][z] + (1 if y == z else 0) for y in range(r)] for z in range(r)]
+        v, lam = [1.0] * r, 1.0
+        for _ in range(100_000):
+            w = [sum(map(operator.mul, A[z], v)) for z in range(r)]
+            tot = sum(w)
+            new_lam = tot / sum(v)
+            v = [wi / tot for wi in w]
+            if abs(new_lam - lam) < 1e-12:
+                lam = new_lam
+                break
+            lam = new_lam
+        dims.append(lam - 1.0)
+    return tuple(dims)
+
+
+def _freeze(N):
+    return tuple(tuple(map(tuple, plane)) for plane in N)
+
+
+def _check_one_table(R, N, perron=True):
+    """R's rows and view against the dense reference N; its Perron floats
+    bit for bit; its table parsed twice is one ring, whose view is the
+    parsed table and whose equal rows are one pair."""
+    from braidforge import fusion
+
+    assert R.rows == _reference_rows(N) and R.N == _freeze(N)
+    if perron:
+        assert fusion._perron_dims(R) == _reference_perron(N), R
+    first = validate_ring(list(R.labels), R.unit, list(R.dual), N)
+    assert validate_ring(R.labels, R.unit, R.dual, R.N) is first and first == R
+    key = next(k for k, v in fusion._RINGS.items() if v is first)
+    assert first.N is key[3] and first.rows == R.rows and hash(first) == hash(R)
+    pairs = list(itertools.chain.from_iterable(first.rows))
+    assert len(set(map(id, pairs))) == len(set(pairs))
+
+
+def test_constructions_match_their_dense_tables(monkeypatch):
+    from test_abelian import invariant_shapes
+
+    from braidforge import fusion
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    for orders in invariant_shapes(64) + [(128,)]:
+        G = FinAbGroup(orders)
+        _check_one_table(group_ring(G), _reference_group_n(G))
+    I, NI = ising_ring(), _reference_ising_n()
+    _check_one_table(I, NI)
+    N4 = _reference_group_n(FinAbGroup((4,)))
+    II, NII = product_ring(I, I), _reference_product_n(NI, NI)
+    for R, N in ((II, NII), (product_ring(II, I), _reference_product_n(NII, NI)),
+                 (product_ring(I, group_ring(FinAbGroup((4,)))), _reference_product_n(NI, N4))):
+        _check_one_table(R, N)
+
+
+def test_corpus_rings_match_their_dense_tables(monkeypatch):
+    import json
+    import pathlib
+
+    from braidforge import fusion
+    from braidforge import io as bio
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    seen = 0
+    for path in sorted(pathlib.Path(__file__).parent.joinpath("golden", "inputs").glob("*.json")):
+        try:
+            doc = json.loads(path.read_text())
+        except RecursionError:   # deep_nesting.json
+            continue
+        doc = doc.get("ring", doc) if isinstance(doc, dict) else None
+        if not isinstance(doc, dict) or "N" not in doc:
+            continue
+        try:
+            R = bio.ring_from_json(doc)
+        except Exception:   # the refused tables
+            continue
+        _check_one_table(R, doc["N"])
+        assert bio.ring_to_json(R) == doc
+        seen += 1
+    assert seen > 20
+
+
+def test_rank3_tables_match_their_rows(monkeypatch):
+    # the 13,122 tables of test_accepted_tables_are_frobenius_symmetric,
+    # accepted or not
+    from braidforge import fusion
+
+    monkeypatch.setattr(fusion, "_RINGS", {})
+    labels = ("0", "1", "2")
+    for dual, N in _rank3_tables():
+        R = fusion.FusionRing(labels, 0, dual, _freeze(N))
+        assert R.rows == _reference_rows(N) and R.N == _freeze(N)
+        if _accepts(dual, N):
+            _check_one_table(R, N)

@@ -52,7 +52,7 @@ def test_hash_is_the_hash_of_the_compared_fields():
     assert hash(H) == hash((G, (0, 4)))
     R = ising_ring()
     assert hash(FusionSubring(R, (0, 1))) == hash((R, (0, 1)))
-    assert hash(R) == hash((R.labels, R.unit, R.dual, R.N))
+    assert hash(R) == hash((R.labels, R.unit, R.dual, R.rows))
     M = a_form()
     assert hash(M) == hash((M.group, M.level, M.res))
     assert hash(WittClass(((2, A2),))) == hash((((2, A2),),))
