@@ -257,10 +257,11 @@ def _perron_dims(R: FusionRing) -> tuple:
         # (y, N_xy^z + [y = z]) in increasing y, the order of a dense sum
         cols = [[] for _ in r]
         for y in r:
-            row = dict(zip(*R.rows[x][y]))
-            row[y] = row.get(y, 0) + 1
-            for z, m in row.items():
-                cols[z].append((y, m))
+            zs, ms = R.rows[x][y]
+            if y not in zs:
+                cols[y].append((y, 1))
+            for z, m in zip(zs, ms):
+                cols[z].append((y, m + (z == y)))
         v = [1.0] * R.rank
         lam = 1.0
         for _ in range(_POWER_CAP):

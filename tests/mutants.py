@@ -137,8 +137,8 @@ MUTANTS = (
            "tuple(m1 + m2 for m1 in row1[1]",
            (_DENSE,)),
     Mutant("perron-sums-in-decreasing-y", "braidforge/fusion.py",
-           "        for y in r:\n            row = dict(zip(*R.rows[x][y]))",
-           "        for y in reversed(r):\n            row = dict(zip(*R.rows[x][y]))",
+           "        for y in r:\n            zs, ms = R.rows[x][y]",
+           "        for y in reversed(r):\n            zs, ms = R.rows[x][y]",
            (_DENSE,)),
     Mutant("unit-law-checked-on-the-left-only", "braidforge/fusion.py",
            "for row in (rows[u][j], rows[j][u])",
