@@ -14,7 +14,12 @@ The ``premodular.build`` rows time the exact derivation and check of
 a datum's S-matrix by rank: Ising (3), Ising x Ising (9), and the
 pointed datum of a form on Z/12 (12), on the library's rings, and
 Ising x Ising again on its ring parsed from JSON (validated and
-interned), the ring every CLI and perfbench datum is built on.  The ``gauss_and_charge`` and
+interned), the ring every CLI and perfbench datum is built on.  The
+two rows after them build that datum again, on a fresh copy of its ring
+(made with ``FusionRing(...)``, with the interned ring's algebra
+generators and product bound copied in, so only the dimension kit is
+missing: the dimension checks, lifts, squares and inverses are made) and
+on the interned ring, whose kit the untimed first build kept.  The ``gauss_and_charge`` and
 ``centralizer sweep`` rows time a datum's reports on Ising x Ising and
 the pointed Z/12 datum.  A datum keeps its reports and a ring its
 subring lattice and centralizer components, so each repetition gets a
@@ -25,7 +30,10 @@ build finds, checks and uses its algebra generators as on a parsed ring.
 The ``report`` row times ``gauss_and_charge`` and the centralizer of
 every subring on a fresh datum parsed onto the interned Ising x Ising
 ring, as every perfbench request after the first on a table does: the
-lattice and components were kept by an earlier datum.  The ``_mul_vec``
+lattice and components were kept by an earlier datum.  The ``full
+report`` row is one whole perfbench datum_reports request on that ring,
+warm: ``datum_from_json`` of the document (its dimension documents and
+kit kept by an untimed first call), then the same report.  The ``_mul_vec``
 rows take 20,000 / phi(L) products of vectors at L = 16 and 840, one
 operand a dense seeded vector and the other a rational (zero past
 index 0) or a second dense vector.
@@ -206,6 +214,17 @@ def workloads():
     for name, D in (("Ising", ising), ("Ising x Ising", ising2), ("pointed Z/12", pointed),
                     ("Ising x Ising, parsed", parsed)):
         out.append((f"premodular.build {name} (rank {D.rank})", rebuild, 5, warm(rebuild, D)))
+
+    def kitless_copy(D=parsed):   # the ring's generators and bound, but no dimension kit
+        R = D.ring
+        copy = FusionRing(R.labels, R.unit, R.dual, R.N)
+        copy._gens, copy._mult = R._gens, R._mult
+        return premodular.PreModularDatum(copy, D.theta, D.dim, D._at)
+
+    out.append(("premodular.build Ising x Ising, fresh ring copy (no kit)", rebuild, 20,
+                kitless_copy))
+    out.append(("premodular.build Ising x Ising, warm interned ring (kit kept)", rebuild, 20,
+                warm(rebuild, parsed)))
     for name, D in (("Ising x Ising", ising2), ("pointed Z/12", pointed)):
         def fresh(D=D):
             R = D.ring
@@ -238,6 +257,12 @@ def workloads():
 
     out.append(("report Ising x Ising, fresh datum on the interned ring", report, 5,
                 on_interned_ring))
+
+    def full_report(doc):
+        report(bio.datum_from_json(doc))
+
+    out.append(("full report Ising x Ising, parsed onto the interned ring", full_report, 20,
+                warm(full_report, doc)))
     out.append(("datum_from_json Ising x Ising, interned ring", bio.datum_from_json, 20,
                 warm(bio.datum_from_json, doc)))
 

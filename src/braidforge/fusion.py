@@ -21,7 +21,8 @@ too; subtracting one recovers the eigenvalue.
 Validated rings are interned by the parsed table: ``validate_ring``
 returns the ring it built for an equal (labels, unit, dual, N), whose
 view is that parsed table, so data on one table share its FP
-dimensions, subring lattice and algebra generators.  Like ``_CTX`` in
+dimensions, subring lattice and algebra generators, and the dimension
+documents and kits of ``io`` and ``premodular``.  Like ``_CTX`` in
 ``cyclotomic``, the cache is process-local and unbounded.
 """
 
@@ -57,17 +58,23 @@ class FusionRing:
     # N_xy^z; equal rows of a table given dense share one pair.  _N, the
     # dense view, is the table given to the constructor, or made from the
     # rows on first read of N.  Built on first use: _fpdim, the Perron
-    # eigenvalues of the left multiplications; _lattice, the subring index
-    # tuples; _gens, the indices of algebra_generators; _squares,
+    # eigenvalues of the left multiplications; _lattice, the SubringLattice
+    # that all_subrings returns, its FusionSubrings with it; _gens, the
+    # indices of algebra_generators; _squares,
     # (tolerance, fp_square_integers, their squarefree parts, the indices
     # of integral_part) at the last tolerance premodular.gfp_invariants
     # asked for; _mult, the largest sum of the multiplicities of a row,
     # which bounds premodular.build's integer tests.  _comps maps
     # the indices of each centralizer of a report premodular.centralizer
-    # passed (so a subring) to its components.  A refusal keeps nothing.
-    # Equality and hashing read the labels, unit, dual and rows alone.
+    # passed (so a subring) to its components.  _kits maps each dimension
+    # tuple of a datum premodular.build accepted to its dimension kit (the
+    # checks it passed, its classes, lifts, squares and inverses), and
+    # _dims each dimension document io.datum_from_json parsed for a datum
+    # on the ring, in its written form, to its CycloNum.  A refusal keeps
+    # nothing.  Equality and hashing read the labels, unit, dual and rows
+    # alone.
     __slots__ = ("labels", "unit", "dual", "rows", "_N", "_fpdim", "_lattice", "_gens",
-                 "_squares", "_mult", "_comps")
+                 "_squares", "_mult", "_comps", "_kits", "_dims")
 
     def __init__(self, labels: tuple, unit: int, dual: tuple, N: tuple):
         r = range(len(N))
@@ -76,7 +83,7 @@ class FusionRing:
         self.labels, self.unit, self.dual, self._N = labels, unit, dual, N
         self.rows = tuple(tuple(map(cut.__getitem__, p)) for p in N)
         self._fpdim = self._lattice = self._gens = self._squares = self._mult = None
-        self._comps = {}
+        self._comps, self._kits, self._dims = {}, {}, {}
 
     @property
     def N(self) -> tuple:
@@ -142,9 +149,9 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
     if type(unit) is not int or not set(map(type, chain(dual, *chain.from_iterable(N)))) <= {int}:
         bad = next(c for c in chain((unit,), dual, *chain.from_iterable(N)) if type(c) is not int)
         raise TypeError(f"ring entry {json.dumps(bad, default=repr)} is not an integer")
-    key = (labels, unit, dual, N)
-    if key in _RINGS:
-        return _RINGS[key]
+    key = (labels, unit, dual, N)   # hashed once per lookup: a tuple keeps no hash
+    if (R := _RINGS.get(key)) is not None:
+        return R
     if len(N) != r or any(len(p) != r or any(len(row) != r for row in p) for p in N):
         raise UnitFail(f"N must be {r}x{r}x{r}")
     if not 0 <= unit < r:
@@ -166,7 +173,8 @@ def validate_ring(labels, unit, dual, N) -> FusionRing:
             zs, ms = R.rows[x][y]
             if (m := ms[zs.index(unit)] if unit in zs else 0) != (y == dual[x]):
                 raise DualityFail(f"N[{x}][{y}][unit] = {m} but dual({x}) = {dual[x]}")
-    return _RINGS.setdefault(key, R)
+    _RINGS[key] = R
+    return R
 
 
 def _unit_fault(R: FusionRing):
@@ -354,13 +362,14 @@ class SubringLattice(NamedTuple):
 def all_subrings(R: FusionRing, config: Config = DEFAULT) -> SubringLattice:
     """The full subring lattice, by closure of single-element extensions.
 
-    Built once per ring; the rank guard is checked on every call.
+    Built once per ring, and kept on it with its subrings; the rank guard
+    is checked on every call.
     """
     if R.rank > config.rank_guard:
         raise EnumerationLimit(f"rank {R.rank} exceeds rank_guard = {config.rank_guard}")
     if R._lattice is None:
-        R._lattice = _subring_lattice(R)
-    return SubringLattice(R, tuple(FusionSubring(R, s) for s in R._lattice))
+        R._lattice = SubringLattice(R, tuple(FusionSubring(R, s) for s in _subring_lattice(R)))
+    return R._lattice
 
 
 def _subring_lattice(R: FusionRing) -> tuple:

@@ -13,7 +13,9 @@ Field names are part of the wire format:
     character: {"chi": [1, -1, ...]}                             (lex order)
 
 Fractions may arrive unreduced; they are normalized on ingestion.  A
-datum's dimensions are parsed once per distinct document.
+datum's dimension documents are parsed once per distinct document in
+their written form and kept beside its ring (``FusionRing._dims``), so
+later data on the ring read them; the conductor guard runs on every read.
 Each parser imports its layer (``qform``, ``fusion``, ``premodular``,
 ``cyclotomic``) on use, so loading this module loads none of them.
 Equal ring tables parse to one shared ``FusionRing``: validated rings
@@ -149,24 +151,33 @@ def datum_from_json(obj, config: Config = DEFAULT) -> PreModularDatum:
     if not covered:
         raise SchemaError("twists and dims must cover the basis")
     theta = tuple(parse_fraction(t) for t in twists)
-    return build(R, theta, tuple(_dims_from_json(dims, config)), config)
+    return build(R, theta, tuple(_dims_from_json(dims, config, R._dims)), config)
 
 
-def _dims_from_json(dims, config: Config):
+def _dims_from_json(dims, config: Config, kept=None):
     """``cyclo_from_json`` of each dimension, once per distinct document in
-    the written form (an int conductor, str coeffs), kept by value: ``true``
-    and ``1``, or ``1.0`` and ``"1"``, compare equal but parse differently,
-    so they share no entry, and every error is raised where it was."""
-    parsed = {}
+    the written form (an int conductor, str coeffs), kept by value in
+    ``kept`` (the ring's, so across data on one ring; a new dict when
+    None): ``true`` and ``1``, or ``1.0`` and ``"1"``, compare equal but
+    parse differently, so they share no entry, and every error is raised
+    where it was.  A kept document's conductor meets ``config``'s guard on
+    every read, so a lower ``conductor_guard`` refuses it as it would a
+    first parse; any other document is parsed every time."""
+    kept = {} if kept is None else kept
     for d in dims:
-        key = None
+        key = c = None
         if type(d) is dict and len(d) == 2 and type(d.get("conductor")) is int:
             coeffs = d.get("coeffs")
             if type(coeffs) is list and set(map(type, coeffs)) <= {str}:
                 key = (d["conductor"], *coeffs)
-        if key is None or key not in parsed:   # None: parsed every time
-            parsed[key] = cyclo_from_json(d, config)
-        yield parsed[key]
+                c = kept.get(key)
+        if c is None:
+            c = cyclo_from_json(d, config)
+            if key is not None:
+                kept[key] = c
+        else:
+            config.check_conductor(key[0])
+        yield c
 
 
 def character_from_json(obj, G: FinAbGroup) -> tuple:

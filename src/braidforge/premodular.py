@@ -17,6 +17,16 @@ The canonical CycloNum matrices ``S`` and ``S_tilde`` (s~ = d^-1 S d^-1,
 from S and one inverse per distinct dimension) are made on first read;
 no report but ``mueger_report`` reads them.
 
+The dimensions are a character of the ring, fixed before any braiding
+is chosen (Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories,
+4.7), so the work that reads them alone is kept on the ring, once per
+dimension tuple, by the first build with it that succeeds (``_Kit``):
+the unit, zero and dual-dimension checks it passed, the distinct
+dimensions and D, and per conductor their lifts, squares and inverses.
+A later datum on the ring with the same dimensions does only the work
+that reads its twists: S, the symmetry, duality and unit-row tests and
+the product relation, which run on every build in the same order.
+
 The product relation says that each normalized row Y -> s_{XY} / d(X)
 is a character of the ring.  A linear map with value 1 at the unit that
 is multiplicative on a set of algebra generators Y (every Z) is a
@@ -110,8 +120,10 @@ class _AtL:
     and ``td[sign]`` (theta^sign d^2) over den^2, and ``roots[i]`` =
     (s, t) with theta_i = (-1)^s zeta_L^t.  ``cls[i]`` numbers d(i) among
     the distinct dimensions, and ``inv[k]`` is the inverse of the k-th
-    over ``inv_den``.  S_xy and S_yx may be one list, and so may d^2 of
-    equal dimensions; no entry is changed in place.  ``kron`` holds the
+    over ``inv_den``.  S_xy and S_yx may be one list, and so may d and
+    d^2 of equal dimensions, which ``build`` reads from the ring's kit
+    (``_Kit``; d^2 is made here when ``dd`` is not given), so data share
+    them; no entry is changed in place.  ``kron`` holds the
     same vectors evaluated at the datum's one base (``_Kron``), made by
     ``build`` for its own checks and read again by ``gauss_and_charge``.
     Built on first use: ``pm[y][v]``, which is s~_{yv} where that is +-1
@@ -123,12 +135,14 @@ class _AtL:
     __slots__ = ("ctx", "den", "S", "dv", "qd", "qi", "roots", "cls", "dd", "td",
                  "inv", "inv_den", "kron", "pm", "ones", "full")
 
-    def __init__(self, ctx, den, S, dv, qd, roots, cls):
+    def __init__(self, ctx, den, S, dv, qd, roots, cls, dd=None):
         self.ctx, self.den, self.S, self.dv, self.qd, self.roots = ctx, den, S, dv, qd, roots
         self.cls = cls
         self.qi = [_times_root(ctx, s, -t, v) for (s, t), v in zip(roots, dv)]
-        sq = {k: _mul_vec(ctx, d, d) for k, d in dict(zip(cls, dv)).items()}
-        self.dd = [sq[k] for k in cls]
+        if dd is None:   # d^2 once per distinct dimension; build passes its kit's
+            sq = {k: _mul_vec(ctx, d, d) for k, d in dict(zip(cls, dv)).items()}
+            dd = [sq[k] for k in cls]
+        self.dd = dd
         self.td = {sign: [_times_root(ctx, s, sign * t, v) for (s, t), v in zip(roots, self.dd)]
                    for sign in (1, -1)}
         self.inv = self.inv_den = self.kron = self.pm = self.ones = self.full = None
@@ -156,7 +170,7 @@ class _AtL:
                         dd = _mul_vec(ctx, dv[y], dv[v])
                         prods[key] = dd, [-c for c in dd]
                     dd, neg = prods[key]
-                    s = [c * self.den for c in S[y][v]]
+                    s = S[y][v] if self.den == 1 else [c * self.den for c in S[y][v]]
                     if s == dd:
                         pm[y][v] = pm[v][y] = 1
                     elif s == neg:
@@ -183,7 +197,9 @@ class _AtL:
 
     def evaluate(self, m: int) -> _Kron:
         """``kron``: the vectors at one base, fit for every identity that
-        ``build`` and ``gauss_and_charge`` test, made once.
+        ``build`` and ``gauss_and_charge`` test, made once: S_xy and S_yx
+        are packed once where they are one list, and d and d^2 once per
+        distinct dimension.
 
         Each identity is a sum of products of two of these vectors, whose
         coefficients are at most A in size, with integer weights of total
@@ -196,7 +212,7 @@ class _AtL:
         W = max(1 + m, r (2 r + D^2)).  Sums of vectors, with no product,
         are compared as integers: two such differ by coefficients below B.
         """
-        S, r, td = self.S, len(self.S), self.td
+        S, r, td, cls = self.S, len(self.S), self.td, self.cls
         vecs = [v for row in S for v in row]
         vecs += self.dv + self.qd + self.qi + self.dd + td[1] + td[-1]
         A = max(1, max(map(max, vecs)), -min(map(min, vecs)))
@@ -209,9 +225,14 @@ class _AtL:
                 pS[x][y] = pack(S[x][y])
                 pS[y][x] = pS[x][y] if S[y][x] is S[x][y] else pack(S[y][x])
         kr.S = pS
-        kr.dv, kr.qd, kr.qi = (list(map(pack, vs)) for vs in (self.dv, self.qd, self.qi))
-        kr.dd = list(map(pack, self.dd))
+        kr.qd, kr.qi = list(map(pack, self.qd)), list(map(pack, self.qi))
         kr.td = {sign: list(map(pack, td[sign])) for sign in (1, -1)}
+
+        def per_class(vs):   # equal dimensions have one d and one d^2
+            packed = {k: pack(v) for k, v in dict(zip(cls, vs)).items()}
+            return [packed[k] for k in cls]
+
+        kr.dv, kr.dd = per_class(self.dv), per_class(self.dd)
         return kr
 
     def rank_rows(self, rows) -> int:
@@ -348,6 +369,43 @@ def _canonical(L, vecs, den) -> tuple:
 # construction
 # ---------------------------------------------------------------------------
 
+class _Kit(NamedTuple):
+    """What ``build`` keeps on a ring for one dimension tuple
+    (``FusionRing._kits``), written once a build with it succeeds: being
+    kept, it says that the unit, zero and dual-dimension checks passed.
+    ``kinds`` are the distinct dimensions in order of first index,
+    ``cls[i]`` the number of d(i) among them, ``n`` and ``D`` the lcm of
+    their conductors and of their denominators, and ``at[L]`` = (lifts,
+    squares, inv, inv_den) at each conductor L a build reached: the kinds
+    lifted to L over D, their squares over D^2, and their inverses lifted
+    to L over inv_den.  No kept list is changed in place."""
+    kinds: tuple
+    cls: tuple
+    n: int
+    D: int
+    at: dict
+
+
+def _dimension_kit(ring: FusionRing, dim: tuple) -> _Kit:
+    """The dimension checks of ``build``, in its order, and a new kit of
+    what they find, not yet kept."""
+    if dim[ring.unit] != ONE:
+        raise DatumError("unit dimension must be 1")
+    for i, d in enumerate(dim):
+        if d.is_zero():
+            raise ZeroDim(f"dimension of {ring.labels[i]} is zero")
+    kinds = {d: k for k, d in enumerate(dict.fromkeys(dim))}   # the distinct dimensions
+    cls = tuple(kinds[d] for d in dim)
+    conj = [d.conjugate() for d in kinds]
+    for i in range(ring.rank):
+        if dim[ring.dual[i]] != conj[cls[i]]:
+            raise DualDimFail(
+                f"d(dual {ring.labels[i]}) != conjugate(d({ring.labels[i]}))"
+            )
+    return _Kit(tuple(kinds), cls, reduce(math.lcm, (d.n for d in kinds), 1),
+                reduce(math.lcm, (d.den for d in kinds), 1), {})
+
+
 def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularDatum:
     """Derive the S-matrix and verify every datum identity exactly.
 
@@ -363,12 +421,20 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     non-commutative table fails at the pair a full check would name.
     The product relation is checked on the rows Y of the ring's algebra
     generators, which ``fusion`` checks on the ring itself (see the module
-    docstring).  Each distinct dimension is conjugated, lifted to L and
-    inverted once; the inverses are kept for s~, whose vectors and
-    canonical matrix, like S's, are left to the datum's first read
-    (``PreModularDatum.S_tilde``).
-    perfbench's binding test counts ``cyclotomic.mul`` on a build, which
-    the CycloNum product in ``inverse`` makes, so build keeps inverting.
+    docstring).
+
+    The dimensions are a character of the ring, fixed before any twist, so
+    their work is kept on the ring per dimension tuple (``_Kit``), once a
+    build with them succeeds: a later build with an equal tuple on the
+    same ring skips the unit, zero and dual-dimension checks, which passed
+    for it, and at a conductor L reached before reads the lifts, the
+    squares and the inverses (kept for s~, whose vectors and canonical
+    matrix, like S's, are left to the datum's first read,
+    ``PreModularDatum.S_tilde``).  The conductor guard runs before any
+    value kept for L is read, and every check that reads a twist runs on
+    every build.  perfbench's binding test counts ``cyclotomic.mul`` on
+    a build, which the CycloNum product in ``inverse`` makes, so the first
+    build of a dimension tuple at a conductor on a ring inverts.
     """
     r = ring.rank
     theta = tuple(root_exp(t) for t in theta)
@@ -377,47 +443,39 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
         raise DatumError("twist and dimension tables must cover the basis")
     if theta[ring.unit] != 0:
         raise UnitTwistFail(f"unit twist is {theta[ring.unit]}, not 1")
-    if dim[ring.unit] != ONE:
-        raise DatumError("unit dimension must be 1")
-    for i, d in enumerate(dim):
-        if d.is_zero():
-            raise ZeroDim(f"dimension of {ring.labels[i]} is zero")
-    kinds = {d: k for k, d in enumerate(dict.fromkeys(dim))}   # the distinct dimensions
-    cls = [kinds[d] for d in dim]
-    conj = [d.conjugate() for d in kinds]
-    for i in range(r):
-        if dim[ring.dual[i]] != conj[cls[i]]:
-            raise DualDimFail(
-                f"d(dual {ring.labels[i]}) != conjugate(d({ring.labels[i]}))"
-            )
-    L = reduce(math.lcm, (_canonical_conductor(t.denominator) for t in theta), 1)
-    L = reduce(math.lcm, (d.n for d in dim), L)
-    D = reduce(math.lcm, (d.den for d in dim), 1)
+    kit = ring._kits.get(dim)
+    if kit is None:
+        kit = _dimension_kit(ring, dim)
+    cls, D = kit.cls, kit.D
+    L = reduce(math.lcm, (_canonical_conductor(t.denominator) for t in theta), kit.n)
     config.check_conductor(L)
     ctx = _ctx(L)
-    lifts = [[c * (D // d.den) for c in d._lift(L)] for d in kinds]
+    lifted = kit.at.get(L)
+    if lifted is None:
+        lifts = [[c * (D // d.den) for c in d._lift(L)] for d in kit.kinds]
+        squares = [_mul_vec(ctx, v, v) for v in lifts]
+    else:
+        lifts, squares = lifted[:2]
     dv = [lifts[k] for k in cls]
     # theta_z = (-1)^s zeta_L^t
     roots = [_root_power(t.numerator, t.denominator, L) for t in theta]
-
-    def weighted_sum(x, y, vecs):   # sum_w N_xy^w vecs[w]
-        terms = [vecs[w] if m == 1 else [m * b for b in vecs[w]] for w, m in zip(*ring.rows[x][y])]
-        if len(terms) == 1:   # one constituent, as in a group ring: read, never written
-            return terms[0]
-        return list(map(sum, zip(*terms))) or [0] * ctx.phi
-
+    rows = ring.rows
     # S_xy = theta_x^-1 theta_y^-1 sum_z N_xy^z theta_z d_z, over D
     qd = [_times_root(ctx, s, t, v) for (s, t), v in zip(roots, dv)]
 
     def entry(x, y):
-        return _times_root(ctx, roots[x][0] + roots[y][0], -roots[x][1] - roots[y][1],
-                           weighted_sum(x, y, qd))
+        ws, ms = rows[x][y]
+        if ms == (1,):   # one constituent, as in a group ring: read, never written
+            v = qd[ws[0]]
+        else:
+            v = [sum(map(mul, ms, c)) for c in zip(*map(qd.__getitem__, ws))] or [0] * ctx.phi
+        return _times_root(ctx, roots[x][0] + roots[y][0], -roots[x][1] - roots[y][1], v)
 
     S = [[None] * r for _ in range(r)]
     for x in range(r):
         for y in range(x, r):
             S[x][y] = S[y][x] = entry(x, y)
-            if ring.rows[x][y] != ring.rows[y][x] and entry(y, x) != S[x][y]:
+            if rows[x][y] != rows[y][x] and entry(y, x) != S[x][y]:
                 raise SymmetryFail(f"S not symmetric at ({x}, {y})")
     for x in range(r):
         for y in range(r):
@@ -425,33 +483,40 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
                 raise SymmetryFail(f"S not dual-invariant at ({x}, {y})")
         if S[ring.unit][x] != dv[x]:
             raise SymmetryFail(f"S[unit][{x}] != d({ring.labels[x]})")
-    at = _AtL(ctx, D, S, dv, qd, roots, cls)
+    at = _AtL(ctx, D, S, dv, qd, roots, cls, [squares[k] for k in cls])
     if ring._mult is None:   # the most constituents of a product, with multiplicity
         ring._mult = max(sum(ms) for _, ms in chain.from_iterable(ring.rows))
     kr = at.evaluate(ring._mult)
-    pS, pd, divides = kr.S, kr.dv, kr.divides
+    pS, pd, mod = kr.S, kr.dv, kr.mod
+
+    def fault(x, ys):   # the first (y, z), y in ys, with s_xy s_xz != d_x sum_w N_yz^w s_xw
+        P, dx = pS[x], pd[x]
+        for y in ys:
+            Py = P[y]
+            for z, (ws, ms) in enumerate(rows[y]):   # both sides over D^2
+                rhs = P[ws[0]] if ms == (1,) else sum(map(mul, ms, map(P.__getitem__, ws)))
+                if (Py * P[z] - dx * rhs) % mod:
+                    return y, z
+        return None
+
     # the product relation on the rows of algebra generators; a row that
     # fails there is scanned in full, so the first failing (X, Y, Z) is named
     gens = algebra_generators(ring)
     for x in range(r):
-        Px, dx = pS[x], pd[x]
+        if fault(x, gens) is not None:
+            y, z = fault(x, range(r))
+            raise VerlindeFail(
+                f"product relation fails at (X, Y, Z) = "
+                f"({ring.labels[x]}, {ring.labels[y]}, {ring.labels[z]})"
+            )
 
-        def holds(y, z):   # s_xy s_xz = d_x sum_w N_yz^w s_xw, over D^2
-            rhs = sum(m * Px[w] for w, m in zip(*ring.rows[y][z]))
-            return divides(Px[y] * Px[z] - dx * rhs)
-
-        if all(holds(y, z) for y in gens for z in range(r)):
-            continue
-        y, z = next((y, z) for y in range(r) for z in range(r) if not holds(y, z))
-        raise VerlindeFail(
-            f"product relation fails at (X, Y, Z) = "
-            f"({ring.labels[x]}, {ring.labels[y]}, {ring.labels[z]})"
-        )
-
-    # one inverse per distinct dimension, lifted to L over one denominator
-    inv = [d.inverse() for d in kinds]
-    at.inv_den = reduce(math.lcm, (v.den for v in inv), 1)
-    at.inv = [[c * (at.inv_den // v.den) for c in v._lift(L)] for v in inv]
+    if lifted is None:   # one inverse per distinct dimension, lifted to L over one denominator
+        inv = [d.inverse() for d in kit.kinds]
+        inv_den = reduce(math.lcm, (v.den for v in inv), 1)
+        inv = [[c * (inv_den // v.den) for c in v._lift(L)] for v in inv]
+        lifted = kit.at[L] = lifts, squares, inv, inv_den
+        ring._kits[dim] = kit
+    at.inv, at.inv_den = lifted[2:]
     return PreModularDatum(ring, theta, dim, at)
 
 

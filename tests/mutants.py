@@ -62,6 +62,9 @@ _S_TILDE = "tests/test_premodular.py::test_s_tilde_makes_one_inverse_product_per
 _DENSE = "tests/test_fusion.py::test_constructions_match_their_dense_tables"
 _RIGHT_UNIT = "tests/test_fusion.py::test_a_ring_without_a_right_unit_gets_every_index"
 _UNIT_RANGE = "tests/test_cli.py::test_a_unit_outside_the_basis_is_refused"
+_WARM = "tests/test_kits.py::test_warm_builds_match_fresh_builds"
+_REFUSAL = "tests/test_kits.py::test_a_refusal_keeps_no_kit_and_fails_again"
+_KEPT_DOC = "tests/test_kits.py::test_a_kept_dimension_document_meets_a_lower_guard"
 
 MUTANTS = (
     Mutant("monomial-shift-range-one-block-short", "braidforge/cyclotomic.py",
@@ -93,8 +96,8 @@ MUTANTS = (
            'isinstance(d.get("conductor"), int)',
            (_DIMS,)),
     Mutant("s-triangle-copied-across-non-commuting-pair", "braidforge/premodular.py",
-           "if ring.rows[x][y] != ring.rows[y][x] and entry(y, x) != S[x][y]:",
-           "if ring.rows[x][y] != ring.rows[y][x] and entry(x, y) != S[x][y]:",
+           "if rows[x][y] != rows[y][x] and entry(y, x) != S[x][y]:",
+           "if rows[x][y] != rows[y][x] and entry(x, y) != S[x][y]:",
            (_S_IDENTITIES,)),
     Mutant("ring-squares-slot-ignores-tolerance", "braidforge/premodular.py",
            "if R._squares is None or R._squares[0] != config.tolerance:",
@@ -148,6 +151,30 @@ MUTANTS = (
            "if not 0 <= unit < r:",
            "if not 0 <= unit <= r:",
            (_UNIT_RANGE,)),
+    Mutant("kit-lifts-keyed-without-conductor", "braidforge/premodular.py",
+           "    lifted = kit.at.get(L)\n",
+           "    lifted = next(iter(kit.at.values()), None)\n",
+           (_WARM,)),
+    Mutant("kit-kept-before-the-dual-dimension-check", "braidforge/premodular.py",
+           "    conj = [d.conjugate() for d in kinds]\n",
+           "    ring._kits[dim] = _Kit(tuple(kinds), cls, reduce(math.lcm, (d.n for d in kinds), 1),\n"
+           "                           reduce(math.lcm, (d.den for d in kinds), 1), {})\n"
+           "    conj = [d.conjugate() for d in kinds]\n",
+           (_REFUSAL,)),
+    Mutant("kept-dimension-document-skips-the-guard", "braidforge/io.py",
+           "            config.check_conductor(key[0])\n",
+           "            pass\n",
+           (_KEPT_DOC,)),
+    Mutant("pack-memo-keyed-by-vector-length", "braidforge/premodular.py",
+           "            packed = {k: pack(v) for k, v in dict(zip(cls, vs)).items()}\n"
+           "            return [packed[k] for k in cls]\n",
+           "            packed = {len(v): pack(v) for v in vs}\n"
+           "            return [packed[len(v)] for v in vs]\n",
+           (_WARM,)),
+    Mutant("product-relation-reads-a-multiplicity-as-1", "braidforge/premodular.py",
+           "rhs = P[ws[0]] if ms == (1,) else",
+           "rhs = P[ws[0]] if len(ms) == 1 else",
+           (_WARM,)),
 )
 
 
