@@ -15,12 +15,13 @@ k = 2 mod 4 (Mueger, On the structure of modular categories, Proc. LMS
 twice on one ring, so the second build reads the first's dimension kit.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from braidforge.cyclotomic import CycloNum, root_sum
-from braidforge.fusion import FusionSubring, validate_ring
+from braidforge.fusion import FusionRing, FusionSubring, validate_ring
 from braidforge.premodular import (
     build,
     centralizer,
@@ -29,6 +30,8 @@ from braidforge.premodular import (
     is_nondegenerate,
     symmetric_and_isotropic,
 )
+
+from test_premodular import _outcome, _reference_build
 
 LEVELS = range(1, 12)   # rank k + 1 <= 12, the default rank_guard
 
@@ -96,3 +99,32 @@ def test_su2_level_2_is_ising():
     assert [[[D.ring.N[p[a]][p[b]][p[c]] for c in range(3)] for b in range(3)]
             for a in range(3)] == [[list(row) for row in plane] for plane in I.ring.N]
     assert [[D.S[p[a]][p[b]] for b in range(3)] for a in range(3)] == [list(row) for row in I.S]
+
+
+def test_su2_mutations_fail_as_the_reference_build_does():
+    # one twist moved, or one structure constant flipped (on a ring built
+    # without validation): the error of the CycloNum reference build
+    rng = random.Random(27)
+    failures = set()
+    for k in LEVELS:
+        D = su2(k)
+        R, r = D.ring, D.rank
+        for kind in ("theta", "N"):
+            theta, ring = list(D.theta), R
+            if kind == "theta":
+                i = rng.randrange(1, r)
+                theta[i] = F(rng.randrange(4 * (k + 2)), 4 * (k + 2))
+            else:
+                x, y, z = (rng.randrange(r) for _ in range(3))
+                N = [[list(row) for row in plane] for plane in R.N]
+                N[x][y][z] = 1 - N[x][y][z]
+                ring = FusionRing(R.labels, R.unit, R.dual,
+                                  tuple(tuple(map(tuple, plane)) for plane in N))
+            want = _outcome(_reference_build, ring, theta, D.dim)
+            got = _outcome(build, ring, theta, D.dim)
+            if not isinstance(got, tuple):
+                got = (got.S, got.S_tilde)
+            assert got == want, (k, kind)
+            if isinstance(want[0], type):
+                failures.add(want[0].__name__)
+    assert failures == {"SymmetryFail", "VerlindeFail"}
