@@ -709,12 +709,9 @@ def _fold_bound(ctx):
 
 
 def _rank_mod_p(ctx, M) -> int:
-    """Rank over F_p of the image of M under ``_modular``: at most its rank.
-    Each distinct list of M is mapped once (S_yx may be S_xy's list)."""
+    """Rank over F_p of the image of M under ``_modular``: at most its rank."""
     p, w = _modular(ctx)
-    vecs = {id(v): v for row in M for v in row}
-    image = {k: sum(map(operator.mul, v, w)) % p for k, v in vecs.items()}
-    A = [[image[id(v)] for v in row] for row in M]
+    A = [[sum(map(operator.mul, v, w)) % p for v in row] for row in M]
     rank = 0
     for col in range(len(A[0])):
         piv = next((r for r in range(rank, len(A)) if A[r][col]), None)

@@ -70,8 +70,8 @@ class FusionRing:
     # tuple of a datum premodular.build accepted to its dimension kit (the
     # checks it passed, its classes, lifts, squares and inverses), and
     # _dims each dimension document io.datum_from_json parsed for a datum
-    # on the ring, in its written form, to its CycloNum.  A refusal keeps
-    # nothing.  Equality and hashing read the labels, unit, dual and rows
+    # built on the ring, in its written form, to its CycloNum.  A refusal
+    # keeps nothing.  Equality and hashing read the labels, unit, dual and rows
     # alone.
     __slots__ = ("labels", "unit", "dual", "rows", "_N", "_fpdim", "_lattice", "_gens",
                  "_squares", "_mult", "_comps", "_kits", "_dims")

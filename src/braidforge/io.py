@@ -151,30 +151,32 @@ def datum_from_json(obj, config: Config = DEFAULT) -> PreModularDatum:
     if not covered:
         raise SchemaError("twists and dims must cover the basis")
     theta = tuple(parse_fraction(t) for t in twists)
-    return build(R, theta, tuple(_dims_from_json(dims, config, R._dims)), config)
+    new = {}
+    D = build(R, theta, tuple(_dims_from_json(dims, config, R._dims, new)), config)
+    R._dims.update(new)   # only once the datum is built: a refusal keeps nothing
+    return D
 
 
-def _dims_from_json(dims, config: Config, kept=None):
+def _dims_from_json(dims, config: Config, kept, new):
     """``cyclo_from_json`` of each dimension, once per distinct document in
-    the written form (an int conductor, str coeffs), kept by value in
-    ``kept`` (the ring's, so across data on one ring; a new dict when
-    None): ``true`` and ``1``, or ``1.0`` and ``"1"``, compare equal but
-    parse differently, so they share no entry, and every error is raised
-    where it was.  A kept document's conductor meets ``config``'s guard on
-    every read, so a lower ``conductor_guard`` refuses it as it would a
-    first parse; any other document is parsed every time."""
-    kept = {} if kept is None else kept
+    the written form (an int conductor, str coeffs), read from ``kept``
+    (the ring's, so across data on one ring) or parsed into ``new``:
+    ``true`` and ``1``, or ``1.0`` and ``"1"``, compare equal but parse
+    differently, so they share no entry, and every error is raised where
+    it was.  A kept document's conductor meets ``config``'s guard on every
+    read, so a lower ``conductor_guard`` refuses it as it would a first
+    parse; any other document is parsed every time."""
     for d in dims:
         key = c = None
         if type(d) is dict and len(d) == 2 and type(d.get("conductor")) is int:
             coeffs = d.get("coeffs")
             if type(coeffs) is list and set(map(type, coeffs)) <= {str}:
                 key = (d["conductor"], *coeffs)
-                c = kept.get(key)
+                c = kept.get(key) or new.get(key)
         if c is None:
             c = cyclo_from_json(d, config)
             if key is not None:
-                kept[key] = c
+                new[key] = c
         else:
             config.check_conductor(key[0])
         yield c

@@ -122,8 +122,8 @@ class _AtL:
     the distinct dimensions, and ``inv[k]`` is the inverse of the k-th
     over ``inv_den``.  S_xy and S_yx may be one list, and so may d and
     d^2 of equal dimensions, which ``build`` reads from the ring's kit
-    (``_Kit``; d^2 is made here when ``dd`` is not given), so data share
-    them; no entry is changed in place.  ``kron`` holds the
+    (``_Kit``), so data share them; no entry is changed in place.
+    ``kron`` holds the
     same vectors evaluated at the datum's one base (``_Kron``), made by
     ``build`` for its own checks and read again by ``gauss_and_charge``.
     Built on first use: ``pm[y][v]``, which is s~_{yv} where that is +-1
@@ -135,15 +135,11 @@ class _AtL:
     __slots__ = ("ctx", "den", "S", "dv", "qd", "qi", "roots", "cls", "dd", "td",
                  "inv", "inv_den", "kron", "pm", "ones", "full")
 
-    def __init__(self, ctx, den, S, dv, qd, roots, cls, dd=None):
+    def __init__(self, ctx, den, S, dv, qd, roots, cls, dd):
         self.ctx, self.den, self.S, self.dv, self.qd, self.roots = ctx, den, S, dv, qd, roots
-        self.cls = cls
+        self.cls, self.dd = cls, dd
         self.qi = [_times_root(ctx, s, -t, v) for (s, t), v in zip(roots, dv)]
-        if dd is None:   # d^2 once per distinct dimension; build passes its kit's
-            sq = {k: _mul_vec(ctx, d, d) for k, d in dict(zip(cls, dv)).items()}
-            dd = [sq[k] for k in cls]
-        self.dd = dd
-        self.td = {sign: [_times_root(ctx, s, sign * t, v) for (s, t), v in zip(roots, self.dd)]
+        self.td = {sign: [_times_root(ctx, s, sign * t, v) for (s, t), v in zip(roots, dd)]
                    for sign in (1, -1)}
         self.inv = self.inv_den = self.kron = self.pm = self.ones = self.full = None
 
@@ -198,8 +194,7 @@ class _AtL:
     def evaluate(self, m: int) -> _Kron:
         """``kron``: the vectors at one base, fit for every identity that
         ``build`` and ``gauss_and_charge`` test, made once: S_xy and S_yx
-        are packed once where they are one list, and d and d^2 once per
-        distinct dimension.
+        are packed once where they are one list.
 
         Each identity is a sum of products of two of these vectors, whose
         coefficients are at most A in size, with integer weights of total
@@ -212,7 +207,7 @@ class _AtL:
         W = max(1 + m, r (2 r + D^2)).  Sums of vectors, with no product,
         are compared as integers: two such differ by coefficients below B.
         """
-        S, r, td, cls = self.S, len(self.S), self.td, self.cls
+        S, r, td = self.S, len(self.S), self.td
         vecs = [v for row in S for v in row]
         vecs += self.dv + self.qd + self.qi + self.dd + td[1] + td[-1]
         A = max(1, max(map(max, vecs)), -min(map(min, vecs)))
@@ -225,14 +220,9 @@ class _AtL:
                 pS[x][y] = pack(S[x][y])
                 pS[y][x] = pS[x][y] if S[y][x] is S[x][y] else pack(S[y][x])
         kr.S = pS
-        kr.qd, kr.qi = list(map(pack, self.qd)), list(map(pack, self.qi))
+        kr.dv, kr.qd, kr.qi = (list(map(pack, vs)) for vs in (self.dv, self.qd, self.qi))
+        kr.dd = list(map(pack, self.dd))
         kr.td = {sign: list(map(pack, td[sign])) for sign in (1, -1)}
-
-        def per_class(vs):   # equal dimensions have one d and one d^2
-            packed = {k: pack(v) for k, v in dict(zip(cls, vs)).items()}
-            return [packed[k] for k in cls]
-
-        kr.dv, kr.dd = per_class(self.dv), per_class(self.dd)
         return kr
 
     def rank_rows(self, rows) -> int:

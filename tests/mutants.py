@@ -65,6 +65,7 @@ _UNIT_RANGE = "tests/test_cli.py::test_a_unit_outside_the_basis_is_refused"
 _WARM = "tests/test_kits.py::test_warm_builds_match_fresh_builds"
 _REFUSAL = "tests/test_kits.py::test_a_refusal_keeps_no_kit_and_fails_again"
 _KEPT_DOC = "tests/test_kits.py::test_a_kept_dimension_document_meets_a_lower_guard"
+_REFUSED_DOC = "tests/test_kits.py::test_a_refused_datum_keeps_no_dimension_document"
 
 MUTANTS = (
     Mutant("monomial-shift-range-one-block-short", "braidforge/cyclotomic.py",
@@ -165,12 +166,10 @@ MUTANTS = (
            "            config.check_conductor(key[0])\n",
            "            pass\n",
            (_KEPT_DOC,)),
-    Mutant("pack-memo-keyed-by-vector-length", "braidforge/premodular.py",
-           "            packed = {k: pack(v) for k, v in dict(zip(cls, vs)).items()}\n"
-           "            return [packed[k] for k in cls]\n",
-           "            packed = {len(v): pack(v) for v in vs}\n"
-           "            return [packed[len(v)] for v in vs]\n",
-           (_WARM,)),
+    Mutant("dimension-document-kept-before-the-build", "braidforge/io.py",
+           "                new[key] = c\n",
+           "                new[key] = kept[key] = c\n",
+           (_REFUSED_DOC,)),
     Mutant("product-relation-reads-a-multiplicity-as-1", "braidforge/premodular.py",
            "rhs = P[ws[0]] if ms == (1,) else",
            "rhs = P[ws[0]] if len(ms) == 1 else",

@@ -97,7 +97,7 @@ def test_dimensions_parsed_once_match_a_parse_of_each(dims):
         return tuple(bio.cyclo_from_json(d) for d in dims)
 
     def once():
-        return tuple(bio._dims_from_json(dims, DEFAULT))
+        return tuple(bio._dims_from_json(dims, DEFAULT, {}, {}))
 
     def outcome(fn):
         try:

@@ -185,6 +185,28 @@ def test_a_refusal_keeps_no_kit_and_fails_again():
     assert build(R, D.theta, D.dim, Config(conductor_guard=16)).S == D.S
 
 
+def test_a_refused_datum_keeps_no_dimension_document():
+    # io keeps a datum's documents on its ring only once the datum is built:
+    # a refusal in build, or a bad later document, leaves the ring's as it was
+    z4 = bio.ring_to_json(group_ring(FinAbGroup((4,))))
+    R = bio.ring_from_json(z4)
+    one, i, zero = (bio.cyclo_to_json(c) for c in (ONE, CycloNum.from_root(F(1, 4)),
+                                                    CycloNum.zero()))
+    twists = ["0/1", "1/8", "1/2", "1/8"]
+    for dims, error in (([one, i, one, i], DualDimFail),
+                        ([one, zero, one, one], ZeroDim),
+                        ([one, i, one, {"conductor": 4, "coeffs": ["1/2", "x"]}], BraidforgeError)):
+        before = dict(R._dims)
+        for _ in range(2):
+            with pytest.raises(error):
+                bio.datum_from_json({"ring": z4, "twists": twists, "dims": dims})
+            assert R._dims == before
+    minus_one = bio.cyclo_to_json(-ONE)   # the sign character of Z/4, kept once built
+    D = bio.datum_from_json({"ring": z4, "twists": ["0/1", "5/8", "1/2", "5/8"],
+                             "dims": [one, minus_one, one, minus_one]})
+    assert D.ring is R and {(d["conductor"], *d["coeffs"]) for d in (one, minus_one)} <= set(R._dims)
+
+
 def test_a_kept_dimension_document_meets_a_lower_guard(tmp_path, capsys):
     # the CLI parses the datum once under the default guard, keeping its
     # documents on the interned ring; a lower guard still refuses each

@@ -1294,7 +1294,7 @@ def _tampered(D, rng):
     i = rng.randrange(1, D.rank)
     roots = list(at.roots)
     roots[i] = (roots[i][0] + 1, (roots[i][1] + rng.randrange(at.ctx.n)) % at.ctx.n)
-    bad = _AtL(at.ctx, at.den, at.S, at.dv, at.qd, roots, at.cls)
+    bad = _AtL(at.ctx, at.den, at.S, at.dv, at.qd, roots, at.cls, at.dd)
     bad.evaluate(D.ring._mult)
     bad.inv, bad.inv_den = at.inv, at.inv_den
     return PreModularDatum(D.ring, D.theta, D.dim, bad)
