@@ -14,8 +14,9 @@ Field names are part of the wire format:
 
 Fractions may arrive unreduced; they are normalized on ingestion.  A
 datum's dimension documents are parsed once per distinct document in
-their written form and kept beside its ring (``FusionRing._dims``), so
-later data on the ring read them; the conductor guard runs on every read.
+their written form and kept beside its ring (``FusionRing._dims``) once
+the datum is built, so later data on the ring read them and a refused
+datum keeps none; the conductor guard runs on every read.
 Each parser imports its layer (``qform``, ``fusion``, ``premodular``,
 ``cyclotomic``) on use, so loading this module loads none of them.
 Equal ring tables parse to one shared ``FusionRing``: validated rings

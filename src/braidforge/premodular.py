@@ -123,9 +123,9 @@ class _AtL:
     over ``inv_den``.  S_xy and S_yx may be one list, and so may d and
     d^2 of equal dimensions, which ``build`` reads from the ring's kit
     (``_Kit``), so data share them; no entry is changed in place.
-    ``kron`` holds the
-    same vectors evaluated at the datum's one base (``_Kron``), made by
-    ``build`` for its own checks and read again by ``gauss_and_charge``.
+    ``kron`` holds the same vectors evaluated at the datum's one base
+    (``_Kron``), made by ``build`` for its own checks and read again by
+    ``gauss_and_charge``.
     Built on first use: ``pm[y][v]``, which is s~_{yv} where that is +-1
     and 0 elsewhere, with ``ones[v]`` the set of y where it is 1; and
     ``full``, whether the image of S over F_p (``_rank_mod_p``) has full
