@@ -18,8 +18,10 @@ interned), the ring every CLI and perfbench datum is built on.  The
 two rows after them build that datum again, on a fresh copy of its ring
 (made with ``FusionRing(...)``, with the interned ring's algebra
 generators and product bound copied in, so only the dimension kit is
-missing: the dimension checks, lifts, squares and inverses are made) and
-on the interned ring, whose kit the untimed first build kept.  The ``gauss_and_charge`` and
+missing: the dimension checks, the kit's base at the conductor (lifts,
+squares, the bound and B, their values at B and F_p images) and the
+inverses are made) and on the interned ring, whose kit the untimed
+first build kept.  The ``gauss_and_charge`` and
 ``centralizer sweep`` rows time a datum's reports on Ising x Ising and
 the pointed Z/12 datum.  A datum keeps its reports and a ring its
 subring lattice and centralizer components, so each repetition gets a

@@ -629,7 +629,8 @@ def _rank_vec(ctx, M) -> int:
     """
     if not M:
         return 0
-    if _rank_mod_p(ctx, M) == len(M):
+    p, w = _modular(ctx)
+    if _rank_mod_p(p, [[sum(map(operator.mul, v, w)) % p for v in row] for row in M]) == len(M):
         return len(M)
     zero = [0] * ctx.phi
     ncols = len(M[0])
@@ -708,10 +709,10 @@ def _fold_bound(ctx):
     return ctx.fold
 
 
-def _rank_mod_p(ctx, M) -> int:
-    """Rank over F_p of the image of M under ``_modular``: at most its rank."""
-    p, w = _modular(ctx)
-    A = [[sum(map(operator.mul, v, w)) % p for v in row] for row in M]
+def _rank_mod_p(p: int, A) -> int:
+    """Rank over F_p of A, a matrix of residues mod p: for the image of
+    a matrix under ``_modular``, at most its rank.  The list ``A`` is
+    reordered and its rows replaced, but no row is changed in place."""
     rank = 0
     for col in range(len(A[0])):
         piv = next((r for r in range(rank, len(A)) if A[r][col]), None)

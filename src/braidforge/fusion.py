@@ -66,13 +66,16 @@ class FusionRing:
     # asked for; _mult, the largest sum of the multiplicities of a row,
     # which bounds premodular.build's integer tests.  _comps maps
     # the indices of each centralizer of a report premodular.centralizer
-    # passed (so a subring) to its components.  _kits maps each dimension
-    # tuple of a datum premodular.build accepted to its dimension kit (the
-    # checks it passed, its classes, lifts, squares and inverses), and
+    # passed (so a subring) to its FusionSubring and its components.
+    # _kits maps each dimension tuple of a datum premodular.build accepted
+    # to its dimension kit (the checks it passed, its classes, and per
+    # conductor its base: the lifts, squares, their values at the base and
+    # F_p images, the base's table of turned values, and the inverses), and
     # _dims each dimension document io.datum_from_json parsed for a datum
     # built on the ring, in its written form, to its CycloNum.  A refusal
-    # keeps nothing.  Equality and hashing read the labels, unit, dual and rows
-    # alone.
+    # keeps nothing but entries of a kept base's table of turned values,
+    # which read the dimensions alone.  Equality and hashing read the
+    # labels, unit, dual and rows alone.
     __slots__ = ("labels", "unit", "dual", "rows", "_N", "_fpdim", "_lattice", "_gens",
                  "_squares", "_mult", "_comps", "_kits", "_dims")
 

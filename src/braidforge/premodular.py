@@ -6,14 +6,17 @@ never user-supplied, and a datum exists only if every structural
 identity holds exactly: unit twist, nonzero dimensions, conjugate dual
 dimensions, S symmetric and dual-invariant, first row = dimensions,
 and the product relation s_{XY} s_{XZ} = d(X) sum_W N_{YZ}^W s_{XW}.
-S is derived at one conductor L, as integer coefficient vectors over
-one denominator; the datum keeps those vectors, S_XY and S_YX made once
-where N_XY = N_YX (``build``).  An identity with products in it is one
-integer test: the vectors are evaluated at one base per datum, by
-Kronecker substitution (``_Kron``; D. Harvey, Faster polynomial
-multiplication via multipoint Kronecker substitution, J. Symbolic
-Comput. 44 (2009)), so a product is one multiplication of integers in C.
-The canonical CycloNum matrices ``S`` and ``S_tilde`` (s~ = d^-1 S d^-1,
+S is derived at one conductor L, over one denominator, and made
+directly at one base B = 2^k (Kronecker substitution, ``_Kron``;
+D. Harvey, Faster polynomial multiplication via multipoint Kronecker
+substitution, J. Symbolic Comput. 44 (2009)): each value is a balanced
+residue mod Phi_L(B), the evaluation at B of its coefficient vector at
+L, made from the dimensions' values at B times powers of B, with no
+vector made first.  S_XY and S_YX are one residue where N_XY = N_YX
+(``build``).  Equal residues mean equal values, and an identity with
+products in it is one integer divisibility, so a product is one
+multiplication of integers in C.  The vectors at L are a view, unpacked
+on first read (``_AtL``).  The canonical CycloNum matrices ``S`` and ``S_tilde`` (s~ = d^-1 S d^-1,
 from S and one inverse per distinct dimension) are made on first read;
 no report but ``mueger_report`` reads them.
 
@@ -22,7 +25,8 @@ is chosen (Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories,
 4.7), so the work that reads them alone is kept on the ring, once per
 dimension tuple, by the first build with it that succeeds (``_Kit``):
 the unit, zero and dual-dimension checks it passed, the distinct
-dimensions and D, and per conductor their lifts, squares and inverses.
+dimensions and D, and per conductor their base and its bound, their
+lifts, squares, values at B and F_p images, and their inverses.
 A later datum on the ring with the same dimensions does only the work
 that reads its twists: S, the symmetry, duality and unit-row tests and
 the product relation, which run on every build in the same order.
@@ -36,13 +40,14 @@ if the ring fails either axiom): |Y| r^2 products in place of r^3/2.  A
 row X that fails there is scanned over every (Y, Z), so the error names
 the same first failing (X, Y, Z).
 
-The reports run on the same vectors and make CycloNums only for the
+The reports run on the same residues and make CycloNums only for the
 values they return.  s~_{YV} = 1 is tested as s_{YV} = d(Y) d(V),
-list equality at L, once per datum, with d(Y) d(V) made once per pair
-of distinct dimensions; the centralizer of K is the set of
+integer equality at B, once per datum, with d(Y) d(V) kept once per
+pair of distinct dimensions; the centralizer of K is the set of
 V whose test holds for all of K, and its component count is checked
 against the exact rank of the K rows of S.  Whether the image of S
-over F_p has full rank is tested once per datum: if it has, every K's
+over F_p, taken by linearity from the images of d and of the powers of
+zeta_L, has full rank is tested once per datum: if it has, every K's
 rank is |K| at once, and otherwise the K rows are eliminated exactly.
 A centralizer's subring test and components depend on the
 ring alone, so they are kept on the ring, once per index set.  Each
@@ -50,7 +55,7 @@ centralizer report is built once per (datum, subring) and each subring
 lattice once per ring.
 Gauss sums, the squared central charge, and the square-class Gauss
 sums of weakly integral non-degenerate data close out the invariant set;
-their identities are tested on the build's evaluations at its base;
+their identities are tested on the build's residues at its base;
 the square-class sums are kept on the datum, as its reports are, and
 the ring's square classes and integral part on the ring.
 """
@@ -59,7 +64,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 from operator import mul
 from typing import NamedTuple
@@ -70,11 +75,11 @@ from .cyclotomic import (
     _canonical_conductor,
     _ctx,
     _fold_bound,
+    _modular,
     _mul_vec,
     _rank_mod_p,
     _rank_vec,
     _root_power,
-    _times_root,
     matrix_rank,
     root_exp,
 )
@@ -113,60 +118,72 @@ ONE = CycloNum.one()
 
 
 class _AtL:
-    """The integer vectors of ``build`` at its one conductor L.
+    """A datum's values at its conductor L, as balanced residues mod
+    Phi_L(B) at the base B of its ring's dimension kit (``_Kron``).
 
-    ``S``, ``dv`` (d), ``qd`` (theta d) and ``qi`` (theta^-1 d) hold
-    coefficient vectors at L over the denominator ``den``, ``dd`` (d^2)
-    and ``td[sign]`` (theta^sign d^2) over den^2, and ``roots[i]`` =
-    (s, t) with theta_i = (-1)^s zeta_L^t.  ``cls[i]`` numbers d(i) among
-    the distinct dimensions, and ``inv[k]`` is the inverse of the k-th
-    over ``inv_den``.  S_xy and S_yx may be one list, and so may d and
-    d^2 of equal dimensions, which ``build`` reads from the ring's kit
-    (``_Kit``), so data share them; no entry is changed in place.
-    ``kron`` holds the same vectors evaluated at the datum's one base
-    (``_Kron``), made by ``build`` for its own checks and read again by
-    ``gauss_and_charge``.
-    Built on first use: ``pm[y][v]``, which is s~_{yv} where that is +-1
-    and 0 elsewhere, with ``ones[v]`` the set of y where it is 1; and
-    ``full``, whether the image of S over F_p (``_rank_mod_p``) has full
-    rank.
+    ``kron`` is that base, with what reads the dimensions alone; ``pS``
+    holds S over the denominator ``den`` (S_xy and S_yx one int),
+    ``pqd`` theta d, ``pqi`` theta^-1 d and ``ptd[sign]`` theta^sign
+    d^2, the last over den^2, and ``roots[i]`` = (s, t) with theta_i =
+    (-1)^s zeta_L^t.  ``cls[i]`` numbers d(i) among the distinct
+    dimensions, and ``inv[k]`` is the inverse of the k-th over
+    ``inv_den``, read from the kit.  The vectors at L, over the same
+    denominators, are a view made on first read of any of ``S``, ``dv``
+    (d), ``qd``, ``qi``, ``dd`` (d^2) and ``td``: each residue is the
+    evaluation at B of its vector, so it unpacks to it (``_Kron.unpack``),
+    and d and d^2 are the kit's lifts and squares.  Built on first use:
+    ``pm[y][v]``, which is s~_{yv} where that is +-1 and 0 elsewhere,
+    with ``ones[v]`` the set of y where it is 1; and ``full``, whether the
+    image of S over F_p has full rank.  No kept value is changed in place.
     """
 
-    __slots__ = ("ctx", "den", "S", "dv", "qd", "qi", "roots", "cls", "dd", "td",
-                 "inv", "inv_den", "kron", "pm", "ones", "full")
+    __slots__ = ("ctx", "den", "ring", "roots", "cls", "kron", "pS", "pqd", "pqi", "ptd",
+                 "inv", "inv_den", "pm", "ones", "full", "_vec")
 
-    def __init__(self, ctx, den, S, dv, qd, roots, cls, dd):
-        self.ctx, self.den, self.S, self.dv, self.qd, self.roots = ctx, den, S, dv, qd, roots
-        self.cls, self.dd = cls, dd
-        self.qi = [_times_root(ctx, s, -t, v) for (s, t), v in zip(roots, dv)]
-        self.td = {sign: [_times_root(ctx, s, sign * t, v) for (s, t), v in zip(roots, dd)]
-                   for sign in (1, -1)}
-        self.inv = self.inv_den = self.kron = self.pm = self.ones = self.full = None
+    def __init__(self, ctx, den, ring, roots, cls, kron, pS):
+        self.ctx, self.den, self.ring, self.roots, self.cls = ctx, den, ring, roots, cls
+        self.kron, self.pS = kron, pS
+        rot, L, nk = kron.rot, ctx.n, len(kron.lifts)
 
-    def total(self, vecs, indices=None) -> list:
-        """Sum of ``vecs`` over ``indices`` (all of them when None)."""
-        vecs = vecs if indices is None else [vecs[i] for i in indices]
-        return list(map(sum, zip(*vecs))) or [0] * self.ctx.phi
+        def turned(base, sign):   # theta_i^sign times the base's value at each i
+            return [(-1) ** s * rot(base + c, sign * t % L) for (s, t), c in zip(roots, cls)]
+
+        self.pqd, self.pqi = turned(0, 1), turned(0, -1)
+        self.ptd = {sign: turned(nk, sign) for sign in (1, -1)}
+        self.inv = self.inv_den = self.pm = self.ones = self.full = self._vec = None
+
+    def _vectors(self) -> tuple:
+        """(S, dv, qd, qi, dd, td) as vectors at L, made once: S's one
+        per residue, so S_xy and S_yx share a vector where they share it."""
+        if self._vec is None:
+            kr, un = self.kron, self.kron.unpack
+            vec = {id(v): un(v) for row in self.pS for v in row}
+            self._vec = ([[vec[id(v)] for v in row] for row in self.pS],
+                         [kr.lifts[k] for k in self.cls], list(map(un, self.pqd)),
+                         list(map(un, self.pqi)), [kr.squares[k] for k in self.cls],
+                         {sign: list(map(un, self.ptd[sign])) for sign in (1, -1)})
+        return self._vec
+
+    S, dv, qd, qi, dd, td = (property(lambda self, i=i: self._vectors()[i]) for i in range(6))
+
+    def vector(self, packs, indices=None) -> list:
+        """The vector of the sum of the residues ``packs`` over ``indices``
+        (all of them when None): one unpack, since the sum of at most r
+        residues is the evaluation of the sum of their vectors (``_Kron``)."""
+        return self.kron.unpack(sum(packs) if indices is None else sum(packs[i] for i in indices))
 
     def pairing(self):
-        """(pm, ones), built once: s_{yv} against +-d(y) d(v), over den^2.
-
-        d(y) d(v) and its negative are made once per pair of distinct
-        dimensions (``cls``), not once per pair of indices.
-        """
+        """(pm, ones), built once: s_{yv} against +-d(y) d(v), over den^2,
+        which the kit keeps once per pair of distinct dimensions (``cls``)."""
         if self.pm is None:
-            ctx, S, dv, cls = self.ctx, self.S, self.dv, self.cls
-            r = len(dv)
+            S, cls, pairs, den = self.pS, self.cls, self.kron.pairs, self.den
+            r = len(S)
             pm = [[0] * r for _ in range(r)]
-            prods = {}
             for y in range(r):
                 for v in range(y, r):
                     key = (cls[y], cls[v]) if cls[y] <= cls[v] else (cls[v], cls[y])
-                    if key not in prods:
-                        dd = _mul_vec(ctx, dv[y], dv[v])
-                        prods[key] = dd, [-c for c in dd]
-                    dd, neg = prods[key]
-                    s = S[y][v] if self.den == 1 else [c * self.den for c in S[y][v]]
+                    dd, neg = pairs[key]
+                    s = S[y][v] if den == 1 else S[y][v] * den
                     if s == dd:
                         pm[y][v] = pm[v][y] = 1
                     elif s == neg:
@@ -191,63 +208,54 @@ class _AtL:
                 St[x][y] = St[y][x] = _mul_vec(ctx, S[x][y], pairs[key])
         return St
 
-    def evaluate(self, m: int) -> _Kron:
-        """``kron``: the vectors at one base, fit for every identity that
-        ``build`` and ``gauss_and_charge`` test, made once: S_xy and S_yx
-        are packed once where they are one list.
-
-        Each identity is a sum of products of two of these vectors, whose
-        coefficients are at most A in size, with integer weights of total
-        size at most W; each coefficient of such a product is a sum of at
-        most phi terms, so M = phi A^2 W bounds the identity's.  The
-        weights, with r the rank, m the most constituents of a product
-        counted with multiplicity, and D = ``den``: 1 + m for the product
-        relation, r (D + 1) for a twisted row sum, 2 r^2 for a product of
-        Gauss sums over subrings and r^2 + r D^2 for the norm, so
-        W = max(1 + m, r (2 r + D^2)).  Sums of vectors, with no product,
-        are compared as integers: two such differ by coefficients below B.
-        """
-        S, r, td = self.S, len(self.S), self.td
-        vecs = [v for row in S for v in row]
-        vecs += self.dv + self.qd + self.qi + self.dd + td[1] + td[-1]
-        A = max(1, max(map(max, vecs)), -min(map(min, vecs)))
-        W = max(1 + m, r * (2 * r + self.den ** 2))
-        kr = self.kron = _Kron(self.ctx, self.ctx.phi * A * A * W)
-        pack = kr.pack
-        pS = [[None] * r for _ in range(r)]
-        for x in range(r):
-            for y in range(x, r):
-                pS[x][y] = pack(S[x][y])
-                pS[y][x] = pS[x][y] if S[y][x] is S[x][y] else pack(S[y][x])
-        kr.S = pS
-        kr.dv, kr.qd, kr.qi = (list(map(pack, vs)) for vs in (self.dv, self.qd, self.qi))
-        kr.dd = list(map(pack, self.dd))
-        kr.td = {sign: list(map(pack, td[sign])) for sign in (1, -1)}
-        return kr
-
     def rank_rows(self, rows) -> int:
         """Exact rank of the rows of S in ``rows``.
 
         When the image of S over F_p has full rank, so has S, and every
         set of its rows is independent; otherwise ``_rank_vec`` eliminates
-        the rows exactly.
+        the rows exactly.  The image of S is taken by linearity, from the
+        kit's images of d and of the powers of zeta_L (``_Kron.fp``), not
+        from S's vectors.
         """
         if self.full is None:
-            self.full = _rank_mod_p(self.ctx, self.S) == len(self.S)
+            kr, r = self.kron, len(self.pS)
+            entry = partial(_s_entry, self.ring.rows, self.roots, self.cls, self.ctx.n, kr.fp)
+            A = [[0] * r for _ in range(r)]
+            for x in range(r):
+                for y in range(x, r):
+                    A[x][y] = A[y][x] = entry(x, y) % kr.p
+            self.full = _rank_mod_p(kr.p, A) == r
         return len(rows) if self.full else _rank_vec(self.ctx, [self.S[y] for y in rows])
+
+
+def _s_entry(rows, roots, cls, L, value, x, y):
+    """S_xy = theta_x^-1 theta_y^-1 sum_z N_xy^z theta_z d_z, as the sum
+    over z of N_xy^z (-1)^(s_x + s_y + s_z) value(cls[z], u_z), with
+    u_z = t_z - t_x - t_y mod L and value(k, u) the image of zeta_L^u
+    times the k-th distinct dimension: a residue mod Phi_L(B)
+    (``_Kron.rot``) or mod p (``_Kron.fp``).  The sign is a negation,
+    never a turn by L/2, which only an even L has."""
+    (sx, tx), (sy, ty) = roots[x], roots[y]
+    tot = 0
+    for z, m in zip(*rows[x][y]):
+        s, t = roots[z]
+        v = value(cls[z], (t - tx - ty) % L)
+        tot += -m * v if (s + sx + sy) & 1 else m * v
+    return tot
 
 
 class _Kron:
     """Evaluation at one base B = 2^k, and the test that turns an
     identity between vectors at L into one integer divisibility.
 
-    ``pack(v)`` is v(B) = sum v_i B^i, exactly.  Let Delta be a sum of
-    products of two vectors (each of phi coefficients) with integer
-    weights, so of degree <= 2 phi - 2, whose coefficients are at most M
-    in size.  Then Phi_L divides Delta if and only if Phi_L(B) divides
-    Delta(B) (``divides``), since B > R + h + 1, where R = (2 phi - 1) M c
-    and (c, h) = ``_fold_bound``: c bounds the coefficients of x^j mod
-    Phi_L and h those of Phi_L below its top.
+    ``pack(v)`` is v(B) = sum v_i B^i, exactly, for a vector v whose
+    coefficients are below B/2 in size.  Let Delta be a sum of products
+    of two vectors (each of phi coefficients) with integer weights, so
+    of degree <= 2 phi - 2, whose coefficients are at most M in size.
+    Then Phi_L divides Delta if and only if Phi_L(B) divides Delta(B)
+    (``divides``), since B > R + h + 1, where R = (2 phi - 1) M c and
+    (c, h) = ``_fold_bound``: c bounds the coefficients of x^j mod Phi_L
+    and h those of Phi_L below its top.
 
     Proof: Phi_L is monic, so Delta = q Phi_L + rho with q integral and
     deg rho < phi, and each |rho_i| <= R, as each of the 2 phi - 1 terms
@@ -256,31 +264,135 @@ class _Kron:
     R (B^phi - 1) / (B - 1) < B^phi - h (B^phi - 1) / (B - 1) <= Phi_L(B),
     since B - 1 > R + h; so that forces rho(B) = 0, and as every
     |rho_i| < B, the lowest nonzero coefficient of a nonzero rho would
-    be a multiple of B: so rho = 0.  The slots past ``mod`` hold a
-    datum's vectors at the base (``_AtL.evaluate``).
+    be a multiple of B: so rho = 0.
+
+    ``pack`` and ``unpack`` are linear in the length: each coefficient is
+    one word of k binary digits, offset by B/2.
+    ``bal(x)`` is the balanced residue of x mod Phi_L(B), the one of
+    least size.  A vector v whose coefficients are at most M/2 in size
+    has |v(B)| < Phi_L(B)/2, since 2 |v(B)| + h (B^phi - 1) / (B - 1) <=
+    (M + h) (B^phi - 1) / (B - 1) < B^phi: so the balanced residue of any
+    x = v(B) mod Phi_L(B) is v(B) itself, and two such vectors are equal
+    exactly when their balanced residues are, as v(B) = w(B) with every
+    |v_i - w_i| < B forces v = w.
+
+    A ``_Kron`` that ``_kit_base`` makes holds, in the slots after
+    ``half``, what ``build`` reads of one dimension kit at L on one ring,
+    of rank r and with m the most constituents of a product counted with
+    multiplicity (``FusionRing._mult``), over D the kit's denominator:
+    the kit's lifts and squares; A = c max(m |d|_1, |d^2|_1), the largest
+    1-norms taken over the kit; M = phi A^2 W, with W = max(1 + m,
+    r (2 r + D^2)) the weights of ``build``'s and ``gauss_and_charge``'s
+    identities (1 + m for the product relation, r (D + 1) for a twisted
+    row sum, 2 r^2 for a product of Gauss sums over subrings and r^2 +
+    r D^2 for the norm); the ``bases``, d and d^2 of each distinct
+    dimension evaluated at B, and ``pdv`` and ``pdd`` by index; ``pairs``,
+    +-d(y) d(v) once per pair of distinct dimensions; and the F_p images
+    ``img`` of the bases' d and ``omega`` of each zeta_L^u
+    (``cyclotomic._modular``).  ``rot(b, u)`` = bal(base_b B^u) is made
+    on first need, once, in a table that any build at L fills: each entry
+    reads the kit and B alone.
+    Three facts make every residue of ``build`` the evaluation at B of
+    the vector that the same expression makes at L, and every test on
+    them exact:
+
+    1. A bounds every coefficient of every vector the checks read.  As
+       zeta^u v = sum_i v_i (x^(u+i) mod Phi_L), |zeta^u v|_inf <= c |v|_1;
+       so theta^+-1 d and theta^+-1 d^2 are within c |d|_1 and c |d^2|_1,
+       an S entry, a sum of at most m of the former with signs, within
+       m c |d|_1, and d and d^2 within their 1-norms, as c >= 1 (x^0 = 1).
+    2. Every vector read or returned is within M/2: those of fact 1, as
+       2 A <= M; D S and the pairs +-d(y) d(v), within D A and
+       c |d|_1^2 <= A^2; sums of at most r of them with weights of total
+       at most r m (Gauss sums, ``gfp_invariants``), within r m A, as
+       A >= m and W >= 2 r.  And B - 1 > R + h >= M + h (R >= 2 M when
+       phi >= 2, and c = 2 at L = 1).  So by the paragraph above each
+       residue made as bal(v(B) B^u), or as a signed sum of those, is the
+       evaluation of its vector, equal residues mean equal vectors, and
+       ``unpack`` recovers the vector.
+    3. The divisibility test holds unchanged: every identity is a sum of
+       products of two vectors within A, so M bounds its coefficients.
     """
 
-    __slots__ = ("k", "mod", "S", "dv", "qd", "qi", "dd", "td")
+    __slots__ = ("n", "phi", "k", "mod", "half", "lifts", "squares", "A", "bases", "pdv",
+                 "pdd", "pairs", "rots", "p", "img", "omega", "inv", "inv_den")
 
     def __init__(self, ctx, M: int):
         c, h = _fold_bound(ctx)
         self.k = k = ((2 * ctx.phi - 1) * M * c + h + 1).bit_length()   # B = 2^k > R + h + 1
         self.mod = (1 << k * ctx.phi) - sum(t << k * j for j, t in ctx.tail)   # Phi_L(B)
+        self.n, self.phi, self.half = ctx.n, ctx.phi, 1 << k - 1
+
+    def __eq__(self, other):   # by value, so a copy of a kit equals it; unhashable
+        return type(other) is _Kron and all(
+            getattr(self, s, None) == getattr(other, s, None) for s in self.__slots__)
 
     def pack(self, v) -> int:
-        """v(B) for a vector v."""
-        k = self.k
-        return sum(c << k * i for i, c in enumerate(v) if c)
+        """v(B) for a vector v with every |v_i| < B/2."""
+        word = f"0{self.k}b"
+        return int("".join(format(c + self.half, word) for c in reversed(v)), 2) - int(
+            format(self.half, word) * len(v), 2)
+
+    def unpack(self, x: int) -> list:
+        """The vector v of phi coefficients with v(B) = x and every |v_i| < B/2."""
+        k, half, phi = self.k, self.half, self.phi
+        digits = format(x + int(format(half, f"0{k}b") * phi, 2), f"0{k * phi}b")
+        return [int(digits[i - k:i], 2) - half for i in range(k * phi, 0, -k)]
+
+    def bal(self, x: int) -> int:
+        """The balanced residue of x mod Phi_L(B)."""
+        return (x + (self.mod >> 1)) % self.mod - (self.mod >> 1)
 
     def divides(self, x: int) -> bool:
         """Whether Phi_L(B) divides x."""
         return x % self.mod == 0
 
+    def rot(self, b: int, u: int) -> int:
+        """bal(base_b B^u), 0 <= u < L: zeta_L^u times the b-th base (d of
+        each distinct dimension, then d^2), evaluated at B; made on first
+        need, by a shift of k u bits and one reduction."""
+        i = b * self.n + u
+        v = self.rots[i]
+        if v is None:
+            v = self.rots[i] = self.bal(self.bases[b] << self.k * u)
+        return v
+
+    def fp(self, k: int, u: int) -> int:
+        """The F_p image of zeta_L^u d for the k-th distinct dimension d,
+        not yet reduced mod p."""
+        return self.omega[u] * self.img[k]
+
+
+def _kit_base(ring: FusionRing, kit, ctx) -> _Kron:
+    """The base of a dimension kit at L = ctx.n on ``ring``, with what
+    ``build`` reads of the kit there (see ``_Kron``); kept by ``build``
+    in ``kit.at[L]`` once a build with it succeeds."""
+    L, D = ctx.n, kit.D
+    lifts = [[c * (D // d.den) for c in d._lift(L)] for d in kit.kinds]
+    squares = [_mul_vec(ctx, v, v) for v in lifts]
+    if ring._mult is None:   # the most constituents of a product, with multiplicity
+        ring._mult = max(sum(ms) for _, ms in chain.from_iterable(ring.rows))
+    m, r = ring._mult, ring.rank
+    A = _fold_bound(ctx)[0] * max(m * max(sum(map(abs, v)) for v in lifts),
+                                  max(sum(map(abs, v)) for v in squares))
+    kr = _Kron(ctx, ctx.phi * A * A * max(1 + m, r * (2 * r + D * D)))
+    kr.lifts, kr.squares, kr.A = lifts, squares, A
+    nk = len(lifts)
+    kr.bases = bases = [kr.pack(v) for v in lifts + squares]
+    kr.pdv, kr.pdd = [bases[k] for k in kit.cls], [bases[nk + k] for k in kit.cls]
+    kr.pairs = {(a, b): (dd, -dd) for a in range(nk) for b in range(a, nk)
+                for dd in [kr.bal(bases[a] * bases[b])]}
+    kr.rots = [None] * (2 * nk * L)
+    kr.p, w = _modular(ctx)
+    kr.omega = [pow(w[1] if ctx.phi > 1 else 1, u, kr.p) for u in range(L)]
+    kr.img = [sum(map(mul, v, w)) % kr.p for v in lifts]
+    return kr
+
 
 class PreModularDatum:
     """theta: twists as Fraction exponents of roots of unity; dim: CycloNum
     per index; pointed_source: (PreMetricGroup, chi tuple) when pointed;
-    _at: the build's vectors at its conductor (_AtL).  ``S``, the derived
+    _at: the build's values at its conductor (_AtL).  ``S``, the derived
     CycloNum matrix, and ``S_tilde``, s_XY / (d(X) d(Y)), are made from
     _at on first read; S~'s vectors are made then too, from S and the
     inverses that ``build`` keeps, and only its canonical matrix is kept.
@@ -335,14 +447,14 @@ class PreModularDatum:
 
     def cat_dim(self, indices) -> CycloNum:
         at = self._at
-        return CycloNum(at.ctx.n, at.total(at.dd, indices), at.den ** 2)
+        return CycloNum(at.ctx.n, at.vector(at.kron.pdd, indices), at.den ** 2)
 
     def tau(self, sign: int = +1, indices=None) -> CycloNum:
         """sum theta^sign d^2 over ``indices`` (every index by default)."""
         if sign not in (1, -1):
             raise BadParameter("sign must be +1 or -1")
         at = self._at
-        return CycloNum(at.ctx.n, at.total(at.td[sign], indices), at.den ** 2)
+        return CycloNum(at.ctx.n, at.vector(at.ptd[sign], indices), at.den ** 2)
 
     def __repr__(self):
         return f"PreModularDatum({self.ring!r})"
@@ -365,10 +477,13 @@ class _Kit(NamedTuple):
     kept, it says that the unit, zero and dual-dimension checks passed.
     ``kinds`` are the distinct dimensions in order of first index,
     ``cls[i]`` the number of d(i) among them, ``n`` and ``D`` the lcm of
-    their conductors and of their denominators, and ``at[L]`` = (lifts,
-    squares, inv, inv_den) at each conductor L a build reached: the kinds
-    lifted to L over D, their squares over D^2, and their inverses lifted
-    to L over inv_den.  No kept list is changed in place."""
+    their conductors and of their denominators, and ``at[L]`` the base
+    of the kit at each conductor L a build reached (``_Kron``, made by
+    ``_kit_base``): the bound A and B = 2^k, the kinds lifted to L over
+    D and their squares over D^2 with their values at B, the pairs
+    +-d(y) d(v), the F_p images, and the kinds' inverses lifted to L over
+    ``inv_den``.  No kept value is changed in place; only the table of
+    ``_Kron.rot`` fills, on first need."""
     kinds: tuple
     cls: tuple
     n: int
@@ -400,14 +515,19 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     """Derive the S-matrix and verify every datum identity exactly.
 
     L joins the twists' and the dimensions' conductors and D the
-    dimensions' denominators.  Entries of S are vectors at L over D, so
-    symmetry, duality and the unit row are list equality.  The product
-    relation's sides are over D^2, and each (X, Y, Z) is one integer
-    divisibility test on the vectors evaluated at the datum's base
-    (``_Kron``), in the order the vector test took.
+    dimensions' denominators.  Entries of S are over D, made at the base
+    B of the kit at L as balanced residues mod Phi_L(B): with theta_i =
+    (-1)^s_i zeta_L^t_i, S_xy is the sum over z of N_xy^z (-1)^(s_x + s_y
+    + s_z) times d_z B^(t_z - t_x - t_y), reduced (``_s_entry``), which is
+    the evaluation at B of S_xy's vector at L (``_Kron``, facts 1 and 2).
+    So symmetry, duality and the unit row are integer equality.  The
+    product relation's sides are over D^2, and each (X, Y, Z) is one
+    integer divisibility test, in the order the vector test took.  theta
+    d, theta^-1 d and theta^+-1 d^2, which the Gauss sums read, are made
+    only once the product relation holds (``_AtL``).
     S is made on one triangle, x <= y: where N_xy = N_yx (every pair of
     a commutative ring), S_yx is the same expression and shares S_xy's
-    vector; elsewhere it is made and compared in row-major order, so a
+    residue; elsewhere it is made and compared in row-major order, so a
     non-commutative table fails at the pair a full check would name.
     The product relation is checked on the rows Y of the ring's algebra
     generators, which ``fusion`` checks on the ring itself (see the module
@@ -417,8 +537,9 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     their work is kept on the ring per dimension tuple (``_Kit``), once a
     build with them succeeds: a later build with an equal tuple on the
     same ring skips the unit, zero and dual-dimension checks, which passed
-    for it, and at a conductor L reached before reads the lifts, the
-    squares and the inverses (kept for s~, whose vectors and canonical
+    for it, and at a conductor L reached before reads the kit's base
+    (``_Kron``: B, the dimensions' values at B and F_p images, the lifts,
+    the squares) and the inverses (kept for s~, whose vectors and canonical
     matrix, like S's, are left to the datum's first read,
     ``PreModularDatum.S_tilde``).  The conductor guard runs before any
     value kept for L is read, and every check that reads a twist runs on
@@ -440,27 +561,12 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     L = reduce(math.lcm, (_canonical_conductor(t.denominator) for t in theta), kit.n)
     config.check_conductor(L)
     ctx = _ctx(L)
-    lifted = kit.at.get(L)
-    if lifted is None:
-        lifts = [[c * (D // d.den) for c in d._lift(L)] for d in kit.kinds]
-        squares = [_mul_vec(ctx, v, v) for v in lifts]
-    else:
-        lifts, squares = lifted[:2]
-    dv = [lifts[k] for k in cls]
+    new = L not in kit.at
+    kr = _kit_base(ring, kit, ctx) if new else kit.at[L]
     # theta_z = (-1)^s zeta_L^t
     roots = [_root_power(t.numerator, t.denominator, L) for t in theta]
-    rows = ring.rows
-    # S_xy = theta_x^-1 theta_y^-1 sum_z N_xy^z theta_z d_z, over D
-    qd = [_times_root(ctx, s, t, v) for (s, t), v in zip(roots, dv)]
-
-    def entry(x, y):
-        ws, ms = rows[x][y]
-        if ms == (1,):   # one constituent, as in a group ring: read, never written
-            v = qd[ws[0]]
-        else:
-            v = [sum(map(mul, ms, c)) for c in zip(*map(qd.__getitem__, ws))] or [0] * ctx.phi
-        return _times_root(ctx, roots[x][0] + roots[y][0], -roots[x][1] - roots[y][1], v)
-
+    rows, pd, mod = ring.rows, kr.pdv, kr.mod
+    entry = partial(_s_entry, rows, roots, cls, L, kr.rot)   # S_xy over D, at B
     S = [[None] * r for _ in range(r)]
     for x in range(r):
         for y in range(x, r):
@@ -471,16 +577,11 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
         for y in range(r):
             if S[ring.dual[x]][ring.dual[y]] != S[x][y]:
                 raise SymmetryFail(f"S not dual-invariant at ({x}, {y})")
-        if S[ring.unit][x] != dv[x]:
+        if S[ring.unit][x] != pd[x]:
             raise SymmetryFail(f"S[unit][{x}] != d({ring.labels[x]})")
-    at = _AtL(ctx, D, S, dv, qd, roots, cls, [squares[k] for k in cls])
-    if ring._mult is None:   # the most constituents of a product, with multiplicity
-        ring._mult = max(sum(ms) for _, ms in chain.from_iterable(ring.rows))
-    kr = at.evaluate(ring._mult)
-    pS, pd, mod = kr.S, kr.dv, kr.mod
 
     def fault(x, ys):   # the first (y, z), y in ys, with s_xy s_xz != d_x sum_w N_yz^w s_xw
-        P, dx = pS[x], pd[x]
+        P, dx = S[x], pd[x]
         for y in ys:
             Py = P[y]
             for z, (ws, ms) in enumerate(rows[y]):   # both sides over D^2
@@ -500,13 +601,14 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
                 f"({ring.labels[x]}, {ring.labels[y]}, {ring.labels[z]})"
             )
 
-    if lifted is None:   # one inverse per distinct dimension, lifted to L over one denominator
+    at = _AtL(ctx, D, ring, roots, cls, kr, S)   # and the Gauss-sum values, now
+    if new:   # one inverse per distinct dimension, lifted to L over one denominator
         inv = [d.inverse() for d in kit.kinds]
-        inv_den = reduce(math.lcm, (v.den for v in inv), 1)
-        inv = [[c * (inv_den // v.den) for c in v._lift(L)] for v in inv]
-        lifted = kit.at[L] = lifts, squares, inv, inv_den
+        kr.inv_den = reduce(math.lcm, (v.den for v in inv), 1)
+        kr.inv = [[c * (kr.inv_den // v.den) for c in v._lift(L)] for v in inv]
+        kit.at[L] = kr
         ring._kits[dim] = kit
-    at.inv, at.inv_den = lifted[2:]
+    at.inv, at.inv_den = kr.inv, kr.inv_den
     return PreModularDatum(ring, theta, dim, at)
 
 
@@ -610,9 +712,11 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     columns by nonzero dimensions (``_AtL.rank_rows``).  Disagreement
     would falsify the datum and raises ClassificationBug.  The report is
     built once per (datum, K.indices) and kept on the datum.  The
-    components of the centralizer are kept on the ring, by its indices,
-    once it is found to be a subring and the report passes, so a later
-    datum on the ring skips both; a refused report keeps nothing.
+    centralizer, once it is found to be a subring and the report passes,
+    is kept on the ring by its indices, as a ``FusionSubring`` (the
+    lattice's own, when the ring keeps its lattice) with its components,
+    so a later datum on the ring skips the test and both constructions;
+    a refused report keeps nothing.
     """
     rep = D._cents.get(K.indices)
     if rep is not None:
@@ -621,16 +725,18 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     at = D._at
     _, ones = at.pairing()
     cent = tuple(v for v in range(R.rank) if ones[v].issuperset(K.indices))
-    comps = R._comps.get(cent)
-    if comps is None:
+    kept = R._comps.get(cent)
+    if kept is None:
         if subring_generated(R, cent).indices != cent:
             raise ClassificationBug("centralizer is not a subring")
-        comps = components(R, cent)
+        subs = () if R._lattice is None else R._lattice.subrings
+        sub = next((S for S in subs if S.indices == cent), None) or FusionSubring(R, cent)
+        kept = sub, components(R, cent)
     rank = at.rank_rows(K.indices)
-    if rank != len(comps):
-        raise ClassificationBug(f"rank {rank} != component count {len(comps)}")
-    R._comps[cent] = comps
-    rep = D._cents[K.indices] = CentralizerReport(K, FusionSubring(R, cent), comps, rank)
+    if rank != len(kept[1]):
+        raise ClassificationBug(f"rank {rank} != component count {len(kept[1])}")
+    R._comps[cent] = kept
+    rep = D._cents[K.indices] = CentralizerReport(K, *kept, rank)
     return rep
 
 
@@ -652,15 +758,16 @@ def dichotomy_check(D: PreModularDatum, K: FusionSubring) -> list:
     """Per V: either s~_{YV} = 1 on K, or sum |Y|^2 s~_{YV} = 0.
 
     The sum is d(V)^-1 sum d(Y) s_{YV}, so it vanishes exactly when the
-    latter does, which is tested at the build's conductor.
+    latter does, which is one divisibility test at the build's base
+    (``_Kron``: a sum of at most r products, within its weights).
     """
     at = D._at
-    ctx = at.ctx
+    kr = at.kron
     _, ones = at.pairing()
     out = []
     for v in range(D.rank):
         inside = ones[v].issuperset(K.indices)
-        vanishes = not any(at.total([_mul_vec(ctx, at.dv[y], at.S[y][v]) for y in K.indices]))
+        vanishes = kr.divides(sum(kr.pdv[y] * at.pS[y][v] for y in K.indices))
         out.append(
             Check(
                 name=f"dichotomy[{D.ring.labels[v]}]",
@@ -728,12 +835,13 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
                   config: Config = DEFAULT) -> list:
     """Dimension identities for a pair of subrings, pass/fail each.
 
-    Categorical dimensions are sums of d^2 at the build's conductor, so
-    each identity of products is list equality over one denominator.
+    Categorical dimensions are sums of d^2 at the build's conductor,
+    unpacked from the build's residues, so each identity of products is
+    list equality over one denominator.
     """
     R = D.ring
     at = D._at
-    ctx, dd = at.ctx, at.dd
+    ctx, pdd = at.ctx, at.kron.pdd
     lat = all_subrings(R, config)
     whole = FusionSubring(R, tuple(range(R.rank)))
     Kc = centralizer(D, K).centralizer
@@ -745,7 +853,7 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
         return lat.meet(a, b)
 
     def dims(a, b):
-        return _mul_vec(ctx, at.total(dd, a.indices), at.total(dd, b.indices))
+        return _mul_vec(ctx, at.vector(pdd, a.indices), at.vector(pdd, b.indices))
 
     def record(name, anchor, ok, witness=""):
         checks.append(Check(name, anchor, "pass" if ok else "fail", witness))
@@ -810,53 +918,52 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
     relation tau+-(C) tau-+(K) = dim(K) tau+-(K') for every subring K;
     and for non-degenerate data, tau(E') = tau(C) for isotropic E plus
     tau+ tau- = dim(C) with the charge a root of unity.  tau+-(K) and
-    dim(K) are sums over K of the build's vectors; the returned sums are
-    made as vectors, and every identity but the first and the last is
-    tested on the build's evaluations at its base (``_Kron``): the
+    dim(K) are sums over K of the build's residues at its base
+    (``_Kron``), and the returned sums are unpacked from them.  Every
+    identity but the first and the last is tested on those residues: the
     twisted row sums, the products over subrings and the norm as one
     integer divisibility each, with both sides over one power of the
     denominator, and tau(E') = tau(C), sums without products, as integer
-    equality.
+    equality.  E is isotropic when the double braiding is trivial on it
+    (read from the pairing, as ``symmetric_and_isotropic`` reads it) and
+    so is each of its twists.
     """
     R = D.ring
     at = D._at
     kr = at.kron
     L, den, divides = at.ctx.n, at.den, kr.divides
-    every = range(R.rank)
-    tau_p = CycloNum(L, at.total(at.td[+1]), den ** 2)
-    tau_m = CycloNum(L, at.total(at.td[-1]), den ** 2)
-    dim_tot = CycloNum(L, at.total(at.dd), den ** 2)
+    ptd, pdd = at.ptd, kr.pdd
+    tp, tm = sum(ptd[+1]), sum(ptd[-1])
+    tau_p, tau_m, dim_tot = (CycloNum(L, kr.unpack(v), den ** 2) for v in (tp, tm, sum(pdd)))
     checks = [
         Check("conjugate-sums", "gauss-conjugate-pair",
               "pass" if tau_m == tau_p.conjugate() else "fail")
     ]
-    ptd, pdd = kr.td, kr.dd
-    tp, tm = sum(ptd[+1]), sum(ptd[-1])
-    for y in every:   # both sides over den^3
-        ok = divides(den * sum(map(mul, kr.qd, kr.S[y])) - kr.qi[y] * tp)
+    for y in range(R.rank):   # both sides over den^3
+        ok = divides(den * sum(map(mul, at.pqd, at.pS[y])) - at.pqi[y] * tp)
         checks.append(
             Check(f"twisted-row-sum[{R.labels[y]}]", "twisted-row-sum", "pass" if ok else "fail")
         )
     lat = all_subrings(R, config)
     nondeg = is_nondegenerate(D)
+    _, ones = at.pairing()
+    untwisted = {i for i, t in enumerate(D.theta) if not t}
     for sub in lat.subrings:
+        idx, name = sub.indices, ",".join(sub.labels())
         kc = centralizer(D, sub).centralizer.indices
-        dk = sum(pdd[i] for i in sub.indices)
+        dk = sum(pdd[i] for i in idx)
         tp_c, tm_c = sum(ptd[+1][i] for i in kc), sum(ptd[-1][i] for i in kc)
         ok = (   # over den^4
-            divides(tp * sum(ptd[-1][i] for i in sub.indices) - dk * tp_c)
-            and divides(tm * sum(ptd[+1][i] for i in sub.indices) - dk * tm_c)
+            divides(tp * sum(ptd[-1][i] for i in idx) - dk * tp_c)
+            and divides(tm * sum(ptd[+1][i] for i in idx) - dk * tm_c)
         )
         checks.append(
-            Check(f"gauss-mult[{','.join(sub.labels())}]",
-                  "gauss-centralizer-multiplicativity",
+            Check(f"gauss-mult[{name}]", "gauss-centralizer-multiplicativity",
                   "pass" if ok else "fail")
         )
-        flags = symmetric_and_isotropic(D, sub)
-        if nondeg and flags["isotropic"]:
+        if nondeg and untwisted.issuperset(idx) and all(ones[z].issuperset(idx) for z in idx):
             checks.append(
-                Check(f"isotropic-centralizer-gauss[{','.join(sub.labels())}]",
-                      "isotropic-centralizer-gauss",
+                Check(f"isotropic-centralizer-gauss[{name}]", "isotropic-centralizer-gauss",
                       "pass" if tp_c == tp and tm_c == tm else "fail")
             )
     charge = None
@@ -900,7 +1007,7 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
         raise Degenerate("square-class Gauss sums need a non-degenerate datum")
     R = D.ring
     at = D._at
-    ctx, den = at.ctx, at.den
+    ctx, den, kr = at.ctx, at.den, at.kron
     pm, _ = at.pairing()
     if R._squares is None or R._squares[0] != config.tolerance:
         sq = fp_square_integers(R, config)      # NotWeaklyIntegral if not
@@ -910,12 +1017,11 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     A = centralizer(D, FusionSubring(R, int_part)).centralizer
     if not set(A.indices) <= set(pointed_part(R).indices):
         raise ClassificationBug("centralizer of the integral part is not pointed")
-    one = [den] + [0] * (ctx.phi - 1)
     chi = {}
-    for a in A.indices:
-        if at.qd[a] == one:
+    for a in A.indices:   # theta_a d(a) = +-1 is +-den at the base
+        if at.pqd[a] == den:
             chi[a] = 1
-        elif at.qd[a] == [-c for c in one]:
+        elif at.pqd[a] == -den:
             chi[a] = -1
         else:
             val = CycloNum(ctx.n, at.qd[a], den).as_rational()
@@ -928,8 +1034,7 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     if len(candidates) != 1:
         raise ClassificationBug(f"square-class solutions: {candidates}")
     n_c = candidates[0]
-    t_p = [0] * ctx.phi
-    t_m = [0] * ctx.phi
+    t_p = t_m = 0
     for x in range(R.rank):
         if sf[x] != n_c:
             continue
@@ -939,9 +1044,10 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
         w = math.isqrt(m2)
         if w * w != m2:
             raise ClassificationBug("normalized FP dimension is not an integer")
-        t_p = [a + w * b for a, b in zip(t_p, at.qd[x])]
-        t_m = [a + w * b for a, b in zip(t_m, at.qi[x])]
-    t_p, t_m = CycloNum(ctx.n, t_p, den), CycloNum(ctx.n, t_m, den)
+        t_p += w * at.pqd[x]
+        t_m += w * at.pqi[x]
+    # w <= FPdim(x) <= m, so a sum within r m A, which unpacks (``_Kron``)
+    t_p, t_m = CycloNum(ctx.n, kr.unpack(t_p), den), CycloNum(ctx.n, kr.unpack(t_m), den)
     if t_m != t_p.conjugate():
         raise ClassificationBug("square-class sums are not conjugate")
     kept = (n_c, t_p, t_m)

@@ -66,6 +66,7 @@ _WARM = "tests/test_kits.py::test_warm_builds_match_fresh_builds"
 _REFUSAL = "tests/test_kits.py::test_a_refusal_keeps_no_kit_and_fails_again"
 _KEPT_DOC = "tests/test_kits.py::test_a_kept_dimension_document_meets_a_lower_guard"
 _REFUSED_DOC = "tests/test_kits.py::test_a_refused_datum_keeps_no_dimension_document"
+_RESIDUES = "tests/test_residues.py::test_build_at_the_base_matches_the_vector_build"
 
 MUTANTS = (
     Mutant("monomial-shift-range-one-block-short", "braidforge/cyclotomic.py",
@@ -121,8 +122,8 @@ MUTANTS = (
            "self.k = k = ((2 * ctx.phi - 1) * M * c + h + 1).bit_length() - 1",
            (_ZERO_TEST, _FITS)),
     Mutant("kron-negative-coefficient-packed-positive", "braidforge/premodular.py",
-           "return sum(c << k * i for i, c in enumerate(v) if c)",
-           "return sum(abs(c) << k * i for i, c in enumerate(v) if c)",
+           "format(c + self.half, word) for c in reversed(v)",
+           "format(abs(c) + self.half, word) for c in reversed(v)",
            (_ZERO_TEST,)),
     Mutant("s-tilde-pairs-keyed-by-index", "braidforge/premodular.py",
            "key = (cls[x], cls[y]) if cls[x] <= cls[y] else (cls[y], cls[x])",
@@ -153,8 +154,8 @@ MUTANTS = (
            "if not 0 <= unit <= r:",
            (_UNIT_RANGE,)),
     Mutant("kit-lifts-keyed-without-conductor", "braidforge/premodular.py",
-           "    lifted = kit.at.get(L)\n",
-           "    lifted = next(iter(kit.at.values()), None)\n",
+           "    new = L not in kit.at\n",
+           "    new = not kit.at\n",
            (_WARM,)),
     Mutant("kit-kept-before-the-dual-dimension-check", "braidforge/premodular.py",
            "    conj = [d.conjugate() for d in kinds]\n",
@@ -174,6 +175,24 @@ MUTANTS = (
            "rhs = P[ws[0]] if ms == (1,) else",
            "rhs = P[ws[0]] if len(ms) == 1 else",
            (_WARM,)),
+    Mutant("sign-folded-into-the-rotation-at-odd-L", "braidforge/premodular.py",
+           "        v = value(cls[z], (t - tx - ty) % L)\n"
+           "        tot += -m * v if (s + sx + sy) & 1 else m * v\n",
+           "        v = value(cls[z], (t - tx - ty + (s + sx + sy) * (L // 2)) % L)\n"
+           "        tot += m * v\n",
+           (_RESIDUES,)),
+    Mutant("kit-bound-without-the-fold-bound", "braidforge/premodular.py",
+           "    A = _fold_bound(ctx)[0] * max(",
+           "    A = max(",
+           (_RESIDUES,)),
+    Mutant("residue-left-unbalanced", "braidforge/premodular.py",
+           "        return (x + (self.mod >> 1)) % self.mod - (self.mod >> 1)\n",
+           "        return x % self.mod\n",
+           (_RESIDUES,)),
+    Mutant("fp-image-exponent-negated", "braidforge/premodular.py",
+           "        return self.omega[u] * self.img[k]\n",
+           "        return self.omega[-u] * self.img[k]\n",
+           (_RESIDUES,)),
 )
 
 

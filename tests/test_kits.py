@@ -105,7 +105,7 @@ def _vectors(D):
     matrices."""
     at, kr = D._at, D._at.kron
     return (at.ctx.n, at.den, at.cls, at.S, at.dv, at.qd, at.qi, at.dd, at.td, at.inv, at.inv_den,
-            kr.k, kr.mod, kr.S, kr.dv, kr.qd, kr.qi, kr.dd, kr.td, D.S, D.S_tilde)
+            kr.k, kr.mod, at.pS, kr.pdv, at.pqd, at.pqi, kr.pdd, at.ptd, D.S, D.S_tilde)
 
 
 def test_warm_builds_match_fresh_builds(monkeypatch):

@@ -1072,8 +1072,9 @@ def test_s_is_shared_across_the_diagonal_only_where_the_table_commutes():
 
 
 def test_pairing_matches_an_unmemoised_pairing(monkeypatch):
-    # s_yv against +-d(y) d(v) at every pair, and d(y) d(v) made once per
-    # pair of distinct dimensions
+    # s_yv against +-d(y) d(v) at every pair, and d(y) d(v) kept by the
+    # dimension kit once per pair of distinct dimensions, so the pairing
+    # makes no product
     from braidforge import premodular
     from braidforge.cyclotomic import _mul_vec
 
@@ -1087,8 +1088,8 @@ def test_pairing_matches_an_unmemoised_pairing(monkeypatch):
             first.setdefault(d, i)
         made.clear()
         pm, ones = at.pairing()
-        assert len(made) == len({tuple(sorted((first[D.dim[y]], first[D.dim[v]])))
-                                 for y in range(r) for v in range(r)}), D
+        assert not made and len(at.kron.pairs) == len({tuple(sorted((first[D.dim[y]], first[D.dim[v]])))
+                                                       for y in range(r) for v in range(r)}), D
         for y in range(r):
             for v in range(r):
                 s = [c * at.den for c in at.S[y][v]]
@@ -1203,6 +1204,12 @@ def test_kronecker_zero_test_agrees_with_reduce(ns):
     assert seen == {True, False}
 
 
+def _total(at, vecs, indices=None):
+    """Sum of the vectors ``vecs`` over ``indices`` (all of them when None)."""
+    vecs = vecs if indices is None else [vecs[i] for i in indices]
+    return list(map(sum, zip(*vecs))) or [0] * at.ctx.phi
+
+
 def _identity_deltas(D):
     """The unreduced polynomial of each identity the integer tests read,
     for the coefficient bound: the product relation at every (X, Y, Z), the
@@ -1210,7 +1217,7 @@ def _identity_deltas(D):
     norm, with both sides over one power of the denominator."""
     at, R = D._at, D.ring
     den, r = at.den, D.rank
-    tot = lambda vs, idx: at.total(vs, idx)  # noqa: E731
+    tot = lambda vs, idx: _total(at, vs, idx)  # noqa: E731
     pad = lambda v, n: list(v) + [0] * (n - len(v))  # noqa: E731
     sub = lambda a, b: [x - y for x, y in zip(pad(a, len(b)), pad(b, len(a)))]  # noqa: E731
     for x in range(r):
@@ -1258,21 +1265,21 @@ def _vector_checks(D):
     ctx, L, den = at.ctx, at.ctx.n, at.den
     dd, td = at.dd, at.td
     every = range(R.rank)
-    tp, tm, dtot = at.total(td[1]), at.total(td[-1]), at.total(dd)
+    tp, tm, dtot = _total(at, td[1]), _total(at, td[-1]), _total(at, dd)
     tau_p, tau_m = CycloNum(L, tp, den ** 2), CycloNum(L, tm, den ** 2)
     out = [("conjugate-sums", tau_m == tau_p.conjugate())]
     for y in every:
-        acc = at.total([_mul_vec(ctx, at.qd[x], at.S[x][y]) for x in every])
+        acc = _total(at, [_mul_vec(ctx, at.qd[x], at.S[x][y]) for x in every])
         s, t = at.roots[y]
         want = _mul_vec(ctx, _times_root(ctx, s, -t, at.dv[y]), tp)
         out.append((f"twisted-row-sum[{R.labels[y]}]", [c * den for c in acc] == want))
     nondeg = is_nondegenerate(D)
     for sub in all_subrings(R).subrings:
         kc = centralizer(D, sub).centralizer.indices
-        dk = at.total(dd, sub.indices)
-        tp_c, tm_c = at.total(td[1], kc), at.total(td[-1], kc)
-        ok = (_mul_vec(ctx, tp, at.total(td[-1], sub.indices)) == _mul_vec(ctx, dk, tp_c)
-              and _mul_vec(ctx, tm, at.total(td[1], sub.indices)) == _mul_vec(ctx, dk, tm_c))
+        dk = _total(at, dd, sub.indices)
+        tp_c, tm_c = _total(at, td[1], kc), _total(at, td[-1], kc)
+        ok = (_mul_vec(ctx, tp, _total(at, td[-1], sub.indices)) == _mul_vec(ctx, dk, tp_c)
+              and _mul_vec(ctx, tm, _total(at, td[1], sub.indices)) == _mul_vec(ctx, dk, tm_c))
         name = ",".join(sub.labels())
         out.append((f"gauss-mult[{name}]", ok))
         if nondeg and symmetric_and_isotropic(D, sub)["isotropic"]:
@@ -1294,8 +1301,9 @@ def _tampered(D, rng):
     i = rng.randrange(1, D.rank)
     roots = list(at.roots)
     roots[i] = (roots[i][0] + 1, (roots[i][1] + rng.randrange(at.ctx.n)) % at.ctx.n)
-    bad = _AtL(at.ctx, at.den, at.S, at.dv, at.qd, roots, at.cls, at.dd)
-    bad.evaluate(D.ring._mult)
+    bad = _AtL(at.ctx, at.den, D.ring, roots, at.cls, at.kron, at.pS)
+    at.rank_rows(())   # the F_p rank of S, whose images are taken from the twists S was made with
+    bad.pqd, bad.full = at.pqd, at.full
     bad.inv, bad.inv_den = at.inv, at.inv_den
     return PreModularDatum(D.ring, D.theta, D.dim, bad)
 
