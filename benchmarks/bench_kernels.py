@@ -17,11 +17,11 @@ Ising x Ising again on its ring parsed from JSON (validated and
 interned), the ring every CLI and perfbench datum is built on.  The
 two rows after them build that datum again, on a fresh copy of its ring
 (made with ``FusionRing(...)``, with the interned ring's algebra
-generators and product bound copied in, so only the dimension kit is
-missing: the dimension checks, the kit's base at the conductor (lifts,
-squares, the bound and B, their values at B and F_p images) and the
-inverses are made) and on the interned ring, whose kit the untimed
-first build kept.  The ``gauss_and_charge`` and
+generators and product bound copied in, so only the dimensions' base
+is missing: the dimension checks, the base at the conductor (the
+bound and B, the dimensions' values at B and F_p images) and the
+inverses are made) and on the interned ring, whose base the untimed
+first build kept ("kit" in the row names).  The ``gauss_and_charge`` and
 ``centralizer sweep`` rows time a datum's reports on Ising x Ising and
 the pointed Z/12 datum.  A datum keeps its reports and a ring its
 subring lattice and centralizer components, so each repetition gets a
@@ -36,9 +36,8 @@ lattice and components were kept by an earlier datum.  The ``full
 report`` row is one whole perfbench datum_reports request on that ring,
 warm: ``datum_from_json`` of the document (its dimension documents and
 kit kept by an untimed first call), then the same report.  The ``_mul_vec``
-rows take 20,000 / phi(L) products of vectors at L = 16 and 840, one
-operand a dense seeded vector and the other a rational (zero past
-index 0) or a second dense vector.
+rows take 20,000 / phi(L) products of two dense seeded vectors at L = 16
+and 840.
 The ``ring_from_json`` rows parse a rank-12 table (Ising x Z/4) first,
 with the interned rings cleared before each repetition, and again, when
 the lookup returns the ring already validated.  The ``validate_ring``
@@ -217,7 +216,7 @@ def workloads():
                     ("Ising x Ising, parsed", parsed)):
         out.append((f"premodular.build {name} (rank {D.rank})", rebuild, 5, warm(rebuild, D)))
 
-    def kitless_copy(D=parsed):   # the ring's generators and bound, but no dimension kit
+    def kitless_copy(D=parsed):   # the ring's generators and bound, but no kept base
         R = D.ring
         copy = FusionRing(R.labels, R.unit, R.dual, R.N)
         copy._gens, copy._mult = R._gens, R._mult
@@ -271,13 +270,11 @@ def workloads():
     for L in (16, 840):
         ctx = cyclotomic._ctx(L)
         rng = random.Random(L)
-        dense = [[rng.randint(-9, 9) for _ in range(ctx.phi)] for _ in range(2)]
-        scalar = [rng.randint(2, 9)] + [0] * (ctx.phi - 1)
+        a, b = [[rng.randint(-9, 9) for _ in range(ctx.phi)] for _ in range(2)]
         reps = 20_000 // ctx.phi
-        for name, a in (("scalar", scalar), ("dense", dense[1])):
-            out.append((f"_mul_vec L={L} {name} x dense (x{reps})",
-                        lambda ctx=ctx, a=a, b=dense[0], reps=reps:
-                        [cyclotomic._mul_vec(ctx, a, b) for _ in range(reps)], 5))
+        out.append((f"_mul_vec L={L} dense x dense (x{reps})",
+                    lambda ctx=ctx, a=a, b=b, reps=reps:
+                    [cyclotomic._mul_vec(ctx, b, a) for _ in range(reps)], 5))
 
     ring_doc = bio.ring_to_json(fusion.product_ring(fusion.ising_ring(),
                                                     fusion.group_ring(FinAbGroup((4,)))))

@@ -527,20 +527,8 @@ def _orbit(ctx, b, g, m):
 
 
 def _mul_vec(ctx, a, b):
-    """Product of two coefficient vectors at conductor ctx.n, unreduced.
-
-    When both have length phi and one is zero past index 0 (a rational),
-    it scales the other: no convolution and no reduction.
-    """
-    phi = ctx.phi
-    if len(a) == len(b) == phi:
-        if not any(b[1:]):
-            c = b[0]
-            return [c * x for x in a]
-        if not any(a[1:]):
-            c = a[0]
-            return [c * y for y in b]
-    conv = [0] * (2 * phi - 1)
+    """Product of two coefficient vectors at conductor ctx.n, unreduced."""
+    conv = [0] * (2 * ctx.phi - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):

@@ -67,10 +67,11 @@ class FusionRing:
     # which bounds premodular.build's integer tests.  _comps maps
     # the indices of each centralizer of a report premodular.centralizer
     # passed (so a subring) to its FusionSubring and its components.
-    # _kits maps each dimension tuple of a datum premodular.build accepted
-    # to its dimension kit (the checks it passed, its classes, and per
-    # conductor its base: the lifts, squares, their values at the base and
-    # F_p images, the base's table of turned values, and the inverses), and
+    # _kits maps each (dimension tuple, conductor) of a datum
+    # premodular.build accepted to its base (premodular._Kron: the checks
+    # it passed, the dimensions' classes and denominator, their values at
+    # the base and F_p images, the base's table of turned values, and the
+    # inverses), and
     # _dims each dimension document io.datum_from_json parsed for a datum
     # built on the ring, in its written form, to its CycloNum.  A refusal
     # keeps nothing but entries of a kept base's table of turned values,

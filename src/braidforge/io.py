@@ -205,21 +205,3 @@ def load_json(path: str):
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:  # nested past the decoder's recursion limit
         raise SchemaError(f"invalid JSON in {path}: nested too deeply") from None
-
-
-def ingest(path: str, config: Config = DEFAULT):
-    """Load any braidforge object, typed by its fields."""
-    obj = load_json(path)
-    if not isinstance(obj, dict):
-        raise SchemaError("top-level JSON must be an object")
-    if "values" in obj:
-        return qform_from_json(obj)
-    if "twists" in obj:
-        return datum_from_json(obj, config)
-    if "N" in obj:
-        return ring_from_json(obj)
-    if "orders" in obj:
-        return group_from_json(obj)
-    if "chi" in obj:
-        raise SchemaError("a character file needs its form for context")
-    raise SchemaError(f"unrecognized object in {path}")

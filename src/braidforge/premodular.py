@@ -15,21 +15,25 @@ L, made from the dimensions' values at B times powers of B, with no
 vector made first.  S_XY and S_YX are one residue where N_XY = N_YX
 (``build``).  Equal residues mean equal values, and an identity with
 products in it is one integer divisibility, so a product is one
-multiplication of integers in C.  The vectors at L are a view, unpacked
-on first read (``_AtL``).  The canonical CycloNum matrices ``S`` and ``S_tilde`` (s~ = d^-1 S d^-1,
-from S and one inverse per distinct dimension) are made on first read;
-no report but ``mueger_report`` reads them.
+multiplication of integers in C.  The residues are the only exact form
+a built datum keeps (``_AtL``): every check and report runs on them,
+and a CycloNum is made only for a value a caller reads.  The CycloNum
+matrices ``S``, one per distinct residue, and ``S_tilde`` (s~ = d^-1 S
+d^-1, S times one product of inverses per pair of distinct dimensions)
+are made on first read; no report but ``mueger_report`` reads them.
 
 The dimensions are a character of the ring, fixed before any braiding
 is chosen (Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories,
 4.7), so the work that reads them alone is kept on the ring, once per
-dimension tuple, by the first build with it that succeeds (``_Kit``):
-the unit, zero and dual-dimension checks it passed, the distinct
-dimensions and D, and per conductor their base and its bound, their
-lifts, squares, values at B and F_p images, and their inverses.
-A later datum on the ring with the same dimensions does only the work
-that reads its twists: S, the symmetry, duality and unit-row tests and
-the product relation, which run on every build in the same order.
+dimension tuple and conductor, by the first build with them that
+succeeds: one base (``_Kron``, made by ``_kit_base``) that holds the
+classes of the distinct dimensions and their denominator D, B and its
+bound, their values at B and F_p images, and their inverses.  Being
+kept, it says that the unit, zero and dual-dimension checks passed.  A
+later datum on the ring with the same dimensions and conductor does
+only the work that reads its twists: S, the symmetry, duality and
+unit-row tests and the product relation, which run on every build in
+the same order.
 
 The product relation says that each normalized row Y -> s_{XY} / d(X)
 is a character of the ring.  A linear map with value 1 at the unit that
@@ -52,7 +56,10 @@ rank is |K| at once, and otherwise the K rows are eliminated exactly.
 A centralizer's subring test and components depend on the
 ring alone, so they are kept on the ring, once per index set.  Each
 centralizer report is built once per (datum, subring) and each subring
-lattice once per ring.
+lattice once per ring.  Each of Mueger's dimension identities for a
+pair of subrings (M. Mueger, On the structure of modular categories,
+Proc. LMS 87 (2003)) is one integer divisibility, as the products of
+Gauss sums are.
 Gauss sums, the squared central charge, and the square-class Gauss
 sums of weakly integral non-degenerate data close out the invariant set;
 their identities are tested on the build's residues at its base;
@@ -119,52 +126,36 @@ ONE = CycloNum.one()
 
 class _AtL:
     """A datum's values at its conductor L, as balanced residues mod
-    Phi_L(B) at the base B of its ring's dimension kit (``_Kron``).
+    Phi_L(B) at the base B its ring keeps for its dimensions at L
+    (``_Kron``): the only exact form of a built datum.
 
-    ``kron`` is that base, with what reads the dimensions alone; ``pS``
-    holds S over the denominator ``den`` (S_xy and S_yx one int),
-    ``pqd`` theta d, ``pqi`` theta^-1 d and ``ptd[sign]`` theta^sign
-    d^2, the last over den^2, and ``roots[i]`` = (s, t) with theta_i =
-    (-1)^s zeta_L^t.  ``cls[i]`` numbers d(i) among the distinct
-    dimensions, and ``inv[k]`` is the inverse of the k-th over
-    ``inv_den``, read from the kit.  The vectors at L, over the same
-    denominators, are a view made on first read of any of ``S``, ``dv``
-    (d), ``qd``, ``qi``, ``dd`` (d^2) and ``td``: each residue is the
-    evaluation at B of its vector, so it unpacks to it (``_Kron.unpack``),
-    and d and d^2 are the kit's lifts and squares.  Built on first use:
-    ``pm[y][v]``, which is s~_{yv} where that is +-1 and 0 elsewhere,
-    with ``ones[v]`` the set of y where it is 1; and ``full``, whether the
-    image of S over F_p has full rank.  No kept value is changed in place.
+    ``kron`` is that base, with what reads the dimensions alone, and
+    ``den`` (its D) and ``cls`` (``cls[i]`` numbers d(i) among the
+    distinct dimensions) are read from it; ``pS`` holds S over ``den``
+    (S_xy and S_yx one int), ``pqd`` theta d, ``pqi`` theta^-1 d and
+    ``ptd[sign]`` theta^sign d^2, the last over den^2, and ``roots[i]``
+    = (s, t) with theta_i = (-1)^s zeta_L^t.  A value a report returns
+    is unpacked from one residue, or from a sum of them (``vector``).
+    Built on first use: ``pm[y][v]``, which is s~_{yv} where that is +-1
+    and 0 elsewhere, with ``ones[v]`` the set of y where it is 1; and
+    ``full``, whether the image of S over F_p has full rank.  No kept
+    value is changed in place.
     """
 
     __slots__ = ("ctx", "den", "ring", "roots", "cls", "kron", "pS", "pqd", "pqi", "ptd",
-                 "inv", "inv_den", "pm", "ones", "full", "_vec")
+                 "pm", "ones", "full")
 
-    def __init__(self, ctx, den, ring, roots, cls, kron, pS):
-        self.ctx, self.den, self.ring, self.roots, self.cls = ctx, den, ring, roots, cls
-        self.kron, self.pS = kron, pS
-        rot, L, nk = kron.rot, ctx.n, len(kron.lifts)
+    def __init__(self, ctx, ring, roots, kron, pS):
+        self.ctx, self.ring, self.roots, self.kron, self.pS = ctx, ring, roots, kron, pS
+        self.den, self.cls = kron.D, kron.cls
+        rot, L, nk = kron.rot, ctx.n, len(kron.img)
 
         def turned(base, sign):   # theta_i^sign times the base's value at each i
-            return [(-1) ** s * rot(base + c, sign * t % L) for (s, t), c in zip(roots, cls)]
+            return [(-1) ** s * rot(base + c, sign * t % L) for (s, t), c in zip(roots, self.cls)]
 
         self.pqd, self.pqi = turned(0, 1), turned(0, -1)
         self.ptd = {sign: turned(nk, sign) for sign in (1, -1)}
-        self.inv = self.inv_den = self.pm = self.ones = self.full = self._vec = None
-
-    def _vectors(self) -> tuple:
-        """(S, dv, qd, qi, dd, td) as vectors at L, made once: S's one
-        per residue, so S_xy and S_yx share a vector where they share it."""
-        if self._vec is None:
-            kr, un = self.kron, self.kron.unpack
-            vec = {id(v): un(v) for row in self.pS for v in row}
-            self._vec = ([[vec[id(v)] for v in row] for row in self.pS],
-                         [kr.lifts[k] for k in self.cls], list(map(un, self.pqd)),
-                         list(map(un, self.pqi)), [kr.squares[k] for k in self.cls],
-                         {sign: list(map(un, self.ptd[sign])) for sign in (1, -1)})
-        return self._vec
-
-    S, dv, qd, qi, dd, td = (property(lambda self, i=i: self._vectors()[i]) for i in range(6))
+        self.pm = self.ones = self.full = None
 
     def vector(self, packs, indices=None) -> list:
         """The vector of the sum of the residues ``packs`` over ``indices``
@@ -174,7 +165,7 @@ class _AtL:
 
     def pairing(self):
         """(pm, ones), built once: s_{yv} against +-d(y) d(v), over den^2,
-        which the kit keeps once per pair of distinct dimensions (``cls``)."""
+        which the base keeps once per pair of distinct dimensions (``cls``)."""
         if self.pm is None:
             S, cls, pairs, den = self.pS, self.cls, self.kron.pairs, self.den
             r = len(S)
@@ -192,30 +183,14 @@ class _AtL:
             self.ones = [frozenset(y for y in range(r) if pm[y][v] == 1) for v in range(r)]
         return self.pm, self.ones
 
-    def s_tilde(self) -> list:
-        """The vectors of s~_xy = s_xy d_x^-1 d_y^-1, over den inv_den^2:
-        symmetric as S is, with d_x^-1 d_y^-1 made once per pair of
-        distinct dimensions."""
-        ctx, S, cls, inv = self.ctx, self.S, self.cls, self.inv
-        r = len(S)
-        pairs = {}
-        St = [[None] * r for _ in range(r)]
-        for x in range(r):
-            for y in range(x, r):
-                key = (cls[x], cls[y]) if cls[x] <= cls[y] else (cls[y], cls[x])
-                if key not in pairs:
-                    pairs[key] = _mul_vec(ctx, inv[key[0]], inv[key[1]])
-                St[x][y] = St[y][x] = _mul_vec(ctx, S[x][y], pairs[key])
-        return St
-
     def rank_rows(self, rows) -> int:
         """Exact rank of the rows of S in ``rows``.
 
         When the image of S over F_p has full rank, so has S, and every
         set of its rows is independent; otherwise ``_rank_vec`` eliminates
-        the rows exactly.  The image of S is taken by linearity, from the
-        kit's images of d and of the powers of zeta_L (``_Kron.fp``), not
-        from S's vectors.
+        the vectors of those rows, unpacked from their residues, exactly.
+        The image of S is taken by linearity, from the base's images of d
+        and of the powers of zeta_L (``_Kron.fp``), not from S's vectors.
         """
         if self.full is None:
             kr, r = self.kron, len(self.pS)
@@ -225,7 +200,9 @@ class _AtL:
                 for y in range(x, r):
                     A[x][y] = A[y][x] = entry(x, y) % kr.p
             self.full = _rank_mod_p(kr.p, A) == r
-        return len(rows) if self.full else _rank_vec(self.ctx, [self.S[y] for y in rows])
+        if self.full:
+            return len(rows)
+        return _rank_vec(self.ctx, [list(map(self.kron.unpack, self.pS[y])) for y in rows])
 
 
 def _s_entry(rows, roots, cls, L, value, x, y):
@@ -277,21 +254,26 @@ class _Kron:
     |v_i - w_i| < B forces v = w.
 
     A ``_Kron`` that ``_kit_base`` makes holds, in the slots after
-    ``half``, what ``build`` reads of one dimension kit at L on one ring,
-    of rank r and with m the most constituents of a product counted with
-    multiplicity (``FusionRing._mult``), over D the kit's denominator:
-    the kit's lifts and squares; A = c max(m |d|_1, |d^2|_1), the largest
-    1-norms taken over the kit; M = phi A^2 W, with W = max(1 + m,
-    r (2 r + D^2)) the weights of ``build``'s and ``gauss_and_charge``'s
+    ``half``, what ``build`` reads of one dimension tuple at L on one
+    ring, of rank r and with m the most constituents of a product counted
+    with multiplicity (``FusionRing._mult``): ``cls``, which numbers each
+    d(i) among the distinct dimensions, and D, the lcm of their
+    denominators; A = c max(m |d|_1, |d^2|_1), the largest 1-norms of
+    the distinct dimensions lifted to L over D and of their squares over
+    D^2; M = phi A^2 W, with W = max(1 + m, r (2 r + D^2)) the weights of
+    ``build``'s, ``gauss_and_charge``'s and ``mueger_report``'s
     identities (1 + m for the product relation, r (D + 1) for a twisted
-    row sum, 2 r^2 for a product of Gauss sums over subrings and r^2 +
-    r D^2 for the norm); the ``bases``, d and d^2 of each distinct
-    dimension evaluated at B, and ``pdv`` and ``pdd`` by index; ``pairs``,
-    +-d(y) d(v) once per pair of distinct dimensions; and the F_p images
-    ``img`` of the bases' d and ``omega`` of each zeta_L^u
-    (``cyclotomic._modular``).  ``rot(b, u)`` = bal(base_b B^u) is made
-    on first need, once, in a table that any build at L fills: each entry
-    reads the kit and B alone.
+    row sum, 2 r^2 for a product of Gauss sums over subrings and for a
+    dimension identity, and r^2 + r D^2 for the norm); the ``bases``, d
+    and d^2 of each distinct dimension evaluated at B, and ``pdv`` and
+    ``pdd`` by index; ``pairs``, +-d(y) d(v) once per pair of distinct
+    dimensions; the F_p images ``img`` of the bases' d and ``omega`` of
+    each zeta_L^u (``cyclotomic._modular``); and ``inv``, the CycloNum
+    inverse of each distinct dimension, which ``build`` makes once the
+    first build with the base succeeds, before it keeps the base.
+    ``rot(b, u)`` = bal(base_b B^u) is made on first need, once, in a
+    table that any build at L fills: each entry reads the base alone.
+    No kept value is changed in place.
     Three facts make every residue of ``build`` the evaluation at B of
     the vector that the same expression makes at L, and every test on
     them exact:
@@ -311,11 +293,14 @@ class _Kron:
        evaluation of its vector, equal residues mean equal vectors, and
        ``unpack`` recovers the vector.
     3. The divisibility test holds unchanged: every identity is a sum of
-       products of two vectors within A, so M bounds its coefficients.
+       products of two vectors within A, with weights of total at most
+       W, so M bounds its coefficients.  A dimension identity of
+       ``mueger_report``, dim(a) dim(b) - dim(c) dim(e) with dim a sum of
+       d^2 over a subring, is one of at most 2 r^2 such products.
     """
 
-    __slots__ = ("n", "phi", "k", "mod", "half", "lifts", "squares", "A", "bases", "pdv",
-                 "pdd", "pairs", "rots", "p", "img", "omega", "inv", "inv_den")
+    __slots__ = ("n", "phi", "k", "mod", "half", "cls", "D", "A", "bases", "pdv", "pdd",
+                 "pairs", "rots", "p", "img", "omega", "inv")
 
     def __init__(self, ctx, M: int):
         c, h = _fold_bound(ctx)
@@ -323,7 +308,7 @@ class _Kron:
         self.mod = (1 << k * ctx.phi) - sum(t << k * j for j, t in ctx.tail)   # Phi_L(B)
         self.n, self.phi, self.half = ctx.n, ctx.phi, 1 << k - 1
 
-    def __eq__(self, other):   # by value, so a copy of a kit equals it; unhashable
+    def __eq__(self, other):   # by value, so a copy of a base equals it; unhashable
         return type(other) is _Kron and all(
             getattr(self, s, None) == getattr(other, s, None) for s in self.__slots__)
 
@@ -363,12 +348,13 @@ class _Kron:
         return self.omega[u] * self.img[k]
 
 
-def _kit_base(ring: FusionRing, kit, ctx) -> _Kron:
-    """The base of a dimension kit at L = ctx.n on ``ring``, with what
-    ``build`` reads of the kit there (see ``_Kron``); kept by ``build``
-    in ``kit.at[L]`` once a build with it succeeds."""
-    L, D = ctx.n, kit.D
-    lifts = [[c * (D // d.den) for c in d._lift(L)] for d in kit.kinds]
+def _kit_base(ring: FusionRing, kinds: tuple, cls: tuple, ctx) -> _Kron:
+    """The base of the distinct dimensions ``kinds`` at L = ctx.n on
+    ``ring``, ``cls[i]`` numbering d(i) among them, with what ``build``
+    reads of them there (see ``_Kron``); kept by ``build`` in
+    ``ring._kits[dim, L]`` once a build with it succeeds."""
+    L, D = ctx.n, reduce(math.lcm, (d.den for d in kinds), 1)
+    lifts = [[c * (D // d.den) for c in d._lift(L)] for d in kinds]
     squares = [_mul_vec(ctx, v, v) for v in lifts]
     if ring._mult is None:   # the most constituents of a product, with multiplicity
         ring._mult = max(sum(ms) for _, ms in chain.from_iterable(ring.rows))
@@ -376,10 +362,10 @@ def _kit_base(ring: FusionRing, kit, ctx) -> _Kron:
     A = _fold_bound(ctx)[0] * max(m * max(sum(map(abs, v)) for v in lifts),
                                   max(sum(map(abs, v)) for v in squares))
     kr = _Kron(ctx, ctx.phi * A * A * max(1 + m, r * (2 * r + D * D)))
-    kr.lifts, kr.squares, kr.A = lifts, squares, A
+    kr.cls, kr.D, kr.A = cls, D, A
     nk = len(lifts)
     kr.bases = bases = [kr.pack(v) for v in lifts + squares]
-    kr.pdv, kr.pdd = [bases[k] for k in kit.cls], [bases[nk + k] for k in kit.cls]
+    kr.pdv, kr.pdd = [bases[k] for k in cls], [bases[nk + k] for k in cls]
     kr.pairs = {(a, b): (dd, -dd) for a in range(nk) for b in range(a, nk)
                 for dd in [kr.bal(bases[a] * bases[b])]}
     kr.rots = [None] * (2 * nk * L)
@@ -392,10 +378,9 @@ def _kit_base(ring: FusionRing, kit, ctx) -> _Kron:
 class PreModularDatum:
     """theta: twists as Fraction exponents of roots of unity; dim: CycloNum
     per index; pointed_source: (PreMetricGroup, chi tuple) when pointed;
-    _at: the build's values at its conductor (_AtL).  ``S``, the derived
-    CycloNum matrix, and ``S_tilde``, s_XY / (d(X) d(Y)), are made from
-    _at on first read; S~'s vectors are made then too, from S and the
-    inverses that ``build`` keeps, and only its canonical matrix is kept.
+    _at: the build's residues at its conductor (_AtL), the datum's only
+    exact form.  ``S``, the derived CycloNum matrix, and ``S_tilde``,
+    s_XY / (d(X) d(Y)), are made from _at on first read and kept.
     Built on first use too: _nondegenerate,
     _lagrangians (index sets of the Lagrangian subgroups of a pointed
     source), _cents (K.indices -> CentralizerReport) and _gfp
@@ -413,18 +398,31 @@ class PreModularDatum:
 
     @property
     def S(self) -> tuple:
+        """S as CycloNums, one per distinct residue: equal residues are
+        equal vectors (``_Kron``, fact 2)."""
         if self._S is None:
-            self._S = _canonical(self._at.ctx.n, self._at.S, self._at.den)
+            at = self._at
+            L, den, unpack = at.ctx.n, at.den, at.kron.unpack
+            forms = {v: CycloNum(L, unpack(v), den) for v in set(chain.from_iterable(at.pS))}
+            self._S = tuple(tuple(map(forms.__getitem__, row)) for row in at.pS)
         return self._S
 
     @property
     def S_tilde(self) -> tuple:
-        """s~_XY = s_XY d(X)^-1 d(Y)^-1, canonical, made on first read: its
-        vectors from S and the inverses ``build`` kept (``_AtL.s_tilde``),
-        over den inv_den^2; only the canonical matrix is kept."""
+        """s~_XY = s_XY (d(X)^-1 d(Y)^-1) in CycloNums, made on first read
+        from ``S`` and the inverses the build's base keeps: symmetric as S
+        is, with d(X)^-1 d(Y)^-1 made once per pair of distinct dimensions."""
         if self._S_tilde is None:
-            at = self._at
-            self._S_tilde = _canonical(at.ctx.n, at.s_tilde(), at.den * at.inv_den ** 2)
+            S, cls, inv = self.S, self._at.cls, self._at.kron.inv
+            r = len(S)
+            pairs, St = {}, [[None] * r for _ in range(r)]
+            for x in range(r):
+                for y in range(x, r):
+                    key = (cls[x], cls[y]) if cls[x] <= cls[y] else (cls[y], cls[x])
+                    if key not in pairs:
+                        pairs[key] = inv[key[0]] * inv[key[1]]
+                    St[x][y] = St[y][x] = S[x][y] * pairs[key]
+            self._S_tilde = tuple(map(tuple, St))
         return self._S_tilde
 
     def _key(self) -> tuple:
@@ -460,40 +458,14 @@ class PreModularDatum:
         return f"PreModularDatum({self.ring!r})"
 
 
-def _canonical(L, vecs, den) -> tuple:
-    """The CycloNum matrix of ``vecs`` at L over ``den``: one canonical
-    form per distinct entry."""
-    forms = {k: CycloNum(L, k, den) for k in {tuple(v) for row in vecs for v in row}}
-    return tuple(tuple(forms[tuple(v)] for v in row) for row in vecs)
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
-class _Kit(NamedTuple):
-    """What ``build`` keeps on a ring for one dimension tuple
-    (``FusionRing._kits``), written once a build with it succeeds: being
-    kept, it says that the unit, zero and dual-dimension checks passed.
-    ``kinds`` are the distinct dimensions in order of first index,
-    ``cls[i]`` the number of d(i) among them, ``n`` and ``D`` the lcm of
-    their conductors and of their denominators, and ``at[L]`` the base
-    of the kit at each conductor L a build reached (``_Kron``, made by
-    ``_kit_base``): the bound A and B = 2^k, the kinds lifted to L over
-    D and their squares over D^2 with their values at B, the pairs
-    +-d(y) d(v), the F_p images, and the kinds' inverses lifted to L over
-    ``inv_den``.  No kept value is changed in place; only the table of
-    ``_Kron.rot`` fills, on first need."""
-    kinds: tuple
-    cls: tuple
-    n: int
-    D: int
-    at: dict
-
-
-def _dimension_kit(ring: FusionRing, dim: tuple) -> _Kit:
-    """The dimension checks of ``build``, in its order, and a new kit of
-    what they find, not yet kept."""
+def _dimension_classes(ring: FusionRing, dim: tuple) -> tuple:
+    """The dimension checks of ``build``, in its order; then the distinct
+    dimensions, in order of first index, and ``cls``, which numbers each
+    d(i) among them."""
     if dim[ring.unit] != ONE:
         raise DatumError("unit dimension must be 1")
     for i, d in enumerate(dim):
@@ -507,8 +479,7 @@ def _dimension_kit(ring: FusionRing, dim: tuple) -> _Kit:
             raise DualDimFail(
                 f"d(dual {ring.labels[i]}) != conjugate(d({ring.labels[i]}))"
             )
-    return _Kit(tuple(kinds), cls, reduce(math.lcm, (d.n for d in kinds), 1),
-                reduce(math.lcm, (d.den for d in kinds), 1), {})
+    return tuple(kinds), cls
 
 
 def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularDatum:
@@ -516,15 +487,16 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
 
     L joins the twists' and the dimensions' conductors and D the
     dimensions' denominators.  Entries of S are over D, made at the base
-    B of the kit at L as balanced residues mod Phi_L(B): with theta_i =
-    (-1)^s_i zeta_L^t_i, S_xy is the sum over z of N_xy^z (-1)^(s_x + s_y
-    + s_z) times d_z B^(t_z - t_x - t_y), reduced (``_s_entry``), which is
-    the evaluation at B of S_xy's vector at L (``_Kron``, facts 1 and 2).
-    So symmetry, duality and the unit row are integer equality.  The
-    product relation's sides are over D^2, and each (X, Y, Z) is one
-    integer divisibility test, in the order the vector test took.  theta
-    d, theta^-1 d and theta^+-1 d^2, which the Gauss sums read, are made
-    only once the product relation holds (``_AtL``).
+    B the ring keeps for the dimensions at L as balanced residues mod
+    Phi_L(B): with theta_i = (-1)^s_i zeta_L^t_i, S_xy is the sum over z
+    of N_xy^z (-1)^(s_x + s_y + s_z) times d_z B^(t_z - t_x - t_y),
+    reduced (``_s_entry``), which is the evaluation at B of S_xy's vector
+    at L (``_Kron``, facts 1 and 2).  So symmetry, duality and the unit
+    row are integer equality.  The product relation's sides are over
+    D^2, and each (X, Y, Z) is one integer divisibility test, in the
+    order the vector test took.  theta d, theta^-1 d and theta^+-1 d^2,
+    which the Gauss sums read, are made only once the product relation
+    holds (``_AtL``).
     S is made on one triangle, x <= y: where N_xy = N_yx (every pair of
     a commutative ring), S_yx is the same expression and shares S_xy's
     residue; elsewhere it is made and compared in row-major order, so a
@@ -534,18 +506,18 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     docstring).
 
     The dimensions are a character of the ring, fixed before any twist, so
-    their work is kept on the ring per dimension tuple (``_Kit``), once a
-    build with them succeeds: a later build with an equal tuple on the
-    same ring skips the unit, zero and dual-dimension checks, which passed
-    for it, and at a conductor L reached before reads the kit's base
-    (``_Kron``: B, the dimensions' values at B and F_p images, the lifts,
-    the squares) and the inverses (kept for s~, whose vectors and canonical
-    matrix, like S's, are left to the datum's first read,
-    ``PreModularDatum.S_tilde``).  The conductor guard runs before any
-    value kept for L is read, and every check that reads a twist runs on
-    every build.  perfbench's binding test counts ``cyclotomic.mul`` on
-    a build, which the CycloNum product in ``inverse`` makes, so the first
-    build of a dimension tuple at a conductor on a ring inverts.
+    their work is kept on the ring once per (dimensions, L), as one base
+    (``_Kron``, made by ``_kit_base``), once a build with them succeeds.
+    A later build on the ring with equal dimensions at the same L reads
+    that base and skips the unit, zero and dual-dimension checks, which
+    passed for it; a build that finds none runs them, then the conductor
+    guard, then makes the base.  The guard runs before any value kept
+    for L is read, and every check that reads a twist runs on every
+    build.  The first build with a base makes the inverse of each
+    distinct dimension, for s~, which like S is left to the datum's first
+    read (``PreModularDatum.S_tilde``).  perfbench's binding test counts
+    ``cyclotomic.mul`` on a build, which the CycloNum product in
+    ``inverse`` makes, so that first build inverts.
     """
     r = ring.rank
     theta = tuple(root_exp(t) for t in theta)
@@ -554,19 +526,20 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
         raise DatumError("twist and dimension tables must cover the basis")
     if theta[ring.unit] != 0:
         raise UnitTwistFail(f"unit twist is {theta[ring.unit]}, not 1")
-    kit = ring._kits.get(dim)
-    if kit is None:
-        kit = _dimension_kit(ring, dim)
-    cls, D = kit.cls, kit.D
-    L = reduce(math.lcm, (_canonical_conductor(t.denominator) for t in theta), kit.n)
+    L = reduce(math.lcm, chain((_canonical_conductor(t.denominator) for t in theta),
+                               (d.n for d in dim)), 1)
+    kr = ring._kits.get((dim, L))
+    new = kr is None
+    if new:
+        kinds, cls = _dimension_classes(ring, dim)
     config.check_conductor(L)
     ctx = _ctx(L)
-    new = L not in kit.at
-    kr = _kit_base(ring, kit, ctx) if new else kit.at[L]
+    if new:
+        kr = _kit_base(ring, kinds, cls, ctx)
     # theta_z = (-1)^s zeta_L^t
     roots = [_root_power(t.numerator, t.denominator, L) for t in theta]
     rows, pd, mod = ring.rows, kr.pdv, kr.mod
-    entry = partial(_s_entry, rows, roots, cls, L, kr.rot)   # S_xy over D, at B
+    entry = partial(_s_entry, rows, roots, kr.cls, L, kr.rot)   # S_xy over D, at B
     S = [[None] * r for _ in range(r)]
     for x in range(r):
         for y in range(x, r):
@@ -601,14 +574,10 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
                 f"({ring.labels[x]}, {ring.labels[y]}, {ring.labels[z]})"
             )
 
-    at = _AtL(ctx, D, ring, roots, cls, kr, S)   # and the Gauss-sum values, now
-    if new:   # one inverse per distinct dimension, lifted to L over one denominator
-        inv = [d.inverse() for d in kit.kinds]
-        kr.inv_den = reduce(math.lcm, (v.den for v in inv), 1)
-        kr.inv = [[c * (kr.inv_den // v.den) for c in v._lift(L)] for v in inv]
-        kit.at[L] = kr
-        ring._kits[dim] = kit
-    at.inv, at.inv_den = kr.inv, kr.inv_den
+    if new:   # one inverse per distinct dimension, then the base is kept
+        kr.inv = [d.inverse() for d in kinds]
+        ring._kits[dim, L] = kr
+    at = _AtL(ctx, ring, roots, kr, S)   # and the Gauss-sum values, now
     return PreModularDatum(ring, theta, dim, at)
 
 
@@ -835,33 +804,31 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
                   config: Config = DEFAULT) -> list:
     """Dimension identities for a pair of subrings, pass/fail each.
 
-    Categorical dimensions are sums of d^2 at the build's conductor,
-    unpacked from the build's residues, so each identity of products is
-    list equality over one denominator.
+    Categorical dimensions are sums of d^2, over den^2, of the build's
+    residues at its base, so each identity dim(a) dim(b) = dim(c) dim(e)
+    is one integer divisibility (``_Kron``, fact 3).
     """
     R = D.ring
-    at = D._at
-    ctx, pdd = at.ctx, at.kron.pdd
+    kr = D._at.kron
+    pdd = kr.pdd
     lat = all_subrings(R, config)
     whole = FusionSubring(R, tuple(range(R.rank)))
     Kc = centralizer(D, K).centralizer
     Bc = centralizer(D, B).centralizer
     Cc = centralizer(D, whole).centralizer
-    checks = []
+    checks, meet = [], lat.meet
 
-    def meet(a, b):
-        return lat.meet(a, b)
+    def dim(a):
+        return sum(pdd[i] for i in a.indices)
 
-    def dims(a, b):
-        return _mul_vec(ctx, at.vector(pdd, a.indices), at.vector(pdd, b.indices))
+    def same(a, b, c, e):   # dim(a) dim(b) = dim(c) dim(e)
+        return kr.divides(dim(a) * dim(b) - dim(c) * dim(e))
 
     def record(name, anchor, ok, witness=""):
         checks.append(Check(name, anchor, "pass" if ok else "fail", witness))
 
-    record("dim-exchange", "centralizer-dim-exchange",
-           dims(meet(B, Kc), K) == dims(meet(K, Bc), B))
-    record("dim-product", "centralizer-dim-product",
-           dims(K, Kc) == dims(whole, meet(K, Cc)))
+    record("dim-exchange", "centralizer-dim-exchange", same(meet(B, Kc), K, meet(K, Bc), B))
+    record("dim-product", "centralizer-dim-product", same(K, Kc, whole, meet(K, Cc)))
 
     kcc = centralizer(D, Kc).centralizer
     join_kc = lat.join(K, Cc)
@@ -872,7 +839,7 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
         f"K'' = {kcc.indices}, K v C' = {join_kc.indices}",
     )
 
-    record("diamond-dims", "join-meet-dims", dims(K, B) == dims(lat.join(K, B), meet(K, B)))
+    record("diamond-dims", "join-meet-dims", same(K, B, lat.join(K, B), meet(K, B)))
 
     fp = fp_dims(R, config)
 
@@ -891,7 +858,7 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
     sub_rank = matrix_rank([[D.S_tilde[y][z] for z in K.indices] for y in K.indices])
     if sub_rank == K.rank:
         ok1 = meet(K, Kc).indices == (R.unit,)
-        ok2 = dims(K, Kc) == dims(whole, meet(K, Cc))
+        ok2 = same(K, Kc, whole, meet(K, Cc))
         record("nondeg-factor", "nondegenerate-subring-factorization", ok1 and ok2)
     else:
         checks.append(Check("nondeg-factor", "nondegenerate-subring-factorization", "skipped",
@@ -931,10 +898,10 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
     R = D.ring
     at = D._at
     kr = at.kron
-    L, den, divides = at.ctx.n, at.den, kr.divides
+    den, divides = at.den, kr.divides
     ptd, pdd = at.ptd, kr.pdd
     tp, tm = sum(ptd[+1]), sum(ptd[-1])
-    tau_p, tau_m, dim_tot = (CycloNum(L, kr.unpack(v), den ** 2) for v in (tp, tm, sum(pdd)))
+    tau_p, tau_m, dim_tot = D.tau(+1), D.tau(-1), D.dim_total()
     checks = [
         Check("conjugate-sums", "gauss-conjugate-pair",
               "pass" if tau_m == tau_p.conjugate() else "fail")
@@ -1024,7 +991,7 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
         elif at.pqd[a] == -den:
             chi[a] = -1
         else:
-            val = CycloNum(ctx.n, at.qd[a], den).as_rational()
+            val = CycloNum(ctx.n, kr.unpack(at.pqd[a]), den).as_rational()
             raise ClassificationBug(f"braiding character value {val} is not +-1")
     candidates = []
     for v in sorted(set(sf)):

@@ -67,6 +67,7 @@ _REFUSAL = "tests/test_kits.py::test_a_refusal_keeps_no_kit_and_fails_again"
 _KEPT_DOC = "tests/test_kits.py::test_a_kept_dimension_document_meets_a_lower_guard"
 _REFUSED_DOC = "tests/test_kits.py::test_a_refused_datum_keeps_no_dimension_document"
 _RESIDUES = "tests/test_residues.py::test_build_at_the_base_matches_the_vector_build"
+_MUEGER = "tests/test_premodular.py::test_mueger_identities"
 
 MUTANTS = (
     Mutant("monomial-shift-range-one-block-short", "braidforge/cyclotomic.py",
@@ -153,16 +154,19 @@ MUTANTS = (
            "if not 0 <= unit < r:",
            "if not 0 <= unit <= r:",
            (_UNIT_RANGE,)),
-    Mutant("kit-lifts-keyed-without-conductor", "braidforge/premodular.py",
-           "    new = L not in kit.at\n",
-           "    new = not kit.at\n",
+    Mutant("base-looked-up-by-dimensions-alone", "braidforge/premodular.py",
+           "    kr = ring._kits.get((dim, L))\n",
+           "    kr = next((b for (d, _), b in ring._kits.items() if d == dim), None)\n",
            (_WARM,)),
     Mutant("kit-kept-before-the-dual-dimension-check", "braidforge/premodular.py",
-           "    conj = [d.conjugate() for d in kinds]\n",
-           "    ring._kits[dim] = _Kit(tuple(kinds), cls, reduce(math.lcm, (d.n for d in kinds), 1),\n"
-           "                           reduce(math.lcm, (d.den for d in kinds), 1), {})\n"
-           "    conj = [d.conjugate() for d in kinds]\n",
+           "        kinds, cls = _dimension_classes(ring, dim)\n",
+           "        ring._kits[dim, L] = _Kron(_ctx(L), 1)\n"
+           "        kinds, cls = _dimension_classes(ring, dim)\n",
            (_REFUSAL,)),
+    Mutant("mueger-identities-compared-as-raw-integers", "braidforge/premodular.py",
+           "        return kr.divides(dim(a) * dim(b) - dim(c) * dim(e))\n",
+           "        return dim(a) * dim(b) == dim(c) * dim(e)\n",
+           (_MUEGER,)),
     Mutant("kept-dimension-document-skips-the-guard", "braidforge/io.py",
            "            config.check_conductor(key[0])\n",
            "            pass\n",

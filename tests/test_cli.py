@@ -446,14 +446,6 @@ def test_console_entry_point_runs():
     json.loads(proc.stdout)
 
 
-def test_ingest_sniffing(tmp_path):
-    p = write(tmp_path, "grp.json", {"orders": [2, 4]})
-    G = bio.ingest(p)
-    assert G.orders == (2, 4)
-    with pytest.raises(SchemaError):
-        bio.ingest(write(tmp_path, "junk.json", {"nope": 1}))
-
-
 def test_unsupported_computation_exits_1(tmp_path, capsys):
     # noncommutative table: universal grading is refused, exit code 1
     import itertools

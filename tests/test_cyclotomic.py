@@ -462,8 +462,8 @@ def _convolved(a, c):
 
 
 def test_mul_vec_matches_the_convolution():
-    # a rational operand (zero past index 0) takes the scalar path, on
-    # either side; the result is a new list in every case
+    # every pair of zero, rational (zero past index 0), monomial and dense
+    # operands, as lists and as tuples; the result is a new list in every case
     rng = random.Random(27)
     for n in [m for m in range(1, 61) if m % 4 != 2] + [840]:
         ctx = cyclotomic._ctx(n)

@@ -1,11 +1,13 @@
-"""Dimension kits: what ``premodular.build`` keeps on a ring per dimension
-tuple, and the dimension documents ``io`` keeps beside it.
+"""Dimension kits: the base ``premodular.build`` keeps on a ring per
+(dimension tuple, conductor), and the dimension documents ``io`` keeps
+beside it.
 
 The oracle is a build on a fresh copy of the ring, made with
 ``FusionRing(...)``, which keeps nothing: a build on the interned ring,
-after an earlier build with the same dimensions has kept its kit, must
-make the same vectors, evaluations and canonical matrices, and a refused
-build must keep nothing and fail again the same way.
+after an earlier build with the same dimensions at the same conductor
+has kept its base, must make the same residues, vectors and canonical
+matrices, and a refused build must keep nothing and fail again the same
+way.
 """
 
 import copy
@@ -13,6 +15,7 @@ import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -100,40 +103,56 @@ def _kit_data():
     return out
 
 
+def _unpacked(D):
+    """The build's values as vectors at L, each unpacked from its residue
+    (``_Kron.unpack``), over the build's denominators: ``S`` (one vector
+    per residue, so S_xy and S_yx share one where they share a residue),
+    ``dv`` (d), ``qd`` (theta d), ``qi`` (theta^-1 d), ``dd`` (d^2) and
+    ``td[sign]`` (theta^sign d^2)."""
+    at = D._at
+    kr, un = at.kron, at.kron.unpack
+    vec = {v: un(v) for row in at.pS for v in row}
+    return SimpleNamespace(S=[[vec[v] for v in row] for row in at.pS],
+                           dv=list(map(un, kr.pdv)), qd=list(map(un, at.pqd)),
+                           qi=list(map(un, at.pqi)), dd=list(map(un, kr.pdd)),
+                           td={sign: list(map(un, at.ptd[sign])) for sign in (1, -1)})
+
+
 def _vectors(D):
-    """The build's vectors, its evaluations at the base, and the canonical
-    matrices."""
-    at, kr = D._at, D._at.kron
-    return (at.ctx.n, at.den, at.cls, at.S, at.dv, at.qd, at.qi, at.dd, at.td, at.inv, at.inv_den,
+    """The build's vectors, its evaluations at the base, the inverses and
+    the canonical matrices."""
+    at, kr, V = D._at, D._at.kron, _unpacked(D)
+    return (at.ctx.n, at.den, at.cls, V.S, V.dv, V.qd, V.qi, V.dd, V.td, kr.inv,
             kr.k, kr.mod, at.pS, kr.pdv, at.pqd, at.pqi, kr.pdd, at.ptd, D.S, D.S_tilde)
 
 
 def test_warm_builds_match_fresh_builds(monkeypatch):
-    # a build that reads a kept kit makes what a build on a ring that keeps
-    # nothing makes, and the reports leave every kept list as it was
+    # a build that reads a kept base makes what a build on a ring that keeps
+    # nothing makes, and the reports leave every kept base as it was
     data = _kit_data()
     assert len(data) >= 16 + 64 + 2 * len(invariant_shapes(12))
     kits = set()
     for D in data:
-        R = D.ring
-        assert D.dim in R._kits
-        kits.add((id(R), D.dim))
+        R, key = D.ring, (D.dim, D._at.ctx.n)
+        assert key in R._kits
+        kits.add((id(R), key))
         fresh = FusionRing(R.labels, R.unit, R.dual, R.N)
         want = _vectors(build(fresh, D.theta, D.dim))
-        assert list(fresh._kits) == [D.dim]
-        with monkeypatch.context() as m:   # a kit hit checks no dimension again
-            m.setattr(premodular, "_dimension_kit", None)
+        assert list(fresh._kits) == [key]
+        with monkeypatch.context() as m:   # a hit checks no dimension again
+            m.setattr(premodular, "_dimension_classes", None)
             E = build(R, D.theta, D.dim)
         assert _vectors(E) == want == _vectors(D), D
-    assert len(kits) < len(data)   # products and pointed data share kits
+    assert len(kits) < len(data)   # products and pointed data share bases
     for D in data:
-        kit = copy.deepcopy(D.ring._kits[D.dim])
+        key = (D.dim, D._at.ctx.n)
+        kit = copy.deepcopy(D.ring._kits[key])
         if D.rank <= 12:
             gauss_and_charge(D)
             for K in all_subrings(D.ring).subrings:
                 centralizer(D, K)
         assert D.S_tilde == _vectors(D)[-1]   # read from the kept inverses
-        assert D.ring._kits[D.dim] == kit
+        assert D.ring._kits[key] == kit
 
 
 def _interned(R):
@@ -152,10 +171,10 @@ def _assert_refused_keeping_nothing(R, theta, dim, config=Config(), error=None):
     fresh = FusionRing(R.labels, R.unit, R.dual, R.N)
     want = _refusal(fresh, theta, dim, config)
     assert fresh._kits == {} and (error is None or want[0] is error), want
-    before = {k: (kit, set(kit.at)) for k, kit in R._kits.items()}
+    before = dict(R._kits)
     for _ in range(2):   # the same refusal again: nothing was kept
         assert _refusal(R, theta, dim, config) == want
-        assert {k: (kit, set(kit.at)) for k, kit in R._kits.items()} == before
+        assert R._kits == before
     return want
 
 
@@ -169,8 +188,9 @@ def test_a_refusal_keeps_no_kit_and_fails_again():
         DatumError, "unit dimension must be 1")
 
     D = _parsed(deligne_product(ising_datum(F(1, 16), 1), ising_datum(F(3, 16), -1)))
-    R, kit = D.ring, D.ring._kits[D.dim]
-    assert set(kit.at) == {16}
+    R = D.ring
+    kit = R._kits[D.dim, 16]
+    assert [L for d, L in R._kits if d == D.dim] == [16]
     for moved in (F(3, 16), F(1, 48)):   # at a kept conductor, and at a new one (48)
         theta = list(D.theta)
         theta[4] = moved
@@ -179,7 +199,7 @@ def test_a_refusal_keeps_no_kit_and_fails_again():
     # = -1 passes the dimension checks, but d is then no character
     dim = tuple(-d if i == 4 else d for i, d in enumerate(D.dim))
     _assert_refused_keeping_nothing(R, D.theta, dim, error=VerlindeFail)
-    assert set(kit.at) == {16} and R._kits[D.dim] is kit
+    assert [L for d, L in R._kits if d == D.dim] == [16] and R._kits[D.dim, 16] is kit
     # the guard runs before a kept value at its conductor is read
     _assert_refused_keeping_nothing(R, D.theta, D.dim, Config(conductor_guard=15))
     assert build(R, D.theta, D.dim, Config(conductor_guard=16)).S == D.S

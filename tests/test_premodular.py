@@ -57,6 +57,7 @@ from braidforge.premodular import (
     trivial_datum,
 )
 from test_abelian import invariant_shapes
+from test_kits import _unpacked
 
 Z = lambda k, n=16: CycloNum.from_root(F(k, n))
 
@@ -199,6 +200,18 @@ def test_mueger_identities():
     for K in lat.subrings:
         for B in lat.subrings:
             assert all(c.status != "fail" for c in mueger_report(D, K, B))
+    # Fib x Fib: the dimensions of Fib x 1 and 1 x Fib are irrational, so
+    # dim(K) dim(K') is a product of two vectors at L that equals dim(C)
+    # only modulo Phi_L
+    from test_su2 import su2
+
+    fib = su2(3, (0, 2))
+    FF = deligne_product(fib, fib)
+    lat = all_subrings(FF.ring)
+    assert len(lat.subrings) == 4   # 1, Fib x 1, 1 x Fib and the whole
+    for K in lat.subrings:
+        for B in lat.subrings:
+            assert all(c.status != "fail" for c in mueger_report(FF, K, B)), (K, B)
 
 
 def test_projective_centralizer_and_commutator():
@@ -840,11 +853,11 @@ def test_centralizer_ranks_match_the_exact_rank(monkeypatch):
                         lambda ctx, M: exact.append(len(M)) or _rank_vec(ctx, M))
     paths = set()
     for D in _build_corpus():
-        at = D._at
+        at, S = D._at, _unpacked(D).S
         for K in all_subrings(D.ring).subrings:
             calls = len(exact)
             rep = centralizer(D, K)
-            assert rep.rank_stilde == _rank_vec(at.ctx, [at.S[y] for y in K.indices]), (D, K)
+            assert rep.rank_stilde == _rank_vec(at.ctx, [S[y] for y in K.indices]), (D, K)
             assert (len(exact) > calls) != at.full
             paths.add(at.full)
         assert is_nondegenerate(D) or not at.full
@@ -1059,7 +1072,7 @@ def test_canonical_s_and_s_tilde_are_made_on_first_read():
 
 def test_s_is_shared_across_the_diagonal_only_where_the_table_commutes():
     for D in _build_corpus():
-        S, N = D._at.S, D.ring.N
+        S, N = D._at.pS, D.ring.N
         for x in range(D.rank):
             for y in range(D.rank):
                 assert (S[x][y] is S[y][x]) == (N[x][y] == N[y][x]), (D, x, y)
@@ -1082,7 +1095,7 @@ def test_pairing_matches_an_unmemoised_pairing(monkeypatch):
     monkeypatch.setattr(premodular, "_mul_vec",
                         lambda ctx, a, b: made.append(1) or _mul_vec(ctx, a, b))
     for D in _corpus_data():
-        at, r = D._at, D.rank
+        at, r, V = D._at, D.rank, _unpacked(D)
         first = {}
         for i, d in enumerate(D.dim):
             first.setdefault(d, i)
@@ -1092,8 +1105,8 @@ def test_pairing_matches_an_unmemoised_pairing(monkeypatch):
                                                        for y in range(r) for v in range(r)}), D
         for y in range(r):
             for v in range(r):
-                s = [c * at.den for c in at.S[y][v]]
-                dd = _mul_vec(at.ctx, at.dv[y], at.dv[v])
+                s = [c * at.den for c in V.S[y][v]]
+                dd = _mul_vec(at.ctx, V.dv[y], V.dv[v])
                 want = 1 if s == dd else -1 if s == [-c for c in dd] else 0
                 assert pm[y][v] == want, (D, y, v)
             assert ones[y] == {x for x in range(r) if pm[x][y] == 1}
@@ -1213,9 +1226,11 @@ def _total(at, vecs, indices=None):
 def _identity_deltas(D):
     """The unreduced polynomial of each identity the integer tests read,
     for the coefficient bound: the product relation at every (X, Y, Z), the
-    twisted row sums, the Gauss-sum products over every subring and the
-    norm, with both sides over one power of the denominator."""
-    at, R = D._at, D.ring
+    twisted row sums, the Gauss-sum products over every subring, the norm,
+    and mueger_report's dimension identities for every pair of subrings
+    (dim-exchange, dim-product, whose delta nondeg-factor tests again, and
+    diamond-dims), with both sides over one power of the denominator."""
+    at, R, V = D._at, D.ring, _unpacked(D)
     den, r = at.den, D.rank
     tot = lambda vs, idx: _total(at, vs, idx)  # noqa: E731
     pad = lambda v, n: list(v) + [0] * (n - len(v))  # noqa: E731
@@ -1225,20 +1240,35 @@ def _identity_deltas(D):
             for z in range(r):
                 rhs = [0] * D._at.ctx.phi
                 for w in R.constituents(y, z):
-                    rhs = [u + R.N[y][z][w] * v for u, v in zip(rhs, at.S[x][w])]
-                yield sub(_conv(at.S[x][y], at.S[x][z]), _conv(at.dv[x], rhs))
-    tp, tm = tot(at.td[1], None), tot(at.td[-1], None)
+                    rhs = [u + R.N[y][z][w] * v for u, v in zip(rhs, V.S[x][w])]
+                yield sub(_conv(V.S[x][y], V.S[x][z]), _conv(V.dv[x], rhs))
+    tp, tm = tot(V.td[1], None), tot(V.td[-1], None)
     for y in range(r):
         acc = [0] * (2 * at.ctx.phi - 1)
         for x in range(r):
-            acc = [u + den * v for u, v in zip(acc, _conv(at.qd[x], at.S[x][y]))]
-        yield sub(acc, _conv(at.qi[y], tp))
-    for K in all_subrings(R).subrings:
-        kc = centralizer(D, K).centralizer.indices
-        dk = tot(at.dd, K.indices)
-        yield sub(_conv(tp, tot(at.td[-1], K.indices)), _conv(dk, tot(at.td[1], kc)))
-        yield sub(_conv(tm, tot(at.td[1], K.indices)), _conv(dk, tot(at.td[-1], kc)))
-    yield sub(_conv(tp, tm), [den * den * v for v in tot(at.dd, None)])
+            acc = [u + den * v for u, v in zip(acc, _conv(V.qd[x], V.S[x][y]))]
+        yield sub(acc, _conv(V.qi[y], tp))
+    lat = all_subrings(R)
+    cent = {K.indices: centralizer(D, K).centralizer for K in lat.subrings}
+    for K in lat.subrings:
+        kc = cent[K.indices].indices
+        dk = tot(V.dd, K.indices)
+        yield sub(_conv(tp, tot(V.td[-1], K.indices)), _conv(dk, tot(V.td[1], kc)))
+        yield sub(_conv(tm, tot(V.td[1], K.indices)), _conv(dk, tot(V.td[-1], kc)))
+    yield sub(_conv(tp, tm), [den * den * v for v in tot(V.dd, None)])
+    whole = FusionSubring(R, tuple(range(r)))
+    Cc = cent[whole.indices]
+
+    def dims(a, b, c, e):   # dim(a) dim(b) - dim(c) dim(e), each dim over den^2
+        return sub(_conv(tot(V.dd, a.indices), tot(V.dd, b.indices)),
+                   _conv(tot(V.dd, c.indices), tot(V.dd, e.indices)))
+
+    for K in lat.subrings:
+        Kc = cent[K.indices]
+        yield dims(K, Kc, whole, lat.meet(K, Cc))
+        for B in lat.subrings:
+            yield dims(lat.meet(B, Kc), K, lat.meet(K, cent[B.indices]), B)
+            yield dims(K, B, lat.join(K, B), lat.meet(K, B))
 
 
 def test_every_identity_fits_the_datum_base():
@@ -1261,17 +1291,17 @@ def _vector_checks(D):
     vectors, with the same CycloNum checks where no product is made."""
     from braidforge.cyclotomic import _mul_vec, _times_root
 
-    R, at = D.ring, D._at
+    R, at, V = D.ring, D._at, _unpacked(D)
     ctx, L, den = at.ctx, at.ctx.n, at.den
-    dd, td = at.dd, at.td
+    dd, td = V.dd, V.td
     every = range(R.rank)
     tp, tm, dtot = _total(at, td[1]), _total(at, td[-1]), _total(at, dd)
     tau_p, tau_m = CycloNum(L, tp, den ** 2), CycloNum(L, tm, den ** 2)
     out = [("conjugate-sums", tau_m == tau_p.conjugate())]
     for y in every:
-        acc = _total(at, [_mul_vec(ctx, at.qd[x], at.S[x][y]) for x in every])
+        acc = _total(at, [_mul_vec(ctx, V.qd[x], V.S[x][y]) for x in every])
         s, t = at.roots[y]
-        want = _mul_vec(ctx, _times_root(ctx, s, -t, at.dv[y]), tp)
+        want = _mul_vec(ctx, _times_root(ctx, s, -t, V.dv[y]), tp)
         out.append((f"twisted-row-sum[{R.labels[y]}]", [c * den for c in acc] == want))
     nondeg = is_nondegenerate(D)
     for sub in all_subrings(R).subrings:
@@ -1301,10 +1331,9 @@ def _tampered(D, rng):
     i = rng.randrange(1, D.rank)
     roots = list(at.roots)
     roots[i] = (roots[i][0] + 1, (roots[i][1] + rng.randrange(at.ctx.n)) % at.ctx.n)
-    bad = _AtL(at.ctx, at.den, D.ring, roots, at.cls, at.kron, at.pS)
+    bad = _AtL(at.ctx, D.ring, roots, at.kron, at.pS)
     at.rank_rows(())   # the F_p rank of S, whose images are taken from the twists S was made with
     bad.pqd, bad.full = at.pqd, at.full
-    bad.inv, bad.inv_den = at.inv, at.inv_den
     return PreModularDatum(D.ring, D.theta, D.dim, bad)
 
 
@@ -1365,14 +1394,12 @@ def test_integer_checks_match_the_vector_checks_on_data_and_mutations(monkeypatc
 
 
 def test_s_tilde_makes_one_inverse_product_per_pair_of_dimensions(monkeypatch):
-    # build makes no vector of s~; its first read makes d_x^-1 d_y^-1 once
-    # per pair of distinct dimensions and s_xy times it once per x <= y
-    from braidforge import premodular
-    from braidforge.cyclotomic import _mul_vec
-
+    # build makes no entry of s~; its first read makes d_x^-1 d_y^-1 once
+    # per pair of distinct dimensions and s_xy times it once per x <= y,
+    # each one CycloNum product
+    product = CycloNum.__mul__
     made = []
-    monkeypatch.setattr(premodular, "_mul_vec",
-                        lambda ctx, a, b: made.append(1) or _mul_vec(ctx, a, b))
+    monkeypatch.setattr(CycloNum, "__mul__", lambda a, b: made.append(1) or product(a, b))
     for D in _corpus_data():
         E = build(D.ring, D.theta, D.dim)
         made.clear()

@@ -57,7 +57,7 @@ from braidforge.premodular import (
 )
 
 from test_abelian import invariant_shapes
-from test_kits import _heisenberg_datum, _parsed
+from test_kits import _heisenberg_datum, _parsed, _unpacked
 from test_su2 import su2
 
 
@@ -195,17 +195,18 @@ def _tampered_copies(D, rng):
 
 def _check_residues(D, want):
     L, den, S, dv, qd, qi, dd, td = want
-    at = D._at
+    at, V = D._at, _unpacked(D)
     kr, r = at.kron, D.rank
     assert (at.ctx.n, at.den) == (L, den)
-    assert (at.S, at.dv, at.qd, at.qi, at.dd, at.td) == (S, dv, qd, qi, dd, td)
+    assert (V.S, V.dv, V.qd, V.qi, V.dd, V.td) == (S, dv, qd, qi, dd, td)
     # each residue is the evaluation at B of its vector
     assert [[kr.pack(v) for v in row] for row in S] == at.pS
     assert [kr.pack(v) for v in dv] == kr.pdv and [kr.pack(v) for v in dd] == kr.pdd
     assert [kr.pack(v) for v in qd] == at.pqd and [kr.pack(v) for v in qi] == at.pqi
     assert {s: [kr.pack(v) for v in td[s]] for s in (1, -1)} == at.ptd
+    lift = dict(zip(at.cls, dv))   # d of each distinct dimension
     for (a, b), (dd_ab, neg) in kr.pairs.items():
-        assert dd_ab == kr.pack(_mul_vec(at.ctx, kr.lifts[a], kr.lifts[b])) == -neg
+        assert dd_ab == kr.pack(_mul_vec(at.ctx, lift[a], lift[b])) == -neg
     # every vector the checks read is within the kit's a-priori bound
     vecs = [v for row in S for v in row] + dv + qd + qi + dd + td[1] + td[-1]
     assert max(max(map(abs, v)) for v in vecs) <= kr.A

@@ -55,7 +55,7 @@ def su2(k: int, basis=None):
     dims = [qint(j + 1, k) for j in js]
     D = build(R, theta, dims)
     again = build(R, theta, dims)   # a kit hit
-    assert (again.S, again._at.pS, again._at.inv) == (D.S, D._at.pS, D._at.inv)
+    assert (again.S, again._at.pS, again._at.kron.inv) == (D.S, D._at.pS, D._at.kron.inv)
     return D
 
 
