@@ -675,7 +675,7 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     """K' = {V : s~_{YV} = 1 for all Y in K}, with component count.
 
     s~_{YV} = 1 is read from the datum's table of s_{YV} = d(Y) d(V),
-    list equality at the build's conductor.  The rank of the K-rows of
+    integer equality at the build's base (``_AtL.pairing``).  The rank of the K-rows of
     s~ equals the number of K'-components; it is computed on the K rows
     of S, whose rank is the same, since s~ = d^-1 S d^-1 scales rows and
     columns by nonzero dimensions (``_AtL.rank_rows``).  Disagreement
