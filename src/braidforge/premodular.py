@@ -16,11 +16,13 @@ vector made first.  S_XY and S_YX are one residue where N_XY = N_YX
 (``build``).  Equal residues mean equal values, and an identity with
 products in it is one integer divisibility, so a product is one
 multiplication of integers in C.  The residues are the only exact form
-a built datum keeps (``_AtL``): every check and report runs on them,
-and a CycloNum is made only for a value a caller reads.  The CycloNum
+a built datum keeps, on the one object ``build`` makes
+(``PreModularDatum``): every check and report runs on them, and a
+CycloNum is made only for a value a caller reads.  The CycloNum
 matrices ``S``, one per distinct residue, and ``S_tilde`` (s~ = d^-1 S
-d^-1, S times one product of inverses per pair of distinct dimensions)
-are made on first read; no report but ``mueger_report`` reads them.
+d^-1, one product of inverses per pair of distinct dimensions, and one
+product per S residue and pair) are made on first read; no report but
+``mueger_report`` reads them.
 
 The dimensions are a character of the ring, fixed before any braiding
 is chosen (Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories,
@@ -122,87 +124,6 @@ from .fusion import (
 )
 
 ONE = CycloNum.one()
-
-
-class _AtL:
-    """A datum's values at its conductor L, as balanced residues mod
-    Phi_L(B) at the base B its ring keeps for its dimensions at L
-    (``_Kron``): the only exact form of a built datum.
-
-    ``kron`` is that base, with what reads the dimensions alone, and
-    ``den`` (its D) and ``cls`` (``cls[i]`` numbers d(i) among the
-    distinct dimensions) are read from it; ``pS`` holds S over ``den``
-    (S_xy and S_yx one int), ``pqd`` theta d, ``pqi`` theta^-1 d and
-    ``ptd[sign]`` theta^sign d^2, the last over den^2, and ``roots[i]``
-    = (s, t) with theta_i = (-1)^s zeta_L^t.  A value a report returns
-    is unpacked from one residue, or from a sum of them (``vector``).
-    Built on first use: ``pm[y][v]``, which is s~_{yv} where that is +-1
-    and 0 elsewhere, with ``ones[v]`` the set of y where it is 1; and
-    ``full``, whether the image of S over F_p has full rank.  No kept
-    value is changed in place.
-    """
-
-    __slots__ = ("ctx", "den", "ring", "roots", "cls", "kron", "pS", "pqd", "pqi", "ptd",
-                 "pm", "ones", "full")
-
-    def __init__(self, ctx, ring, roots, kron, pS):
-        self.ctx, self.ring, self.roots, self.kron, self.pS = ctx, ring, roots, kron, pS
-        self.den, self.cls = kron.D, kron.cls
-        rot, L, nk = kron.rot, ctx.n, len(kron.img)
-
-        def turned(base, sign):   # theta_i^sign times the base's value at each i
-            return [(-1) ** s * rot(base + c, sign * t % L) for (s, t), c in zip(roots, self.cls)]
-
-        self.pqd, self.pqi = turned(0, 1), turned(0, -1)
-        self.ptd = {sign: turned(nk, sign) for sign in (1, -1)}
-        self.pm = self.ones = self.full = None
-
-    def vector(self, packs, indices=None) -> list:
-        """The vector of the sum of the residues ``packs`` over ``indices``
-        (all of them when None): one unpack, since the sum of at most r
-        residues is the evaluation of the sum of their vectors (``_Kron``)."""
-        return self.kron.unpack(sum(packs) if indices is None else sum(packs[i] for i in indices))
-
-    def pairing(self):
-        """(pm, ones), built once: s_{yv} against +-d(y) d(v), over den^2,
-        which the base keeps once per pair of distinct dimensions (``cls``)."""
-        if self.pm is None:
-            S, cls, pairs, den = self.pS, self.cls, self.kron.pairs, self.den
-            r = len(S)
-            pm = [[0] * r for _ in range(r)]
-            for y in range(r):
-                for v in range(y, r):
-                    key = (cls[y], cls[v]) if cls[y] <= cls[v] else (cls[v], cls[y])
-                    dd, neg = pairs[key]
-                    s = S[y][v] if den == 1 else S[y][v] * den
-                    if s == dd:
-                        pm[y][v] = pm[v][y] = 1
-                    elif s == neg:
-                        pm[y][v] = pm[v][y] = -1
-            self.pm = pm
-            self.ones = [frozenset(y for y in range(r) if pm[y][v] == 1) for v in range(r)]
-        return self.pm, self.ones
-
-    def rank_rows(self, rows) -> int:
-        """Exact rank of the rows of S in ``rows``.
-
-        When the image of S over F_p has full rank, so has S, and every
-        set of its rows is independent; otherwise ``_rank_vec`` eliminates
-        the vectors of those rows, unpacked from their residues, exactly.
-        The image of S is taken by linearity, from the base's images of d
-        and of the powers of zeta_L (``_Kron.fp``), not from S's vectors.
-        """
-        if self.full is None:
-            kr, r = self.kron, len(self.pS)
-            entry = partial(_s_entry, self.ring.rows, self.roots, self.cls, self.ctx.n, kr.fp)
-            A = [[0] * r for _ in range(r)]
-            for x in range(r):
-                for y in range(x, r):
-                    A[x][y] = A[y][x] = entry(x, y) % kr.p
-            self.full = _rank_mod_p(kr.p, A) == r
-        if self.full:
-            return len(rows)
-        return _rank_vec(self.ctx, [list(map(self.kron.unpack, self.pS[y])) for y in rows])
 
 
 def _s_entry(rows, roots, cls, L, value, x, y):
@@ -376,52 +297,126 @@ def _kit_base(ring: FusionRing, kinds: tuple, cls: tuple, ctx) -> _Kron:
 
 
 class PreModularDatum:
-    """theta: twists as Fraction exponents of roots of unity; dim: CycloNum
-    per index; pointed_source: (PreMetricGroup, chi tuple) when pointed;
-    _at: the build's residues at its conductor (_AtL), the datum's only
-    exact form.  ``S``, the derived CycloNum matrix, and ``S_tilde``,
-    s_XY / (d(X) d(Y)), are made from _at on first read and kept.
-    Built on first use too: _nondegenerate,
-    _lagrangians (index sets of the Lagrangian subgroups of a pointed
-    source), _cents (K.indices -> CentralizerReport) and _gfp
-    ((config.tolerance, the result of gfp_invariants) for the last
-    tolerance).  Ring, twists and dimensions fix S and s~: equality and
-    hashing read them and the pointed source."""
+    """A built datum: ring, twists and dimensions, with its values at its
+    conductor L as balanced residues mod Phi_L(B) at the base B its ring
+    keeps for its dimensions at L (``_Kron``), its only exact form.
 
-    __slots__ = ("ring", "theta", "dim", "pointed_source", "_at", "_S", "_S_tilde",
-                 "_nondegenerate", "_lagrangians", "_cents", "_gfp")
+    ``theta`` holds the twists as Fraction exponents of roots of unity,
+    ``dim`` a CycloNum per index, and ``pointed_source`` (PreMetricGroup,
+    chi tuple) for a pointed datum, set before any caller sees it.
+    ``kron`` is the base, with what reads the dimensions alone: its D is
+    the denominator and ``cls[i]`` numbers d(i) among the distinct
+    dimensions.  ``ctx`` is L's context; ``pS`` holds S over D (S_xy and
+    S_yx one int), ``pqd`` theta d, ``pqi`` theta^-1 d and ``ptd[sign]``
+    theta^sign d^2, the last over D^2, and ``roots[i]`` = (s, t) with
+    theta_i = (-1)^s zeta_L^t.  A value a report returns is unpacked from
+    one residue, or from a sum of them (``_vector``).  ``S``, the derived
+    CycloNum matrix, and ``S_tilde``, s_XY / (d(X) d(Y)), are made from
+    the residues on first read and kept.  Built on first use too:
+    ``_pm[y][v]``, which is s~_{yv} where that is +-1 and 0 elsewhere,
+    with ``_ones[v]`` the set of y where it is 1; ``_full``, whether the
+    image of S over F_p has full rank; _nondegenerate, _lagrangians
+    (index sets of the Lagrangian subgroups of a pointed source), _cents
+    (K.indices -> CentralizerReport) and _gfp ((config.tolerance, the
+    result of gfp_invariants) for the last tolerance).  No kept value is
+    changed in place.  Ring, twists and dimensions fix S and s~: equality
+    and hashing read them and the pointed source.
+    """
 
-    def __init__(self, ring: FusionRing, theta: tuple, dim: tuple, at: _AtL, pointed_source=None):
-        self.ring, self.theta, self.dim, self._at = ring, theta, dim, at
-        self.pointed_source, self._S, self._S_tilde = pointed_source, None, None
+    __slots__ = ("ring", "theta", "dim", "pointed_source", "ctx", "roots", "kron", "pS", "pqd",
+                 "pqi", "ptd", "_pm", "_ones", "_full", "_S", "_S_tilde", "_nondegenerate",
+                 "_lagrangians", "_cents", "_gfp")
+
+    def __init__(self, ring: FusionRing, theta: tuple, dim: tuple, ctx, roots, kron, pS):
+        self.ring, self.theta, self.dim = ring, theta, dim
+        self.ctx, self.roots, self.kron, self.pS = ctx, roots, kron, pS
+        rot, L, nk = kron.rot, ctx.n, len(kron.img)
+
+        def turned(base, sign):   # theta_i^sign times the base's value at each i
+            return [(-1) ** s * rot(base + c, sign * t % L) for (s, t), c in zip(roots, kron.cls)]
+
+        self.pqd, self.pqi = turned(0, 1), turned(0, -1)
+        self.ptd = {sign: turned(nk, sign) for sign in (1, -1)}
+        self.pointed_source = self._pm = self._ones = self._full = self._S = self._S_tilde = None
         self._nondegenerate, self._lagrangians, self._cents, self._gfp = None, None, {}, None
+
+    def _vector(self, packs, indices=None) -> list:
+        """The vector of the sum of the residues ``packs`` over ``indices``
+        (all of them when None): one unpack, since the sum of at most r
+        residues is the evaluation of the sum of their vectors (``_Kron``)."""
+        return self.kron.unpack(sum(packs) if indices is None else sum(packs[i] for i in indices))
+
+    def _pairing(self):
+        """(_pm, _ones), built once: s_{yv} against +-d(y) d(v), over D^2,
+        which the base keeps once per pair of distinct dimensions (``cls``)."""
+        if self._pm is None:
+            S, cls, pairs, den = self.pS, self.kron.cls, self.kron.pairs, self.kron.D
+            r = len(S)
+            pm = [[0] * r for _ in range(r)]
+            for y in range(r):
+                for v in range(y, r):
+                    key = (cls[y], cls[v]) if cls[y] <= cls[v] else (cls[v], cls[y])
+                    dd, neg = pairs[key]
+                    s = S[y][v] if den == 1 else S[y][v] * den
+                    if s == dd:
+                        pm[y][v] = pm[v][y] = 1
+                    elif s == neg:
+                        pm[y][v] = pm[v][y] = -1
+            self._pm = pm
+            self._ones = [frozenset(y for y in range(r) if pm[y][v] == 1) for v in range(r)]
+        return self._pm, self._ones
+
+    def _rank_rows(self, rows) -> int:
+        """Exact rank of the rows of S in ``rows``.
+
+        When the image of S over F_p has full rank, so has S, and every
+        set of its rows is independent; otherwise ``_rank_vec`` eliminates
+        the vectors of those rows, unpacked from their residues, exactly.
+        The image of S is taken by linearity, from the base's images of d
+        and of the powers of zeta_L (``_Kron.fp``), not from S's vectors.
+        """
+        kr = self.kron
+        if self._full is None:
+            r = len(self.pS)
+            entry = partial(_s_entry, self.ring.rows, self.roots, kr.cls, self.ctx.n, kr.fp)
+            A = [[0] * r for _ in range(r)]
+            for x in range(r):
+                for y in range(x, r):
+                    A[x][y] = A[y][x] = entry(x, y) % kr.p
+            self._full = _rank_mod_p(kr.p, A) == r
+        if self._full:
+            return len(rows)
+        return _rank_vec(self.ctx, [list(map(kr.unpack, self.pS[y])) for y in rows])
 
     @property
     def S(self) -> tuple:
         """S as CycloNums, one per distinct residue: equal residues are
         equal vectors (``_Kron``, fact 2)."""
         if self._S is None:
-            at = self._at
-            L, den, unpack = at.ctx.n, at.den, at.kron.unpack
-            forms = {v: CycloNum(L, unpack(v), den) for v in set(chain.from_iterable(at.pS))}
-            self._S = tuple(tuple(map(forms.__getitem__, row)) for row in at.pS)
+            L, den, unpack = self.ctx.n, self.kron.D, self.kron.unpack
+            forms = {v: CycloNum(L, unpack(v), den) for v in set(chain.from_iterable(self.pS))}
+            self._S = tuple(tuple(map(forms.__getitem__, row)) for row in self.pS)
         return self._S
 
     @property
     def S_tilde(self) -> tuple:
         """s~_XY = s_XY (d(X)^-1 d(Y)^-1) in CycloNums, made on first read
         from ``S`` and the inverses the build's base keeps: symmetric as S
-        is, with d(X)^-1 d(Y)^-1 made once per pair of distinct dimensions."""
+        is, with d(X)^-1 d(Y)^-1 made once per pair of distinct dimensions,
+        and s~_XY once per (S_XY's residue, pair) (``_Kron``, fact 2)."""
         if self._S_tilde is None:
-            S, cls, inv = self.S, self._at.cls, self._at.kron.inv
+            S, pS, cls, inv = self.S, self.pS, self.kron.cls, self.kron.inv
             r = len(S)
-            pairs, St = {}, [[None] * r for _ in range(r)]
+            pairs, made, St = {}, {}, [[None] * r for _ in range(r)]
             for x in range(r):
                 for y in range(x, r):
                     key = (cls[x], cls[y]) if cls[x] <= cls[y] else (cls[y], cls[x])
                     if key not in pairs:
                         pairs[key] = inv[key[0]] * inv[key[1]]
-                    St[x][y] = St[y][x] = S[x][y] * pairs[key]
+                    rk = (pS[x][y], key)
+                    if rk not in made:
+                        made[rk] = S[x][y] * pairs[key]
+                    St[x][y] = St[y][x] = made[rk]
             self._S_tilde = tuple(map(tuple, St))
         return self._S_tilde
 
@@ -444,15 +439,13 @@ class PreModularDatum:
         return self.cat_dim(range(self.rank))
 
     def cat_dim(self, indices) -> CycloNum:
-        at = self._at
-        return CycloNum(at.ctx.n, at.vector(at.kron.pdd, indices), at.den ** 2)
+        return CycloNum(self.ctx.n, self._vector(self.kron.pdd, indices), self.kron.D ** 2)
 
     def tau(self, sign: int = +1, indices=None) -> CycloNum:
         """sum theta^sign d^2 over ``indices`` (every index by default)."""
         if sign not in (1, -1):
             raise BadParameter("sign must be +1 or -1")
-        at = self._at
-        return CycloNum(at.ctx.n, at.vector(at.ptd[sign], indices), at.den ** 2)
+        return CycloNum(self.ctx.n, self._vector(self.ptd[sign], indices), self.kron.D ** 2)
 
     def __repr__(self):
         return f"PreModularDatum({self.ring!r})"
@@ -496,7 +489,7 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     D^2, and each (X, Y, Z) is one integer divisibility test, in the
     order the vector test took.  theta d, theta^-1 d and theta^+-1 d^2,
     which the Gauss sums read, are made only once the product relation
-    holds (``_AtL``).
+    holds (``PreModularDatum``).
     S is made on one triangle, x <= y: where N_xy = N_yx (every pair of
     a commutative ring), S_yx is the same expression and shares S_xy's
     residue; elsewhere it is made and compared in row-major order, so a
@@ -577,8 +570,7 @@ def build(ring: FusionRing, theta, dim, config: Config = DEFAULT) -> PreModularD
     if new:   # one inverse per distinct dimension, then the base is kept
         kr.inv = [d.inverse() for d in kinds]
         ring._kits[dim, L] = kr
-    at = _AtL(ctx, ring, roots, kr, S)   # and the Gauss-sum values, now
-    return PreModularDatum(ring, theta, dim, at)
+    return PreModularDatum(ring, theta, dim, ctx, roots, kr, S)   # and the Gauss-sum values, now
 
 
 def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -> PreModularDatum:
@@ -608,7 +600,8 @@ def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -
     )
     dim = tuple(CycloNum.from_rational(c) for c in chi)
     D = build(ring, theta, dim, config)
-    return PreModularDatum(D.ring, D.theta, D.dim, D._at, (M, chi))
+    D.pointed_source = (M, chi)
+    return D
 
 
 def ising_datum(zeta, eps: int, config: Config = DEFAULT) -> PreModularDatum:
@@ -642,7 +635,6 @@ def deligne_product(D1: PreModularDatum, D2: PreModularDatum,
     )
     dim = tuple(D1.dim[i] * D2.dim[j] for i in range(D1.rank) for j in range(r2))
     datum = build(ring, theta, dim, config)
-    src = None
     if (
         D1.pointed_source is not None
         and D2.pointed_source is not None
@@ -651,8 +643,8 @@ def deligne_product(D1: PreModularDatum, D2: PreModularDatum,
     ):
         from .qform import direct_sum
         form = direct_sum(D1.pointed_source[0], D2.pointed_source[0])
-        src = (form, (1,) * form.group.order)
-    return PreModularDatum(datum.ring, datum.theta, datum.dim, datum._at, src)
+        datum.pointed_source = (form, (1,) * form.group.order)
+    return datum
 
 
 def trivial_datum() -> PreModularDatum:
@@ -675,24 +667,24 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
     """K' = {V : s~_{YV} = 1 for all Y in K}, with component count.
 
     s~_{YV} = 1 is read from the datum's table of s_{YV} = d(Y) d(V),
-    integer equality at the build's base (``_AtL.pairing``).  The rank of the K-rows of
-    s~ equals the number of K'-components; it is computed on the K rows
-    of S, whose rank is the same, since s~ = d^-1 S d^-1 scales rows and
-    columns by nonzero dimensions (``_AtL.rank_rows``).  Disagreement
-    would falsify the datum and raises ClassificationBug.  The report is
-    built once per (datum, K.indices) and kept on the datum.  The
-    centralizer, once it is found to be a subring and the report passes,
-    is kept on the ring by its indices, as a ``FusionSubring`` (the
-    lattice's own, when the ring keeps its lattice) with its components,
-    so a later datum on the ring skips the test and both constructions;
-    a refused report keeps nothing.
+    integer equality at the build's base (``PreModularDatum._pairing``).
+    The rank of the K-rows of s~ equals the number of K'-components; it
+    is computed on the K rows of S, whose rank is the same, since s~ =
+    d^-1 S d^-1 scales rows and columns by nonzero dimensions
+    (``PreModularDatum._rank_rows``).  Disagreement would falsify the
+    datum and raises ClassificationBug.  The report is built once per
+    (datum, K.indices) and kept on the datum.  The centralizer, once it
+    is found to be a subring and the report passes, is kept on the ring
+    by its indices, as a ``FusionSubring`` (the lattice's own, when the
+    ring keeps its lattice) with its components, so a later datum on the
+    ring skips the test and both constructions; a refused report keeps
+    nothing.
     """
     rep = D._cents.get(K.indices)
     if rep is not None:
         return rep
     R = D.ring
-    at = D._at
-    _, ones = at.pairing()
+    _, ones = D._pairing()
     cent = tuple(v for v in range(R.rank) if ones[v].issuperset(K.indices))
     kept = R._comps.get(cent)
     if kept is None:
@@ -701,7 +693,7 @@ def centralizer(D: PreModularDatum, K: FusionSubring) -> CentralizerReport:
         subs = () if R._lattice is None else R._lattice.subrings
         sub = next((S for S in subs if S.indices == cent), None) or FusionSubring(R, cent)
         kept = sub, components(R, cent)
-    rank = at.rank_rows(K.indices)
+    rank = D._rank_rows(K.indices)
     if rank != len(kept[1]):
         raise ClassificationBug(f"rank {rank} != component count {len(kept[1])}")
     R._comps[cent] = kept
@@ -730,13 +722,12 @@ def dichotomy_check(D: PreModularDatum, K: FusionSubring) -> list:
     latter does, which is one divisibility test at the build's base
     (``_Kron``: a sum of at most r products, within its weights).
     """
-    at = D._at
-    kr = at.kron
-    _, ones = at.pairing()
+    kr = D.kron
+    _, ones = D._pairing()
     out = []
     for v in range(D.rank):
         inside = ones[v].issuperset(K.indices)
-        vanishes = kr.divides(sum(kr.pdv[y] * at.pS[y][v] for y in K.indices))
+        vanishes = kr.divides(sum(kr.pdv[y] * D.pS[y][v] for y in K.indices))
         out.append(
             Check(
                 name=f"dichotomy[{D.ring.labels[v]}]",
@@ -777,7 +768,7 @@ def symmetric_and_isotropic(D: PreModularDatum, K: FusionSubring) -> dict:
     """Symmetric = double braiding trivial on K; isotropic adds trivial
     twists.  For pointed data the Lagrangian subgroups of the source
     form are reported alongside."""
-    _, ones = D._at.pairing()
+    _, ones = D._pairing()
     symmetric = all(ones[z].issuperset(K.indices) for z in K.indices)
     isotropic = symmetric and all(D.theta[i] == 0 for i in K.indices)
     lagrangian = None
@@ -809,7 +800,7 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
     is one integer divisibility (``_Kron``, fact 3).
     """
     R = D.ring
-    kr = D._at.kron
+    kr = D.kron
     pdd = kr.pdd
     lat = all_subrings(R, config)
     whole = FusionSubring(R, tuple(range(R.rank)))
@@ -896,10 +887,9 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
     so is each of its twists.
     """
     R = D.ring
-    at = D._at
-    kr = at.kron
-    den, divides = at.den, kr.divides
-    ptd, pdd = at.ptd, kr.pdd
+    kr = D.kron
+    den, divides = kr.D, kr.divides
+    ptd, pdd = D.ptd, kr.pdd
     tp, tm = sum(ptd[+1]), sum(ptd[-1])
     tau_p, tau_m, dim_tot = D.tau(+1), D.tau(-1), D.dim_total()
     checks = [
@@ -907,13 +897,13 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
               "pass" if tau_m == tau_p.conjugate() else "fail")
     ]
     for y in range(R.rank):   # both sides over den^3
-        ok = divides(den * sum(map(mul, at.pqd, at.pS[y])) - at.pqi[y] * tp)
+        ok = divides(den * sum(map(mul, D.pqd, D.pS[y])) - D.pqi[y] * tp)
         checks.append(
             Check(f"twisted-row-sum[{R.labels[y]}]", "twisted-row-sum", "pass" if ok else "fail")
         )
     lat = all_subrings(R, config)
     nondeg = is_nondegenerate(D)
-    _, ones = at.pairing()
+    _, ones = D._pairing()
     untwisted = {i for i, t in enumerate(D.theta) if not t}
     for sub in lat.subrings:
         idx, name = sub.indices, ",".join(sub.labels())
@@ -973,9 +963,8 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     if not is_nondegenerate(D):
         raise Degenerate("square-class Gauss sums need a non-degenerate datum")
     R = D.ring
-    at = D._at
-    ctx, den, kr = at.ctx, at.den, at.kron
-    pm, _ = at.pairing()
+    ctx, kr, den = D.ctx, D.kron, D.kron.D
+    pm, _ = D._pairing()
     if R._squares is None or R._squares[0] != config.tolerance:
         sq = fp_square_integers(R, config)      # NotWeaklyIntegral if not
         R._squares = (config.tolerance, sq, tuple(_squarefree(m) for m in sq),
@@ -986,12 +975,12 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
         raise ClassificationBug("centralizer of the integral part is not pointed")
     chi = {}
     for a in A.indices:   # theta_a d(a) = +-1 is +-den at the base
-        if at.pqd[a] == den:
+        if D.pqd[a] == den:
             chi[a] = 1
-        elif at.pqd[a] == -den:
+        elif D.pqd[a] == -den:
             chi[a] = -1
         else:
-            val = CycloNum(ctx.n, kr.unpack(at.pqd[a]), den).as_rational()
+            val = CycloNum(ctx.n, kr.unpack(D.pqd[a]), den).as_rational()
             raise ClassificationBug(f"braiding character value {val} is not +-1")
     candidates = []
     for v in sorted(set(sf)):
@@ -1011,8 +1000,8 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
         w = math.isqrt(m2)
         if w * w != m2:
             raise ClassificationBug("normalized FP dimension is not an integer")
-        t_p += w * at.pqd[x]
-        t_m += w * at.pqi[x]
+        t_p += w * D.pqd[x]
+        t_m += w * D.pqi[x]
     # w <= FPdim(x) <= m, so a sum within r m A, which unpacks (``_Kron``)
     t_p, t_m = CycloNum(ctx.n, kr.unpack(t_p), den), CycloNum(ctx.n, kr.unpack(t_m), den)
     if t_m != t_p.conjugate():

@@ -256,6 +256,35 @@ def test_symmetric_and_isotropic():
     assert flags["symmetric"] and flags["isotropic"]
 
 
+def test_pointed_sources_of_built_and_product_data():
+    # build sets no pointed source and pointed_datum sets its form, so the
+    # two differ on one triple; a product of two untwisted pointed data
+    # carries the orthogonal sum, whose Lagrangian subgroups
+    # symmetric_and_isotropic lists, and a twisted or Ising factor none
+    M1, M2 = qform.a_form(), qform.a_form(F(3, 4))
+    D1, D2 = pointed_datum(M1), pointed_datum(M2)
+    B, B2 = build(D1.ring, D1.theta, D1.dim), build(D1.ring, D1.theta, D1.dim)
+    D1b = pointed_datum(M1)
+    assert B.pointed_source is None and D1.pointed_source == (M1, (1, 1))
+    assert D1 != B and D1 == D1b and B == B2
+    assert hash(D1) == hash(D1b) and hash(B) == hash(B2) and len({D1, B, D1b, B2}) == 2
+    P = deligne_product(D1, D2)
+    S = qform.direct_sum(M1, M2)
+    assert P.pointed_source == (S, (1,) * 4)
+    lags = [r.subgroup.indices() for r in qform.isotropic_subgroups(S) if r.is_lagrangian]
+    assert lags
+    for K in all_subrings(P.ring).subrings:
+        got = symmetric_and_isotropic(P, K)["lagrangian_pointed"]
+        assert got == {"lagrangian_subgroups": lags, "k_is_lagrangian": K.indices in lags}
+    twisted = pointed_datum(M2, (1, -1))
+    I = ising_datum(F(1, 16), 1)
+    for E in (deligne_product(D1, twisted), deligne_product(twisted, D1),
+              deligne_product(D1, I), deligne_product(I, D1)):
+        assert E.pointed_source is None
+        flags = symmetric_and_isotropic(E, FusionSubring(E.ring, (0,)))
+        assert flags["lagrangian_pointed"] is None
+
+
 def test_lagrangians_listed_once_per_pointed_datum(monkeypatch):
     M = qform.direct_sum(qform.hyperbolic_plane(2), qform.a_form())
     lags = [r.subgroup.indices() for r in qform.isotropic_subgroups(M) if r.is_lagrangian]
@@ -813,9 +842,9 @@ def test_reports_build_each_centralizer_and_lattice_once(monkeypatch):
     ctx_keys = set(cyclotomic._CTX)
     # one rank step per computed centralizer report
     ranked, lattices = [], []
-    real_rank, real_lattice = premodular._AtL.rank_rows, fusion._subring_lattice
-    monkeypatch.setattr(premodular._AtL, "rank_rows",
-                        lambda at, rows: ranked.append(len(rows)) or real_rank(at, rows))
+    real_rank, real_lattice = premodular.PreModularDatum._rank_rows, fusion._subring_lattice
+    monkeypatch.setattr(premodular.PreModularDatum, "_rank_rows",
+                        lambda D, rows: ranked.append(len(rows)) or real_rank(D, rows))
     monkeypatch.setattr(fusion, "_subring_lattice",
                         lambda R: lattices.append(id(R)) or real_lattice(R))
     asked = set()
@@ -853,14 +882,14 @@ def test_centralizer_ranks_match_the_exact_rank(monkeypatch):
                         lambda ctx, M: exact.append(len(M)) or _rank_vec(ctx, M))
     paths = set()
     for D in _build_corpus():
-        at, S = D._at, _unpacked(D).S
+        S = _unpacked(D).S
         for K in all_subrings(D.ring).subrings:
             calls = len(exact)
             rep = centralizer(D, K)
-            assert rep.rank_stilde == _rank_vec(at.ctx, [S[y] for y in K.indices]), (D, K)
-            assert (len(exact) > calls) != at.full
-            paths.add(at.full)
-        assert is_nondegenerate(D) or not at.full
+            assert rep.rank_stilde == _rank_vec(D.ctx, [S[y] for y in K.indices]), (D, K)
+            assert (len(exact) > calls) != D._full
+            paths.add(D._full)
+        assert is_nondegenerate(D) or not D._full
     assert paths == {True, False}
 
 
@@ -905,9 +934,8 @@ def test_a_centralizer_that_is_no_subring_keeps_nothing():
     # on Z/4, which 1 + 1 = 2 leaves: refused, and nothing is kept
     D = pointed_datum(qform.random_form(FinAbGroup((4,)), random.Random(3)))
     R = D.ring
-    at = D._at
-    at.pairing()
-    at.ones = [frozenset({0}) if v in (0, 1) else frozenset() for v in range(R.rank)]
+    D._pairing()
+    D._ones = [frozenset({0}) if v in (0, 1) else frozenset() for v in range(R.rank)]
     with pytest.raises(ClassificationBug, match="centralizer is not a subring"):
         centralizer(D, FusionSubring(R, (0,)))
     assert R._comps == {} and D._cents == {}
@@ -1072,7 +1100,7 @@ def test_canonical_s_and_s_tilde_are_made_on_first_read():
 
 def test_s_is_shared_across_the_diagonal_only_where_the_table_commutes():
     for D in _build_corpus():
-        S, N = D._at.pS, D.ring.N
+        S, N = D.pS, D.ring.N
         for x in range(D.rank):
             for y in range(D.rank):
                 assert (S[x][y] is S[y][x]) == (N[x][y] == N[y][x]), (D, x, y)
@@ -1095,18 +1123,18 @@ def test_pairing_matches_an_unmemoised_pairing(monkeypatch):
     monkeypatch.setattr(premodular, "_mul_vec",
                         lambda ctx, a, b: made.append(1) or _mul_vec(ctx, a, b))
     for D in _corpus_data():
-        at, r, V = D._at, D.rank, _unpacked(D)
+        r, V = D.rank, _unpacked(D)
         first = {}
         for i, d in enumerate(D.dim):
             first.setdefault(d, i)
         made.clear()
-        pm, ones = at.pairing()
-        assert not made and len(at.kron.pairs) == len({tuple(sorted((first[D.dim[y]], first[D.dim[v]])))
+        pm, ones = D._pairing()
+        assert not made and len(D.kron.pairs) == len({tuple(sorted((first[D.dim[y]], first[D.dim[v]])))
                                                        for y in range(r) for v in range(r)}), D
         for y in range(r):
             for v in range(r):
-                s = [c * at.den for c in V.S[y][v]]
-                dd = _mul_vec(at.ctx, V.dv[y], V.dv[v])
+                s = [c * D.kron.D for c in V.S[y][v]]
+                dd = _mul_vec(D.ctx, V.dv[y], V.dv[v])
                 want = 1 if s == dd else -1 if s == [-c for c in dd] else 0
                 assert pm[y][v] == want, (D, y, v)
             assert ones[y] == {x for x in range(r) if pm[x][y] == 1}
@@ -1217,10 +1245,10 @@ def test_kronecker_zero_test_agrees_with_reduce(ns):
     assert seen == {True, False}
 
 
-def _total(at, vecs, indices=None):
+def _total(D, vecs, indices=None):
     """Sum of the vectors ``vecs`` over ``indices`` (all of them when None)."""
     vecs = vecs if indices is None else [vecs[i] for i in indices]
-    return list(map(sum, zip(*vecs))) or [0] * at.ctx.phi
+    return list(map(sum, zip(*vecs))) or [0] * D.ctx.phi
 
 
 def _identity_deltas(D):
@@ -1230,21 +1258,21 @@ def _identity_deltas(D):
     and mueger_report's dimension identities for every pair of subrings
     (dim-exchange, dim-product, whose delta nondeg-factor tests again, and
     diamond-dims), with both sides over one power of the denominator."""
-    at, R, V = D._at, D.ring, _unpacked(D)
-    den, r = at.den, D.rank
-    tot = lambda vs, idx: _total(at, vs, idx)  # noqa: E731
+    R, V = D.ring, _unpacked(D)
+    den, r = D.kron.D, D.rank
+    tot = lambda vs, idx: _total(D, vs, idx)  # noqa: E731
     pad = lambda v, n: list(v) + [0] * (n - len(v))  # noqa: E731
     sub = lambda a, b: [x - y for x, y in zip(pad(a, len(b)), pad(b, len(a)))]  # noqa: E731
     for x in range(r):
         for y in range(r):
             for z in range(r):
-                rhs = [0] * D._at.ctx.phi
+                rhs = [0] * D.ctx.phi
                 for w in R.constituents(y, z):
                     rhs = [u + R.N[y][z][w] * v for u, v in zip(rhs, V.S[x][w])]
                 yield sub(_conv(V.S[x][y], V.S[x][z]), _conv(V.dv[x], rhs))
     tp, tm = tot(V.td[1], None), tot(V.td[-1], None)
     for y in range(r):
-        acc = [0] * (2 * at.ctx.phi - 1)
+        acc = [0] * (2 * D.ctx.phi - 1)
         for x in range(r):
             acc = [u + den * v for u, v in zip(acc, _conv(V.qd[x], V.S[x][y]))]
         yield sub(acc, _conv(V.qi[y], tp))
@@ -1279,7 +1307,7 @@ def test_every_identity_fits_the_datum_base():
     for D in _corpus_data():
         if D.rank > 12:
             continue
-        kr, ctx = D._at.kron, D._at.ctx
+        kr, ctx = D.kron, D.ctx
         c, h = _fold_bound(ctx)
         M = max(max(map(abs, delta)) for delta in _identity_deltas(D))
         assert 1 << kr.k > (2 * ctx.phi - 1) * M * c + h + 1, D
@@ -1291,25 +1319,25 @@ def _vector_checks(D):
     vectors, with the same CycloNum checks where no product is made."""
     from braidforge.cyclotomic import _mul_vec, _times_root
 
-    R, at, V = D.ring, D._at, _unpacked(D)
-    ctx, L, den = at.ctx, at.ctx.n, at.den
+    R, V = D.ring, _unpacked(D)
+    ctx, L, den = D.ctx, D.ctx.n, D.kron.D
     dd, td = V.dd, V.td
     every = range(R.rank)
-    tp, tm, dtot = _total(at, td[1]), _total(at, td[-1]), _total(at, dd)
+    tp, tm, dtot = _total(D, td[1]), _total(D, td[-1]), _total(D, dd)
     tau_p, tau_m = CycloNum(L, tp, den ** 2), CycloNum(L, tm, den ** 2)
     out = [("conjugate-sums", tau_m == tau_p.conjugate())]
     for y in every:
-        acc = _total(at, [_mul_vec(ctx, V.qd[x], V.S[x][y]) for x in every])
-        s, t = at.roots[y]
+        acc = _total(D, [_mul_vec(ctx, V.qd[x], V.S[x][y]) for x in every])
+        s, t = D.roots[y]
         want = _mul_vec(ctx, _times_root(ctx, s, -t, V.dv[y]), tp)
         out.append((f"twisted-row-sum[{R.labels[y]}]", [c * den for c in acc] == want))
     nondeg = is_nondegenerate(D)
     for sub in all_subrings(R).subrings:
         kc = centralizer(D, sub).centralizer.indices
-        dk = _total(at, dd, sub.indices)
-        tp_c, tm_c = _total(at, td[1], kc), _total(at, td[-1], kc)
-        ok = (_mul_vec(ctx, tp, _total(at, td[-1], sub.indices)) == _mul_vec(ctx, dk, tp_c)
-              and _mul_vec(ctx, tm, _total(at, td[1], sub.indices)) == _mul_vec(ctx, dk, tm_c))
+        dk = _total(D, dd, sub.indices)
+        tp_c, tm_c = _total(D, td[1], kc), _total(D, td[-1], kc)
+        ok = (_mul_vec(ctx, tp, _total(D, td[-1], sub.indices)) == _mul_vec(ctx, dk, tp_c)
+              and _mul_vec(ctx, tm, _total(D, td[1], sub.indices)) == _mul_vec(ctx, dk, tm_c))
         name = ",".join(sub.labels())
         out.append((f"gauss-mult[{name}]", ok))
         if nondeg and symmetric_and_isotropic(D, sub)["isotropic"]:
@@ -1325,16 +1353,13 @@ def _tampered(D, rng):
     """D with one twist moved in its vectors after build, so S and theta d
     no longer match theta^+-1 d^2: the integer tests see a datum whose
     identities fail, which build would have refused."""
-    from braidforge.premodular import _AtL
-
-    at = D._at
     i = rng.randrange(1, D.rank)
-    roots = list(at.roots)
-    roots[i] = (roots[i][0] + 1, (roots[i][1] + rng.randrange(at.ctx.n)) % at.ctx.n)
-    bad = _AtL(at.ctx, D.ring, roots, at.kron, at.pS)
-    at.rank_rows(())   # the F_p rank of S, whose images are taken from the twists S was made with
-    bad.pqd, bad.full = at.pqd, at.full
-    return PreModularDatum(D.ring, D.theta, D.dim, bad)
+    roots = list(D.roots)
+    roots[i] = (roots[i][0] + 1, (roots[i][1] + rng.randrange(D.ctx.n)) % D.ctx.n)
+    bad = PreModularDatum(D.ring, D.theta, D.dim, D.ctx, roots, D.kron, D.pS)
+    D._rank_rows(())   # the F_p rank of S, whose images are taken from the twists S was made with
+    bad.pqd, bad._full = D.pqd, D._full
+    return bad
 
 
 def test_integer_checks_match_the_vector_checks_on_data_and_mutations(monkeypatch):
@@ -1395,8 +1420,8 @@ def test_integer_checks_match_the_vector_checks_on_data_and_mutations(monkeypatc
 
 def test_s_tilde_makes_one_inverse_product_per_pair_of_dimensions(monkeypatch):
     # build makes no entry of s~; its first read makes d_x^-1 d_y^-1 once
-    # per pair of distinct dimensions and s_xy times it once per x <= y,
-    # each one CycloNum product
+    # per pair of distinct dimensions and s_xy times it once per (residue
+    # of s_xy, that pair) over x <= y, each one CycloNum product
     product = CycloNum.__mul__
     made = []
     monkeypatch.setattr(CycloNum, "__mul__", lambda a, b: made.append(1) or product(a, b))
@@ -1404,8 +1429,11 @@ def test_s_tilde_makes_one_inverse_product_per_pair_of_dimensions(monkeypatch):
         E = build(D.ring, D.theta, D.dim)
         made.clear()
         St = E.S_tilde
-        r, classes = D.rank, len(set(D.dim))
-        assert len(made) == classes * (classes + 1) // 2 + r * (r + 1) // 2, D
+        r, cls = D.rank, E.kron.cls
+        classes = len(set(D.dim))
+        keys = {(E.pS[x][y], tuple(sorted((cls[x], cls[y]))))
+                for x in range(r) for y in range(x, r)}
+        assert len(made) == classes * (classes + 1) // 2 + len(keys), D
         assert St == D.S_tilde and E.S_tilde is St
         for x in range(r):
             for y in range(r):
