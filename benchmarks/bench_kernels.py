@@ -220,7 +220,7 @@ def workloads():
         R = D.ring
         copy = FusionRing(R.labels, R.unit, R.dual, R.N)
         copy._gens, copy._mult = R._gens, R._mult
-        return premodular.PreModularDatum(copy, D.theta, D.dim, D.ctx, D.roots, D.kron, D.pS)
+        return premodular.PreModularDatum(copy, D.theta, D.dim, D._ctx, D._roots, D._kron, D._pS)
 
     out.append(("premodular.build Ising x Ising, fresh ring copy (no kit)", rebuild, 20,
                 kitless_copy))

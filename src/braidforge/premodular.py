@@ -20,9 +20,8 @@ a built datum keeps, on the one object ``build`` makes
 (``PreModularDatum``): every check and report runs on them, and a
 CycloNum is made only for a value a caller reads.  The CycloNum
 matrices ``S``, one per distinct residue, and ``S_tilde`` (s~ = d^-1 S
-d^-1, one product of inverses per pair of distinct dimensions, and one
-product per S residue and pair) are made on first read; no report but
-``mueger_report`` reads them.
+d^-1, S times one product of inverses per pair of distinct dimensions)
+are made on first read; no report but ``mueger_report`` reads them.
 
 The dimensions are a character of the ring, fixed before any braiding
 is chosen (Etingof, Gelaki, Nikshych and Ostrik, Tensor Categories,
@@ -303,40 +302,41 @@ class PreModularDatum:
 
     ``theta`` holds the twists as Fraction exponents of roots of unity,
     ``dim`` a CycloNum per index, and ``pointed_source`` (PreMetricGroup,
-    chi tuple) for a pointed datum, set before any caller sees it.
-    ``kron`` is the base, with what reads the dimensions alone: its D is
-    the denominator and ``cls[i]`` numbers d(i) among the distinct
-    dimensions.  ``ctx`` is L's context; ``pS`` holds S over D (S_xy and
-    S_yx one int), ``pqd`` theta d, ``pqi`` theta^-1 d and ``ptd[sign]``
-    theta^sign d^2, the last over D^2, and ``roots[i]`` = (s, t) with
-    theta_i = (-1)^s zeta_L^t.  A value a report returns is unpacked from
-    one residue, or from a sum of them (``_vector``).  ``S``, the derived
-    CycloNum matrix, and ``S_tilde``, s_XY / (d(X) d(Y)), are made from
-    the residues on first read and kept.  Built on first use too:
-    ``_pm[y][v]``, which is s~_{yv} where that is +-1 and 0 elsewhere,
-    with ``_ones[v]`` the set of y where it is 1; ``_full``, whether the
-    image of S over F_p has full rank; _nondegenerate, _lagrangians
-    (index sets of the Lagrangian subgroups of a pointed source), _cents
-    (K.indices -> CentralizerReport) and _gfp ((config.tolerance, the
-    result of gfp_invariants) for the last tolerance).  No kept value is
-    changed in place.  Ring, twists and dimensions fix S and s~: equality
-    and hashing read them and the pointed source.
+    chi tuple) for a pointed datum, set before any caller sees it.  The
+    residues are private: ``_kron`` is the base, with what reads the
+    dimensions alone: its D is the denominator and ``cls[i]`` numbers d(i)
+    among the distinct dimensions.  ``_ctx`` is L's context; ``_pS`` holds
+    S over D (S_xy and S_yx one int), ``_pqd`` theta d, ``_pqi`` theta^-1
+    d and ``_ptd[sign]`` theta^sign d^2, the last over D^2, and
+    ``_roots[i]`` = (s, t) with theta_i = (-1)^s zeta_L^t.  A value a
+    report returns is unpacked from one residue, or from a sum of them
+    (``_vector``).  ``S``, the derived CycloNum matrix, and ``S_tilde``,
+    s_XY / (d(X) d(Y)), are made from the residues on first read and kept.
+    Built on first use too: ``_pm[y][v]``, which is s~_{yv} where that is
+    +-1 and 0 elsewhere, with ``_ones[v]`` the set of y where it is 1;
+    ``_full``, whether the image of S over F_p has full rank;
+    _nondegenerate, _lagrangians (index sets of the Lagrangian subgroups
+    of a pointed source), _cents (K.indices -> CentralizerReport) and _gfp
+    ((config.tolerance, the result of gfp_invariants) for the last
+    tolerance).  No kept value is changed in place.  Ring, twists and
+    dimensions fix S and s~: equality and hashing read them and the
+    pointed source.
     """
 
-    __slots__ = ("ring", "theta", "dim", "pointed_source", "ctx", "roots", "kron", "pS", "pqd",
-                 "pqi", "ptd", "_pm", "_ones", "_full", "_S", "_S_tilde", "_nondegenerate",
-                 "_lagrangians", "_cents", "_gfp")
+    __slots__ = ("ring", "theta", "dim", "pointed_source", "_ctx", "_roots", "_kron", "_pS",
+                 "_pqd", "_pqi", "_ptd", "_pm", "_ones", "_full", "_S", "_S_tilde",
+                 "_nondegenerate", "_lagrangians", "_cents", "_gfp")
 
     def __init__(self, ring: FusionRing, theta: tuple, dim: tuple, ctx, roots, kron, pS):
         self.ring, self.theta, self.dim = ring, theta, dim
-        self.ctx, self.roots, self.kron, self.pS = ctx, roots, kron, pS
+        self._ctx, self._roots, self._kron, self._pS = ctx, roots, kron, pS
         rot, L, nk = kron.rot, ctx.n, len(kron.img)
 
         def turned(base, sign):   # theta_i^sign times the base's value at each i
             return [(-1) ** s * rot(base + c, sign * t % L) for (s, t), c in zip(roots, kron.cls)]
 
-        self.pqd, self.pqi = turned(0, 1), turned(0, -1)
-        self.ptd = {sign: turned(nk, sign) for sign in (1, -1)}
+        self._pqd, self._pqi = turned(0, 1), turned(0, -1)
+        self._ptd = {sign: turned(nk, sign) for sign in (1, -1)}
         self.pointed_source = self._pm = self._ones = self._full = self._S = self._S_tilde = None
         self._nondegenerate, self._lagrangians, self._cents, self._gfp = None, None, {}, None
 
@@ -344,13 +344,13 @@ class PreModularDatum:
         """The vector of the sum of the residues ``packs`` over ``indices``
         (all of them when None): one unpack, since the sum of at most r
         residues is the evaluation of the sum of their vectors (``_Kron``)."""
-        return self.kron.unpack(sum(packs) if indices is None else sum(packs[i] for i in indices))
+        return self._kron.unpack(sum(packs) if indices is None else sum(packs[i] for i in indices))
 
     def _pairing(self):
         """(_pm, _ones), built once: s_{yv} against +-d(y) d(v), over D^2,
         which the base keeps once per pair of distinct dimensions (``cls``)."""
         if self._pm is None:
-            S, cls, pairs, den = self.pS, self.kron.cls, self.kron.pairs, self.kron.D
+            S, cls, pairs, den = self._pS, self._kron.cls, self._kron.pairs, self._kron.D
             r = len(S)
             pm = [[0] * r for _ in range(r)]
             for y in range(r):
@@ -375,10 +375,10 @@ class PreModularDatum:
         The image of S is taken by linearity, from the base's images of d
         and of the powers of zeta_L (``_Kron.fp``), not from S's vectors.
         """
-        kr = self.kron
+        kr = self._kron
         if self._full is None:
-            r = len(self.pS)
-            entry = partial(_s_entry, self.ring.rows, self.roots, kr.cls, self.ctx.n, kr.fp)
+            r = len(self._pS)
+            entry = partial(_s_entry, self.ring.rows, self._roots, kr.cls, self._ctx.n, kr.fp)
             A = [[0] * r for _ in range(r)]
             for x in range(r):
                 for y in range(x, r):
@@ -386,37 +386,33 @@ class PreModularDatum:
             self._full = _rank_mod_p(kr.p, A) == r
         if self._full:
             return len(rows)
-        return _rank_vec(self.ctx, [list(map(kr.unpack, self.pS[y])) for y in rows])
+        return _rank_vec(self._ctx, [list(map(kr.unpack, self._pS[y])) for y in rows])
 
     @property
     def S(self) -> tuple:
         """S as CycloNums, one per distinct residue: equal residues are
         equal vectors (``_Kron``, fact 2)."""
         if self._S is None:
-            L, den, unpack = self.ctx.n, self.kron.D, self.kron.unpack
-            forms = {v: CycloNum(L, unpack(v), den) for v in set(chain.from_iterable(self.pS))}
-            self._S = tuple(tuple(map(forms.__getitem__, row)) for row in self.pS)
+            L, den, unpack = self._ctx.n, self._kron.D, self._kron.unpack
+            forms = {v: CycloNum(L, unpack(v), den) for v in set(chain.from_iterable(self._pS))}
+            self._S = tuple(tuple(map(forms.__getitem__, row)) for row in self._pS)
         return self._S
 
     @property
     def S_tilde(self) -> tuple:
         """s~_XY = s_XY (d(X)^-1 d(Y)^-1) in CycloNums, made on first read
         from ``S`` and the inverses the build's base keeps: symmetric as S
-        is, with d(X)^-1 d(Y)^-1 made once per pair of distinct dimensions,
-        and s~_XY once per (S_XY's residue, pair) (``_Kron``, fact 2)."""
+        is, with d(X)^-1 d(Y)^-1 made once per pair of distinct dimensions."""
         if self._S_tilde is None:
-            S, pS, cls, inv = self.S, self.pS, self.kron.cls, self.kron.inv
+            S, cls, inv = self.S, self._kron.cls, self._kron.inv
             r = len(S)
-            pairs, made, St = {}, {}, [[None] * r for _ in range(r)]
+            pairs, St = {}, [[None] * r for _ in range(r)]
             for x in range(r):
                 for y in range(x, r):
                     key = (cls[x], cls[y]) if cls[x] <= cls[y] else (cls[y], cls[x])
                     if key not in pairs:
                         pairs[key] = inv[key[0]] * inv[key[1]]
-                    rk = (pS[x][y], key)
-                    if rk not in made:
-                        made[rk] = S[x][y] * pairs[key]
-                    St[x][y] = St[y][x] = made[rk]
+                    St[x][y] = St[y][x] = S[x][y] * pairs[key]
             self._S_tilde = tuple(map(tuple, St))
         return self._S_tilde
 
@@ -439,13 +435,13 @@ class PreModularDatum:
         return self.cat_dim(range(self.rank))
 
     def cat_dim(self, indices) -> CycloNum:
-        return CycloNum(self.ctx.n, self._vector(self.kron.pdd, indices), self.kron.D ** 2)
+        return CycloNum(self._ctx.n, self._vector(self._kron.pdd, indices), self._kron.D ** 2)
 
     def tau(self, sign: int = +1, indices=None) -> CycloNum:
         """sum theta^sign d^2 over ``indices`` (every index by default)."""
         if sign not in (1, -1):
             raise BadParameter("sign must be +1 or -1")
-        return CycloNum(self.ctx.n, self._vector(self.ptd[sign], indices), self.kron.D ** 2)
+        return CycloNum(self._ctx.n, self._vector(self._ptd[sign], indices), self._kron.D ** 2)
 
     def __repr__(self):
         return f"PreModularDatum({self.ring!r})"
@@ -722,12 +718,12 @@ def dichotomy_check(D: PreModularDatum, K: FusionSubring) -> list:
     latter does, which is one divisibility test at the build's base
     (``_Kron``: a sum of at most r products, within its weights).
     """
-    kr = D.kron
+    kr = D._kron
     _, ones = D._pairing()
     out = []
     for v in range(D.rank):
         inside = ones[v].issuperset(K.indices)
-        vanishes = kr.divides(sum(kr.pdv[y] * D.pS[y][v] for y in K.indices))
+        vanishes = kr.divides(sum(kr.pdv[y] * D._pS[y][v] for y in K.indices))
         out.append(
             Check(
                 name=f"dichotomy[{D.ring.labels[v]}]",
@@ -800,7 +796,7 @@ def mueger_report(D: PreModularDatum, K: FusionSubring, B: FusionSubring,
     is one integer divisibility (``_Kron``, fact 3).
     """
     R = D.ring
-    kr = D.kron
+    kr = D._kron
     pdd = kr.pdd
     lat = all_subrings(R, config)
     whole = FusionSubring(R, tuple(range(R.rank)))
@@ -887,9 +883,9 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
     so is each of its twists.
     """
     R = D.ring
-    kr = D.kron
+    kr = D._kron
     den, divides = kr.D, kr.divides
-    ptd, pdd = D.ptd, kr.pdd
+    ptd, pdd = D._ptd, kr.pdd
     tp, tm = sum(ptd[+1]), sum(ptd[-1])
     tau_p, tau_m, dim_tot = D.tau(+1), D.tau(-1), D.dim_total()
     checks = [
@@ -897,7 +893,7 @@ def gauss_and_charge(D: PreModularDatum, config: Config = DEFAULT) -> InvariantR
               "pass" if tau_m == tau_p.conjugate() else "fail")
     ]
     for y in range(R.rank):   # both sides over den^3
-        ok = divides(den * sum(map(mul, D.pqd, D.pS[y])) - D.pqi[y] * tp)
+        ok = divides(den * sum(map(mul, D._pqd, D._pS[y])) - D._pqi[y] * tp)
         checks.append(
             Check(f"twisted-row-sum[{R.labels[y]}]", "twisted-row-sum", "pass" if ok else "fail")
         )
@@ -963,7 +959,7 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     if not is_nondegenerate(D):
         raise Degenerate("square-class Gauss sums need a non-degenerate datum")
     R = D.ring
-    ctx, kr, den = D.ctx, D.kron, D.kron.D
+    ctx, kr, den = D._ctx, D._kron, D._kron.D
     pm, _ = D._pairing()
     if R._squares is None or R._squares[0] != config.tolerance:
         sq = fp_square_integers(R, config)      # NotWeaklyIntegral if not
@@ -975,12 +971,12 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
         raise ClassificationBug("centralizer of the integral part is not pointed")
     chi = {}
     for a in A.indices:   # theta_a d(a) = +-1 is +-den at the base
-        if D.pqd[a] == den:
+        if D._pqd[a] == den:
             chi[a] = 1
-        elif D.pqd[a] == -den:
+        elif D._pqd[a] == -den:
             chi[a] = -1
         else:
-            val = CycloNum(ctx.n, kr.unpack(D.pqd[a]), den).as_rational()
+            val = CycloNum(ctx.n, kr.unpack(D._pqd[a]), den).as_rational()
             raise ClassificationBug(f"braiding character value {val} is not +-1")
     candidates = []
     for v in sorted(set(sf)):
@@ -1000,8 +996,8 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
         w = math.isqrt(m2)
         if w * w != m2:
             raise ClassificationBug("normalized FP dimension is not an integer")
-        t_p += w * D.pqd[x]
-        t_m += w * D.pqi[x]
+        t_p += w * D._pqd[x]
+        t_m += w * D._pqi[x]
     # w <= FPdim(x) <= m, so a sum within r m A, which unpacks (``_Kron``)
     t_p, t_m = CycloNum(ctx.n, kr.unpack(t_p), den), CycloNum(ctx.n, kr.unpack(t_m), den)
     if t_m != t_p.conjugate():

@@ -68,7 +68,6 @@ _KEPT_DOC = "tests/test_kits.py::test_a_kept_dimension_document_meets_a_lower_gu
 _REFUSED_DOC = "tests/test_kits.py::test_a_refused_datum_keeps_no_dimension_document"
 _RESIDUES = "tests/test_residues.py::test_build_at_the_base_matches_the_vector_build"
 _MUEGER = "tests/test_premodular.py::test_mueger_identities"
-_FIRST_READ = "tests/test_premodular.py::test_canonical_s_and_s_tilde_are_made_on_first_read"
 _SOURCES = "tests/test_premodular.py::test_pointed_sources_of_built_and_product_data"
 
 MUTANTS = (
@@ -199,10 +198,6 @@ MUTANTS = (
            "        return self.omega[u] * self.img[k]\n",
            "        return self.omega[-u] * self.img[k]\n",
            (_RESIDUES,)),
-    Mutant("s-tilde-memo-keyed-by-residue-alone", "braidforge/premodular.py",
-           "                    rk = (pS[x][y], key)\n",
-           "                    rk = pS[x][y]\n",
-           (_S_TILDE, _FIRST_READ)),
     Mutant("deligne-product-drops-the-pointed-source", "braidforge/premodular.py",
            "        datum.pointed_source = (form, (1,) * form.group.order)\n",
            "        datum.pointed_source = None\n",

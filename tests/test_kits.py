@@ -109,20 +109,20 @@ def _unpacked(D):
     per residue, so S_xy and S_yx share one where they share a residue),
     ``dv`` (d), ``qd`` (theta d), ``qi`` (theta^-1 d), ``dd`` (d^2) and
     ``td[sign]`` (theta^sign d^2)."""
-    kr, un = D.kron, D.kron.unpack
-    vec = {v: un(v) for row in D.pS for v in row}
-    return SimpleNamespace(S=[[vec[v] for v in row] for row in D.pS],
-                           dv=list(map(un, kr.pdv)), qd=list(map(un, D.pqd)),
-                           qi=list(map(un, D.pqi)), dd=list(map(un, kr.pdd)),
-                           td={sign: list(map(un, D.ptd[sign])) for sign in (1, -1)})
+    kr, un = D._kron, D._kron.unpack
+    vec = {v: un(v) for row in D._pS for v in row}
+    return SimpleNamespace(S=[[vec[v] for v in row] for row in D._pS],
+                           dv=list(map(un, kr.pdv)), qd=list(map(un, D._pqd)),
+                           qi=list(map(un, D._pqi)), dd=list(map(un, kr.pdd)),
+                           td={sign: list(map(un, D._ptd[sign])) for sign in (1, -1)})
 
 
 def _vectors(D):
     """The build's vectors, its evaluations at the base, the inverses and
     the canonical matrices."""
-    kr, V = D.kron, _unpacked(D)
-    return (D.ctx.n, kr.D, kr.cls, V.S, V.dv, V.qd, V.qi, V.dd, V.td, kr.inv,
-            kr.k, kr.mod, D.pS, kr.pdv, D.pqd, D.pqi, kr.pdd, D.ptd, D.S, D.S_tilde)
+    kr, V = D._kron, _unpacked(D)
+    return (D._ctx.n, kr.D, kr.cls, V.S, V.dv, V.qd, V.qi, V.dd, V.td, kr.inv,
+            kr.k, kr.mod, D._pS, kr.pdv, D._pqd, D._pqi, kr.pdd, D._ptd, D.S, D.S_tilde)
 
 
 def test_warm_builds_match_fresh_builds(monkeypatch):
@@ -132,7 +132,7 @@ def test_warm_builds_match_fresh_builds(monkeypatch):
     assert len(data) >= 16 + 64 + 2 * len(invariant_shapes(12))
     kits = set()
     for D in data:
-        R, key = D.ring, (D.dim, D.ctx.n)
+        R, key = D.ring, (D.dim, D._ctx.n)
         assert key in R._kits
         kits.add((id(R), key))
         fresh = FusionRing(R.labels, R.unit, R.dual, R.N)
@@ -144,7 +144,7 @@ def test_warm_builds_match_fresh_builds(monkeypatch):
         assert _vectors(E) == want == _vectors(D), D
     assert len(kits) < len(data)   # products and pointed data share bases
     for D in data:
-        key = (D.dim, D.ctx.n)
+        key = (D.dim, D._ctx.n)
         kit = copy.deepcopy(D.ring._kits[key])
         if D.rank <= 12:
             gauss_and_charge(D)

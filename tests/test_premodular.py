@@ -259,8 +259,7 @@ def test_symmetric_and_isotropic():
 def test_pointed_sources_of_built_and_product_data():
     # build sets no pointed source and pointed_datum sets its form, so the
     # two differ on one triple; a product of two untwisted pointed data
-    # carries the orthogonal sum, whose Lagrangian subgroups
-    # symmetric_and_isotropic lists, and a twisted or Ising factor none
+    # carries the orthogonal sum, and a twisted or Ising factor none
     M1, M2 = qform.a_form(), qform.a_form(F(3, 4))
     D1, D2 = pointed_datum(M1), pointed_datum(M2)
     B, B2 = build(D1.ring, D1.theta, D1.dim), build(D1.ring, D1.theta, D1.dim)
@@ -271,11 +270,7 @@ def test_pointed_sources_of_built_and_product_data():
     P = deligne_product(D1, D2)
     S = qform.direct_sum(M1, M2)
     assert P.pointed_source == (S, (1,) * 4)
-    lags = [r.subgroup.indices() for r in qform.isotropic_subgroups(S) if r.is_lagrangian]
-    assert lags
-    for K in all_subrings(P.ring).subrings:
-        got = symmetric_and_isotropic(P, K)["lagrangian_pointed"]
-        assert got == {"lagrangian_subgroups": lags, "k_is_lagrangian": K.indices in lags}
+    assert symmetric_and_isotropic(P, FusionSubring(P.ring, (0,)))["lagrangian_pointed"]
     twisted = pointed_datum(M2, (1, -1))
     I = ising_datum(F(1, 16), 1)
     for E in (deligne_product(D1, twisted), deligne_product(twisted, D1),
@@ -886,7 +881,7 @@ def test_centralizer_ranks_match_the_exact_rank(monkeypatch):
         for K in all_subrings(D.ring).subrings:
             calls = len(exact)
             rep = centralizer(D, K)
-            assert rep.rank_stilde == _rank_vec(D.ctx, [S[y] for y in K.indices]), (D, K)
+            assert rep.rank_stilde == _rank_vec(D._ctx, [S[y] for y in K.indices]), (D, K)
             assert (len(exact) > calls) != D._full
             paths.add(D._full)
         assert is_nondegenerate(D) or not D._full
@@ -1100,7 +1095,7 @@ def test_canonical_s_and_s_tilde_are_made_on_first_read():
 
 def test_s_is_shared_across_the_diagonal_only_where_the_table_commutes():
     for D in _build_corpus():
-        S, N = D.pS, D.ring.N
+        S, N = D._pS, D.ring.N
         for x in range(D.rank):
             for y in range(D.rank):
                 assert (S[x][y] is S[y][x]) == (N[x][y] == N[y][x]), (D, x, y)
@@ -1129,12 +1124,12 @@ def test_pairing_matches_an_unmemoised_pairing(monkeypatch):
             first.setdefault(d, i)
         made.clear()
         pm, ones = D._pairing()
-        assert not made and len(D.kron.pairs) == len({tuple(sorted((first[D.dim[y]], first[D.dim[v]])))
-                                                       for y in range(r) for v in range(r)}), D
+        want = {tuple(sorted((first[D.dim[y]], first[D.dim[v]]))) for y in range(r) for v in range(r)}
+        assert not made and len(D._kron.pairs) == len(want), D
         for y in range(r):
             for v in range(r):
-                s = [c * D.kron.D for c in V.S[y][v]]
-                dd = _mul_vec(D.ctx, V.dv[y], V.dv[v])
+                s = [c * D._kron.D for c in V.S[y][v]]
+                dd = _mul_vec(D._ctx, V.dv[y], V.dv[v])
                 want = 1 if s == dd else -1 if s == [-c for c in dd] else 0
                 assert pm[y][v] == want, (D, y, v)
             assert ones[y] == {x for x in range(r) if pm[x][y] == 1}
@@ -1248,7 +1243,7 @@ def test_kronecker_zero_test_agrees_with_reduce(ns):
 def _total(D, vecs, indices=None):
     """Sum of the vectors ``vecs`` over ``indices`` (all of them when None)."""
     vecs = vecs if indices is None else [vecs[i] for i in indices]
-    return list(map(sum, zip(*vecs))) or [0] * D.ctx.phi
+    return list(map(sum, zip(*vecs))) or [0] * D._ctx.phi
 
 
 def _identity_deltas(D):
@@ -1259,20 +1254,20 @@ def _identity_deltas(D):
     (dim-exchange, dim-product, whose delta nondeg-factor tests again, and
     diamond-dims), with both sides over one power of the denominator."""
     R, V = D.ring, _unpacked(D)
-    den, r = D.kron.D, D.rank
+    den, r = D._kron.D, D.rank
     tot = lambda vs, idx: _total(D, vs, idx)  # noqa: E731
     pad = lambda v, n: list(v) + [0] * (n - len(v))  # noqa: E731
     sub = lambda a, b: [x - y for x, y in zip(pad(a, len(b)), pad(b, len(a)))]  # noqa: E731
     for x in range(r):
         for y in range(r):
             for z in range(r):
-                rhs = [0] * D.ctx.phi
+                rhs = [0] * D._ctx.phi
                 for w in R.constituents(y, z):
                     rhs = [u + R.N[y][z][w] * v for u, v in zip(rhs, V.S[x][w])]
                 yield sub(_conv(V.S[x][y], V.S[x][z]), _conv(V.dv[x], rhs))
     tp, tm = tot(V.td[1], None), tot(V.td[-1], None)
     for y in range(r):
-        acc = [0] * (2 * D.ctx.phi - 1)
+        acc = [0] * (2 * D._ctx.phi - 1)
         for x in range(r):
             acc = [u + den * v for u, v in zip(acc, _conv(V.qd[x], V.S[x][y]))]
         yield sub(acc, _conv(V.qi[y], tp))
@@ -1307,7 +1302,7 @@ def test_every_identity_fits_the_datum_base():
     for D in _corpus_data():
         if D.rank > 12:
             continue
-        kr, ctx = D.kron, D.ctx
+        kr, ctx = D._kron, D._ctx
         c, h = _fold_bound(ctx)
         M = max(max(map(abs, delta)) for delta in _identity_deltas(D))
         assert 1 << kr.k > (2 * ctx.phi - 1) * M * c + h + 1, D
@@ -1320,7 +1315,7 @@ def _vector_checks(D):
     from braidforge.cyclotomic import _mul_vec, _times_root
 
     R, V = D.ring, _unpacked(D)
-    ctx, L, den = D.ctx, D.ctx.n, D.kron.D
+    ctx, L, den = D._ctx, D._ctx.n, D._kron.D
     dd, td = V.dd, V.td
     every = range(R.rank)
     tp, tm, dtot = _total(D, td[1]), _total(D, td[-1]), _total(D, dd)
@@ -1328,7 +1323,7 @@ def _vector_checks(D):
     out = [("conjugate-sums", tau_m == tau_p.conjugate())]
     for y in every:
         acc = _total(D, [_mul_vec(ctx, V.qd[x], V.S[x][y]) for x in every])
-        s, t = D.roots[y]
+        s, t = D._roots[y]
         want = _mul_vec(ctx, _times_root(ctx, s, -t, V.dv[y]), tp)
         out.append((f"twisted-row-sum[{R.labels[y]}]", [c * den for c in acc] == want))
     nondeg = is_nondegenerate(D)
@@ -1354,11 +1349,11 @@ def _tampered(D, rng):
     no longer match theta^+-1 d^2: the integer tests see a datum whose
     identities fail, which build would have refused."""
     i = rng.randrange(1, D.rank)
-    roots = list(D.roots)
-    roots[i] = (roots[i][0] + 1, (roots[i][1] + rng.randrange(D.ctx.n)) % D.ctx.n)
-    bad = PreModularDatum(D.ring, D.theta, D.dim, D.ctx, roots, D.kron, D.pS)
+    roots = list(D._roots)
+    roots[i] = (roots[i][0] + 1, (roots[i][1] + rng.randrange(D._ctx.n)) % D._ctx.n)
+    bad = PreModularDatum(D.ring, D.theta, D.dim, D._ctx, roots, D._kron, D._pS)
     D._rank_rows(())   # the F_p rank of S, whose images are taken from the twists S was made with
-    bad.pqd, bad._full = D.pqd, D._full
+    bad._pqd, bad._full = D._pqd, D._full
     return bad
 
 
@@ -1420,8 +1415,8 @@ def test_integer_checks_match_the_vector_checks_on_data_and_mutations(monkeypatc
 
 def test_s_tilde_makes_one_inverse_product_per_pair_of_dimensions(monkeypatch):
     # build makes no entry of s~; its first read makes d_x^-1 d_y^-1 once
-    # per pair of distinct dimensions and s_xy times it once per (residue
-    # of s_xy, that pair) over x <= y, each one CycloNum product
+    # per pair of distinct dimensions and s_xy times it once per x <= y,
+    # each one CycloNum product
     product = CycloNum.__mul__
     made = []
     monkeypatch.setattr(CycloNum, "__mul__", lambda a, b: made.append(1) or product(a, b))
@@ -1429,11 +1424,8 @@ def test_s_tilde_makes_one_inverse_product_per_pair_of_dimensions(monkeypatch):
         E = build(D.ring, D.theta, D.dim)
         made.clear()
         St = E.S_tilde
-        r, cls = D.rank, E.kron.cls
-        classes = len(set(D.dim))
-        keys = {(E.pS[x][y], tuple(sorted((cls[x], cls[y]))))
-                for x in range(r) for y in range(x, r)}
-        assert len(made) == classes * (classes + 1) // 2 + len(keys), D
+        r, classes = D.rank, len(set(D.dim))
+        assert len(made) == classes * (classes + 1) // 2 + r * (r + 1) // 2, D
         assert St == D.S_tilde and E.S_tilde is St
         for x in range(r):
             for y in range(r):

@@ -195,26 +195,26 @@ def _tampered_copies(D, rng):
 
 def _check_residues(D, want):
     L, den, S, dv, qd, qi, dd, td = want
-    V, kr, r = _unpacked(D), D.kron, D.rank
-    assert (D.ctx.n, kr.D) == (L, den)
+    V, kr, r = _unpacked(D), D._kron, D.rank
+    assert (D._ctx.n, kr.D) == (L, den)
     assert (V.S, V.dv, V.qd, V.qi, V.dd, V.td) == (S, dv, qd, qi, dd, td)
     # each residue is the evaluation at B of its vector
-    assert [[kr.pack(v) for v in row] for row in S] == D.pS
+    assert [[kr.pack(v) for v in row] for row in S] == D._pS
     assert [kr.pack(v) for v in dv] == kr.pdv and [kr.pack(v) for v in dd] == kr.pdd
-    assert [kr.pack(v) for v in qd] == D.pqd and [kr.pack(v) for v in qi] == D.pqi
-    assert {s: [kr.pack(v) for v in td[s]] for s in (1, -1)} == D.ptd
+    assert [kr.pack(v) for v in qd] == D._pqd and [kr.pack(v) for v in qi] == D._pqi
+    assert {s: [kr.pack(v) for v in td[s]] for s in (1, -1)} == D._ptd
     lift = dict(zip(kr.cls, dv))   # d of each distinct dimension
     for (a, b), (dd_ab, neg) in kr.pairs.items():
-        assert dd_ab == kr.pack(_mul_vec(D.ctx, lift[a], lift[b])) == -neg
+        assert dd_ab == kr.pack(_mul_vec(D._ctx, lift[a], lift[b])) == -neg
     # every vector the checks read is within the kit's a-priori bound
     vecs = [v for row in S for v in row] + dv + qd + qi + dd + td[1] + td[-1]
     assert max(max(map(abs, v)) for v in vecs) <= kr.A
     # F_p images of S by linearity are the direct map of its vectors
-    p, w = _modular(D.ctx)
+    p, w = _modular(D._ctx)
     assert kr.p == p
     for x in range(r):
         for y in range(r):
-            image = _s_entry(D.ring.rows, D.roots, kr.cls, L, kr.fp, x, y) % p
+            image = _s_entry(D.ring.rows, D._roots, kr.cls, L, kr.fp, x, y) % p
             assert image == sum(a * b for a, b in zip(S[x][y], w)) % p, (x, y)
 
 
@@ -227,7 +227,7 @@ def test_build_at_the_base_matches_the_vector_build():
         _check_residues(D, want)
         fresh = FusionRing(D.ring.labels, D.ring.unit, D.ring.dual, D.ring.N)
         _check_residues(build(fresh, D.theta, D.dim), want)   # a first build, on no kit
-        signed_odd += want[0] % 2 == 1 and any(s % 2 for s, _ in D.roots)
+        signed_odd += want[0] % 2 == 1 and any(s % 2 for s, _ in D._roots)
         for ring, theta, dim in _tampered_copies(D, rng):
             got, ref = _outcome(build, ring, theta, dim), _outcome(_vector_build, ring, theta, dim)
             if isinstance(ref, tuple) and isinstance(ref[0], type):
@@ -239,7 +239,7 @@ def test_build_at_the_base_matches_the_vector_build():
                 accepted += 1
     assert signed_odd >= 5 and accepted >= 10, (signed_odd, accepted)
     assert {VerlindeFail, SymmetryFail, DualDimFail, ZeroDim} <= refused
-    assert max(D.ctx.n for D in data) == 105
+    assert max(D._ctx.n for D in data) == 105
 
 
 @pytest.mark.parametrize("n", [16, 105, 2257])   # phi = 8, 48 and 2160

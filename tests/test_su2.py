@@ -55,7 +55,7 @@ def su2(k: int, basis=None):
     dims = [qint(j + 1, k) for j in js]
     D = build(R, theta, dims)
     again = build(R, theta, dims)   # a kit hit
-    assert (again.S, again.pS, again.kron.inv) == (D.S, D.pS, D.kron.inv)
+    assert (again.S, again._pS, again._kron.inv) == (D.S, D._pS, D._kron.inv)
     return D
 
 
