@@ -9,7 +9,13 @@ its time on (exhaustive quadratic-form sweeps over small 2-groups); the
 ``all_forms`` rows time that sweep's form enumeration on (Z/2)^3 and
 Z/2 x Z/2 x Z/4, which no perfbench workload runs.  The
 ``qform.validate`` rows time the axiom check of one seeded form on
-Z/2 x Z/2 x Z/8 and Z/6 x Z/6, orders like those of form_stream.
+Z/2 x Z/2 x Z/8 and Z/6 x Z/6, orders like those of form_stream, and
+on (Z/2)^8, whose rank and order are past every form_stream shape.  The
+``add_table`` rows build the flat add table of Z/4^3 and of Z/256.  The
+``qform_from_json`` row parses and validates the 183 forms of one seeded
+form_stream pass (perfbench's ``inputs.stream_pass(7)``), with every
+group's tables and memo cleared first, as a fresh perfbench worker's
+set-up meets them (and put back after it, for the rows that follow).
 The ``premodular.build`` rows time the exact derivation and check of
 a datum's S-matrix by rank: Ising (3), Ising x Ising (9), and the
 pointed datum of a form on Z/12 (12), on the library's rings, and
@@ -116,7 +122,8 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from fractions import Fraction  # noqa: E402
@@ -152,6 +159,7 @@ def workloads():
 
     orders = (4, 4, 4)
     out.append(("add_table Z4^3", lambda: pure.add_table(orders), 5))
+    out.append(("add_table Z/256", lambda: pure.add_table((256,)), 5))
 
     orders5 = (2, 2, 2, 2, 2)
     add5 = pure.add_table(orders5)
@@ -198,11 +206,29 @@ def workloads():
         forms = lambda G: list(qform.all_forms(G))  # noqa: E731
         out.append((f"all_forms {name} ({n})", forms, 3, warm(forms, G)))
 
-    for shape in ((2, 2, 8), (6, 6)):
+    for shape in ((2, 2, 8), (6, 6), (2,) * 8):
         G = FinAbGroup(shape)
         values = qform.random_form(G, random.Random(0)).values
         check = lambda v, G=G: qform.validate(G, v)  # noqa: E731
         out.append((f"qform.validate {shape}", check, 3, warm(check, values)))
+
+    sys.dont_write_bytecode = True   # leave perfbench/ as it is
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import inputs
+    stream = [f for _, forms in inputs.stream_pass(7) for f in forms]
+
+    def cold_tables():   # the tables every other row reads are put back after the pass
+        kept = dict(abelian._TABLE_CACHE)
+        abelian._TABLE_CACHE.clear()
+        return kept
+
+    def parse_pass(kept):
+        for f in stream:
+            bio.qform_from_json(f)
+        abelian._TABLE_CACHE.update(kept)
+
+    out.append((f"qform_from_json form_stream pass ({len(stream)} forms), cold tables",
+                parse_pass, 5, cold_tables))
 
     ising = premodular.ising_datum(Fraction(1, 16), 1)
     ising2 = premodular.deligne_product(ising, premodular.ising_datum(Fraction(3, 16), -1))

@@ -227,8 +227,10 @@ class GroupHom:
 class Subgroup:
     """Subgroup as the sorted tuple ``idx`` of its element indices.
 
-    Every construction checks that the indices hold 0 and are closed
-    under addition.  ``elements`` and ``generators`` give coordinates.
+    The constructor checks that the indices hold 0 and are closed under
+    addition; sets that a closure or an orthogonal has just made are
+    wrapped unchecked (:meth:`closed`).  ``elements`` and ``generators``
+    give coordinates.
     """
 
     # _gens: generator indices, the minimal ones derived on first use
@@ -245,6 +247,13 @@ class Subgroup:
             raise NotASubgroup(f"index {idx[-1]} outside a group of order {n}")
         if kernels.closure(n, parent.add_flat(), idx) != idx:
             raise NotASubgroup("element set not closed under addition")
+
+    @classmethod
+    def closed(cls, parent: FinAbGroup, idx) -> "Subgroup":
+        """Wrap sorted indices that hold 0 and are closed, unchecked."""
+        H = object.__new__(cls)
+        H.parent, H.idx, H._gens = parent, tuple(idx), None
+        return H
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -284,7 +293,7 @@ class Subgroup:
 
     @staticmethod
     def generated(G: FinAbGroup, gens) -> "Subgroup":
-        return Subgroup(G, kernels.closure(G.order, G.add_flat(), [G.index(g) for g in gens]))
+        return Subgroup.closed(G, kernels.closure(G.order, G.add_flat(), list(map(G.index, gens))))
 
     @staticmethod
     def trivial(G: FinAbGroup) -> "Subgroup":
@@ -332,16 +341,12 @@ def _minimal_generators(G: FinAbGroup, idx) -> tuple:
             have = set(kernels.closure(n, add, gens))
             if len(have) == len(idx):
                 break
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gens)):
-            rest = gens[:i] + gens[i + 1 :]
-            if kernels.closure(n, add, rest) == target:
-                gens = rest
-                changed = True
-                break
-    return tuple(gens)
+    while True:   # drop the first redundant pick, until none is left
+        i = next((i for i in range(len(gens))
+                  if kernels.closure(n, add, gens[:i] + gens[i + 1:]) == target), None)
+        if i is None:
+            return tuple(gens)
+        del gens[i]
 
 
 # ---------------------------------------------------------------------------

@@ -17,42 +17,35 @@ coordinates outermost-first lists indices 0..n-1 in order.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from ..errors import EnumerationLimit
 
 
-def _all_coords(radix):
-    coords = [()]
-    for m in radix:
-        coords = [c + (j,) for c in coords for j in range(m)]
-    return coords
-
-
 def add_table(orders):
-    """Flat n*n table: add[a*n + b] = index of a + b."""
-    n = math.prod(orders)
-    if not orders:
-        return [0]
-    radix = list(orders)
-    coords = _all_coords(radix)
-    enc = {c: i for i, c in enumerate(coords)}
-    table = [0] * (n * n)
-    for a, ca in enumerate(coords):
-        base = a * n
-        for b, cb in enumerate(coords):
-            s = tuple((x + y) % m for x, y, m in zip(ca, cb, radix))
-            table[base + b] = enc[s]
-    return table
+    """Flat n*n table: add[a*n + b] = index of a + b.
+
+    Built from the least significant factor outward.  For G = Z/m x H,
+    |H| = h, (c, j) has index c*h + j; full_j, row j of H's table offset
+    by c*h for c = 0..m-1 and concatenated, is row (0, j), and row (i, j)
+    is full_j rotated left by i*h: every entry past the offsets is sliced.
+    """
+    rows, h = [[0]], 1
+    for m in reversed(orders):
+        fulls = [[c * h + t for c in range(m) for t in row] for row in rows]
+        rows = [f[i * h:] + f[:i * h] for i in range(m) for f in fulls]
+        h *= m
+    return list(chain.from_iterable(rows))
 
 
 def neg_table(orders):
-    n = math.prod(orders)
-    if not orders:
-        return [0]
-    radix = list(orders)
-    coords = _all_coords(radix)
-    enc = {c: i for i, c in enumerate(coords)}
-    return [enc[tuple((-x) % m for x, m in zip(c, radix))] for c in coords]
+    """neg[a] = index of -a, by the recursion of :func:`add_table`:
+    -(c, j) = (-c mod m, -j)."""
+    neg, h = [0], 1
+    for m in reversed(orders):
+        neg = [(-c % m) * h + t for c in range(m) for t in neg]
+        h *= m
+    return neg
 
 
 def element_orders(n, add):

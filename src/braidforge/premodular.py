@@ -302,7 +302,8 @@ class PreModularDatum:
 
     ``theta`` holds the twists as Fraction exponents of roots of unity,
     ``dim`` a CycloNum per index, and ``pointed_source`` (PreMetricGroup,
-    chi tuple) for a pointed datum, set before any caller sees it.  The
+    chi tuple) for a pointed datum, set before any caller sees it, with
+    the form's element index i the ring's basis index i.  The
     residues are private: ``_kron`` is the base, with what reads the
     dimensions alone: its D is the denominator and ``cls[i]`` numbers d(i)
     among the distinct dimensions.  ``_ctx`` is L's context; ``_pS`` holds
@@ -623,7 +624,9 @@ def ising_datum(zeta, eps: int, config: Config = DEFAULT) -> PreModularDatum:
 
 def deligne_product(D1: PreModularDatum, D2: PreModularDatum,
                     config: Config = DEFAULT) -> PreModularDatum:
-    """Basis pairs; N, twists, dimensions multiply componentwise."""
+    """Basis pairs; N, twists, dimensions multiply componentwise.  A
+    product of untwisted pointed data keeps the orthogonal sum of their
+    forms on G1 x G2 as presented, whose index i * r2 + j is the pair's."""
     ring = product_ring(D1.ring, D2.ring)
     r2 = D2.rank
     theta = tuple(
@@ -637,8 +640,8 @@ def deligne_product(D1: PreModularDatum, D2: PreModularDatum,
         and all(c == 1 for c in D1.pointed_source[1])
         and all(c == 1 for c in D2.pointed_source[1])
     ):
-        from .qform import direct_sum
-        form = direct_sum(D1.pointed_source[0], D2.pointed_source[0])
+        from .qform import orthogonal_sum   # numbered as the ring: i * r2 + j
+        form = orthogonal_sum(D1.pointed_source[0], D2.pointed_source[0])
         datum.pointed_source = (form, (1,) * form.group.order)
     return datum
 

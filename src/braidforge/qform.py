@@ -185,7 +185,16 @@ def validate(group: FinAbGroup, value_table) -> PreMetricGroup:
     """Check the quadratic-form axioms and return the validated form.
 
     Raises NotNormalized (q(0) != 0), NotEven (q(-g) != q(g)), or
-    NotQuadratic (polarization not biadditive), naming the witness.
+    NotQuadratic naming the first generator s, then the first (g, h) in
+    index order, with b(s + g, h) != b(s, h) + b(g, h).
+
+    For a generator s, D_s(x) = q(s + x) - q(x) - q(s) is b(s, x), and
+    b(s + g, h) - b(s, h) - b(g, h) = D_s(g + h) - D_s(g) - D_s(h) (both
+    are q(s+g+h) - q(s+g) - q(s+h) - q(g+h) + q(s) + q(g) + q(h)): the
+    axiom at s says D_s is a homomorphism.  As q(0) = 0 gives D_s(0) = 0,
+    that holds iff D_s(x + e) = D_s(x) + D_s(e) for every x and generator
+    e (induct on word length): one list comparison per e, on the column
+    add[e::n].  Only a D_s that fails is scanned pair by pair.
     """
     M = PreMetricGroup(group, tuple(value_table))
     n = group.order
@@ -200,13 +209,16 @@ def validate(group: FinAbGroup, value_table) -> PreMetricGroup:
                 f"{M.q_idx(neg[i])} vs {M.q_idx(i)}"
             )
     add = group.add_flat()
-    # rows b(i, .) of residues; b(s + g, .) = b(s, .) + b(g, .) row by row
-    b = [[(t[a] - ti - tj) % L for a, tj in zip(add[i * n:(i + 1) * n], t)]
-         for i, ti in enumerate(t)]
-    for s in group.gen_strides():
-        bs = b[s]
+    gens = group.gen_strides()
+    for s in gens:
+        ts = t[s]
+        D = [(t[y] - tx - ts) % L for y, tx in zip(add[s * n:(s + 1) * n], t)]
+        if all(list(map(D.__getitem__, add[e::n])) == [(d + D[e]) % L for d in D]
+               for e in gens):
+            continue
         for g in range(n):
-            row, want = b[add[s * n + g]], [(y + z) % L for y, z in zip(bs, b[g])]
+            row = list(map(D.__getitem__, add[g * n:(g + 1) * n]))
+            want = [(D[g] + d) % L for d in D]
             if row != want:
                 h = next(h for h in range(n) if row[h] != want[h])
                 raise NotQuadratic(
@@ -233,7 +245,7 @@ def degeneracy(M: PreMetricGroup) -> DegeneracyClass:
         return M._deg
     G = M.group
     rad = _perp_indices(M, G.gen_strides())
-    radical = Subgroup(G, rad)
+    radical = Subgroup.closed(G, rad)
     if len(rad) == 1:
         tag = "nondegenerate"
     elif len(rad) == 2 and 2 * M.res[rad[1]] == M.level:
@@ -257,7 +269,7 @@ def orthogonal_complement(M: PreMetricGroup, H: Subgroup) -> Subgroup:
     G = M.group
     if H.parent.orders != G.orders:
         raise NotASubgroup("subgroup belongs to a different group")
-    return Subgroup(G, _perp_indices(M, H.gen_idx))
+    return Subgroup.closed(G, _perp_indices(M, H.gen_idx))
 
 
 def _perp_indices(M: PreMetricGroup, gens) -> list:
@@ -317,7 +329,7 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     result = []
     for idx in sorted(found, key=lambda s: (len(s), s)):
         lagrangian = n * len(rad.intersection(idx)) == len(idx) ** 2
-        result.append(IsotropicSubgroup(Subgroup(G, idx), maximal[idx], lagrangian))
+        result.append(IsotropicSubgroup(Subgroup.closed(G, idx), maximal[idx], lagrangian))
     M._iso = tuple(result)
     return result
 
@@ -365,19 +377,20 @@ def quotient_form(M: PreMetricGroup, H: Subgroup) -> PreMetricGroup:
 # sums, isomorphism
 # ---------------------------------------------------------------------------
 
+def orthogonal_sum(M1: PreMetricGroup, M2: PreMetricGroup) -> PreMetricGroup:
+    """Orthogonal direct sum on G1 x G2 as presented (orders1 + orders2),
+    so the index of (i1, i2) is i1 * n2 + i2; not recanonicalized."""
+    L = math.lcm(M1.level, M2.level)
+    s1, s2 = L // M1.level, L // M2.level
+    res = [a * s1 + b * s2 for a in M1.res for b in M2.res]
+    return PreMetricGroup.at_level(FinAbGroup(M1.group.orders + M2.group.orders), L, res)
+
+
 def direct_sum(M1: PreMetricGroup, M2: PreMetricGroup) -> PreMetricGroup:
     """Orthogonal direct sum, recanonicalized."""
-    orders = M1.group.orders + M2.group.orders
-    if not orders:
-        return trivial_form()
-    G, iso = canonical_form(orders)
-    L = math.lcm(M1.level, M2.level)
-    s1, s2, n2 = L // M1.level, L // M2.level, M2.group.order
-    res = [0] * G.order
-    # the source is M1's group times M2's, so its index k is i1 * n2 + i2
-    for k, y in enumerate(iso.table):
-        res[y] = M1.res[k // n2] * s1 + M2.res[k % n2] * s2
-    return PreMetricGroup.at_level(G, L, res)
+    S = orthogonal_sum(M1, M2)
+    G, iso = canonical_form(S.group.orders)
+    return PreMetricGroup.at_level(G, S.level, kernels.apply_perm(iso.table, S.res))
 
 
 def trivial_form() -> PreMetricGroup:
@@ -702,37 +715,21 @@ def wap_decompose(M: PreMetricGroup, config: Config = DEFAULT):
     """
     if not is_weakly_anisotropic(M, config):
         return None
-    mult = {}
-    parts = []
+    mult, total = {}, trivial_form()
     for p, Mp in sorted(sylow_decomposition(M).items()):
-        found = None
-        order = Mp.group.order
-        k = 0
-        while p ** (2 * k) <= order:
-            rest = order // p ** (2 * k)
-            if p ** (2 * k) * rest == order:
-                for lab in _aniso_candidates(p, rest):
-                    cand = lab
-                    for _ in range(k):
-                        cand = direct_sum(cand, hyperbolic_plane(p))
-                    if isomorphic(Mp, cand, config) is not None:
-                        found = (k, lab)
-                        break
-            if found:
-                break
-            k += 1
+        n, H = Mp.group.order, hyperbolic_plane(p)
+        # the least k, then the first catalog form A, with Mp = A + k H
+        found = next(((k, A) for k in range(n.bit_length()) if n % p ** (2 * k) == 0
+                      for A in _aniso_candidates(p, n // p ** (2 * k))
+                      if isomorphic(Mp, reduce(direct_sum, [H] * k, A), config) is not None),
+                     None)
         if found is None:
-            raise ClassificationBug(
-                "weakly anisotropic form without hyperbolic decomposition"
-            )
+            raise ClassificationBug("weakly anisotropic form without hyperbolic decomposition")
         k, aniso = found
         if k:
             mult[p] = k
         if aniso.group.order > 1:
-            parts.append(aniso)
-    total = trivial_form()
-    for part in parts:
-        total = direct_sum(total, part)
+            total = direct_sum(total, aniso)
     return mult, total
 
 

@@ -123,7 +123,7 @@ def anisotropic_quotient(M: PreMetricGroup, config: Config = DEFAULT) -> PreMetr
         if i is None:
             return M
         G = M.group
-        M = quotient_form(M, Subgroup(G, kernels.closure(G.order, G.add_flat(), [i])))
+        M = quotient_form(M, Subgroup.closed(G, kernels.closure(G.order, G.add_flat(), [i])))
 
 
 def witt_class(M: PreMetricGroup, config: Config = DEFAULT) -> WittClass:

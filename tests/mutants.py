@@ -69,6 +69,10 @@ _REFUSED_DOC = "tests/test_kits.py::test_a_refused_datum_keeps_no_dimension_docu
 _RESIDUES = "tests/test_residues.py::test_build_at_the_base_matches_the_vector_build"
 _MUEGER = "tests/test_premodular.py::test_mueger_identities"
 _SOURCES = "tests/test_premodular.py::test_pointed_sources_of_built_and_product_data"
+_PRODUCT_LAGRANGIANS = "tests/test_premodular.py::test_lagrangians_of_a_product_are_isotropic_subrings_of_it"
+_VALIDATE = "tests/test_qform.py::test_validate_matches_reference_on_forms_and_mutations"
+_TABLES = "tests/test_kernels.py::test_tables_match_coordinate_arithmetic"
+_UNCHECKED = "tests/test_abelian.py::test_unchecked_subgroups_hold_zero_and_are_closed"
 
 MUTANTS = (
     Mutant("monomial-shift-range-one-block-short", "braidforge/cyclotomic.py",
@@ -206,6 +210,28 @@ MUTANTS = (
            "    D.pointed_source = (M, chi)\n",
            "    D.pointed_source = None\n",
            (_SOURCES,)),
+    Mutant("product-source-recanonicalized", "braidforge/premodular.py",
+           "        from .qform import orthogonal_sum   # numbered as the ring: i * r2 + j\n"
+           "        form = orthogonal_sum(D1.pointed_source[0], D2.pointed_source[0])\n",
+           "        from .qform import direct_sum\n"
+           "        form = direct_sum(D1.pointed_source[0], D2.pointed_source[0])\n",
+           (_PRODUCT_LAGRANGIANS,)),
+    Mutant("biadditivity-tested-against-the-first-generator-only", "braidforge/qform.py",
+           "               for e in gens):\n",
+           "               for e in gens[:1]):\n",
+           (_VALIDATE,)),
+    Mutant("add-table-rotated-by-one-row", "braidforge/kernels/pure.py",
+           "        rows = [f[i * h:] + f[:i * h] for i in range(m) for f in fulls]\n",
+           "        rows = [f[(i + 1) * h:] + f[:(i + 1) * h] for i in range(m) for f in fulls]\n",
+           (_TABLES,)),
+    Mutant("neg-table-sign-dropped", "braidforge/kernels/pure.py",
+           "        neg = [(-c % m) * h + t for c in range(m) for t in neg]\n",
+           "        neg = [(c % m) * h + t for c in range(m) for t in neg]\n",
+           (_TABLES,)),
+    Mutant("witt-line-wrapped-without-its-closure", "braidforge/witt.py",
+           "Subgroup.closed(G, kernels.closure(G.order, G.add_flat(), [i]))",
+           "Subgroup.closed(G, (0, i))",
+           (_UNCHECKED,)),
 )
 
 

@@ -435,6 +435,54 @@ def test_subgroup_index_tuple_must_hold_zero_and_be_closed():
         Subgroup(G, (0, 8))
 
 
+def test_unchecked_subgroups_hold_zero_and_are_closed(monkeypatch):
+    """Every subgroup the library wraps unchecked in one pass of the
+    benchmark's form_stream requests (seed 7), and in ``generated`` and
+    ``orthogonal_complement`` on every form of two groups, is sorted,
+    holds 0 and is closed."""
+    import sys
+    from pathlib import Path
+
+    from braidforge import kernels, qform
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    made = []
+    real = Subgroup.closed.__func__
+
+    def closed(cls, G, idx):
+        made.append((sys._getframe(1).f_code.co_name, G, tuple(idx)))
+        return real(cls, G, idx)
+
+    monkeypatch.setattr(Subgroup, "closed", classmethod(closed))
+    for visit in workloads.stream_setup(7):
+        gen, out = visit(), None
+        while True:
+            try:
+                req = gen.send(out)
+            except StopIteration:
+                break
+            try:
+                out = req.run()
+            except EnumerationLimit:   # the (Z/2)^5 refusal ends its visit
+                break
+    for orders in ((2, 4), (2, 2, 2)):
+        G = FinAbGroup(orders)
+        for gens in itertools.combinations(G.elements(), 2):
+            Subgroup.generated(G, gens)
+        for M in qform.all_forms(G):
+            for r in qform.isotropic_subgroups(M):
+                qform.orthogonal_complement(M, r.subgroup)
+    callers = {"degeneracy", "isotropic_subgroups", "anisotropic_quotient", "generated",
+               "orthogonal_complement"}
+    assert {name for name, _, _ in made} == callers
+    for name, G, idx in made:
+        assert idx[0] == 0 and list(idx) == sorted(set(idx)), (name, G, idx)
+        assert kernels.closure(G.order, G.add_flat(), idx) == idx, (name, G, idx)
+
+
 def _coordinate_eval(hom, a):
     """Reference: sum of a_i times the i-th generator image, on coordinates."""
     T = hom.target

@@ -1,4 +1,5 @@
-"""The kernel's pruned searches against brute-force filters of Aut(G)."""
+"""The kernel's group tables against coordinate arithmetic, and its pruned
+searches against brute-force filters of Aut(G)."""
 
 import itertools
 import random
@@ -88,3 +89,24 @@ def test_permutations_are_automorphisms():
         for a in range(n):
             for b in range(n):
                 assert p[add[a * n + b]] == add[p[a] * n + p[b]]
+
+
+def coordinate_tables(orders):
+    """Oracle: the add and neg tables by arithmetic on coordinate tuples,
+    each indexed by its place in lexicographic order."""
+    coords = list(itertools.product(*map(range, orders)))
+    index = {c: i for i, c in enumerate(coords)}
+    add = [index[tuple((x + y) % m for x, y, m in zip(a, b, orders))]
+           for a in coords for b in coords]
+    neg = [index[tuple(-x % m for x, m in zip(a, orders))] for a in coords]
+    return add, neg
+
+
+def test_tables_match_coordinate_arithmetic():
+    # every invariant shape of order <= 64, the trivial group, the two
+    # largest tables the benchmarks build, and a presentation that is not
+    # in invariant form
+    for orders in [()] + invariant_shapes(64) + [(256,), (2,) * 8, (4, 2), (3, 2, 4)]:
+        add, neg = coordinate_tables(orders)
+        assert pure.add_table(orders) == add, orders
+        assert pure.neg_table(orders) == neg, orders

@@ -268,7 +268,7 @@ def test_pointed_sources_of_built_and_product_data():
     assert D1 != B and D1 == D1b and B == B2
     assert hash(D1) == hash(D1b) and hash(B) == hash(B2) and len({D1, B, D1b, B2}) == 2
     P = deligne_product(D1, D2)
-    S = qform.direct_sum(M1, M2)
+    S = qform.orthogonal_sum(M1, M2)
     assert P.pointed_source == (S, (1,) * 4)
     assert symmetric_and_isotropic(P, FusionSubring(P.ring, (0,)))["lagrangian_pointed"]
     twisted = pointed_datum(M2, (1, -1))
@@ -278,6 +278,25 @@ def test_pointed_sources_of_built_and_product_data():
         assert E.pointed_source is None
         flags = symmetric_and_isotropic(E, FusionSubring(E.ring, (0,)))
         assert flags["lagrangian_pointed"] is None
+
+
+def test_lagrangians_of_a_product_are_isotropic_subrings_of_it():
+    # Z/4 + (Z/2)^2 recanonicalizes to (Z/2, Z/2, Z/4), whose numbering is
+    # not the product ring's i * 4 + j: the source keeps the product's
+    rng = random.Random(1)
+    listed = 0
+    for _ in range(200):
+        M1 = qform.random_form(FinAbGroup((4,)), rng)
+        M2 = qform.random_form(FinAbGroup((2, 2)), rng)
+        P = deligne_product(pointed_datum(M1), pointed_datum(M2))
+        assert P.pointed_source == (qform.orthogonal_sum(M1, M2), (1,) * 16)
+        flags = symmetric_and_isotropic(P, FusionSubring(P.ring, (0,)))
+        for K in flags["lagrangian_pointed"]["lagrangian_subgroups"]:
+            sub = subring_generated(P.ring, K)
+            assert sub.indices == K, (M1, M2, K)
+            assert symmetric_and_isotropic(P, sub)["isotropic"], (M1, M2, K)
+            listed += 1
+    assert listed == 17
 
 
 def test_lagrangians_listed_once_per_pointed_datum(monkeypatch):
