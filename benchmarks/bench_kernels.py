@@ -167,7 +167,7 @@ def workloads():
 
     orders4 = (2, 2, 2, 2)
     add4 = pure.add_table(orders4)
-    ord4 = pure.element_orders(16, add4)
+    ord4 = pure.element_orders(orders4)
     st4, go4 = strides_of(orders4), list(orders4)
     out.append(
         ("automorphisms (Z/2)^4 (20160)",
@@ -192,7 +192,7 @@ def workloads():
 
     orders44 = (4, 4)
     add44 = pure.add_table(orders44)
-    ord44 = pure.element_orders(16, add44)
+    ord44 = pure.element_orders(orders44)
     ta = [0, 1, 2, 1, 1, 3, 0, 2, 2, 0, 3, 1, 1, 2, 1, 0]
     tb = list(pure.apply_perm(pure.automorphisms(16, add44, ord44, [4, 1], [4, 4], 100)[-1], ta))
     out.append(

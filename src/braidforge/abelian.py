@@ -123,7 +123,7 @@ class FinAbGroup:
         if hit is None:
             add = kernels.add_table(self.orders)
             neg = kernels.neg_table(self.orders)
-            hit = (add, neg, kernels.element_orders(self.order, add), {})
+            hit = (add, neg, kernels.element_orders(self.orders), {})
             _TABLE_CACHE[key] = hit
         return hit
 
@@ -228,9 +228,8 @@ class Subgroup:
     """Subgroup as the sorted tuple ``idx`` of its element indices.
 
     The constructor checks that the indices hold 0 and are closed under
-    addition; sets that a closure or an orthogonal has just made are
-    wrapped unchecked (:meth:`closed`).  ``elements`` and ``generators``
-    give coordinates.
+    addition; :meth:`closed` wraps a set a closure or an orthogonal just
+    made, unchecked.  ``elements`` and ``generators`` give coordinates.
     """
 
     # _gens: generator indices, the minimal ones derived on first use
@@ -341,12 +340,16 @@ def _minimal_generators(G: FinAbGroup, idx) -> tuple:
             have = set(kernels.closure(n, add, gens))
             if len(have) == len(idx):
                 break
-    while True:   # drop the first redundant pick, until none is left
-        i = next((i for i in range(len(gens))
-                  if kernels.closure(n, add, gens[:i] + gens[i + 1:]) == target), None)
-        if i is None:
-            return tuple(gens)
-        del gens[i]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(gens)):
+            rest = gens[:i] + gens[i + 1 :]
+            if kernels.closure(n, add, rest) == target:
+                gens = rest
+                changed = True
+                break
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,12 @@ def neg_table(orders):
     return neg
 
 
-def element_orders(n, add):
-    """Additive order of every index."""
-    out = [1] * n
-    for g in range(1, n):
-        k, x = 1, g
-        while x != 0:
-            x = add[x * n + g]
-            k += 1
-        out[g] = k
+def element_orders(orders):
+    """Additive order of every index, by the recursion of :func:`add_table`:
+    (c, j) has order lcm(m / gcd(c, m), order of j)."""
+    out = [1]
+    for m in reversed(orders):
+        out = [math.lcm(m // math.gcd(c, m), o) for c in range(m) for o in out]
     return out
 
 

@@ -624,9 +624,7 @@ def ising_datum(zeta, eps: int, config: Config = DEFAULT) -> PreModularDatum:
 
 def deligne_product(D1: PreModularDatum, D2: PreModularDatum,
                     config: Config = DEFAULT) -> PreModularDatum:
-    """Basis pairs; N, twists, dimensions multiply componentwise.  A
-    product of untwisted pointed data keeps the orthogonal sum of their
-    forms on G1 x G2 as presented, whose index i * r2 + j is the pair's."""
+    """Basis pairs; N, twists, dimensions multiply componentwise."""
     ring = product_ring(D1.ring, D2.ring)
     r2 = D2.rank
     theta = tuple(

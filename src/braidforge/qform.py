@@ -82,7 +82,7 @@ class PreMetricGroup:
 
     def __init__(self, group: FinAbGroup, values):
         """The form with the rational value table ``values``, read mod 1."""
-        vals = [Fraction(v) for v in values]
+        vals = [v if type(v) is Fraction else Fraction(v) for v in values]
         N = reduce(math.lcm, (v.denominator for v in vals), 1)
         self._store(group, N, [v.numerator * (N // v.denominator) for v in vals])
 
@@ -194,7 +194,7 @@ def validate(group: FinAbGroup, value_table) -> PreMetricGroup:
     axiom at s says D_s is a homomorphism.  As q(0) = 0 gives D_s(0) = 0,
     that holds iff D_s(x + e) = D_s(x) + D_s(e) for every x and generator
     e (induct on word length): one list comparison per e, on the column
-    add[e::n].  Only a D_s that fails is scanned pair by pair.
+    add[e::n].  Only a D_s that fails is scanned pair by pair, in order.
     """
     M = PreMetricGroup(group, tuple(value_table))
     n = group.order
@@ -213,18 +213,13 @@ def validate(group: FinAbGroup, value_table) -> PreMetricGroup:
     for s in gens:
         ts = t[s]
         D = [(t[y] - tx - ts) % L for y, tx in zip(add[s * n:(s + 1) * n], t)]
-        if all(list(map(D.__getitem__, add[e::n])) == [(d + D[e]) % L for d in D]
-               for e in gens):
-            continue
-        for g in range(n):
-            row = list(map(D.__getitem__, add[g * n:(g + 1) * n]))
-            want = [(D[g] + d) % L for d in D]
-            if row != want:
-                h = next(h for h in range(n) if row[h] != want[h])
-                raise NotQuadratic(
-                    "polarization not biadditive at "
-                    f"({group.from_index(s)} + {group.from_index(g)}, {group.from_index(h)})"
-                )
+        if any(list(map(D.__getitem__, add[e::n])) != [(d + D[e]) % L for d in D] for e in gens):
+            g, h = next((g, h) for g in range(n) for h in range(n)
+                        if D[add[g * n + h]] != (D[g] + D[h]) % L)
+            raise NotQuadratic(
+                "polarization not biadditive at "
+                f"({group.from_index(s)} + {group.from_index(g)}, {group.from_index(h)})"
+            )
     return M
 
 
@@ -715,21 +710,37 @@ def wap_decompose(M: PreMetricGroup, config: Config = DEFAULT):
     """
     if not is_weakly_anisotropic(M, config):
         return None
-    mult, total = {}, trivial_form()
+    mult = {}
+    parts = []
     for p, Mp in sorted(sylow_decomposition(M).items()):
-        n, H = Mp.group.order, hyperbolic_plane(p)
-        # the least k, then the first catalog form A, with Mp = A + k H
-        found = next(((k, A) for k in range(n.bit_length()) if n % p ** (2 * k) == 0
-                      for A in _aniso_candidates(p, n // p ** (2 * k))
-                      if isomorphic(Mp, reduce(direct_sum, [H] * k, A), config) is not None),
-                     None)
+        found = None
+        order = Mp.group.order
+        k = 0
+        while p ** (2 * k) <= order:
+            rest = order // p ** (2 * k)
+            if p ** (2 * k) * rest == order:
+                for lab in _aniso_candidates(p, rest):
+                    cand = lab
+                    for _ in range(k):
+                        cand = direct_sum(cand, hyperbolic_plane(p))
+                    if isomorphic(Mp, cand, config) is not None:
+                        found = (k, lab)
+                        break
+            if found:
+                break
+            k += 1
         if found is None:
-            raise ClassificationBug("weakly anisotropic form without hyperbolic decomposition")
+            raise ClassificationBug(
+                "weakly anisotropic form without hyperbolic decomposition"
+            )
         k, aniso = found
         if k:
             mult[p] = k
         if aniso.group.order > 1:
-            total = direct_sum(total, aniso)
+            parts.append(aniso)
+    total = trivial_form()
+    for part in parts:
+        total = direct_sum(total, part)
     return mult, total
 
 

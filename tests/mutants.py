@@ -217,8 +217,8 @@ MUTANTS = (
            "        form = direct_sum(D1.pointed_source[0], D2.pointed_source[0])\n",
            (_PRODUCT_LAGRANGIANS,)),
     Mutant("biadditivity-tested-against-the-first-generator-only", "braidforge/qform.py",
-           "               for e in gens):\n",
-           "               for e in gens[:1]):\n",
+           "[(d + D[e]) % L for d in D] for e in gens):",
+           "[(d + D[e]) % L for d in D] for e in gens[:1]):",
            (_VALIDATE,)),
     Mutant("add-table-rotated-by-one-row", "braidforge/kernels/pure.py",
            "        rows = [f[i * h:] + f[:i * h] for i in range(m) for f in fulls]\n",

@@ -2,6 +2,7 @@
 searches against brute-force filters of Aut(G)."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -72,7 +73,7 @@ def test_trivial_group():
 
 def test_cap_raises():
     add = pure.add_table((2, 2, 2))
-    ords = pure.element_orders(8, add)
+    ords = pure.element_orders((2, 2, 2))
     with pytest.raises(EnumerationLimit):
         pure.automorphisms(8, add, ords, [4, 2, 1], [2, 2, 2], 10)
     assert len(pure.automorphisms(8, add, ords, [4, 2, 1], [2, 2, 2], 168)) == 168
@@ -82,7 +83,7 @@ def test_permutations_are_automorphisms():
     orders = (2, 4)
     add = pure.add_table(orders)
     n = 8
-    perms = pure.automorphisms(n, add, pure.element_orders(n, add), [4, 1], [2, 4], 10 ** 6)
+    perms = pure.automorphisms(n, add, pure.element_orders(orders), [4, 1], [2, 4], 10 ** 6)
     assert len(perms) == 8
     for p in perms:
         assert sorted(p) == list(range(n))
@@ -92,14 +93,15 @@ def test_permutations_are_automorphisms():
 
 
 def coordinate_tables(orders):
-    """Oracle: the add and neg tables by arithmetic on coordinate tuples,
-    each indexed by its place in lexicographic order."""
+    """Oracle: the add, neg and element-order tables by arithmetic on
+    coordinate tuples, each indexed by its place in lexicographic order."""
     coords = list(itertools.product(*map(range, orders)))
     index = {c: i for i, c in enumerate(coords)}
     add = [index[tuple((x + y) % m for x, y, m in zip(a, b, orders))]
            for a in coords for b in coords]
     neg = [index[tuple(-x % m for x, m in zip(a, orders))] for a in coords]
-    return add, neg
+    ords = [math.lcm(*(m // math.gcd(x, m) for x, m in zip(a, orders))) for a in coords]
+    return add, neg, ords
 
 
 def test_tables_match_coordinate_arithmetic():
@@ -107,6 +109,7 @@ def test_tables_match_coordinate_arithmetic():
     # largest tables the benchmarks build, and a presentation that is not
     # in invariant form
     for orders in [()] + invariant_shapes(64) + [(256,), (2,) * 8, (4, 2), (3, 2, 4)]:
-        add, neg = coordinate_tables(orders)
+        add, neg, ords = coordinate_tables(orders)
         assert pure.add_table(orders) == add, orders
         assert pure.neg_table(orders) == neg, orders
+        assert pure.element_orders(orders) == ords, orders
