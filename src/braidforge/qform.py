@@ -710,38 +710,29 @@ def wap_decompose(M: PreMetricGroup, config: Config = DEFAULT):
     """
     if not is_weakly_anisotropic(M, config):
         return None
-    mult = {}
-    parts = []
+    mult, total = {}, trivial_form()
     for p, Mp in sorted(sylow_decomposition(M).items()):
-        found = None
-        order = Mp.group.order
-        k = 0
-        while p ** (2 * k) <= order:
-            rest = order // p ** (2 * k)
-            if p ** (2 * k) * rest == order:
-                for lab in _aniso_candidates(p, rest):
-                    cand = lab
-                    for _ in range(k):
-                        cand = direct_sum(cand, hyperbolic_plane(p))
-                    if isomorphic(Mp, cand, config) is not None:
-                        found = (k, lab)
-                        break
-            if found:
-                break
-            k += 1
-        if found is None:
-            raise ClassificationBug(
-                "weakly anisotropic form without hyperbolic decomposition"
-            )
-        k, aniso = found
+        k, aniso = _hyperbolic_split(Mp, p, config)
         if k:
             mult[p] = k
         if aniso.group.order > 1:
-            parts.append(aniso)
-    total = trivial_form()
-    for part in parts:
-        total = direct_sum(total, part)
+            total = direct_sum(total, aniso)
     return mult, total
+
+
+def _hyperbolic_split(Mp: PreMetricGroup, p: int, config: Config):
+    """(k, A) for the least k, then the first catalog form A, with Mp
+    isomorphic to A plus k hyperbolic planes."""
+    n = Mp.group.order
+    for k in range(n.bit_length()):
+        if n % p ** (2 * k) == 0:
+            for A in _aniso_candidates(p, n // p ** (2 * k)):
+                cand = A
+                for _ in range(k):
+                    cand = direct_sum(cand, hyperbolic_plane(p))
+                if isomorphic(Mp, cand, config) is not None:
+                    return k, A
+    raise ClassificationBug("weakly anisotropic form without hyperbolic decomposition")
 
 
 def _aniso_candidates(p: int, order: int) -> list:
