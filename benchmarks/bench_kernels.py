@@ -35,6 +35,10 @@ fresh datum on a fresh ring, built before its clock starts; the sweep
 also lists the lattice first.  The fresh ring is made with
 ``FusionRing(...)`` directly, so it starts with an empty ring memo, and
 build finds, checks and uses its algebra generators as on a parsed ring.
+The ``all_subrings`` rows find the subring lattice of the group rings
+of Z/128, Z/2 x Z/64 and (Z/2)^5 and of Ising^3, with ``rank_guard``
+raised to the rank, on a ring whose kept lattice is dropped before
+each repetition.
 The ``report`` row times ``gauss_and_charge`` and the centralizer of
 every subring on a fresh datum parsed onto the interned Ising x Ising
 ring, as every perfbench request after the first on a table does: the
@@ -131,7 +135,7 @@ from fractions import Fraction  # noqa: E402
 from braidforge import abelian, cyclotomic, fusion, premodular, qform, witt  # noqa: E402
 from braidforge import io as bio  # noqa: E402
 from braidforge.abelian import FinAbGroup  # noqa: E402
-from braidforge.config import DEFAULT  # noqa: E402
+from braidforge.config import DEFAULT, Config  # noqa: E402
 from braidforge.fusion import FusionRing, all_subrings  # noqa: E402
 from braidforge.kernels import pure  # noqa: E402
 
@@ -270,6 +274,19 @@ def workloads():
                     premodular.gauss_and_charge, 5, fresh))
         n = len(all_subrings(D.ring).subrings)
         out.append((f"centralizer sweep {name} ({n} subrings)", sweep, 5, with_lattice))
+
+    I = fusion.ising_ring()
+    lattice = lambda R: all_subrings(R, Config(rank_guard=R.rank))  # noqa: E731
+    for name, R in (("Z/128", fusion.group_ring(FinAbGroup((128,)))),
+                    ("Z/2 x Z/64", fusion.group_ring(FinAbGroup((2, 64)))),
+                    ("(Z/2)^5", fusion.group_ring(FinAbGroup((2,) * 5))),
+                    ("Ising^3", fusion.product_ring(fusion.product_ring(I, I), I))):
+        def unkept(R=R):
+            R._lattice = None
+            return R
+
+        n = len(lattice(R).subrings)
+        out.append((f"all_subrings {name} ({n} subrings), fresh ring", lattice, 3, unkept))
 
     doc = bio.datum_to_json(ising2)
 

@@ -24,6 +24,9 @@ view is that parsed table, so data on one table share its FP
 dimensions, subring lattice and algebra generators, and the dimension
 documents and kits of ``io`` and ``premodular``.  Like ``_CTX`` in
 ``cyclotomic``, the cache is process-local and unbounded.
+
+A subring closes semi-naively (``_join``), and the subring lattice is the
+kernel's lattice search over joins with the cyclic subrings.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import math
 from itertools import chain, compress
 from typing import NamedTuple
 
+from . import kernels
 from .abelian import FinAbGroup, TRIVIAL_GROUP, primes_of, smith_presentation
 from .config import DEFAULT, Config
 from .errors import (
@@ -327,25 +331,33 @@ class FusionSubring:
 
 
 def subring_generated(R: FusionRing, seed) -> FusionSubring:
-    """Least constituent-closed subset containing the seed and the unit.
+    """Least constituent-closed subset containing the seed and the unit,
+    closed from the unit by ``_join``.  Dual-closure always follows for
+    genuine fusion rings, so it is asserted afterwards, and a violation
+    marks the input as not a fusion ring."""
+    return _subring(R, _join(R, (), (R.unit, *seed)))
 
-    Dual-closure always follows for genuine fusion rings, so it is not
-    part of the closure; it is asserted afterwards, and a violation
-    marks the input as not a fusion ring.
-    """
-    cur = set(seed) | {R.unit}
-    while True:
-        new = set(cur)
-        for i in cur:
-            for j in cur:
-                new.update(R.constituents(i, j))
-        if new == cur:
-            break
-        cur = new
-    for i in cur:
-        if R.dual[i] not in cur:
-            raise ClassificationBug(f"closure not dual-closed at index {i}")
-    return FusionSubring(R, tuple(sorted(cur)))
+
+def _join(R: FusionRing, cur, new) -> tuple:
+    """Sorted indices of the least constituent-closed set holding ``new`` and
+    the constituent-closed ``cur``, by semi-naive steps: each element added
+    meets every element once, itself included, on both sides."""
+    rows, done, have = R.rows, list(cur), set(cur).union(new)
+    todo = list(have.difference(cur))
+    while todo:
+        done.append(x := todo.pop())
+        fresh = set(chain.from_iterable(rows[x][y][0] + rows[y][x][0] for y in done)) - have
+        have |= fresh
+        todo += fresh
+    return tuple(sorted(have))
+
+
+def _subring(R: FusionRing, idx: tuple) -> FusionSubring:
+    """The subring of a constituent-closed ``idx``, asserted dual-closed."""
+    have = set(idx)
+    if bad := [i for i in idx if R.dual[i] not in have]:
+        raise ClassificationBug(f"closure not dual-closed at index {bad[0]}")
+    return FusionSubring(R, idx)
 
 
 class SubringLattice(NamedTuple):
@@ -353,43 +365,32 @@ class SubringLattice(NamedTuple):
     subrings: tuple  # sorted by (rank, indices)
 
     def meet(self, a: FusionSubring, b: FusionSubring) -> FusionSubring:
-        common = set(a.indices) & set(b.indices)
-        sub = FusionSubring(self.ring, tuple(common))
+        sub = FusionSubring(self.ring, set(a.indices) & set(b.indices))
         if subring_generated(self.ring, sub.indices).indices != sub.indices:
             raise ClassificationBug("intersection of subrings is not a subring")
         return sub
 
     def join(self, a: FusionSubring, b: FusionSubring) -> FusionSubring:
-        return subring_generated(self.ring, a.indices + b.indices)
+        """The least subring holding the subrings a and b, closed from a."""
+        return _subring(self.ring, _join(self.ring, a.indices, b.indices))
 
 
 def all_subrings(R: FusionRing, config: Config = DEFAULT) -> SubringLattice:
-    """The full subring lattice, by closure of single-element extensions.
-
-    Built once per ring, and kept on it with its subrings; the rank guard
-    is checked on every call.
-    """
+    """The full subring lattice (``_subring_lattice``), built once per ring
+    and kept on it with its subrings; the rank guard is checked on every call."""
     if R.rank > config.rank_guard:
         raise EnumerationLimit(f"rank {R.rank} exceeds rank_guard = {config.rank_guard}")
     if R._lattice is None:
-        R._lattice = SubringLattice(R, tuple(FusionSubring(R, s) for s in _subring_lattice(R)))
+        R._lattice = SubringLattice(R, tuple(_subring(R, s) for s in _subring_lattice(R)))
     return R._lattice
 
 
-def _subring_lattice(R: FusionRing) -> tuple:
-    base = subring_generated(R, ())
-    found = {base.indices}
-    queue = [base.indices]
-    while queue:
-        cur = queue.pop()
-        for x in range(R.rank):
-            if x in cur:
-                continue
-            ext = subring_generated(R, cur + (x,)).indices
-            if ext not in found:
-                found.add(ext)
-                queue.append(ext)
-    return tuple(sorted(found, key=lambda s: (len(s), s)))
+def _subring_lattice(R: FusionRing) -> list:
+    """Every subring, by (size, indices): the joins of the unit's subring
+    with cyclic subrings <x>, each joined by the least x that generates it."""
+    least = {_join(R, (), (R.unit, x)): x for x in reversed(range(R.rank))}
+    return kernels.lattice(_join(R, (), (R.unit,)), tuple(least.values()),
+                           lambda cur, x: _join(R, cur, (x,)))
 
 
 # ---------------------------------------------------------------------------

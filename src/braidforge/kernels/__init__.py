@@ -9,6 +9,7 @@ from .pure import (
     combinations,
     element_orders,
     find_isomorphism,
+    lattice,
     neg_table,
     stabilizer,
 )

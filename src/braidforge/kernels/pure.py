@@ -1,9 +1,10 @@
 """Pure-Python enumeration kernel.
 
 Hot loops of the whole library live behind this small interface:
-index-packed arithmetic of a finite abelian group, subgroup closure and
-enumeration, one automorphism search (all automorphisms, a table's
-stabilizer, a table-carrying isomorphism), and value-table transforms.
+index-packed arithmetic of a finite abelian group, subgroup closure, one
+lattice search (subgroups, and the subrings of ``fusion``), one
+automorphism search (all automorphisms, a table's stabilizer, a
+table-carrying isomorphism), and value-table transforms.
 
 Elements of a group with invariant factors ``orders = (n1, ..., nr)``
 are packed as mixed-radix integers, leftmost coordinate most
@@ -17,6 +18,7 @@ coordinates outermost-first lists indices 0..n-1 in order.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import chain
 
 from ..errors import EnumerationLimit
@@ -81,26 +83,23 @@ def closure(n, add, gens):
     return cur
 
 
-def all_subgroups(n, add):
-    """Every subgroup, as sorted index tuples.
-
-    Layered closure: extend each known subgroup by one cyclic generator
-    until no new subgroup appears.
-    """
-    trivial = (0,)
-    found = {trivial}
-    queue = [trivial]
+def lattice(bottom, items, grow):
+    """Every sorted tuple reached from ``bottom`` by ``grow(s, x)`` for each
+    s found and x in ``items`` outside s, ordered by (size, tuple)."""
+    found, queue = {bottom}, [bottom]
     while queue:
-        sub = queue.pop()
-        have = set(sub)
-        for g in range(1, n):
-            if g in have:
-                continue
-            ext = _extend(n, add, sub, g)
-            if ext not in found:
+        cur = queue.pop()
+        have = set(cur)
+        for x in items:
+            if x not in have and (ext := grow(cur, x)) not in found:
                 found.add(ext)
                 queue.append(ext)
     return sorted(found, key=lambda s: (len(s), s))
+
+
+def all_subgroups(n, add):
+    """Every subgroup, as sorted index tuples, grown by one generator."""
+    return lattice((0,), range(1, n), partial(_extend, n, add))
 
 
 def _multiples(n, add, m, count):

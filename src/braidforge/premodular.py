@@ -592,9 +592,8 @@ def pointed_datum(M: qform.PreMetricGroup, chi=None, config: Config = DEFAULT) -
                     f"chi not multiplicative at {G.from_index(i)}, {G.from_index(j)}"
                 )
     ring = group_ring(G)
-    theta = tuple(
-        root_exp(M.values[i] + (Fraction(1, 2) if chi[i] == -1 else 0)) for i in range(n)
-    )
+    theta = tuple(root_exp(v + (Fraction(1, 2) if c == -1 else 0))
+                  for v, c in zip(M.values, chi))
     dim = tuple(CycloNum.from_rational(c) for c in chi)
     D = build(ring, theta, dim, config)
     D.pointed_source = (M, chi)

@@ -195,6 +195,97 @@ def test_modular_law_spot_checks():
                     assert lhs == rhs
 
 
+def _reference_subring_generated(R, seed):
+    """The closure by whole passes, each multiplying every pair again, and
+    its dual-closure assertion: the library's closure before it closed by
+    new elements only."""
+    cur = set(seed) | {R.unit}
+    while True:
+        new = set(cur)
+        for i in cur:
+            for j in cur:
+                new.update(R.constituents(i, j))
+        if new == cur:
+            break
+        cur = new
+    assert all(R.dual[i] in cur for i in cur)
+    return tuple(sorted(cur))
+
+
+def _reference_lattice(R):
+    """The breadth-first search the library ran before its lattice moved to
+    the kernel: every subring found, extended by every index outside it."""
+    base = _reference_subring_generated(R, ())
+    found, queue = {base}, [base]
+    while queue:
+        cur = queue.pop()
+        for x in range(R.rank):
+            if x not in cur:
+                ext = _reference_subring_generated(R, cur + (x,))
+                if ext not in found:
+                    found.add(ext)
+                    queue.append(ext)
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def _oracle_rings():
+    """(name, ring) for the subring oracle: Ising to Ising^3, the S3 rings,
+    the group ring of every invariant shape of order <= 32, SU(2)_k for
+    k = 1..11 and every ring of the golden corpus."""
+    import json
+    from pathlib import Path
+
+    from braidforge import io as bio
+    from test_abelian import invariant_shapes
+    from test_su2 import LEVELS, su2
+
+    I = ising_ring()
+    II = product_ring(I, I)
+    yield from (("Ising", I), ("Ising^2", II), ("Ising^3", product_ring(II, I)),
+                ("Rep(S3)", s3_character_ring()), ("Z[S3]", _s3_group_ring()))
+    for shape in invariant_shapes(32):
+        yield f"Z{shape}", group_ring(FinAbGroup(shape))
+    for k in LEVELS:
+        yield f"SU(2)_{k}", su2(k).ring
+    for path in sorted((Path(__file__).parent / "golden" / "inputs").glob("*.json")):
+        try:
+            doc = json.loads(path.read_text())
+        except RecursionError:   # deep_nesting.json
+            continue
+        doc = doc.get("ring", doc) if isinstance(doc, dict) else None
+        if isinstance(doc, dict) and "N" in doc:
+            try:
+                yield path.name, bio.ring_from_json(doc)
+            except SchemaError:   # the refused tables
+                pass
+
+
+def test_subring_lattice_closures_and_joins_match_the_pass_by_pass_search(monkeypatch):
+    from braidforge import fusion
+    from braidforge.config import Config
+
+    monkeypatch.setattr(fusion, "_RINGS", {})   # corpus rings without a kept lattice
+    rng = random.Random(43)
+    names = set()
+    for name, R in _oracle_rings():
+        names.add(name)
+        want = _reference_lattice(R)
+        lat = all_subrings(R, Config(rank_guard=max(R.rank, 12)))
+        assert [s.indices for s in lat.subrings] == want, name
+        r = range(R.rank)
+        seeds = [()] + [(x,) for x in r] + [tuple(rng.sample(r, min(k, R.rank)))
+                                             for k in (2, 2, 3, 3, 4) for _ in range(4)]
+        for seed in seeds:
+            got = subring_generated(R, seed)
+            assert got.indices == _reference_subring_generated(R, seed), (name, seed)
+        subs = lat.subrings
+        pairs = list(itertools.product(subs, subs))
+        for a, b in pairs if len(pairs) <= 400 else rng.sample(pairs, 400):
+            assert lat.join(a, b).indices == _reference_subring_generated(R, a.indices + b.indices)
+    assert {"Ising^3", "Z[S3]", "Z(2, 2, 2, 2, 2)", "Z(32,)", "SU(2)_11", "ring_s3.json",
+            "datum_ising2.json"} <= names
+
+
 def test_adjoint_subring():
     assert adjoint_subring(ising_ring()).indices == (0, 1)
     assert adjoint_subring(group_ring(FinAbGroup((4,)))).indices == (0,)
