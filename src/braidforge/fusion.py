@@ -332,9 +332,8 @@ class FusionSubring:
 
 def subring_generated(R: FusionRing, seed) -> FusionSubring:
     """Least constituent-closed subset containing the seed and the unit,
-    closed from the unit by ``_join``.  Dual-closure always follows for
-    genuine fusion rings, so it is asserted afterwards, and a violation
-    marks the input as not a fusion ring."""
+    closed from the unit by ``_join``.  Its dual-closure, which follows in
+    a genuine fusion ring, is asserted: a violation marks no fusion ring."""
     return _subring(R, _join(R, (), (R.unit, *seed)))
 
 
@@ -346,9 +345,11 @@ def _join(R: FusionRing, cur, new) -> tuple:
     todo = list(have.difference(cur))
     while todo:
         done.append(x := todo.pop())
-        fresh = set(chain.from_iterable(rows[x][y][0] + rows[y][x][0] for y in done)) - have
-        have |= fresh
-        todo += fresh
+        for y in done:
+            for z in rows[x][y][0] + rows[y][x][0]:
+                if z not in have:
+                    have.add(z)
+                    todo.append(z)
     return tuple(sorted(have))
 
 

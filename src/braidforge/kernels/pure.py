@@ -2,9 +2,8 @@
 
 Hot loops of the whole library live behind this small interface:
 index-packed arithmetic of a finite abelian group, subgroup closure, one
-lattice search (subgroups, and the subrings of ``fusion``), one
-automorphism search (all automorphisms, a table's stabilizer, a
-table-carrying isomorphism), and value-table transforms.
+lattice search, one automorphism search (all automorphisms, a table's
+stabilizer, a table-carrying isomorphism), and value-table transforms.
 
 Elements of a group with invariant factors ``orders = (n1, ..., nr)``
 are packed as mixed-radix integers, leftmost coordinate most
@@ -18,7 +17,6 @@ coordinates outermost-first lists indices 0..n-1 in order.
 from __future__ import annotations
 
 import math
-from functools import partial
 from itertools import chain
 
 from ..errors import EnumerationLimit
@@ -85,7 +83,8 @@ def closure(n, add, gens):
 
 def lattice(bottom, items, grow):
     """Every sorted tuple reached from ``bottom`` by ``grow(s, x)`` for each
-    s found and x in ``items`` outside s, ordered by (size, tuple)."""
+    s found and x in ``items`` outside s, ordered by (size, tuple): the
+    subgroups of :func:`all_subgroups`, and the subrings of ``fusion``."""
     found, queue = {bottom}, [bottom]
     while queue:
         cur = queue.pop()
@@ -99,7 +98,7 @@ def lattice(bottom, items, grow):
 
 def all_subgroups(n, add):
     """Every subgroup, as sorted index tuples, grown by one generator."""
-    return lattice((0,), range(1, n), partial(_extend, n, add))
+    return lattice((0,), range(1, n), lambda sub, g: _extend(n, add, sub, g))
 
 
 def _multiples(n, add, m, count):

@@ -236,8 +236,8 @@ MUTANTS = (
            "Subgroup.closed(G, (0, i))",
            (_UNCHECKED,)),
     Mutant("join-meets-new-elements-on-the-left-only", "braidforge/fusion.py",
-           "rows[x][y][0] + rows[y][x][0] for y in done",
-           "rows[x][y][0] for y in done",
+           "            for z in rows[x][y][0] + rows[y][x][0]:",
+           "            for z in rows[x][y][0]:",
            (_SUBRINGS,), survives=True,
            note="no ring found where it differs: every seed of at most 3 indices of the group "
                 "rings of S3, D4 and A4, and 12,000 joins in random order on those, the "
@@ -248,8 +248,8 @@ MUTANTS = (
            "_join(self.ring, (), b.indices)",
            (_SUBRINGS,)),
     Mutant("new-element-does-not-meet-itself", "braidforge/fusion.py",
-           "rows[x][y][0] + rows[y][x][0] for y in done)",
-           "rows[x][y][0] + rows[y][x][0] for y in done[:-1])",
+           "        for y in done:\n",
+           "        for y in done[:-1]:\n",
            (_SUBRINGS,)),
     Mutant("lattice-grows-the-bottom-only", "braidforge/kernels/pure.py",
            "                found.add(ext)\n                queue.append(ext)\n",
