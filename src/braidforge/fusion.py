@@ -332,8 +332,8 @@ class FusionSubring:
 
 def subring_generated(R: FusionRing, seed) -> FusionSubring:
     """Least constituent-closed subset containing the seed and the unit,
-    closed from the unit by ``_join``.  Its dual-closure, which follows in
-    a genuine fusion ring, is asserted: a violation marks no fusion ring."""
+    closed from the unit by ``_join``.  Dual-closure follows in a fusion
+    ring, so it is asserted: a violation shows the input is not one."""
     return _subring(R, _join(R, (), (R.unit, *seed)))
 
 
