@@ -78,6 +78,8 @@ The ``isotropic_subgroups`` and ``q_automorphism_perms`` rows time one
 seeded form on (Z/2)^4 and on Z/4 x Z/8: a first call, on a fresh copy
 of the form with the group memo (the subgroup structure each group keeps
 in ``abelian``) cleared, and a repeat, which reads what the form kept.
+A first call of ``isotropic_subgroups`` on a seeded (Z/2)^8 form (order
+256, the default ``enum_guard``) follows, on the same footing.
 The ``quotient_form`` rows take the induced form on H-perp/H for every H
 in the isotropic lattice of the same two forms: cold, with the group
 memo cleared before each repetition, and warm, when every subgroup's
@@ -390,12 +392,12 @@ def workloads():
         for entry in abelian._TABLE_CACHE.values():
             entry[3].clear()
 
+    def fresh(M):
+        clear_group_memo()
+        return qform.PreMetricGroup.at_level(M.group, M.level, M.res)
+
     for shape in ((2, 2, 2, 2), (4, 8)):
         M = qform.random_form(FinAbGroup(shape), random.Random(1))
-
-        def fresh(M=M):
-            clear_group_memo()
-            return qform.PreMetricGroup.at_level(M.group, M.level, M.res)
 
         def kept(M=M):
             qform.isotropic_subgroups(M)
@@ -403,7 +405,7 @@ def workloads():
             return M
 
         for fn in (qform.isotropic_subgroups, qform.q_automorphism_perms):
-            out.append((f"{fn.__name__} {shape}, first call", fn, 5, fresh))
+            out.append((f"{fn.__name__} {shape}, first call", fn, 5, lambda M=M: fresh(M)))
             out.append((f"{fn.__name__} {shape}, repeat", fn, 20, kept))
 
         lattice = [r.subgroup for r in qform.isotropic_subgroups(M)]
@@ -429,6 +431,10 @@ def workloads():
         for name, target in (("isomorphic", moved), ("not isomorphic", other)):
             out.append((f"find_isomorphism {shape}, {name} pair",
                         lambda t=target, a=args, M=M: pure.find_isomorphism(*a, M.res, t), 20))
+
+    M = qform.random_form(FinAbGroup((2,) * 8), random.Random(1))
+    out.append(("isotropic_subgroups (2,)*8, first call", qform.isotropic_subgroups, 5,
+                lambda M=M: fresh(M)))
 
     M66 = qform.random_form(FinAbGroup((6, 6)), random.Random(1))
 

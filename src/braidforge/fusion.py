@@ -64,9 +64,9 @@ class FusionRing:
     # rows on first read of N.  Built on first use: _fpdim, the Perron
     # eigenvalues of the left multiplications; _lattice, the SubringLattice
     # that all_subrings returns, its FusionSubrings with it; _gens, the
-    # indices of algebra_generators; _squares,
-    # (tolerance, fp_square_integers, their squarefree parts, the indices
-    # of integral_part) at the last tolerance premodular.gfp_invariants
+    # indices of algebra_generators; _squares, (tolerance, fp_square_integers,
+    # their squarefree parts, the indices of integral_part, those of
+    # pointed_part as a set) at the last tolerance premodular.gfp_invariants
     # asked for; _mult, the largest sum of the multiplicities of a row,
     # which bounds premodular.build's integer tests.  _comps maps
     # the indices of each centralizer of a report premodular.centralizer

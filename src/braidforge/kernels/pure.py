@@ -2,8 +2,9 @@
 
 Hot loops of the whole library live behind this small interface:
 index-packed arithmetic of a finite abelian group, subgroup closure, one
-lattice search, one automorphism search (all automorphisms, a table's
-stabilizer, a table-carrying isomorphism), and value-table transforms.
+lattice search (subgroups, subrings, isotropic subgroups), one automorphism
+search (Aut(G), a table's stabilizer, a table-carrying isomorphism) and
+value-table transforms.
 
 Elements of a group with invariant factors ``orders = (n1, ..., nr)``
 are packed as mixed-radix integers, leftmost coordinate most
@@ -82,9 +83,10 @@ def closure(n, add, gens):
 
 
 def lattice(bottom, items, grow):
-    """Every sorted tuple reached from ``bottom`` by ``grow(s, x)`` for each
-    s found and x in ``items`` outside s, ordered by (size, tuple): the
-    subgroups of :func:`all_subgroups`, and the subrings of ``fusion``."""
+    """Every sorted tuple reached from ``bottom`` by ``grow(s, x)``, called
+    once per s found and x in ``items`` outside s, ordered by (size, tuple):
+    the subgroups of :func:`all_subgroups`, the subrings of ``fusion`` and
+    the isotropic subgroups of ``qform``."""
     found, queue = {bottom}, [bottom]
     while queue:
         cur = queue.pop()

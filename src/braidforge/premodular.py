@@ -950,8 +950,8 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     are read from the datum's table of s_{aX} = +-d(a) d(X).  The result
     is kept on the datum with ``config.tolerance``, the one setting the FP
     rounding reads, so ``gauss_and_charge`` and a later call at the same
-    tolerance share it; a refusal keeps nothing.  The square classes and
-    the integral part, which depend on the ring and tolerance alone, are
+    tolerance share it; a refusal keeps nothing.  The square classes and the
+    integral and pointed parts, which read the ring and tolerance alone, are
     kept so on the ring (``FusionRing._squares``) for every datum on it.
     """
     if D._gfp is not None and D._gfp[0] == config.tolerance:
@@ -964,10 +964,10 @@ def gfp_invariants(D: PreModularDatum, config: Config = DEFAULT):
     if R._squares is None or R._squares[0] != config.tolerance:
         sq = fp_square_integers(R, config)      # NotWeaklyIntegral if not
         R._squares = (config.tolerance, sq, tuple(_squarefree(m) for m in sq),
-                      integral_part(R, config).indices)
-    _, sq, sf, int_part = R._squares
+                      integral_part(R, config).indices, frozenset(pointed_part(R).indices))
+    _, sq, sf, int_part, pointed = R._squares
     A = centralizer(D, FusionSubring(R, int_part)).centralizer
-    if not set(A.indices) <= set(pointed_part(R).indices):
+    if not pointed.issuperset(A.indices):
         raise ClassificationBug("centralizer of the integral part is not pointed")
     chi = {}
     for a in A.indices:   # theta_a d(a) = +-1 is +-den at the base

@@ -26,10 +26,10 @@ degenerate anisotropic 2-groups), and weak anisotropy with its
 hyperbolic-plane decomposition.
 
 A form keeps what its questions share: its radical (``degeneracy``),
-its lattice of isotropic subgroups and Aut(G, q) are computed on first
-use and kept on the form for its lifetime.  The guards of
-``isotropic_subgroups`` and ``q_automorphism_perms`` run on every call,
-before the kept value is read, and each call returns a fresh list.
+its isotropic lattice (a ``kernels.lattice`` search) and Aut(G, q) are
+computed on first use and kept on the form for its lifetime.  The guards
+of ``isotropic_subgroups`` and ``q_automorphism_perms`` run on every
+call, before the kept value is read, and each call returns a fresh list.
 """
 
 from __future__ import annotations
@@ -288,13 +288,15 @@ class IsotropicSubgroup(NamedTuple):
 def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
     """All subgroups with q = 0, maximal/Lagrangian flags set.
 
-    Grown by closure: H extends by x exactly when q(x) = 0 and
-    b(x, H) = 0, so the search never leaves the isotropic lattice; b(x, .)
-    is a character, so b(x, H) = 0 is tested on the generators that H was
-    grown from.  g -> b(g, .) on H has kernel H-perp, and its image is the
-    characters of H that vanish on H n Ker b, so |H-perp| = |G| |H n Ker b|
-    / |H|; H, which lies in H-perp, is Lagrangian when that is |H|.  The
-    records are kept on M; the guard runs on every call.
+    ``kernels.lattice`` from {0} over the x with q(x) = 0.  For H
+    isotropic, q(kx + h) = k^2 q(x) + q(h) + k b(x, h) = k b(x, h), so
+    <H, x> is isotropic exactly when q vanishes on the coset x + H, which
+    is tested first (a failing x gives H back, already found); H is
+    maximal when no x outside it passes.  g -> b(g, .) on H has kernel
+    H-perp, and its image is the characters of H that vanish on H n Ker b,
+    so |H-perp| = |G| |H n Ker b| / |H|; H, which lies in H-perp, is
+    Lagrangian when that is |H|.  The records are kept on M; the guard
+    runs on every call.
     """
     G = M.group
     n = G.order
@@ -302,29 +304,19 @@ def isotropic_subgroups(M: PreMetricGroup, config: Config = DEFAULT) -> list:
         raise EnumerationLimit(f"|G| = {n} exceeds enum_guard = {config.enum_guard}")
     if M._iso is not None:
         return list(M._iso)
-    L, t = M.level, M.res
-    add = G.add_flat()
-    iso_elems = [i for i in range(n) if t[i] == 0]
-    trivial = (0,)
-    found = {trivial}
-    queue = [(trivial, ())]   # each subgroup with a generating tuple of it
-    maximal = {}
-    while queue:
-        cur, gens = queue.pop()
-        have = set(cur)
-        exts = [x for x in iso_elems if x not in have
-                and all((t[add[x * n + h]] - t[x] - t[h]) % L == 0 for h in gens)]
-        maximal[cur] = not exts
-        for x in exts:
-            new = kernels.closure(n, add, gens + (x,))
-            if new not in found:
-                found.add(new)
-                queue.append((new, gens + (x,)))
+    t, add, grown = M.res, G.add_flat(), set()
+
+    def grow(cur, x):
+        if any(t[add[x * n + h]] for h in cur):
+            return cur
+        grown.add(cur)
+        return kernels.pure._extend(n, add, cur, x)
+
     rad = set(degeneracy(M).radical.idx)
     result = []
-    for idx in sorted(found, key=lambda s: (len(s), s)):
+    for idx in kernels.lattice((0,), [i for i in range(n) if t[i] == 0], grow):
         lagrangian = n * len(rad.intersection(idx)) == len(idx) ** 2
-        result.append(IsotropicSubgroup(Subgroup.closed(G, idx), maximal[idx], lagrangian))
+        result.append(IsotropicSubgroup(Subgroup.closed(G, idx), idx not in grown, lagrangian))
     M._iso = tuple(result)
     return result
 

@@ -76,6 +76,7 @@ _UNCHECKED = "tests/test_abelian.py::test_unchecked_subgroups_hold_zero_and_are_
 _SUBRINGS = ("tests/test_fusion.py::"
              "test_subring_lattice_closures_and_joins_match_the_pass_by_pass_search")
 _SUBGROUP_COUNTS = "tests/test_abelian.py::test_subgroup_counts_formula_oracles"
+_ISOTROPIC = "tests/test_qform.py::test_isotropic_subgroups_against_oracle"
 
 MUTANTS = (
     Mutant("monomial-shift-range-one-block-short", "braidforge/cyclotomic.py",
@@ -260,6 +261,18 @@ MUTANTS = (
            "for x in range(R.rank)}",
            (_SUBRINGS,), survives=True,
            note="equivalent: joining any generator of <x> joins <x>, so the lattice is the same"),
+    Mutant("squares-slot-keeps-every-index-as-pointed", "braidforge/premodular.py",
+           "frozenset(pointed_part(R).indices))",
+           "frozenset(range(R.rank)))",
+           (_SQUARES,)),
+    Mutant("coset-test-reads-one-nonzero-element", "braidforge/qform.py",
+           "if any(t[add[x * n + h]] for h in cur):",
+           "if any(t[add[x * n + h]] for h in cur[1:2]):",
+           (_ISOTROPIC,)),
+    Mutant("grown-records-the-extension", "braidforge/qform.py",
+           "        grown.add(cur)\n        return kernels.pure._extend(n, add, cur, x)\n",
+           "        grown.add(ext := kernels.pure._extend(n, add, cur, x))\n        return ext\n",
+           (_ISOTROPIC,)),
 )
 
 

@@ -1176,7 +1176,8 @@ def test_square_classes_are_kept_on_the_ring_per_tolerance(monkeypatch):
     got = gfp_invariants(D1)
     assert R._squares[0] == 1e-6 and squares == [1e-6]
     sq = fp_square_integers(R)
-    assert R._squares[1:] == (sq, tuple(_squarefree(m) for m in sq), integral_part(R).indices)
+    assert R._squares[1:] == (sq, tuple(_squarefree(m) for m in sq), integral_part(R).indices,
+                              frozenset(pointed_part(R).indices))
     assert gfp_invariants(D2) == _ref_gfp(D2) and squares == [1e-6]
     with pytest.raises(NotWeaklyIntegral):
         gfp_invariants(D2, Config(tolerance=1e-14))

@@ -101,16 +101,26 @@ def test_orthogonal_complement():
 
 
 def test_isotropic_subgroups_against_oracle():
+    # the lattice, its order, and both flags: maximal exactly when no
+    # isotropic subgroup strictly contains it, Lagrangian when H = H-perp
     rng = random.Random(7)
     cases = [hyperbolic_plane(2), odd_norm(3), slight_deg4(), hyperbolic_plane(3)]
-    for orders in [(4,), (2, 4), (2, 2, 2), (9,), (3, 3), (12,)]:
+    for orders in [(4,), (2, 4), (2, 2, 2), (9,), (3, 3), (12,)] + [(2,) * 5, (3, 3, 3)] * 3:
         cases.append(random_form(FinAbGroup(orders), rng))
+    for orders in [(2, 2), (2, 2, 2), (2, 4)]:
+        cases.extend(all_forms(FinAbGroup(orders)))
     for M in cases:
-        got = sorted(r.subgroup.elements for r in isotropic_subgroups(M))
-        assert got == brute_isotropic(M)
+        recs = isotropic_subgroups(M)
+        brute = brute_isotropic(M)
+        assert sorted(r.subgroup.elements for r in recs) == brute
+        keys = [(r.subgroup.order, r.subgroup.idx) for r in recs]
+        assert keys == sorted(keys)
+        above = [set(e) for e in brute]
         for rec in isotropic_subgroups(M):
+            own = set(rec.subgroup.elements)
+            assert rec.is_maximal == (not any(own < s for s in above))
             perp = orthogonal_complement(M, rec.subgroup)
-            assert set(rec.subgroup.elements) <= set(perp.elements)
+            assert own <= set(perp.elements)
             assert rec.is_lagrangian == (rec.subgroup.elements == perp.elements)
 
 
